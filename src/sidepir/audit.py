@@ -40,7 +40,12 @@ from .capacity import (
     capacity_tpir_psi,
     count_profile,
 )
-from .coding import erasure_decode, make_mds, sample_full_rank_batched
+from .coding import (
+    erasure_decode,
+    information_set_inverse,
+    make_mds,
+    sample_full_rank_batched,
+)
 from .errors import AuditInvariantError, ParameterError
 from .field import standard_field
 from .store import MessageStore, random_store
@@ -48,6 +53,7 @@ from .stpir_psi import (
     SESSION_ID_BYTES,
     CommonRandomness,
     derive_common_randomness,
+    interpolation_matrix,
     make_sym_params,
     queries_from_masks,
     sym_answer,
@@ -379,7 +385,8 @@ class LayeredScheme:
                 continue
             free_flat, free_coord = plan.skeleton.gather.ctx_free[ci]
             gen = state.generators[(ctx.length, ctx.dim)]
-            info = linalg.solve(fieldq, gen.entries[free_coord, :], flat[free_flat])
+            info = linalg.matvec(fieldq, information_set_inverse(gen, free_coord),
+                                 flat[free_flat])
             for i in ctx.members:
                 if i in cached:
                     lo, hi = ctx.block_rows[i]
@@ -533,10 +540,9 @@ class SymmetricScheme:
              for n in range(self.params.N)],
             dtype=self.field.dtype,
         )
-        vander = np.stack([self.field.pow(self.sym.lambdas, j)
-                           for j in range(self.params.N)], axis=1)
-        coeffs = linalg.solve(self.field, vander, answers)
-        low = coeffs[: self.params.T].copy()
+        coeffs = linalg.matvec(self.field,
+                               interpolation_matrix(self.field, self.params.N), answers)
+        low = coeffs[: self.params.T]
         known = set(side_idx) | {theta}
         for k in known:
             w_k = store.message(k)

@@ -7,7 +7,8 @@ identity block on the LAST f rows; rows 0..e-f-1 are parity.
 
 Only erasure decoding is provided (no error correction): pick any f known
 coordinates, invert, and check the remaining known coordinates against the
-reconstructed codeword.
+reconstructed codeword. Generators are public and fixed by (e, f, field), so
+the inverse of each information set is computed once and cached.
 """
 
 from __future__ import annotations
@@ -130,12 +131,34 @@ def encode(g: GeneratorMatrix, x: np.ndarray) -> np.ndarray:
     return linalg.matvec(g.field, g.entries, x)
 
 
+@lru_cache(maxsize=1024)
+def _information_set_inverse(e: int, f: int, field: GF, systematic: bool,
+                             rows: tuple[int, ...]) -> np.ndarray:
+    make = make_systematic_mds if systematic else make_mds
+    inv = linalg.inv_matrix(field, make(e, f, field).entries[list(rows), :])
+    inv.flags.writeable = False
+    return inv
+
+
+def information_set_inverse(g: GeneratorMatrix, rows) -> np.ndarray:
+    """Read-only inverse of the f x f submatrix of ``g`` on ``rows``.
+
+    Cached on (e, f, field, systematic, rows): the generator is public and
+    fixed by its dimensions, so the inverse is too. The rows a decoder holds
+    follow from the query structure and its own cached set; the cache lives
+    in the decoding process and holds no mixer or message.
+    """
+    return _information_set_inverse(g.length, g.dim, g.field, g.systematic,
+                                    tuple(int(r) for r in rows))
+
+
 def erasure_decode(g: GeneratorMatrix, known) -> np.ndarray:
     """Recover the information vector from >= dim known coordinates.
 
     ``known`` is an iterable of (row index, symbol) pairs. Any dim of them
-    determine the codeword (MDS property); the surplus coordinates are
-    checked against the reconstruction and a mismatch raises
+    determine the codeword (MDS property): the lowest dim rows are decoded by
+    a product with the cached :func:`information_set_inverse`. The surplus
+    coordinates are checked against the reconstruction and a mismatch raises
     :class:`CorruptionError`.
     """
     seen: dict[int, int] = {}
@@ -155,7 +178,7 @@ def erasure_decode(g: GeneratorMatrix, known) -> np.ndarray:
     rows = sorted(seen)
     base, rest = rows[: g.dim], rows[g.dim:]
     values = np.array([seen[r] for r in base], dtype=g.field.dtype)
-    x = linalg.solve(g.field, g.entries[base, :], values)
+    x = linalg.matvec(g.field, information_set_inverse(g, base), values)
     if rest:
         recoded = linalg.matvec(g.field, g.entries[rest, :], x)
         expected = np.array([seen[r] for r in rest], dtype=g.field.dtype)
@@ -171,18 +194,34 @@ def sample_candidates(n: int, field: GF, rngs) -> np.ndarray:
 
 
 def sample_full_rank_batched(n: int, field: GF, rngs) -> np.ndarray:
-    """Uniform invertible n x n matrix per source, by rejection sampling.
+    """Uniform invertible n x n matrix per slot, by rejection sampling.
 
-    Each source draws its own candidates sequentially, so the result for a
-    given source is identical whether it is sampled alone or in a batch.
+    ``rngs`` names one random source per slot; a source may fill several
+    slots. Each round draws one candidate per pending slot, in slot order,
+    checks them all with one batched rank, and hands every
+    source's full-rank candidates, in draw order, to its earliest pending
+    slots. A source therefore yields the same matrices, and ends in the same
+    state, as sequential single-matrix calls on it, whatever else is in the
+    batch.
     """
     rngs = list(rngs)
-    out = sample_candidates(n, field, rngs)
-    pending = np.nonzero(linalg.rank_batched(field, out) < n)[0]
-    while pending.size:
-        out[pending] = sample_candidates(n, field, (rngs[i] for i in pending))
-        still = linalg.rank_batched(field, out[pending]) < n
-        pending = pending[still]
+    out = np.empty((len(rngs), n, n), dtype=field.dtype)
+    pending = list(range(len(rngs)))
+    while pending:
+        cand = sample_candidates(n, field, (rngs[i] for i in pending))
+        full = linalg.rank_batched(field, cand) == n
+        slots: dict[int, list[int]] = {}
+        accepted: dict[int, list[int]] = {}
+        for j, i in enumerate(pending):
+            slots.setdefault(id(rngs[i]), []).append(i)
+            if full[j]:
+                accepted.setdefault(id(rngs[i]), []).append(j)
+        pending = []
+        for key, idx in slots.items():
+            got = accepted.get(key, [])
+            out[idx[:len(got)]] = cand[got]
+            pending += idx[len(got):]
+        pending.sort()
     return out
 
 

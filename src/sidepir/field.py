@@ -170,12 +170,6 @@ class GF:
     def random_symbols(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, self.q, size=shape, dtype=self.dtype)
 
-    def validate_symbols(self, arr) -> np.ndarray:
-        out = np.asarray(arr)
-        if out.size and int(out.max()) >= self.q:
-            raise ParameterError(f"symbol out of range for GF(2^{self.w})")
-        return out.astype(self.dtype, copy=False)
-
     # -- wire packing --------------------------------------------------------
 
     def packed_size(self, count: int) -> int:

@@ -3,7 +3,16 @@
 All routines operate on numpy arrays of field symbols and take the field as
 their first argument. The batched variants run one Gauss-Jordan elimination
 across a stack of matrices simultaneously; they exist because the audits
-process hundreds of thousands of independent sessions.
+process hundreds of thousands of independent sessions, and because a client
+checks all K mixers of a retrieval in one call.
+
+Elimination is the expensive kernel, so the schemes run it only on private
+matrices (mixer rank checks and the desired-mixer solve). Systems whose
+matrix is public and fixed (information sets of the MDS generators, the
+interpolation matrix) are inverted once into bounded ``lru_cache`` helpers in
+``coding`` and ``stpir_psi`` and applied with :func:`matvec`. Those caches
+hold no mixer or message and are read only while decoding, after the
+queries were sent, so they change neither queries nor their timing.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ def _gauss_jordan(field: GF, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``mats`` has shape (B, n, m); columns past n are carried along untouched
     by pivot selection (augmented systems). Returns (reduced copy, ranks).
+    Each pivot step touches only the columns from the pivot column on.
     """
     a = np.array(mats, dtype=field.dtype, copy=True)
     nbatch, n, m = a.shape
@@ -52,16 +62,19 @@ def _gauss_jordan(field: GF, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b = np.nonzero(has)[0]
         sel = np.argmax(cand[b], axis=1)
         dst = piv[b]
-        tmp = a[b, dst, :].copy()
-        a[b, dst, :] = a[b, sel, :]
-        a[b, sel, :] = tmp
-        prow = a[b, dst, :]
-        inv_log = (order - log[prow[:, col]]) % order
+        # rows at or past the pivot count are zero left of col, so the swap,
+        # the scale and the update (a multiple of the pivot row) leave
+        # columns < col unchanged everywhere
+        tmp = a[b, dst, col:].copy()
+        a[b, dst, col:] = a[b, sel, col:]
+        a[b, sel, col:] = tmp
+        prow = a[b, dst, col:]
+        inv_log = (order - log[prow[:, 0]]) % order
         prow = alog[log[prow] + inv_log[:, None]]
-        a[b, dst, :] = prow
+        a[b, dst, col:] = prow
         factors = a[b, :, col].copy()
         factors[np.arange(len(b)), dst] = 0
-        a[b] ^= alog[log[factors][:, :, None] + log[prow][:, None, :]]
+        a[b, :, col:] ^= alog[log[factors][:, :, None] + log[prow][:, None, :]]
         piv[b] += 1
     return a, piv
 

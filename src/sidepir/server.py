@@ -14,6 +14,7 @@ no state across sessions beyond the store and the shared secret.
 from __future__ import annotations
 
 import hashlib
+import logging
 import socketserver
 import threading
 
@@ -26,6 +27,8 @@ from .stpir_psi import derive_common_randomness, sym_answer
 from .tpir_psi import answer_raw, compress
 
 ROLES = ("tpir", "stpir")
+
+log = logging.getLogger(__name__)
 
 
 class ServerCore:
@@ -59,6 +62,12 @@ class ServerCore:
             return wire.TYPE_ERROR, wire.error_payload(wire.ERR_MALFORMED_FRAME, str(exc))
         except PirError as exc:
             return wire.TYPE_ERROR, wire.error_payload(wire.ERR_INTERNAL, str(exc))
+        except Exception as exc:
+            # fail closed: a numpy error or MemoryError still gets a typed
+            # reply instead of dropping the connection
+            log.exception("internal error while handling frame type %#x", ftype)
+            return wire.TYPE_ERROR, wire.error_payload(
+                wire.ERR_INTERNAL, f"internal error: {type(exc).__name__}")
 
     def _handle_params(self, session: dict, payload: bytes) -> tuple[int, bytes]:
         req = wire.parse_params_payload(payload)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,6 +178,18 @@ def sym_answer(query: np.ndarray, store: MessageStore, cr: CommonRandomness,
     return int(inner) ^ mask
 
 
+@lru_cache(maxsize=64)
+def interpolation_matrix(field: GF, n: int) -> np.ndarray:
+    """Read-only inverse of the N x N Vandermonde matrix on the public points
+    1..N: it maps the N answers to the answer polynomial's coefficients.
+    Public and fixed by (field, N), so it is computed once and cached."""
+    points = np.arange(1, n + 1, dtype=field.dtype)
+    vander = np.stack([field.pow(points, j) for j in range(n)], axis=1)
+    inv = linalg.inv_matrix(field, vander)
+    inv.flags.writeable = False
+    return inv
+
+
 def sym_decode(answers: np.ndarray, sp: SymParams) -> np.ndarray:
     """Interpolate the answer polynomial; its top N - T coefficients are the
     desired message."""
@@ -184,8 +197,7 @@ def sym_decode(answers: np.ndarray, sp: SymParams) -> np.ndarray:
     a = np.asarray(answers, dtype=field.dtype)
     if a.shape != (params.N,):
         raise ProtocolError(f"need {params.N} answers, got {a.shape}")
-    vander = _point_powers(sp, range(params.N))            # (N, N), invertible
-    coeffs = linalg.solve(field, vander, a)
+    coeffs = linalg.matvec(field, interpolation_matrix(field, params.N), a)
     return coeffs[params.T:]
 
 

@@ -40,9 +40,10 @@ from .capacity import CountProfile, SchemeParams, count_profile
 from .coding import (
     GeneratorMatrix,
     erasure_decode,
+    information_set_inverse,
     make_mds,
     make_systematic_mds,
-    sample_full_rank,
+    sample_full_rank_batched,
 )
 from .errors import (
     CorruptionError,
@@ -341,9 +342,11 @@ def build_plan(params: SchemeParams, theta: int,
         rng = np.random.default_rng(rng)
     sk = _skeleton(params, theta)
     profile = sk.profile
-    mixers = tuple(
-        sample_full_rank(profile.L, field, rng).entries for _ in range(params.K)
-    )
+    # one batch, stream-ordered: mixer i is the i-th full-rank candidate
+    # drawn from rng, exactly as K sequential draws would give it
+    stack = sample_full_rank_batched(profile.L, field, [rng] * params.K)
+    stack.flags.writeable = False
+    mixers = tuple(stack)
     generators: dict[tuple[int, int], GeneratorMatrix] = {}
     for ctx in sk.contexts:
         generators.setdefault((ctx.length, ctx.dim), make_mds(ctx.length, ctx.dim, field))
@@ -519,6 +522,13 @@ def decode(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
     values and erasure-decoded back to the raw slot vectors. Raw answers
     with a nonempty cache are cross-checked against the cached slot values,
     which catches corrupted side files or wire corruption.
+
+    Only the final step inverts a private matrix (the desired mixer). The
+    erasure systems and the per-context information sets are rows of public
+    generators chosen by (params, theta, cached set), so their inverses come
+    from the bounded cache behind :func:`information_set_inverse` and both
+    steps are matrix-vector products. The cache is read only here, after the
+    queries have left, so query timing depends on (params, theta) alone.
     """
     params, field, profile = plan.params, plan.field, plan.profile
     side = _check_side(plan, side)
@@ -560,7 +570,8 @@ def decode(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
     for ci, ctx in enumerate(plan.contexts):
         free_flat, free_coord = gather.ctx_free[ci]
         gen = state.generators[(ctx.length, ctx.dim)]
-        info = linalg.solve(field, gen.entries[free_coord, :], flat[free_flat])
+        info = linalg.matvec(field, information_set_inverse(gen, free_coord),
+                             flat[free_flat])
         codeword = linalg.matvec(field, gen.entries, info)
         bear_flat, bear_coord, bear_off = gather.ctx_bear[ci]
         if bear_flat.size:

@@ -74,18 +74,15 @@ def read_exact(stream: BinaryIO, n: int) -> bytes:
 
 
 def read_frame(stream: BinaryIO) -> tuple[int, bytes]:
-    head = read_exact(stream, 9)
-    if head[:4] != FRAME_MAGIC:
-        raise ProtocolError(f"bad frame magic {head[:4]!r}")
-    ftype = head[4]
-    (length,) = struct.unpack("<I", head[5:9])
-    if length > _MAX_PAYLOAD:
-        raise ProtocolError("declared payload exceeds the frame limit")
-    return ftype, read_exact(stream, length)
+    """Read one frame; an end of stream before it is a ProtocolError."""
+    frame = read_frame_or_eof(stream)
+    if frame is None:
+        raise ProtocolError("stream ended before a frame")
+    return frame
 
 
 def read_frame_or_eof(stream: BinaryIO) -> tuple[int, bytes] | None:
-    """Like read_frame, but a clean end of stream returns None."""
+    """Read one frame; a clean end of stream before it returns None."""
     first = stream.read(1)
     if not first:
         return None

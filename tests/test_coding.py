@@ -297,3 +297,55 @@ def test_batched_sampler_matches_sequential():
     for i, seed in enumerate(seeds):
         single = coding.sample_full_rank(6, f8, np.random.default_rng(seed))
         assert np.array_equal(batch[i], single.entries)
+
+
+def test_batched_sampler_is_stream_ordered_for_a_shared_source():
+    """One source filling K slots yields its first K full-rank candidates in
+    draw order: over GF(2^4) about 7% of 3x3 candidates are singular, so
+    rejections land mid-batch in many of these seeds."""
+    f4 = standard_field(4)
+    n, k = 3, 5
+    for seed in range(200):
+        shared = np.random.default_rng(seed)
+        batch = coding.sample_full_rank_batched(n, f4, [shared] * k)
+        solo = np.random.default_rng(seed)
+        sequential = [coding.sample_full_rank(n, f4, solo).entries for _ in range(k)]
+        assert np.array_equal(batch, np.stack(sequential))
+        # the source ends in the same state, so later draws agree too
+        assert shared.integers(1 << 30) == solo.integers(1 << 30)
+
+
+def test_information_set_inverse_matches_direct_solve():
+    rng = np.random.default_rng(31)
+    f8 = standard_field(8)
+    coding._information_set_inverse.cache_clear()
+    for systematic in (False, True):
+        make = coding.make_systematic_mds if systematic else coding.make_mds
+        for _ in range(40):
+            e = int(rng.integers(2, 14))
+            f = int(rng.integers(1, e + 1))
+            g = make(e, f, f8)
+            rows = sorted(rng.choice(e, size=f, replace=False).tolist())
+            values = f8.random_symbols(rng, f)
+            want = linalg.solve(f8, g.entries[rows, :], values)
+            got = coding.erasure_decode(g, zip(rows, values.tolist()))
+            assert np.array_equal(got, want)
+            inv = coding.information_set_inverse(g, rows)
+            assert not inv.flags.writeable
+            with pytest.raises(ValueError):
+                inv[0, 0] ^= 1
+    assert coding._information_set_inverse.cache_info().currsize > 0
+    coding._information_set_inverse.cache_clear()
+    assert coding._information_set_inverse.cache_info().currsize == 0
+
+
+def test_cached_erasure_decode_still_checks_surplus_rows():
+    f8 = standard_field(8)
+    g = coding.make_mds(9, 4, f8)
+    x = f8.random_symbols(np.random.default_rng(32), 4)
+    y = coding.encode(g, x)
+    known = [(r, int(y[r])) for r in (0, 2, 5, 7, 8)]
+    assert np.array_equal(coding.erasure_decode(g, known), x)   # fills the cache
+    known[-1] = (8, int(y[8]) ^ 1)
+    with pytest.raises(CorruptionError):
+        coding.erasure_decode(g, known)

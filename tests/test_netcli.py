@@ -148,6 +148,44 @@ def test_out_of_range_symbol_reference(golden1_store):
     assert wire.parse_error_payload(payload)[0] == wire.ERR_MALFORMED_QUERY
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), ValueError("operands could not be broadcast")])
+def test_server_fails_closed_on_internal_errors(golden1_store, monkeypatch, exc):
+    """An exception outside the protocol's own errors still gets a typed
+    ERROR frame, in process and over TCP, instead of a dropped connection."""
+    from sidepir import server as server_mod
+    from sidepir.tpir_psi import build_plan, database_queries
+
+    def broken(query, store):
+        raise exc
+
+    monkeypatch.setattr(server_mod, "answer_raw", broken)
+    params_frame = wire.params_payload(
+        {"scheme": "tpir", "endpoint": 1, "n_db": 2, "k": 3, "m": 1, "t": 1,
+         "w": 4, "message_length": 8})
+    plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 12)
+    query_frame = wire.serialize_database_query(database_queries(plan, state)[0])
+
+    core = ServerCore(golden1_store)
+    session = core.new_session()
+    assert core.handle_frame(session, wire.TYPE_PARAMS, params_frame)[0] == wire.TYPE_PARAMS
+    ftype, payload = core.handle_frame(session, wire.TYPE_QUERY, query_frame)
+    assert ftype == wire.TYPE_ERROR
+    assert wire.parse_error_payload(payload)[0] == wire.ERR_INTERNAL
+
+    server = DatabaseServer(golden1_store).start()
+    try:
+        transport = client.TcpTransport("127.0.0.1", server.port)
+        try:
+            assert transport.request(wire.TYPE_PARAMS, params_frame)[0] == wire.TYPE_PARAMS
+            ftype, payload = transport.request(wire.TYPE_QUERY, query_frame)
+        finally:
+            transport.close()
+    finally:
+        server.stop()
+    assert ftype == wire.TYPE_ERROR
+    assert wire.parse_error_payload(payload)[0] == wire.ERR_INTERNAL
+
+
 def test_params_mismatch(golden1_store):
     core = ServerCore(golden1_store)
     bad = wire.params_payload({"scheme": "tpir", "endpoint": 1, "n_db": 2,

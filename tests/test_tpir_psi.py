@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sidepir import tpir_psi
+from sidepir import linalg, tpir_psi
 from sidepir.capacity import SchemeParams, capacity_tpir_psi, count_profile, desk_grid
 from sidepir.errors import (
     CorruptionError,
@@ -17,6 +17,7 @@ from sidepir.errors import (
     MalformedQueryError,
     ParameterError,
 )
+from sidepir.field import standard_field
 from sidepir.store import MessageStore, random_store
 from sidepir.tpir_psi import (
     answer_all,
@@ -500,3 +501,29 @@ def test_t_equals_n_with_full_cache():
     got = decode(bundle, plan, state, store.side_information({1, 2}))
     assert np.array_equal(got, store.message(3))
     assert Fraction(plan.profile.L, bundle.downloaded_symbols) == 1
+
+
+def test_warm_retrieval_runs_two_eliminations(monkeypatch):
+    """Once (theta, cached set) has been seen, a retrieval eliminates only
+    twice: one batched rank check of the K mixers and the desired-mixer
+    solve. Every other system is public and its inverse is cached."""
+    params = SchemeParams(6, 2, 2, 1, w=16)
+    store = random_store(standard_field(16), 6, count_profile(params).L,
+                         np.random.default_rng(41))
+    calls = []
+    original = linalg._gauss_jordan
+
+    def counting(field, mats):
+        calls.append(np.shape(mats))
+        return original(field, mats)
+
+    monkeypatch.setattr(linalg, "_gauss_jordan", counting)
+    for theta, cached in ((1, (2, 3)), (4, (1, 6)), (6, (2, 5))):
+        side = store.side_information(cached)
+        for seed in (7, 8):
+            calls.clear()
+            plan, state = build_plan(params, theta, seed)
+            got = decode(answer_all(database_queries(plan, state), store),
+                         plan, state, side)
+            assert np.array_equal(got, store.message(theta))
+        assert len(calls) == 2, calls
