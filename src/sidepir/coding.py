@@ -193,8 +193,10 @@ def sample_candidates(n: int, field: GF, rngs) -> np.ndarray:
     return np.stack([field.random_symbols(rng, (n, n)) for rng in rngs])
 
 
-def sample_full_rank_batched(n: int, field: GF, rngs) -> np.ndarray:
-    """Uniform invertible n x n matrix per slot, by rejection sampling.
+def sample_full_rank_factored(n: int, field: GF,
+                              rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uniform invertible n x n matrix per slot, by rejection sampling, with
+    the LU factors that the rank check computed for it.
 
     ``rngs`` names one random source per slot; a source may fill several
     slots. Each round draws one candidate per pending slot, in slot order,
@@ -202,14 +204,19 @@ def sample_full_rank_batched(n: int, field: GF, rngs) -> np.ndarray:
     source's full-rank candidates, in draw order, to its earliest pending
     slots. A source therefore yields the same matrices, and ends in the same
     state, as sequential single-matrix calls on it, whatever else is in the
-    batch.
+    batch. Returns ``(mats, lu, perm)``, stacked by slot, with
+    ``(lu[i], perm[i])`` ready for :func:`linalg.lu_solve` against
+    ``mats[i]``.
     """
     rngs = list(rngs)
     out = np.empty((len(rngs), n, n), dtype=field.dtype)
+    lu = np.empty_like(out)
+    perm = np.empty((len(rngs), n), dtype=np.int64)
     pending = list(range(len(rngs)))
     while pending:
         cand = sample_candidates(n, field, (rngs[i] for i in pending))
-        full = linalg.rank_batched(field, cand) == n
+        ranks, cand_lu, cand_perm = linalg.rank_batched(field, cand, factors=True)
+        full = ranks == n
         slots: dict[int, list[int]] = {}
         accepted: dict[int, list[int]] = {}
         for j, i in enumerate(pending):
@@ -220,9 +227,16 @@ def sample_full_rank_batched(n: int, field: GF, rngs) -> np.ndarray:
         for key, idx in slots.items():
             got = accepted.get(key, [])
             out[idx[:len(got)]] = cand[got]
+            lu[idx[:len(got)]] = cand_lu[got]
+            perm[idx[:len(got)]] = cand_perm[got]
             pending += idx[len(got):]
         pending.sort()
-    return out
+    return out, lu, perm
+
+
+def sample_full_rank_batched(n: int, field: GF, rngs) -> np.ndarray:
+    """The matrices of :func:`sample_full_rank_factored`, without factors."""
+    return sample_full_rank_factored(n, field, rngs)[0]
 
 
 def sample_full_rank(n: int, field: GF, rng: np.random.Generator) -> FullRankMatrix:

@@ -52,15 +52,15 @@ def is_irreducible(poly: int, w: int) -> bool:
     return True
 
 
-def _slow_mul(a: int, b: int, poly: int, w: int) -> int:
-    """Shift-and-reduce polynomial product, used only to build tables."""
-    result = 0
+def _slow_mul(a, b: int, poly: int, w: int):
+    """Shift-and-reduce polynomial product of ``a`` (an int, or an int64
+    array, elementwise) and the int ``b``; used only to build tables."""
+    result = a * 0
     for i in range(w):
         if (b >> i) & 1:
             result ^= a << i
     for i in range(2 * w - 2, w - 1, -1):
-        if (result >> i) & 1:
-            result ^= poly << (i - w)
+        result ^= ((result >> i) & 1) * (poly << (i - w))
     return result & ((1 << w) - 1)
 
 
@@ -92,17 +92,14 @@ class GF:
         q = self.q
         order = q - 1
         if q == 2:
-            generator, alog = 1, [1]
+            generator, alog = 1, np.ones(1, dtype=np.int64)
         else:
+            # candidates in increasing order; the first of multiplicative
+            # order q - 1 is the generator
             generator = None
             for g in range(2, q):
-                x, powers = 1, []
-                for _ in range(order):
-                    powers.append(x)
-                    x = _slow_mul(x, g, self.poly, self.w)
-                    if x == 1:
-                        break
-                if len(powers) == order:
+                powers = self._powers(g, order)
+                if not (powers[1:] == 1).any():
                     generator, alog = g, powers
                     break
             if generator is None:  # unreachable for an irreducible polynomial
@@ -111,7 +108,7 @@ class GF:
         # alog doubled-and-padded so mul needs no modular reduction: indices
         # past 2*order land in the zero region reached via the log-0 sentinel.
         table = np.zeros(4 * order + 1, dtype=self.dtype)
-        exps = np.array(alog, dtype=self.dtype)
+        exps = alog.astype(self.dtype)
         table[:order] = exps
         table[order:2 * order] = exps[: order]
         self._alog = table
@@ -123,6 +120,19 @@ class GF:
         nz = np.arange(1, q)
         inv[nz] = self._alog[(order - self._log[nz]) % order]
         self._inv = inv
+
+    def _powers(self, g: int, count: int) -> np.ndarray:
+        """g^0 .. g^(count-1) by doubling: the next block of powers is the
+        block so far times g^(2^k), one vectorised shift-and-reduce."""
+        powers = np.empty(count, dtype=np.int64)
+        powers[0] = 1
+        done, step = 1, g
+        while done < count:
+            size = min(done, count - done)
+            powers[done:done + size] = _slow_mul(powers[:size], step, self.poly, self.w)
+            step = _slow_mul(step, step, self.poly, self.w)
+            done += size
+        return powers
 
     # -- element operations (scalars or arrays) -----------------------------
 

@@ -43,7 +43,7 @@ from .coding import (
     information_set_inverse,
     make_mds,
     make_systematic_mds,
-    sample_full_rank_batched,
+    sample_full_rank_factored,
 )
 from .errors import (
     CorruptionError,
@@ -265,11 +265,18 @@ class DownloadPlan:
 
 @dataclass(frozen=True)
 class PrecodingState:
-    """Everything the client must keep to decode: private mixers, the public
-    generators, and the seed used (when known) for replay."""
+    """Everything the client must keep to decode: private mixers, the LU
+    factors of the desired mixer, the public generators, and the seed used
+    (when known) for replay.
+
+    The factors come from the rank check that accepted the desired mixer, so
+    decoding inverts it by triangular substitution, with no elimination.
+    They determine the desired mixer and are as private as the mixers.
+    """
 
     field: GF
     mixers: tuple[np.ndarray, ...]          # one (L, L) full-rank matrix per message
+    desired_factors: tuple[np.ndarray, np.ndarray]  # (lu, perm) of the desired mixer
     generators: dict[tuple[int, int], GeneratorMatrix]
     seed: int | None
 
@@ -344,9 +351,12 @@ def build_plan(params: SchemeParams, theta: int,
     profile = sk.profile
     # one batch, stream-ordered: mixer i is the i-th full-rank candidate
     # drawn from rng, exactly as K sequential draws would give it
-    stack = sample_full_rank_batched(profile.L, field, [rng] * params.K)
+    stack, lu, perm = sample_full_rank_factored(profile.L, field, [rng] * params.K)
     stack.flags.writeable = False
     mixers = tuple(stack)
+    desired_factors = (lu[theta - 1].copy(), perm[theta - 1].copy())
+    for arr in desired_factors:
+        arr.flags.writeable = False
     generators: dict[tuple[int, int], GeneratorMatrix] = {}
     for ctx in sk.contexts:
         generators.setdefault((ctx.length, ctx.dim), make_mds(ctx.length, ctx.dim, field))
@@ -354,7 +364,8 @@ def build_plan(params: SchemeParams, theta: int,
         dims = (2 * profile.p1 - profile.p2, profile.p1)
         generators[dims] = make_systematic_mds(*dims, field)
     plan = DownloadPlan(params=params, theta=theta, field=field, skeleton=sk)
-    state = PrecodingState(field=field, mixers=mixers, generators=generators, seed=seed)
+    state = PrecodingState(field=field, mixers=mixers, desired_factors=desired_factors,
+                           generators=generators, seed=seed)
     return plan, state
 
 
@@ -523,7 +534,9 @@ def decode(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
     with a nonempty cache are cross-checked against the cached slot values,
     which catches corrupted side files or wire corruption.
 
-    Only the final step inverts a private matrix (the desired mixer). The
+    Only the final step inverts a private matrix (the desired mixer), by
+    substitution against the LU factors that ``build_plan`` kept from the
+    mixer rank check, so decoding runs no elimination. The
     erasure systems and the per-context information sets are rows of public
     generators chosen by (params, theta, cached set), so their inverses come
     from the bounded cache behind :func:`information_set_inverse` and both
@@ -576,4 +589,4 @@ def decode(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
         bear_flat, bear_coord, bear_off = gather.ctx_bear[ci]
         if bear_flat.size:
             desired[bear_off] = flat[bear_flat] ^ codeword[bear_coord]
-    return linalg.solve(field, state.mixers[plan.theta - 1], desired)
+    return linalg.lu_solve(field, *state.desired_factors, desired)

@@ -201,9 +201,10 @@ def _parse_layered(data: bytes, db_index: int) -> DatabaseQuery:
         raise ProtocolError(f"unsupported symbol width {w}")
     field = standard_field(w)
     row_bytes = field.packed_size(length)
+    # the slot table first: member counts and ids, and where each row starts
     pos = _LAYERED_HEAD.size
     members: list[tuple[int, ...]] = []
-    rows: list[np.ndarray] = []
+    starts: list[int] = []
     for _ in range(p1):
         if pos >= len(data):
             raise ProtocolError("query payload truncated in slot table")
@@ -214,16 +215,20 @@ def _parse_layered(data: bytes, db_index: int) -> DatabaseQuery:
             if pos + 2 + row_bytes > len(data):
                 raise ProtocolError("query payload truncated in a slot row")
             (msg,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            row = field.unpack(data[pos:pos + row_bytes],
-                               length if field.w != 4 else 2 * row_bytes)[:length]
-            pos += row_bytes
             slot.append(msg)
-            rows.append(row)
+            starts.append(pos + 2)
+            pos += 2 + row_bytes
         members.append(tuple(slot))
     if pos != len(data):
         raise ProtocolError(f"{len(data) - pos} trailing bytes after slot table")
-    block = np.stack(rows) if rows else np.zeros((0, length), dtype=field.dtype)
+    # then every row in one unpack; at w = 4 a row of odd length carries a
+    # padding nibble, cut off after unpacking
+    offsets = np.array(starts, dtype=np.int64)[:, None] + np.arange(row_bytes)
+    packed = np.frombuffer(data, dtype=np.uint8)[offsets].tobytes()
+    width = 2 * row_bytes if field.w == 4 else length
+    block = field.unpack(packed, len(starts) * width).reshape(len(starts), width)
+    if width != length:
+        block = np.ascontiguousarray(block[:, :length])
     block.flags.writeable = False
     return DatabaseQuery(db_index=db_index, num_messages=k, message_length=length,
                          w=w, p2=p2, compress=bool(compress),

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from sidepir.errors import FieldMismatchError, ParameterError
-from sidepir.field import GF, FieldElement, is_irreducible, standard_field
+from sidepir.field import (
+    DEFAULT_POLYNOMIALS,
+    GF,
+    FieldElement,
+    is_irreducible,
+    standard_field,
+)
 
 WIDTHS = (4, 8, 16)
 
@@ -93,6 +99,58 @@ def test_irreducibility_check():
     assert not is_irreducible(0x11A, 8)     # even constant term: divisible by x
     with pytest.raises(ParameterError):
         GF(4, poly=0x18)
+
+
+def reference_tables(w, poly):
+    """The generator and antilog table by the scalar loop: try candidates
+    2, 3, ... in order and keep the first whose powers run through every
+    nonzero element before returning to 1."""
+    def mul(a, b):
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            b >>= 1
+            a <<= 1
+            if a >> w:
+                a ^= poly
+        return out
+
+    order = (1 << w) - 1
+    if order == 1:
+        return 1, [1]
+    for g in range(2, 1 << w):
+        x, powers = 1, []
+        for _ in range(order):
+            powers.append(x)
+            x = mul(x, g)
+            if x == 1:
+                break
+        if len(powers) == order:
+            return g, powers
+    raise AssertionError("no generator")
+
+
+def first_irreducible(w):
+    return next(p for p in range(1 << w, 1 << (w + 1)) if is_irreducible(p, w))
+
+
+@pytest.mark.parametrize("w,poly", [
+    *[(w, DEFAULT_POLYNOMIALS.get(w) or first_irreducible(w)) for w in range(1, 17)],
+    (1, 0b11), (4, 0x19), (4, 0x1F), (8, 0x11D), (8, 0x1F5), (16, 0x1002B),
+])
+def test_tables_match_scalar_reference(w, poly):
+    """The vectorised table build gives the scalar loop's generator and
+    tables bit for bit, including polynomials whose root is not primitive
+    (0x1F, 0x11B), where early candidates are skipped."""
+    assert is_irreducible(poly, w)
+    f = GF(w, poly)
+    generator, alog = reference_tables(w, poly)
+    order = len(alog)
+    assert f.generator == generator
+    assert f._alog[:order].tolist() == alog
+    assert f._alog[order:2 * order].tolist() == alog
+    assert f._log[alog].tolist() == list(range(order))
 
 
 def test_default_polynomials_build():

@@ -1,0 +1,145 @@
+"""The LU elimination kernel against a scalar-loop reference elimination."""
+
+import numpy as np
+import pytest
+
+from sidepir import linalg
+from sidepir.errors import ParameterError, SingularMatrixError
+from sidepir.field import GF, standard_field
+
+WIDTHS = (1, 4, 8, 16)
+SHAPES = [(1, 64, 64), (6, 64, 64), (1, 63, 64), (512, 7, 7), (3, 10, 4), (3, 4, 10)]
+
+
+def make_field(w):
+    return GF(1, poly=0b11) if w == 1 else standard_field(w)
+
+
+class Scalar:
+    """Field arithmetic on Python ints, one symbol at a time."""
+
+    def __init__(self, field):
+        self.log = field._log.tolist()
+        self.alog = field._alog.tolist()
+        self.order = field._order
+
+    def mul(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return self.alog[(self.log[a] + self.log[b]) % self.order]
+
+    def inv(self, a):
+        return self.alog[(self.order - self.log[a]) % self.order]
+
+
+def reference_eliminate(sc, rows, width):
+    """Textbook Gauss-Jordan over the first ``width`` columns of a list of
+    int rows; returns (reduced rows, rank)."""
+    rows = [list(r) for r in rows]
+    piv = 0
+    for col in range(width):
+        sel = next((r for r in range(piv, len(rows)) if rows[r][col]), None)
+        if sel is None:
+            continue
+        rows[piv], rows[sel] = rows[sel], rows[piv]
+        inv = sc.inv(rows[piv][col])
+        rows[piv] = [sc.mul(x, inv) for x in rows[piv]]
+        for r in range(len(rows)):
+            factor = rows[r][col]
+            if r != piv and factor:
+                rows[r] = [x ^ sc.mul(factor, y) for x, y in zip(rows[r], rows[piv])]
+        piv += 1
+    return rows, piv
+
+
+def reference_rank(sc, mat):
+    return reference_eliminate(sc, mat.tolist(), mat.shape[1])[1]
+
+
+def reference_solve(sc, a, b):
+    """x with a @ x = b (b a matrix), or None when a is singular."""
+    n = a.shape[0]
+    aug = [ra + rb for ra, rb in zip(a.tolist(), b.tolist())]
+    rows, rank = reference_eliminate(sc, aug, n)
+    if rank < n:
+        return None
+    return np.array([r[n:] for r in rows], dtype=a.dtype)
+
+
+def stacks(field, shape, rng):
+    """A random stack plus variants that force the general path: members
+    with a zero first column, with a duplicated row, and with a zero leading
+    entry, each mixed with untouched members in the same stack."""
+    base = field.random_symbols(rng, shape)
+    yield base
+    zero_col = base.copy()
+    zero_col[::2, :, 0] = 0
+    yield zero_col
+    dup = base.copy()
+    dup[1::2, -1, :] = dup[1::2, 0, :]
+    yield dup
+    lead = base.copy()
+    lead[-1, 0, 0] = 0
+    yield lead
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("w", WIDTHS)
+def test_rank_batched_matches_reference(w, shape):
+    field = make_field(w)
+    sc = Scalar(field)
+    for mats in stacks(field, shape, np.random.default_rng(w * 1000 + shape[1])):
+        got = linalg.rank_batched(field, mats)
+        want = [reference_rank(sc, m) for m in mats]
+        assert got.tolist() == want
+
+
+@pytest.mark.parametrize("shape", [s for s in SHAPES if s[1] == s[2]])
+@pytest.mark.parametrize("w", WIDTHS)
+def test_factors_reproduce_the_matrix(w, shape):
+    """For full-rank members, rows in ``perm`` order equal L @ U."""
+    field = make_field(w)
+    for mats in stacks(field, shape, np.random.default_rng(w + shape[0])):
+        lu, perm, ranks = linalg.lu_batched(field, mats)
+        n = shape[1]
+        for m, f, p, r in zip(mats, lu, perm, ranks):
+            if r < n:
+                continue
+            lower = np.tril(f, -1) + np.eye(n, dtype=field.dtype)
+            assert np.array_equal(linalg.matmul(field, lower, np.triu(f)), m[p])
+
+
+@pytest.mark.parametrize("shape", [s for s in SHAPES if s[1] == s[2]])
+@pytest.mark.parametrize("w", WIDTHS)
+def test_solve_and_inverse_match_reference(w, shape):
+    field = make_field(w)
+    sc = Scalar(field)
+    rng = np.random.default_rng(w * 7 + shape[1])
+    eye = np.eye(shape[1], dtype=field.dtype)
+    for mats in stacks(field, shape, rng):
+        for a in mats[sorted({0, 1 % len(mats), len(mats) - 1})]:
+            b = field.random_symbols(rng, (shape[1], 2))
+            want = reference_solve(sc, a, np.concatenate([b, eye], axis=1))
+            if want is None:
+                with pytest.raises(SingularMatrixError):
+                    linalg.solve(field, a, b[:, 0])
+                with pytest.raises(SingularMatrixError):
+                    linalg.inv_matrix(field, a)
+                continue
+            assert np.array_equal(linalg.solve(field, a, b), want[:, :2])
+            assert np.array_equal(linalg.solve(field, a, b[:, 0]), want[:, 0])
+            assert np.array_equal(linalg.inv_matrix(field, a), want[:, 2:])
+
+
+def test_solve_raises_on_singular_input():
+    f16 = standard_field(16)
+    a = f16.random_symbols(np.random.default_rng(3), (5, 5))
+    a[4] = f16.mul(a[0], 7) ^ a[2]
+    with pytest.raises(SingularMatrixError):
+        linalg.solve(f16, a, np.ones(5, dtype=f16.dtype))
+
+
+def test_factors_refused_for_wide_stacks():
+    f4 = standard_field(4)
+    with pytest.raises(ParameterError):
+        linalg.rank_batched(f4, np.ones((2, 3, 5), dtype=f4.dtype), factors=True)

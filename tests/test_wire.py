@@ -12,7 +12,8 @@ from sidepir.capacity import SchemeParams
 from sidepir.errors import ParameterError, ProtocolError
 from sidepir.field import standard_field
 from sidepir.store import random_store
-from sidepir.tpir_psi import build_plan, database_queries
+from sidepir.field import GF
+from sidepir.tpir_psi import DatabaseQuery, build_plan, database_queries
 
 
 @given(st.sampled_from([wire.TYPE_QUERY, wire.TYPE_ANSWER, wire.TYPE_ERROR,
@@ -75,6 +76,46 @@ def test_layered_query_round_trip(params, theta):
                 back.message_length) == (q.p2, q.compress, q.w,
                                          q.num_messages, q.message_length)
         assert wire.serialize_database_query(back) == data
+
+
+@pytest.mark.parametrize("w,length", [(4, 7), (4, 8), (8, 5), (16, 3)])
+def test_layered_query_round_trip_odd_lengths(w, length):
+    field = standard_field(w)
+    members = ((1,), (), (2, 3), (1, 3))
+    rows = field.random_symbols(np.random.default_rng(length), (5, length))
+    q = DatabaseQuery(db_index=0, num_messages=3, message_length=length, w=w,
+                      p2=1, compress=True, slot_members=members, rows=rows)
+    data = wire.serialize_database_query(q)
+    back = wire.parse_query_payload(data, db_index=0)
+    assert back.slot_members == members
+    assert np.array_equal(back.rows, rows) and back.rows.flags.c_contiguous
+    assert wire.serialize_database_query(back) == data
+
+
+def test_layered_query_oversized_slot_table_rejected_before_unpack(monkeypatch):
+    """A slot table that claims more slots or members than the payload holds
+    is refused while the table is read, before any row is unpacked."""
+    plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)
+    data = wire.serialize_database_query(database_queries(plan, state)[0])
+    head = wire._LAYERED_HEAD
+    fields = list(head.unpack_from(data, 0))
+    fields[5] += 1000  # p1: slots the payload does not hold
+    more_slots = head.pack(*fields) + data[head.size:]
+    more_members = data[:head.size] + b"\xff" + data[head.size + 1:]
+    unpacked = []
+    original = GF.unpack
+
+    def counting(self, blob, count):
+        unpacked.append(count)
+        return original(self, blob, count)
+
+    monkeypatch.setattr(GF, "unpack", counting)
+    for bad, message in ((more_slots, "slot table"), (more_members, "slot row")):
+        with pytest.raises(ProtocolError, match=message):
+            wire.parse_query_payload(bad)
+    assert unpacked == []
+    wire.parse_query_payload(data)
+    assert len(unpacked) == 1
 
 
 def test_layered_query_truncation_detected():
