@@ -10,11 +10,11 @@ coefficients while the shared mask keeps the low ones uniform.
 import numpy as np
 
 from sidepir import SchemeParams, random_store
-from sidepir import linalg
 from sidepir.stpir_psi import (
     derive_common_randomness,
     make_sym_params,
-    sym_answer,
+    sym_answers,
+    sym_coefficients,
     sym_decode,
     sym_query,
     sym_sum_shortcut,
@@ -43,12 +43,10 @@ def main():
           f"{cr.sigma.tolist()} from their shared secret ({params.T} symbols, "
           f"rho = {params.T}/{params.N - params.T})")
 
-    answers = np.array([sym_answer(queries[n], store, cr, int(sp.lambdas[n]))
-                        for n in range(params.N)], dtype=sp.field.dtype)
+    answers = sym_answers(sp, queries, store, cr)
     print(f"answers (one symbol each): {answers.tolist()}")
 
-    vander = np.stack([sp.field.pow(sp.lambdas, j) for j in range(params.N)], axis=1)
-    coeffs = linalg.solve(sp.field, vander, answers)
+    coeffs = sym_coefficients(answers, sp)
     print(f"interpolated coefficients: low {params.T} masked -> "
           f"{coeffs[:params.T].tolist()}, top {params.N - params.T} carry the "
           f"message -> {coeffs[params.T:].tolist()}")

@@ -20,6 +20,10 @@ for identical distributions while still exposing gross support mismatches.
 Rates are measured as exact rationals from actual downloaded symbol counts
 and compared with the capacity formulas by equality; a measured rate above
 capacity is a hard failure, since it can only mean an accounting bug.
+
+The audits hold no protocol code of their own: views are the payloads of
+the schemes' own query code, run over a leading session axis, and residuals
+come from their own decoding steps, so what is audited is what retrieves.
 """
 
 from __future__ import annotations
@@ -40,12 +44,6 @@ from .capacity import (
     capacity_tpir_psi,
     count_profile,
 )
-from .coding import (
-    erasure_decode,
-    information_set_inverse,
-    make_mds,
-    sample_full_rank_batched,
-)
 from .errors import AuditInvariantError, ParameterError
 from .field import standard_field
 from .store import MessageStore, random_store
@@ -53,21 +51,25 @@ from .stpir_psi import (
     SESSION_ID_BYTES,
     CommonRandomness,
     derive_common_randomness,
-    interpolation_matrix,
     make_sym_params,
     queries_from_masks,
-    sym_answer,
+    sym_answers,
+    sym_coefficients,
     sym_decode,
+    sym_masks,
+    sym_query,
     sym_sum_shortcut,
 )
 from .tpir_psi import (
-    _skeleton,
     answer_all,
     build_plan,
     database_queries,
     decode,
-    known_positions,
+    decode_streams,
+    download_plan,
     minimum_field_width,
+    sample_mixers,
+    session_queries,
 )
 
 DEFAULT_TV_THRESHOLD = 0.01
@@ -224,8 +226,37 @@ class SessionOutcome:
 # ---------------------------------------------------------------------------
 # scheme adapters
 
+DEFAULT_BATCH = 512
 
-class LayeredScheme:
+
+def _view_digests(scheme, theta: int, subsets, sessions: int, master_seed: int,
+                  batch: int = DEFAULT_BATCH) -> dict[tuple[int, ...], list[bytes]]:
+    """Digest of every subset's collusion view over ``sessions`` sessions:
+    session j is ``query_payloads(theta, (master_seed, theta, j))``, run
+    ``batch`` at a time through the adapter's ``session_payloads``."""
+    subsets = [tuple(sorted(s)) for s in subsets]
+    out: dict[tuple[int, ...], list[bytes]] = {s: [] for s in subsets}
+    for first in range(0, sessions, batch):
+        seeds = [(master_seed, theta, j)
+                 for j in range(first, min(sessions, first + batch))]
+        for pmap in scheme.session_payloads(theta, seeds):
+            for s in subsets:
+                out[s].append(CollusionView.from_payloads(s, pmap).digest())
+    return out
+
+
+class _Adapter:
+    """What the audit adapters share."""
+
+    def _draw_theta_side(self, rng) -> tuple[int, tuple[int, ...]]:
+        k, m = self.params.K, self.params.M
+        theta = int(rng.integers(1, k + 1))
+        others = [i for i in range(1, k + 1) if i != theta]
+        side = tuple(sorted(int(i) for i in rng.choice(others, size=m, replace=False))) if m else ()
+        return theta, side
+
+
+class LayeredScheme(_Adapter):
     """Audit adapter for the layered scheme with redundancy removal."""
 
     name = "tpir-psi"
@@ -235,17 +266,11 @@ class LayeredScheme:
             raise ParameterError(f"{params.label()} is not constructible")
         self.params = params
         self.profile = count_profile(params)
+        self.message_length = self.profile.L
         self.field = standard_field(params.w or minimum_field_width(params))
 
     def capacity(self) -> Fraction:
         return capacity_tpir_psi(self.params)
-
-    def _draw_theta_side(self, rng) -> tuple[int, tuple[int, ...]]:
-        k, m = self.params.K, self.params.M
-        theta = int(rng.integers(1, k + 1))
-        others = [i for i in range(1, k + 1) if i != theta]
-        side = tuple(sorted(int(i) for i in rng.choice(others, size=m, replace=False))) if m else ()
-        return theta, side
 
     def run_session(self, rng) -> SessionOutcome:
         theta, side_idx = self._draw_theta_side(rng)
@@ -263,99 +288,26 @@ class LayeredScheme:
         return {q.db_index + 1: wire.serialize_database_query(q)
                 for q in database_queries(plan, state)}
 
+    def session_payloads(self, theta: int, seeds) -> list[dict[int, bytes]]:
+        """``query_payloads`` of every seed, as one batch: the mixers of all
+        sessions come from one sampler call, and the queries and payloads
+        from one pass of the scheme's code over the session axis."""
+        plan = download_plan(self.params, theta)
+        mixers, _, _ = sample_mixers(plan, [np.random.default_rng(s) for s in seeds])
+        blocks = [wire.serialize_database_query(q) for q in session_queries(plan, mixers)]
+        return [{db + 1: block[j].tobytes() for db, block in enumerate(blocks)}
+                for j in range(len(seeds))]
+
     def structure_fingerprint(self, theta: int) -> bytes:
-        sk = _skeleton(self.params, theta)
-        parts = []
-        for db in range(self.params.N):
-            members = tuple(s.subset for s in sk.slots_per_db[db])
-            tmpl, _ = wire.query_layout(self.field.w, self.params.K,
-                                        self.profile.L, self.profile.p2,
-                                        self.params.M >= 1, members)
-            parts.append(bytes(tmpl))
-        return view_digest(b"".join(parts))
+        """Digest of the payloads with every coefficient row zeroed: what
+        the wire shows apart from the random rows."""
+        plan = download_plan(self.params, theta)
+        zero = np.zeros((self.params.K, self.profile.L, self.profile.L),
+                        dtype=self.field.dtype)
+        return view_digest(b"".join(wire.serialize_database_query(q)
+                                    for q in session_queries(plan, zero)))
 
-    # -- batched collusion-view sampling ------------------------------------
-
-    def view_digests(self, theta: int, subsets, sessions: int, master_seed: int,
-                     batch: int = 512, crosscheck: int = 3) -> dict[tuple[int, ...], list[bytes]]:
-        """Digest of every subset's collusion view for ``sessions`` fresh seeds.
-
-        Sessions are batched so the full-rank sampling and the coefficient
-        products run as stacked array operations; the first few sessions are
-        cross-checked byte for byte against the reference single-session
-        path (build_plan + serialize).
-        """
-        params, fieldq = self.params, self.field
-        sk = _skeleton(params, theta)
-        profile = sk.profile
-        subsets = [tuple(sorted(s)) for s in subsets]
-        templates, positions = [], []
-        for db in range(params.N):
-            members = tuple(s.subset for s in sk.slots_per_db[db])
-            tmpl, pos = wire.query_layout(fieldq.w, params.K, profile.L,
-                                          profile.p2, params.M >= 1, members)
-            templates.append(np.frombuffer(bytes(tmpl), dtype=np.uint8))
-            positions.append(pos)
-        generators = {}
-        for ctx in sk.contexts:
-            dims = (ctx.length, ctx.dim)
-            generators.setdefault(dims, make_mds(*dims, fieldq))
-        gather = sk.gather
-        row_bytes = fieldq.packed_size(profile.L)
-        out: dict[tuple[int, ...], list[bytes]] = {s: [] for s in subsets}
-        done = 0
-        checked = False
-        while done < sessions:
-            size = min(batch, sessions - done)
-            seeds = [(master_seed, theta, done + j) for j in range(size)]
-            rngs = [np.random.default_rng(s) for s in seeds]
-            mixers = [sample_full_rank_batched(profile.L, fieldq, rngs)
-                      for _ in range(params.K)]
-            coef = {}
-            for ci, ctx in enumerate(sk.contexts):
-                gen = generators[(ctx.length, ctx.dim)].entries
-                for i in ctx.members:
-                    lo, hi = ctx.block_rows[i]
-                    coef[(ci, i)] = linalg.matmul(fieldq, gen,
-                                                  mixers[i - 1][:, lo:hi, :])
-            payloads: list[dict[int, bytes]] = [dict() for _ in range(size)]
-            for db in range(params.N):
-                msgs = gather.member_msgs[db]
-                ctxs = gather.member_ctx[db]
-                srcs = gather.member_src[db]
-                rows = np.empty((size, len(msgs), profile.L), dtype=fieldq.dtype)
-                mask = ctxs == -1
-                rows[:, mask, :] = mixers[theta - 1][:, srcs[mask], :]
-                for (ci, i), mat in coef.items():
-                    sel = (ctxs == ci) & (msgs == i - 1)
-                    if sel.any():
-                        rows[:, sel, :] = mat[:, srcs[sel], :]
-                packed = wire.pack_rows(fieldq, rows.reshape(size * len(msgs), profile.L),
-                                        profile.L)
-                packed = np.frombuffer(packed, dtype=np.uint8)
-                packed = packed.reshape(size, len(msgs) * row_bytes)
-                block = np.tile(templates[db], (size, 1))
-                block[:, positions[db]] = packed
-                for j in range(size):
-                    payloads[j][db + 1] = block[j].tobytes()
-            if not checked and crosscheck:
-                self._crosscheck(theta, seeds[:crosscheck], payloads[:crosscheck])
-                checked = True
-            for pmap in payloads:
-                for s in subsets:
-                    out[s].append(CollusionView.from_payloads(s, pmap).digest())
-            done += size
-        return out
-
-    def _crosscheck(self, theta, seeds, payload_maps) -> None:
-        for seed, pmap in zip(seeds, payload_maps):
-            ref = self.query_payloads(theta, seed)
-            if ref != pmap:
-                raise AuditInvariantError(
-                    "batched view sampler diverged from the reference query path"
-                )
-
-    # -- what the client reconstructs beyond its own message ----------------
+    view_digests = _view_digests
 
     def residual_session(self, rng, store: MessageStore, theta: int,
                          side_idx) -> np.ndarray:
@@ -365,44 +317,28 @@ class LayeredScheme:
         plan, state = build_plan(self.params, theta, rng)
         bundle = answer_all(database_queries(plan, state), store)
         side = store.side_information(side_idx)
-        p1, p2 = self.profile.p1, self.profile.p2
-        fieldq = self.field
-        raw = np.empty((self.params.N, p1), dtype=fieldq.dtype)
-        if bundle.form == "compressed":
-            kp = known_positions(plan, state, side)
-            gen = state.generators[(2 * p1 - p2, p1)]
-            for db, vec in enumerate(bundle.per_db):
-                pairs = [(r, int(v)) for r, v in enumerate(vec)]
-                pairs += [(p1 - p2 + slot, val) for slot, val in kp[db]]
-                raw[db] = erasure_decode(gen, pairs)
-        else:
-            raw = np.stack(bundle.per_db)
-        flat = raw.reshape(-1)
-        cached = set(side)
+        _, infos = decode_streams(bundle, plan, state, side)
         pieces = []
-        for ci, ctx in enumerate(plan.contexts):
-            if set(ctx.members) <= cached:
+        for ctx, info in zip(plan.contexts, infos):
+            if set(ctx.members) <= set(side):
                 continue
-            free_flat, free_coord = plan.skeleton.gather.ctx_free[ci]
-            gen = state.generators[(ctx.length, ctx.dim)]
-            info = linalg.matvec(fieldq, information_set_inverse(gen, free_coord),
-                                 flat[free_flat])
             for i in ctx.members:
-                if i in cached:
+                if i in side:
                     lo, hi = ctx.block_rows[i]
-                    info = info ^ linalg.matvec(fieldq, state.mixers[i - 1][lo:hi, :],
+                    info = info ^ linalg.matvec(self.field, state.mixers[i - 1][lo:hi, :],
                                                 side[i])
             pieces.append(info)
-        return np.concatenate(pieces) if pieces else np.zeros(0, dtype=fieldq.dtype)
+        return np.concatenate(pieces) if pieces else np.zeros(0, dtype=self.field.dtype)
 
 
-class SymmetricScheme:
+class SymmetricScheme(_Adapter):
     """Audit adapter for the symmetric (database-private) scheme."""
 
     def __init__(self, params: SchemeParams, masked: bool = True,
                  secret: bytes = AUDIT_SECRET):
         self.params = params
         self.sym = make_sym_params(params)
+        self.message_length = self.sym.message_length
         self.field = self.sym.field
         self.masked = masked
         self.secret = secret
@@ -421,13 +357,6 @@ class SymmetricScheme:
             return Fraction(0)
         return Fraction(self.params.T, self.params.N - self.params.T)
 
-    def _draw_theta_side(self, rng):
-        k, m = self.params.K, self.params.M
-        theta = int(rng.integers(1, k + 1))
-        others = [i for i in range(1, k + 1) if i != theta]
-        side = tuple(sorted(int(i) for i in rng.choice(others, size=m, replace=False))) if m else ()
-        return theta, side
-
     def _common_randomness(self, session_id: bytes) -> CommonRandomness:
         cr = derive_common_randomness(self.secret, session_id, self.params.T,
                                       self.field)
@@ -437,12 +366,17 @@ class SymmetricScheme:
         zero.flags.writeable = False
         return CommonRandomness(session_id=cr.session_id, sigma=zero)
 
-    def session_queries(self, theta: int, rng) -> tuple[bytes, np.ndarray, np.ndarray]:
-        """(session id, masks, queries); the session id is drawn first."""
+    def _draw_session(self, rng) -> tuple[bytes, np.ndarray]:
+        """(session id, masks), in the client's draw order."""
         session_id = rng.bytes(SESSION_ID_BYTES)
-        masks = self.field.random_symbols(
-            rng, (self.params.K, self.sym.message_length, self.params.T))
-        return session_id, masks, queries_from_masks(self.sym, theta, masks)
+        return session_id, sym_masks(self.sym, rng)
+
+    def _answer_session(self, theta: int, rng, store: MessageStore):
+        """One session's masks and the N answers to its queries."""
+        session_id, masks = self._draw_session(rng)
+        queries = queries_from_masks(self.sym, theta, masks)
+        return masks, sym_answers(self.sym, queries, store,
+                                  self._common_randomness(session_id))
 
     def run_session(self, rng) -> SessionOutcome:
         theta, side_idx = self._draw_theta_side(rng)
@@ -454,23 +388,28 @@ class SymmetricScheme:
                                   downloaded_symbols=ell, desired_symbols=ell,
                                   randomness_symbols=0,
                                   note=f"theta={theta} shortcut")
-        session_id, _, queries = self.session_queries(theta, rng)
-        cr = self._common_randomness(session_id)
-        answers = np.array(
-            [sym_answer(queries[n], store, cr, int(self.sym.lambdas[n]))
-             for n in range(self.params.N)],
-            dtype=self.field.dtype,
-        )
-        got = sym_decode(answers, self.sym)
-        ok = bool(np.array_equal(got, store.message(theta)))
+        _, answers = self._answer_session(theta, rng, store)
+        ok = bool(np.array_equal(sym_decode(answers, self.sym), store.message(theta)))
         return SessionOutcome(ok=ok, downloaded_symbols=self.params.N,
                               desired_symbols=ell,
                               randomness_symbols=self.params.T,
                               note=f"theta={theta}")
 
     def query_payloads(self, theta: int, seed) -> dict[int, bytes]:
+        """The client's query path for one session."""
         rng = np.random.default_rng(seed)
-        session_id, _, queries = self.session_queries(theta, rng)
+        session_id = rng.bytes(SESSION_ID_BYTES)
+        return self._payloads(session_id, sym_query(self.sym, theta, rng))
+
+    def session_payloads(self, theta: int, seeds) -> list[dict[int, bytes]]:
+        """The N payloads of every seed; the queries of all sessions come
+        from one :func:`queries_from_masks` call over the session axis."""
+        sessions = [self._draw_session(np.random.default_rng(s)) for s in seeds]
+        queries = queries_from_masks(self.sym, theta,
+                                     np.stack([masks for _, masks in sessions]))
+        return [self._payloads(sid, q) for (sid, _), q in zip(sessions, queries)]
+
+    def _payloads(self, session_id: bytes, queries: np.ndarray) -> dict[int, bytes]:
         return {n + 1: wire.serialize_sym_query(self.field.w, session_id,
                                                 self.params.T, queries[n])
                 for n in range(self.params.N)}
@@ -480,51 +419,7 @@ class SymmetricScheme:
                 self.params.T, self.params.N)
         return view_digest(repr(head).encode())
 
-    def view_digests(self, theta: int, subsets, sessions: int, master_seed: int,
-                     batch: int = 4096, crosscheck: int = 3) -> dict[tuple[int, ...], list[bytes]]:
-        params, fieldq, sym = self.params, self.field, self.sym
-        ell, t = sym.message_length, params.T
-        subsets = [tuple(sorted(s)) for s in subsets]
-        out: dict[tuple[int, ...], list[bytes]] = {s: [] for s in subsets}
-        head_prefix = wire.serialize_sym_query(
-            fieldq.w, bytes(SESSION_ID_BYTES), t,
-            np.zeros((params.K, ell), dtype=fieldq.dtype))[:8]
-        done = 0
-        checked = False
-        while done < sessions:
-            size = min(batch, sessions - done)
-            seeds = [(master_seed, theta, done + j) for j in range(size)]
-            sids, mask_list = [], []
-            for s in seeds:
-                rng = np.random.default_rng(s)
-                sids.append(rng.bytes(SESSION_ID_BYTES))
-                mask_list.append(fieldq.random_symbols(rng, (params.K, ell, t)))
-            masks = np.stack(mask_list)                       # (B, K, ell, T)
-            low = np.stack([fieldq.pow(sym.lambdas, j) for j in range(t)], axis=1)
-            evaluated = linalg.matmul(
-                fieldq, masks.reshape(size * params.K * ell, t), low.T
-            ).reshape(size, params.K, ell, params.N)
-            queries = np.moveaxis(evaluated, 3, 1)            # (B, N, K, ell)
-            indicator = np.stack(
-                [fieldq.pow(sym.lambdas, t + i) for i in range(ell)], axis=1)
-            queries[:, :, theta - 1, :] ^= indicator[None, :, :]
-            payloads: list[dict[int, bytes]] = [dict() for _ in range(size)]
-            for j in range(size):
-                for n in range(params.N):
-                    body = fieldq.pack(queries[j, n].reshape(-1))
-                    payloads[j][n + 1] = head_prefix + sids[j] + body
-            if not checked and crosscheck:
-                for seed, pmap in zip(seeds[:crosscheck], payloads[:crosscheck]):
-                    if self.query_payloads(theta, seed) != pmap:
-                        raise AuditInvariantError(
-                            "batched symmetric view sampler diverged from reference"
-                        )
-                checked = True
-            for pmap in payloads:
-                for s in subsets:
-                    out[s].append(CollusionView.from_payloads(s, pmap).digest())
-            done += size
-        return out
+    view_digests = _view_digests
 
     def residual_session(self, rng, store: MessageStore, theta: int,
                          side_idx) -> np.ndarray:
@@ -533,25 +428,13 @@ class SymmetricScheme:
         desired and cached messages). Uniform exactly when the shared mask
         does its job; a deterministic function of the other messages when it
         does not."""
-        session_id, masks, queries = self.session_queries(theta, rng)
-        cr = self._common_randomness(session_id)
-        answers = np.array(
-            [sym_answer(queries[n], store, cr, int(self.sym.lambdas[n]))
-             for n in range(self.params.N)],
-            dtype=self.field.dtype,
-        )
-        coeffs = linalg.matvec(self.field,
-                               interpolation_matrix(self.field, self.params.N), answers)
-        low = coeffs[: self.params.T]
-        known = set(side_idx) | {theta}
-        for k in known:
-            w_k = store.message(k)
+        masks, answers = self._answer_session(theta, rng, store)
+        low = sym_coefficients(answers, self.sym)[: self.params.T]
+        for k in set(side_idx) | {theta}:
             # contribution of message k to coefficient j: sum_i W_k[i] * masks[k,i,j]
-            contrib = np.bitwise_xor.reduce(
-                self.field.mul(masks[k - 1], w_k[:, None]), axis=0)
-            low ^= contrib
+            low ^= np.bitwise_xor.reduce(
+                self.field.mul(masks[k - 1], store.message(k)[:, None]), axis=0)
         return low
-
 
 
 class DirectDownloadScheme:
@@ -566,18 +449,13 @@ class DirectDownloadScheme:
         return {n + 1: b"\x7fGIVE" + bytes([theta, n + 1])
                 for n in range(self.params.N)}
 
+    def session_payloads(self, theta: int, seeds) -> list[dict[int, bytes]]:
+        return [self.query_payloads(theta, s) for s in seeds]
+
     def structure_fingerprint(self, theta: int) -> bytes:
         return view_digest(b"".join(self.query_payloads(theta, 0).values()))
 
-    def view_digests(self, theta: int, subsets, sessions: int, master_seed: int,
-                     **_) -> dict[tuple[int, ...], list[bytes]]:
-        out = {}
-        pmap = self.query_payloads(theta, 0)
-        for s in subsets:
-            s = tuple(sorted(s))
-            digest = CollusionView.from_payloads(s, pmap).digest()
-            out[s] = [digest] * sessions
-        return out
+    view_digests = _view_digests
 
 
 # ---------------------------------------------------------------------------
@@ -682,11 +560,8 @@ def audit_db_privacy(scheme, sessions: int, seed: int,
                              "non-retrieved, non-cached message")
     flip_msg = undesired[0]
 
-    message_length = (scheme.sym.message_length if hasattr(scheme, "sym")
-                      else scheme.profile.L)
-
     def make_store(rng, zero_undesired: bool, flip: bool) -> MessageStore:
-        data = fieldq.random_symbols(rng, (params.K, message_length))
+        data = fieldq.random_symbols(rng, (params.K, scheme.message_length))
         if zero_undesired:
             for i in undesired:
                 data[i - 1] = 0

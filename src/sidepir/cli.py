@@ -59,7 +59,8 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _load_secret(args) -> bytes | None:
     if getattr(args, "secret_file", None):
-        blob = open(args.secret_file, "rb").read().strip()
+        with open(args.secret_file, "rb") as fh:
+            blob = fh.read().strip()
         try:
             return bytes.fromhex(blob.decode())
         except (UnicodeDecodeError, ValueError):

@@ -25,8 +25,8 @@ from .store import MessageStore
 from .stpir_psi import (
     SESSION_ID_BYTES,
     make_sym_params,
-    queries_from_masks,
     sym_decode,
+    sym_query,
 )
 from .tpir_psi import AnswerBundle, build_plan, database_queries, decode
 
@@ -218,9 +218,7 @@ def _retrieve_symmetric(transports, params, theta, side, rng) -> RetrievalResult
     if len(transports) != params.N:
         raise ParameterError(f"need {params.N} endpoints, got {len(transports)}")
     session_id = rng.bytes(SESSION_ID_BYTES)
-    masks = sym.field.random_symbols(
-        rng, (params.K, sym.message_length, params.T))
-    queries = queries_from_masks(sym, theta, masks)
+    queries = sym_query(sym, theta, rng)
     params_frames = _params_frames(params, "stpir", sym.field.w,
                                    sym.message_length, params.N)
     query_frames = [
@@ -249,6 +247,8 @@ def _retrieve_symmetric(transports, params, theta, side, rng) -> RetrievalResult
 
 def _retrieve_sum(transports, params, theta, side) -> RetrievalResult:
     """All-but-one cached: one database, one sum, rate 1, no randomness."""
+    if not 1 <= theta <= params.K:
+        raise ParameterError(f"desired index {theta} outside 1..{params.K}")
     if len(side) != params.K - 1:
         raise ParameterError("sum retrieval needs the K-1 other messages cached")
     lengths = {len(v) for v in side.values()}

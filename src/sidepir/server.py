@@ -23,7 +23,7 @@ import numpy as np
 from . import wire
 from .errors import MalformedQueryError, ParameterError, PirError, ProtocolError
 from .store import MessageStore
-from .stpir_psi import derive_common_randomness, sym_answer
+from .stpir_psi import derive_common_randomness, sum_shortcut_answer, sym_answer
 from .tpir_psi import answer_raw, compress
 
 ROLES = ("tpir", "stpir")
@@ -131,8 +131,8 @@ class ServerCore:
             if query.w != field.w or query.num_messages != self.store.num_messages \
                     or query.message_length != self.store.message_length:
                 raise MalformedQueryError("sum query does not match the store")
-            total = np.bitwise_xor.reduce(self.store.messages, axis=0)
-            body = wire.serialize_answer(field, wire.FORM_SUM, total)
+            body = wire.serialize_answer(field, wire.FORM_SUM,
+                                         sum_shortcut_answer(self.store))
             return wire.TYPE_ANSWER, body
         # layered query
         raw = answer_raw(query, self.store)

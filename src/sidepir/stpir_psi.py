@@ -122,22 +122,29 @@ def _point_powers(sp: SymParams, exponents) -> np.ndarray:
 def queries_from_masks(sp: SymParams, theta: int, masks: np.ndarray) -> np.ndarray:
     """Deterministic query assembly from explicit masking coefficients.
 
-    ``masks`` has shape (K, N - T, T): one degree-< T polynomial per query
-    coordinate. Exposed separately so tests can pin the randomness (an
-    all-zero mask still decodes; it only stops hiding).
+    ``masks`` has shape (..., K, N - T, T): one degree-< T polynomial per
+    query coordinate, with any leading session axes. Returns the queries
+    shaped (..., N, K, N - T). Exposed separately so tests can pin the
+    randomness (an all-zero mask still decodes; it only stops hiding) and so
+    a batch of sessions is assembled by one product.
     """
     params, field = sp.base, sp.field
     ell, t = sp.message_length, params.T
-    if masks.shape != (params.K, ell, t):
-        raise ParameterError(f"masks must have shape {(params.K, ell, t)}")
+    if masks.shape[-3:] != (params.K, ell, t):
+        raise ParameterError(f"masks must have shape (..., {params.K}, {ell}, {t})")
+    lead = masks.shape[:-3]
     low = _point_powers(sp, range(t))                      # (N, T)
-    mask_at_points = linalg.matmul(
-        field, low, masks.reshape(params.K * ell, t).T
-    ).reshape(params.N, params.K, ell)
-    queries = mask_at_points
+    flat = masks.reshape(lead + (params.K * ell, t))
+    queries = linalg.matmul(field, low, np.swapaxes(flat, -1, -2)).reshape(
+        lead + (params.N, params.K, ell))
     indicator = _point_powers(sp, range(t, t + ell))       # (N, ell)
-    queries[:, theta - 1, :] ^= indicator
+    queries[..., theta - 1, :] ^= indicator
     return queries
+
+
+def sym_masks(sp: SymParams, rng: np.random.Generator) -> np.ndarray:
+    """One session's uniform masking coefficients, shape (K, N - T, T)."""
+    return sp.field.random_symbols(rng, (sp.base.K, sp.message_length, sp.base.T))
 
 
 def sym_query(sp: SymParams, theta: int, rng: np.random.Generator) -> np.ndarray:
@@ -153,8 +160,7 @@ def sym_query(sp: SymParams, theta: int, rng: np.random.Generator) -> np.ndarray
         )
     if not 1 <= theta <= params.K:
         raise ParameterError(f"desired index {theta} outside 1..{params.K}")
-    masks = sp.field.random_symbols(rng, (params.K, sp.message_length, params.T))
-    return queries_from_masks(sp, theta, masks)
+    return queries_from_masks(sp, theta, sym_masks(sp, rng))
 
 
 def sym_answer(query: np.ndarray, store: MessageStore, cr: CommonRandomness,
@@ -163,8 +169,6 @@ def sym_answer(query: np.ndarray, store: MessageStore, cr: CommonRandomness,
     field = store.field
     ell = store.message_length
     q = np.asarray(query, dtype=field.dtype)
-    if q.shape == (store.num_messages * ell,):
-        q = q.reshape(store.num_messages, ell)
     if q.shape != (store.num_messages, ell):
         raise MalformedQueryError(
             f"query shape {q.shape} does not match a ({store.num_messages}, {ell}) store"
@@ -190,15 +194,26 @@ def interpolation_matrix(field: GF, n: int) -> np.ndarray:
     return inv
 
 
-def sym_decode(answers: np.ndarray, sp: SymParams) -> np.ndarray:
-    """Interpolate the answer polynomial; its top N - T coefficients are the
-    desired message."""
+def sym_answers(sp: SymParams, queries: np.ndarray, store: MessageStore,
+                cr: CommonRandomness) -> np.ndarray:
+    """All N databases' answers to one session's (N, K, N - T) queries."""
+    return np.array([sym_answer(queries[n], store, cr, int(sp.lambdas[n]))
+                     for n in range(sp.base.N)], dtype=sp.field.dtype)
+
+
+def sym_coefficients(answers: np.ndarray, sp: SymParams) -> np.ndarray:
+    """All N coefficients of the answer polynomial, by interpolation."""
     params, field = sp.base, sp.field
     a = np.asarray(answers, dtype=field.dtype)
     if a.shape != (params.N,):
         raise ProtocolError(f"need {params.N} answers, got {a.shape}")
-    coeffs = linalg.matvec(field, interpolation_matrix(field, params.N), a)
-    return coeffs[params.T:]
+    return linalg.matvec(field, interpolation_matrix(field, params.N), a)
+
+
+def sym_decode(answers: np.ndarray, sp: SymParams) -> np.ndarray:
+    """Interpolate the answer polynomial; its top N - T coefficients are the
+    desired message."""
+    return sym_coefficients(answers, sp)[sp.base.T:]
 
 
 def sym_session(sp: SymParams, theta: int, store: MessageStore, secret: bytes,
@@ -206,12 +221,7 @@ def sym_session(sp: SymParams, theta: int, store: MessageStore, secret: bytes,
     """Full in-process round trip; returns the decoded message."""
     queries = sym_query(sp, theta, rng)
     cr = derive_common_randomness(secret, session_id, sp.base.T, sp.field)
-    answers = np.array(
-        [sym_answer(queries[n], store, cr, int(sp.lambdas[n]))
-         for n in range(sp.base.N)],
-        dtype=sp.field.dtype,
-    )
-    return sym_decode(answers, sp)
+    return sym_decode(sym_answers(sp, queries, store, cr), sp)
 
 
 def sum_shortcut_answer(store: MessageStore) -> np.ndarray:

@@ -87,7 +87,6 @@ class _Gather:
         self.member_msgs: list[np.ndarray] = []    # per db, 0-based message ids
         self.member_ctx: list[np.ndarray] = []     # per db, -1 for desired
         self.member_src: list[np.ndarray] = []     # desired offset / ctx coord
-        self.member_counts: list[np.ndarray] = []  # per db, |subset| per slot
         self.ctx_free: list[tuple[np.ndarray, np.ndarray]] = []   # (flat dbslot, coord)
         self.ctx_bear: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.singles: tuple[np.ndarray, np.ndarray] | None = None
@@ -107,13 +106,7 @@ class _Skeleton:
         contexts: list[ContextGroup] = []
         ctx_index: dict[tuple[int, ...], int] = {}
         block_cursor = {i: 0 for i in others}
-        for size in range(1, K):
-            free_per_db = (N - T) ** (size - 1) * T ** (K - size)
-            bear_per_db = (N - T) ** size * T ** (K - size - 1)
-            if free_per_db == 0:
-                continue
-            dim = N * free_per_db
-            length = dim + N * bear_per_db
+        for size, dim, length in _context_sizes(params):
             for members in combinations(others, size):
                 spans = {}
                 for i in members:
@@ -169,9 +162,8 @@ class _Skeleton:
         bear: list[list[tuple[int, int, int]]] = [[] for _ in self.contexts]
         singles: list[tuple[int, int]] = []
         for db, slots in enumerate(self.slots_per_db):
-            msgs, ctxs, srcs, counts = [], [], [], []
+            msgs, ctxs, srcs = [], [], []
             for idx, slot in enumerate(slots):
-                counts.append(len(slot.subset))
                 flat = db * p1 + idx
                 if slot.context is None:
                     singles.append((flat, slot.desired_offset))
@@ -190,7 +182,6 @@ class _Skeleton:
             g.member_msgs.append(np.array(msgs, dtype=np.int64))
             g.member_ctx.append(np.array(ctxs, dtype=np.int64))
             g.member_src.append(np.array(srcs, dtype=np.int64))
-            g.member_counts.append(np.array(counts, dtype=np.int64))
         for ci, ctx in enumerate(self.contexts):
             fl, co = zip(*free[ci])
             g.ctx_free.append((np.array(fl), np.array(co)))
@@ -214,17 +205,21 @@ def _skeleton(params: SchemeParams, theta: int) -> _Skeleton:
     return _Skeleton(params, theta)
 
 
+def _context_sizes(params: SchemeParams):
+    """(size, dim, length) of the context code for every group size that has
+    one: dim slots per context avoid the desired message, length - dim carry it."""
+    K, N, T = params.K, params.N, params.T
+    for size in range(1, K):
+        free_per_db = (N - T) ** (size - 1) * T ** (K - size)
+        if free_per_db == 0:
+            continue
+        dim = N * free_per_db
+        yield size, dim, dim + N * (N - T) ** size * T ** (K - size - 1)
+
+
 def max_group_length(params: SchemeParams) -> int:
     """Longest context codeword over all group sizes (0 if K = 1)."""
-    K, N, T = params.K, params.N, params.T
-    best = 0
-    for size in range(1, K):
-        free = N * (N - T) ** (size - 1) * T ** (K - size)
-        if free == 0:
-            continue
-        bear = N * (N - T) ** size * T ** (K - size - 1)
-        best = max(best, free + bear)
-    return best
+    return max((length for _, _, length in _context_sizes(params)), default=0)
 
 
 def minimum_field_width(params: SchemeParams) -> int:
@@ -266,8 +261,7 @@ class DownloadPlan:
 @dataclass(frozen=True)
 class PrecodingState:
     """Everything the client must keep to decode: private mixers, the LU
-    factors of the desired mixer, the public generators, and the seed used
-    (when known) for replay.
+    factors of the desired mixer and the public generators.
 
     The factors come from the rank check that accepted the desired mixer, so
     decoding inverts it by triangular substitution, with no elimination.
@@ -275,10 +269,9 @@ class PrecodingState:
     """
 
     field: GF
-    mixers: tuple[np.ndarray, ...]          # one (L, L) full-rank matrix per message
+    mixers: np.ndarray                      # (K, L, L): one full-rank matrix per message
     desired_factors: tuple[np.ndarray, np.ndarray]  # (lu, perm) of the desired mixer
     generators: dict[tuple[int, int], GeneratorMatrix]
-    seed: int | None
 
 
 @dataclass(frozen=True)
@@ -296,7 +289,7 @@ class DatabaseQuery:
     p2: int
     compress: bool
     slot_members: tuple[tuple[int, ...], ...]
-    rows: np.ndarray  # (sum of member counts, message_length)
+    rows: np.ndarray  # (..., sum of member counts, message_length)
 
     @property
     def num_slots(self) -> int:
@@ -322,9 +315,8 @@ class AnswerBundle:
         return sum(len(v) for v in self.per_db)
 
 
-def build_plan(params: SchemeParams, theta: int,
-               rng: np.random.Generator | int) -> tuple[DownloadPlan, PrecodingState]:
-    """Construct the query plan and the private precoding state.
+def download_plan(params: SchemeParams, theta: int) -> DownloadPlan:
+    """The public part of a plan: slot table and contexts for (params, theta).
 
     ``theta`` is the 1-based desired index. The cached set plays no role
     here: plans are a function of (params, theta, randomness) only, which is
@@ -342,64 +334,77 @@ def build_plan(params: SchemeParams, theta: int,
             f"width {params.w} too small for {params.label()}; need {w_needed}",
             min_width=w_needed,
         )
-    field = standard_field(params.w or w_needed)
-    seed: int | None = None
-    if not isinstance(rng, np.random.Generator):
-        seed = int(rng) if isinstance(rng, (int, np.integer)) else None
-        rng = np.random.default_rng(rng)
-    sk = _skeleton(params, theta)
-    profile = sk.profile
-    # one batch, stream-ordered: mixer i is the i-th full-rank candidate
-    # drawn from rng, exactly as K sequential draws would give it
-    stack, lu, perm = sample_full_rank_factored(profile.L, field, [rng] * params.K)
+    return DownloadPlan(params=params, theta=theta,
+                        field=standard_field(params.w or w_needed),
+                        skeleton=_skeleton(params, theta))
+
+
+def sample_mixers(plan: DownloadPlan, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The K mixers of one session per random source, with their LU factors.
+
+    One stream-ordered batch over K slots per source: mixer i of a session
+    is the i-th full-rank candidate its source draws, exactly as K sequential
+    draws would give it. Returns ``(mixers, lu, perm)`` shaped (B, K, L, L),
+    (B, K, L, L) and (B, K, L).
+    """
+    rngs = list(rngs)
+    k, length = plan.params.K, plan.profile.L
+    mats, lu, perm = sample_full_rank_factored(
+        length, plan.field, [r for r in rngs for _ in range(k)])
+    shape = (len(rngs), k, length)
+    return mats.reshape(shape + (length,)), lu.reshape(shape + (length,)), perm.reshape(shape)
+
+
+def build_plan(params: SchemeParams, theta: int,
+               rng: np.random.Generator | int) -> tuple[DownloadPlan, PrecodingState]:
+    """Construct the query plan and the private precoding state: the
+    :func:`download_plan` plus one session of :func:`sample_mixers`."""
+    plan = download_plan(params, theta)
+    field, profile = plan.field, plan.profile
+    stack, lu, perm = sample_mixers(plan, [np.random.default_rng(rng)])
     stack.flags.writeable = False
-    mixers = tuple(stack)
-    desired_factors = (lu[theta - 1].copy(), perm[theta - 1].copy())
+    desired_factors = (lu[0, theta - 1].copy(), perm[0, theta - 1].copy())
     for arr in desired_factors:
         arr.flags.writeable = False
     generators: dict[tuple[int, int], GeneratorMatrix] = {}
-    for ctx in sk.contexts:
+    for ctx in plan.contexts:
         generators.setdefault((ctx.length, ctx.dim), make_mds(ctx.length, ctx.dim, field))
     if params.M >= 1:
         dims = (2 * profile.p1 - profile.p2, profile.p1)
         generators[dims] = make_systematic_mds(*dims, field)
-    plan = DownloadPlan(params=params, theta=theta, field=field, skeleton=sk)
-    state = PrecodingState(field=field, mixers=mixers, desired_factors=desired_factors,
-                           generators=generators, seed=seed)
+    state = PrecodingState(field=field, mixers=stack[0], desired_factors=desired_factors,
+                           generators=generators)
     return plan, state
 
 
-def _context_coefficients(plan: DownloadPlan, state: PrecodingState):
-    """Per (context, member): the (e, L) matrix mapping the member message to
-    its contribution at every group coordinate."""
-    out = {}
+def session_queries(plan: DownloadPlan, mixers: np.ndarray) -> list[DatabaseQuery]:
+    """The N public wire queries for mixers shaped (..., K, L, L).
+
+    Leading axes are sessions: each query's rows are shaped (..., rows, L),
+    so a batch of sessions is resolved by the same products as one.
+    """
+    params, field, profile = plan.params, plan.field, plan.profile
+    gather = plan.skeleton.gather
+    lead = mixers.shape[:-3]
+    coef = {}  # (context, member) -> its (..., e, L) contribution at every coordinate
     for ci, ctx in enumerate(plan.contexts):
-        gen = state.generators[(ctx.length, ctx.dim)]
+        gen = make_mds(ctx.length, ctx.dim, field).entries
         for i in ctx.members:
             lo, hi = ctx.block_rows[i]
-            out[(ci, i)] = linalg.matmul(plan.field, gen.entries, state.mixers[i - 1][lo:hi, :])
-    return out
-
-
-def database_queries(plan: DownloadPlan, state: PrecodingState) -> list[DatabaseQuery]:
-    """Resolve the plan into the N public wire queries."""
-    params, field = plan.params, plan.field
-    profile = plan.profile
-    gather = plan.skeleton.gather
-    coef = _context_coefficients(plan, state)
-    desired = state.mixers[plan.theta - 1]
+            coef[(ci, i)] = linalg.matmul(field, gen, mixers[..., i - 1, lo:hi, :])
+    desired = mixers[..., plan.theta - 1, :, :]
     queries = []
     for db in range(params.N):
         msgs = gather.member_msgs[db]
         ctxs = gather.member_ctx[db]
         srcs = gather.member_src[db]
-        rows = np.empty((len(msgs), profile.L), dtype=field.dtype)
+        rows = np.empty(lead + (len(msgs), profile.L), dtype=field.dtype)
         mask = ctxs == -1
-        rows[mask] = desired[srcs[mask]]
+        rows[..., mask, :] = desired[..., srcs[mask], :]
         for (ci, i), mat in coef.items():
             sel = (ctxs == ci) & (msgs == i - 1)
             if sel.any():
-                rows[sel] = mat[srcs[sel]]
+                rows[..., sel, :] = mat[..., srcs[sel], :]
         rows.flags.writeable = False
         queries.append(DatabaseQuery(
             db_index=db,
@@ -412,6 +417,11 @@ def database_queries(plan: DownloadPlan, state: PrecodingState) -> list[Database
             rows=rows,
         ))
     return queries
+
+
+def database_queries(plan: DownloadPlan, state: PrecodingState) -> list[DatabaseQuery]:
+    """Resolve the plan into the N public wire queries of its session."""
+    return session_queries(plan, state.mixers)
 
 
 def answer_raw(query: DatabaseQuery, store: MessageStore) -> np.ndarray:
@@ -525,23 +535,23 @@ def known_positions(plan: DownloadPlan, state: PrecodingState,
     return out
 
 
-def decode(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
-           side) -> np.ndarray:
-    """Recover the desired message exactly from the N answers.
+def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
+                   side) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Everything decoding reconstructs before the final mixer solve: the
+    desired precoded stream and, per context, its information vector (the
+    sum over members of each member's mixer rows applied to its message).
 
     Compressed answers are first completed per database with the cached slot
     values and erasure-decoded back to the raw slot vectors. Raw answers
     with a nonempty cache are cross-checked against the cached slot values,
     which catches corrupted side files or wire corruption.
 
-    Only the final step inverts a private matrix (the desired mixer), by
-    substitution against the LU factors that ``build_plan`` kept from the
-    mixer rank check, so decoding runs no elimination. The
-    erasure systems and the per-context information sets are rows of public
-    generators chosen by (params, theta, cached set), so their inverses come
-    from the bounded cache behind :func:`information_set_inverse` and both
-    steps are matrix-vector products. The cache is read only here, after the
-    queries have left, so query timing depends on (params, theta) alone.
+    The erasure systems and the per-context information sets are rows of
+    public generators chosen by (params, theta, cached set), so their
+    inverses come from the bounded cache behind
+    :func:`information_set_inverse` and both steps are matrix-vector
+    products. The cache is read only here, after the queries have left, so
+    query timing depends on (params, theta) alone.
     """
     params, field, profile = plan.params, plan.field, plan.profile
     side = _check_side(plan, side)
@@ -580,13 +590,28 @@ def decode(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
     desired = np.zeros(profile.L, dtype=field.dtype)
     sing_flat, sing_off = gather.singles
     desired[sing_off] = flat[sing_flat]
+    infos = []
     for ci, ctx in enumerate(plan.contexts):
         free_flat, free_coord = gather.ctx_free[ci]
         gen = state.generators[(ctx.length, ctx.dim)]
         info = linalg.matvec(field, information_set_inverse(gen, free_coord),
                              flat[free_flat])
+        infos.append(info)
         codeword = linalg.matvec(field, gen.entries, info)
         bear_flat, bear_coord, bear_off = gather.ctx_bear[ci]
         if bear_flat.size:
             desired[bear_off] = flat[bear_flat] ^ codeword[bear_coord]
-    return linalg.lu_solve(field, *state.desired_factors, desired)
+    return desired, infos
+
+
+def decode(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
+           side) -> np.ndarray:
+    """Recover the desired message exactly from the N answers:
+    :func:`decode_streams`, then the desired mixer's inverse.
+
+    That final step is the only one that inverts a private matrix. It is a
+    substitution against the LU factors that ``build_plan`` kept from the
+    mixer rank check, so decoding runs no elimination.
+    """
+    desired, _ = decode_streams(answers, plan, state, side)
+    return linalg.lu_solve(plan.field, *state.desired_factors, desired)

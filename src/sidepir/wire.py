@@ -131,51 +131,35 @@ def parse_error_payload(data: bytes) -> tuple[int, str]:
 _LAYERED_HEAD = struct.Struct("<BBBHIII")
 
 
-def query_layout(w: int, num_messages: int, message_length: int, p2: int,
-                 compress: bool, slot_members) -> tuple[bytearray, np.ndarray]:
-    """Payload template with zeroed coefficient rows, plus the byte positions
-    the packed rows occupy (in slot-member order).
+def serialize_database_query(q: DatabaseQuery):
+    """The QUERY payload of a layered query, as bytes.
 
-    The batched auditor fills thousands of copies of the template per
-    second; ``serialize_database_query`` is the reference implementation the
-    template output must match byte for byte.
+    Rows shaped (..., rows, L), one block per session, give the payloads of
+    all those sessions at once: a uint8 array shaped (..., payload size),
+    each session's header and slot table filled with its packed rows.
     """
-    field = standard_field(w)
-    row_bytes = field.packed_size(message_length)
-    head = _LAYERED_HEAD.pack(SCHEME_LAYERED, w, 1 if compress else 0,
-                              num_messages, message_length, len(slot_members), p2)
-    buf = bytearray(head)
-    spans = []
-    for members in slot_members:
-        buf.append(len(members))
-        for msg in members:
-            buf += struct.pack("<H", msg)
-            spans.append((len(buf), row_bytes))
-            buf += bytes(row_bytes)
-    positions = np.concatenate(
-        [np.arange(start, start + size, dtype=np.int64) for start, size in spans]
-    )
-    return buf, positions
-
-
-def serialize_database_query(q: DatabaseQuery) -> bytes:
     field = standard_field(q.w)
-    template, positions = query_layout(q.w, q.num_messages, q.message_length,
-                                       q.p2, q.compress, q.slot_members)
-    packed = pack_rows(field, q.rows, q.message_length)
-    out = np.frombuffer(bytes(template), dtype=np.uint8).copy()
-    out[positions] = np.frombuffer(packed, dtype=np.uint8)
-    return out.tobytes()
-
-
-def pack_rows(field: GF, rows: np.ndarray, length: int) -> bytes:
-    """Pack a (num_rows, length) block row by row, each row byte-aligned."""
-    rows = np.ascontiguousarray(rows, dtype=field.dtype)
-    if field.w == 4 and length % 2:
-        rows = np.concatenate(
-            [rows, np.zeros((rows.shape[0], 1), dtype=field.dtype)], axis=1
-        )
-    return field.pack(rows)
+    row_bytes = field.packed_size(q.message_length)
+    head = _LAYERED_HEAD.pack(SCHEME_LAYERED, q.w, 1 if q.compress else 0,
+                              q.num_messages, q.message_length, len(q.slot_members), q.p2)
+    template = bytearray(head)
+    starts = []
+    for members in q.slot_members:
+        template.append(len(members))
+        for msg in members:
+            template += struct.pack("<H", msg)
+            starts.append(len(template))
+            template += bytes(row_bytes)
+    positions = (np.array(starts, dtype=np.int64)[:, None] + np.arange(row_bytes)).ravel()
+    lead = q.rows.shape[:-2]
+    rows = np.ascontiguousarray(q.rows, dtype=field.dtype).reshape(-1, q.message_length)
+    if field.w == 4 and q.message_length % 2:
+        # a padding nibble keeps every row byte-aligned
+        rows = np.concatenate([rows, np.zeros((len(rows), 1), dtype=field.dtype)], axis=1)
+    sessions = int(np.prod(lead, dtype=np.int64))
+    out = np.tile(np.frombuffer(bytes(template), dtype=np.uint8), (sessions, 1))
+    out[:, positions] = np.frombuffer(field.pack(rows), dtype=np.uint8).reshape(sessions, -1)
+    return out.reshape(lead + (len(template),)) if lead else out[0].tobytes()
 
 
 def parse_query_payload(data: bytes, db_index: int = -1):

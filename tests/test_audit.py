@@ -204,3 +204,23 @@ def test_view_digest_crosscheck_guards_fast_path():
     ref = scheme.query_payloads(1, (11, 1, 0))
     expect = audit.CollusionView.from_payloads((1,), ref).digest()
     assert digests[(1,)][0] == expect
+
+
+@pytest.mark.parametrize("scheme", [
+    audit.LayeredScheme(SchemeParams(3, 1, 2, 1)),
+    audit.LayeredScheme(SchemeParams(3, 2, 3, 2)),
+    audit.SymmetricScheme(SchemeParams(3, 0, 3, 2)),
+], ids=lambda s: f"{s.name}{s.params.label()}")
+def test_view_digests_follow_the_client_query_path(scheme):
+    """Batched view sampling gives, session by session, the views of the
+    single-session client path, across batch boundaries and batch sizes."""
+    subsets = audit.all_collusion_subsets(scheme.params)
+    for theta in range(1, scheme.params.K + 1):
+        digests = scheme.view_digests(theta, subsets, sessions=7, master_seed=31, batch=3)
+        for j in range(7):
+            ref = scheme.query_payloads(theta, (31, theta, j))
+            for s in subsets:
+                assert digests[s][j] == audit.CollusionView.from_payloads(s, ref).digest()
+        for batch in (1, 512):
+            assert scheme.view_digests(theta, subsets, sessions=7, master_seed=31,
+                                       batch=batch) == digests

@@ -9,7 +9,7 @@ import pytest
 from sidepir import client, wire
 from sidepir.capacity import SchemeParams
 from sidepir.cli import main as cli_main
-from sidepir.errors import CorruptionError
+from sidepir.errors import CorruptionError, PirError, ZeroCapacityError
 from sidepir.field import standard_field
 from sidepir.server import DatabaseServer, ServerCore
 from sidepir.store import random_store
@@ -281,3 +281,22 @@ def test_cli_audit_grid(capsys):
     assert cli_main(["audit", "rate", "--grid", "--sessions", "2", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_client_rejects_bad_requests_with_typed_errors(golden1_store):
+    """A desired index outside 1..K or T = N fails with a PirError before any
+    query is sent, on the layered, symmetric and sum paths alike."""
+    f4 = standard_field(4)
+    sym_store = random_store(f4, 3, 2, np.random.default_rng(102))
+    cases = [(golden1_store, SchemeParams(3, 1, 2, 1), "tpir", {3}),
+             (sym_store, SchemeParams(3, 0, 3, 1), "stpir", set()),
+             (sym_store, SchemeParams(3, 2, 3, 1), "stpir", {2, 3})]
+    for store, params, scheme, cached in cases:
+        for theta in (0, params.K + 1):
+            sims = client.local_simulator(store, params.N, role=scheme, secret=SECRET)
+            with pytest.raises(PirError):
+                client.retrieve(sims, params, theta, store.side_information(cached),
+                                seed=1, scheme=scheme)
+    sims = client.local_simulator(sym_store, 3, role="stpir", secret=SECRET)
+    with pytest.raises(ZeroCapacityError):
+        client.retrieve(sims, SchemeParams(3, 0, 3, 3), 1, {}, seed=1, scheme="stpir")
