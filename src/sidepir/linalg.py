@@ -28,16 +28,37 @@ from .errors import ParameterError, SingularMatrixError
 from .field import GF
 
 
+# Symbols of the int32 (..., m, k, n) log-sum temporary that one step of
+# :func:`matmul` may hold: about 1 MiB, plus its antilog gather.
+MATMUL_CHUNK = 1 << 18
+
+
 def matmul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over the field; leading batch dimensions broadcast.
 
     Shapes follow numpy matmul: (..., m, k) @ (..., k, n) -> (..., m, n).
+    Each product term is one log-table sum and one antilog gather over a
+    (..., m, k, n) temporary, so the contraction runs in steps over k that
+    keep that temporary under ``MATMUL_CHUNK`` symbols and peak memory
+    O(m n) per batch member. A small product is a single step.
     """
     a = np.asarray(a, dtype=field.dtype)
     b = np.asarray(b, dtype=field.dtype)
+    m, k = a.shape[-2:]
+    n = b.shape[-1]
+    # an operand's size times the other's free dimension is the temporary's
+    # size whenever that operand carries the full batch shape, as in every
+    # caller; no broadcast of the shapes is needed to find it
+    temp = max(a.size * n, b.size * m)
+    step = max(1, k * MATMUL_CHUNK // temp) if temp else 1
     la = field._log[a][..., :, :, None]
     lb = field._log[b][..., None, :, :]
-    return np.bitwise_xor.reduce(field._alog[la + lb], axis=-2)
+    out = np.bitwise_xor.reduce(
+        field._alog[la[..., :step, :] + lb[..., :step, :]], axis=-2)
+    for lo in range(step, k, step):
+        out ^= np.bitwise_xor.reduce(
+            field._alog[la[..., lo:lo + step, :] + lb[..., lo:lo + step, :]], axis=-2)
+    return out
 
 
 def matvec(field: GF, a: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -21,10 +21,11 @@ import threading
 import numpy as np
 
 from . import wire
+from .capacity import SchemeParams
 from .errors import MalformedQueryError, ParameterError, PirError, ProtocolError
 from .store import MessageStore
 from .stpir_psi import derive_common_randomness, sum_shortcut_answer, sym_answer
-from .tpir_psi import answer_raw, compress
+from .tpir_psi import answer_raw, check_query_shape, compress
 
 ROLES = ("tpir", "stpir")
 
@@ -89,6 +90,7 @@ class ServerCore:
             return wire.TYPE_ERROR, wire.error_payload(
                 wire.ERR_STORE_MISMATCH, "; ".join(problems))
         session["endpoint"] = endpoint
+        session["m"] = req.get("m")
         session["t"] = req.get("t")
         session["n_db"] = n_db
         reply = wire.params_payload({
@@ -135,6 +137,7 @@ class ServerCore:
                                          sum_shortcut_answer(self.store))
             return wire.TYPE_ANSWER, body
         # layered query
+        check_query_shape(query, self._layered_params(session))
         raw = answer_raw(query, self.store)
         if query.compress and query.p2 > 0:
             parity = compress(raw, field, query.num_slots, query.p2)
@@ -142,6 +145,28 @@ class ServerCore:
         else:
             body = wire.serialize_answer(field, wire.FORM_RAW, raw)
         return wire.TYPE_ANSWER, body
+
+    def _layered_params(self, session: dict) -> SchemeParams:
+        """The public layered scheme of this session: the store's K, the
+        PARAMS frame's (M, N, T), and N^K equal to the store's length.
+
+        A layered query is checked against it before any work, because its
+        slot count sizes the compression code the server builds.
+        """
+        k, length = self.store.num_messages, self.store.message_length
+        m, n_db, t = session["m"], session["n_db"], session["t"]
+        if not isinstance(m, int) or not isinstance(t, int) \
+                or not 1 <= n_db <= length or n_db ** k != length:
+            raise MalformedQueryError(
+                f"session parameters (M={m}, N={n_db}, T={t}) do not fit a "
+                f"layered scheme on {k} messages of length {length}")
+        try:
+            params = SchemeParams(k, m, n_db, t)
+        except ParameterError as exc:
+            raise MalformedQueryError(f"session parameters: {exc}") from exc
+        if not params.constructible:
+            raise MalformedQueryError(f"no layered scheme exists for {params.label()}")
+        return params
 
 
 class _Handler(socketserver.StreamRequestHandler):

@@ -25,6 +25,14 @@ Decoding peels contexts independently: the slots that avoid the desired
 message supply one full information set per context, the reconstructed
 codeword is evaluated at the coordinates used inside desired-bearing slots
 and subtracted, and the mixer inverse recovers the message.
+
+Contexts of one size share one code shape (length, dim), and a point has
+few shapes (one at (6,2,2,1), where all 31 contexts are 4 x 2). Query
+assembly and the peel therefore run one batched product per shape, not per
+context or per (context, member) pair, through index tables that each
+(params, theta) skeleton builds once: which mixer rows feed which product,
+which product row fills which query row, and which slots a context reads
+and writes back.
 """
 
 from __future__ import annotations
@@ -80,15 +88,36 @@ class ContextGroup:
     block_rows: dict[int, tuple[int, int]]  # member -> mixer row span
 
 
+@dataclass(frozen=True)
+class _ShapeGroup:
+    """The contexts that share one code shape, and their index tables.
+
+    Query rows: pair g (a context and one of its members, in context then
+    member order) is ``gen @ stack[src[g]]``, with ``stack`` the (K*L, L)
+    mixers flattened. Decode peel: context ``contexts[c]`` reads its
+    information set at the flat (db, slot) positions ``free_flat[c]``, and a
+    desired-bearing slot ``bear_flat[j]`` minus coordinate ``bear_coord[j]``
+    of context ``bear_ctx[j]``'s codeword is desired symbol ``bear_off[j]``.
+    """
+
+    length: int
+    dim: int
+    contexts: tuple[int, ...]
+    src: np.ndarray        # (G, dim)
+    free_flat: np.ndarray  # (C, dim)
+    bear_flat: np.ndarray
+    bear_ctx: np.ndarray   # position in ``contexts``
+    bear_coord: np.ndarray
+    bear_off: np.ndarray
+
+
 class _Gather:
     """Precomputed index arrays for one (params, theta) skeleton."""
 
     def __init__(self):
-        self.member_msgs: list[np.ndarray] = []    # per db, 0-based message ids
-        self.member_ctx: list[np.ndarray] = []     # per db, -1 for desired
-        self.member_src: list[np.ndarray] = []     # desired offset / ctx coord
+        self.groups: list[_ShapeGroup] = []        # one per (length, dim)
+        self.db_rows: list[np.ndarray] = []        # per db: rows of the query pool
         self.ctx_free: list[tuple[np.ndarray, np.ndarray]] = []   # (flat dbslot, coord)
-        self.ctx_bear: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.singles: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -144,6 +173,8 @@ class _Skeleton:
                                                context=ci, coord=coord))
             slots_per_db.append(tuple(slots))
         self.slots_per_db = tuple(slots_per_db)
+        # every database gets the same slot table; only the rows differ
+        self.slot_members = tuple(s.subset for s in slots_per_db[0])
 
         # construction-time invariants: counts must match the closed forms
         assert desired_cursor == profile.L
@@ -152,17 +183,17 @@ class _Skeleton:
             assert coord_cursor[ci] == ctx.length
         for slots in self.slots_per_db:
             assert sum(1 for s in slots if theta in s.subset) == profile.m
+            assert tuple(s.subset for s in slots) == self.slot_members
 
         self._build_gather()
 
     def _build_gather(self) -> None:
         g = _Gather()
-        p1 = self.profile.p1
+        p1, length = self.profile.p1, self.profile.L
         free: list[list[tuple[int, int]]] = [[] for _ in self.contexts]
         bear: list[list[tuple[int, int, int]]] = [[] for _ in self.contexts]
         singles: list[tuple[int, int]] = []
         for db, slots in enumerate(self.slots_per_db):
-            msgs, ctxs, srcs = [], [], []
             for idx, slot in enumerate(slots):
                 flat = db * p1 + idx
                 if slot.context is None:
@@ -171,32 +202,39 @@ class _Skeleton:
                     free[slot.context].append((flat, slot.coord))
                 else:
                     bear[slot.context].append((flat, slot.coord, slot.desired_offset))
-                for i in slot.subset:
-                    msgs.append(i - 1)
-                    if i == self.theta:
-                        ctxs.append(-1)
-                        srcs.append(slot.desired_offset)
-                    else:
-                        ctxs.append(slot.context)
-                        srcs.append(slot.coord)
-            g.member_msgs.append(np.array(msgs, dtype=np.int64))
-            g.member_ctx.append(np.array(ctxs, dtype=np.int64))
-            g.member_src.append(np.array(srcs, dtype=np.int64))
         for ci, ctx in enumerate(self.contexts):
             fl, co = zip(*free[ci])
             g.ctx_free.append((np.array(fl), np.array(co)))
             assert len(fl) == ctx.dim
-            if bear[ci]:
-                bf, bc, bo = zip(*bear[ci])
-                g.ctx_bear.append((np.array(bf), np.array(bc), np.array(bo)))
-            else:
-                empty = np.array([], dtype=np.int64)
-                g.ctx_bear.append((empty, empty, empty))
-        if singles:
-            sf, so = zip(*singles)
-            g.singles = (np.array(sf), np.array(so))
-        else:
-            g.singles = (np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+
+        # query pool rows: the L desired mixer rows, then each shape group's
+        # products, pair by pair, each pair's codeword coordinates in order
+        shapes: dict[tuple[int, int], list[int]] = {}
+        for ci, ctx in enumerate(self.contexts):
+            shapes.setdefault((ctx.length, ctx.dim), []).append(ci)
+        pool_row: dict[tuple[int, int], int] = {}  # (context, member) -> coordinate 0
+        base = length
+        for (e, f), cis in shapes.items():
+            src, bears = [], []
+            for c, ci in enumerate(cis):
+                ctx = self.contexts[ci]
+                for i in ctx.members:
+                    lo, hi = ctx.block_rows[i]
+                    pool_row[(ci, i)] = base + len(src) * e
+                    src.append(range((i - 1) * length + lo, (i - 1) * length + hi))
+                bears += [(fl, c, co, off) for fl, co, off in bear[ci]]
+            base += len(src) * e
+            bf, bc, bco, bo = np.array(bears, dtype=np.int64).reshape(-1, 4).T
+            g.groups.append(_ShapeGroup(
+                length=e, dim=f, contexts=tuple(cis), src=np.array(src, dtype=np.int64),
+                free_flat=np.stack([g.ctx_free[ci][0] for ci in cis]),
+                bear_flat=bf, bear_ctx=bc, bear_coord=bco, bear_off=bo))
+        for slots in self.slots_per_db:
+            g.db_rows.append(np.array(
+                [slot.desired_offset if i == self.theta
+                 else pool_row[(slot.context, i)] + slot.coord
+                 for slot in slots for i in slot.subset], dtype=np.int64))
+        g.singles = tuple(np.array(singles, dtype=np.int64).reshape(-1, 2).T)
         self.gather = g
 
 
@@ -382,29 +420,26 @@ def session_queries(plan: DownloadPlan, mixers: np.ndarray) -> list[DatabaseQuer
 
     Leading axes are sessions: each query's rows are shaped (..., rows, L),
     so a batch of sessions is resolved by the same products as one.
+
+    A row of an undesired member is a row of its context's public generator
+    times that member's block of mixer rows. All (context, member) pairs
+    whose contexts share a code shape are one product, and each database's
+    rows are one gather from the desired mixer's rows and those products,
+    by index tables built once per (params, theta).
     """
     params, field, profile = plan.params, plan.field, plan.profile
     gather = plan.skeleton.gather
     lead = mixers.shape[:-3]
-    coef = {}  # (context, member) -> its (..., e, L) contribution at every coordinate
-    for ci, ctx in enumerate(plan.contexts):
-        gen = make_mds(ctx.length, ctx.dim, field).entries
-        for i in ctx.members:
-            lo, hi = ctx.block_rows[i]
-            coef[(ci, i)] = linalg.matmul(field, gen, mixers[..., i - 1, lo:hi, :])
-    desired = mixers[..., plan.theta - 1, :, :]
+    stack = mixers.reshape(lead + (-1, profile.L))
+    pool = [mixers[..., plan.theta - 1, :, :]]
+    for grp in gather.groups:
+        gen = make_mds(grp.length, grp.dim, field).entries
+        coef = linalg.matmul(field, gen, stack[..., grp.src, :])  # (..., G, e, L)
+        pool.append(coef.reshape(lead + (-1, profile.L)))
+    pool = np.concatenate(pool, axis=-2)
     queries = []
     for db in range(params.N):
-        msgs = gather.member_msgs[db]
-        ctxs = gather.member_ctx[db]
-        srcs = gather.member_src[db]
-        rows = np.empty(lead + (len(msgs), profile.L), dtype=field.dtype)
-        mask = ctxs == -1
-        rows[..., mask, :] = desired[..., srcs[mask], :]
-        for (ci, i), mat in coef.items():
-            sel = (ctxs == ci) & (msgs == i - 1)
-            if sel.any():
-                rows[..., sel, :] = mat[..., srcs[sel], :]
+        rows = pool[..., gather.db_rows[db], :]
         rows.flags.writeable = False
         queries.append(DatabaseQuery(
             db_index=db,
@@ -413,7 +448,7 @@ def session_queries(plan: DownloadPlan, mixers: np.ndarray) -> list[DatabaseQuer
             w=field.w,
             p2=profile.p2,
             compress=params.M >= 1,
-            slot_members=tuple(s.subset for s in plan.slots_per_db[db]),
+            slot_members=plan.skeleton.slot_members,
             rows=rows,
         ))
     return queries
@@ -422,6 +457,24 @@ def session_queries(plan: DownloadPlan, mixers: np.ndarray) -> list[DatabaseQuer
 def database_queries(plan: DownloadPlan, state: PrecodingState) -> list[DatabaseQuery]:
     """Resolve the plan into the N public wire queries of its session."""
     return session_queries(plan, state.mixers)
+
+
+def check_query_shape(query: DatabaseQuery, params: SchemeParams) -> None:
+    """Refuse a query whose slot table is not the public one of ``params``.
+
+    The slot table is the same for every desired index, so comparing it
+    with the theta = 1 skeleton tells the server nothing it may not know.
+    It caps a server's work at the scheme it agreed to: the slot count p1
+    sizes the (2*p1 - p2, p1) compression code that :func:`compress` builds
+    and caches.
+    """
+    profile = count_profile(params)
+    if (query.num_slots, query.p2) != (profile.p1, profile.p2):
+        raise MalformedQueryError(
+            f"query has p1={query.num_slots}, p2={query.p2}; {params.label()} "
+            f"has p1={profile.p1}, p2={profile.p2}")
+    if query.slot_members != _skeleton(params, 1).slot_members:
+        raise MalformedQueryError(f"slot table does not match {params.label()}")
 
 
 def answer_raw(query: DatabaseQuery, store: MessageStore) -> np.ndarray:
@@ -552,6 +605,11 @@ def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingSt
     :func:`information_set_inverse` and both steps are matrix-vector
     products. The cache is read only here, after the queries have left, so
     query timing depends on (params, theta) alone.
+
+    The peel runs per context shape: the cached inverses of its contexts
+    are stacked into one (C, dim, dim) array, and one batched product gives
+    their information vectors, one more their codewords, and one scatter
+    writes every desired-bearing slot back into the stream.
     """
     params, field, profile = plan.params, plan.field, plan.profile
     side = _check_side(plan, side)
@@ -590,17 +648,16 @@ def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingSt
     desired = np.zeros(profile.L, dtype=field.dtype)
     sing_flat, sing_off = gather.singles
     desired[sing_off] = flat[sing_flat]
-    infos = []
-    for ci, ctx in enumerate(plan.contexts):
-        free_flat, free_coord = gather.ctx_free[ci]
-        gen = state.generators[(ctx.length, ctx.dim)]
-        info = linalg.matvec(field, information_set_inverse(gen, free_coord),
-                             flat[free_flat])
-        infos.append(info)
-        codeword = linalg.matvec(field, gen.entries, info)
-        bear_flat, bear_coord, bear_off = gather.ctx_bear[ci]
-        if bear_flat.size:
-            desired[bear_off] = flat[bear_flat] ^ codeword[bear_coord]
+    infos: list[np.ndarray] = [None] * len(plan.contexts)
+    for grp in gather.groups:
+        gen = state.generators[(grp.length, grp.dim)]
+        inverses = np.stack([information_set_inverse(gen, gather.ctx_free[ci][1])
+                             for ci in grp.contexts])
+        info = linalg.matvec(field, inverses, flat[grp.free_flat])  # (C, dim)
+        codewords = linalg.matvec(field, gen.entries, info)        # (C, e)
+        desired[grp.bear_off] = flat[grp.bear_flat] ^ codewords[grp.bear_ctx, grp.bear_coord]
+        for ci, row in zip(grp.contexts, info):
+            infos[ci] = row
     return desired, infos
 
 

@@ -143,3 +143,38 @@ def test_factors_refused_for_wide_stacks():
     f4 = standard_field(4)
     with pytest.raises(ParameterError):
         linalg.rank_batched(f4, np.ones((2, 3, 5), dtype=f4.dtype), factors=True)
+
+
+def broadcast_matmul(field, a, b):
+    """The product in one step: one (..., m, k, n) log-sum temporary."""
+    la = field._log[a][..., :, :, None]
+    lb = field._log[b][..., None, :, :]
+    return np.bitwise_xor.reduce(field._alog[la + lb], axis=-2)
+
+
+# (a, b) shapes; every temporary but the last two exceeds the step bound,
+# and each k is prime, so no step from 2 to k-1 divides it
+MATMUL_SHAPES = [
+    ((7, 40, 53), (7, 53, 45)),        # batched on both sides
+    ((18, 13), (64, 2, 13, 27)),       # one generator against a batch of blocks
+    ((300, 64, 61), (300, 61, 1)),     # batched matrix-vector
+    ((512, 31, 7), (512, 7, 29)),      # short k: steps of one symbol
+    ((4, 5), (5, 3)),                  # small: a single step
+    ((3, 0), (0, 4)),                  # empty contraction: zeros
+]
+
+
+@pytest.mark.parametrize("shapes", MATMUL_SHAPES, ids=str)
+@pytest.mark.parametrize("w", (4, 8, 16))
+def test_chunked_matmul_matches_broadcast(w, shapes):
+    field = standard_field(w)
+    rng = np.random.default_rng(w + sum(map(len, shapes)))
+    a = field.random_symbols(rng, shapes[0])
+    b = field.random_symbols(rng, shapes[1])
+    a.reshape(-1)[::5] = 0  # zero symbols take the log sentinel
+    want = broadcast_matmul(field, a, b)
+    got = linalg.matmul(field, a, b)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    big = want.size * a.shape[-1] > linalg.MATMUL_CHUNK
+    assert big == (shapes not in MATMUL_SHAPES[-2:])

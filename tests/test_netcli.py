@@ -300,3 +300,61 @@ def test_client_rejects_bad_requests_with_typed_errors(golden1_store):
     sims = client.local_simulator(sym_store, 3, role="stpir", secret=SECRET)
     with pytest.raises(ZeroCapacityError):
         client.retrieve(sims, SchemeParams(3, 0, 3, 3), 1, {}, seed=1, scheme="stpir")
+
+
+def test_server_checks_layered_query_against_session_params():
+    """A layered query must have the slot table of the scheme its PARAMS
+    frame named. A crafted query with p1 = 300 would make the server build
+    and invert a 300 x 300 compression code; it is refused first."""
+    import dataclasses
+    import time
+
+    from sidepir.coding import make_systematic_mds
+    from sidepir.tpir_psi import DatabaseQuery, build_plan, database_queries
+
+    params = SchemeParams(6, 2, 2, 1, w=16)
+    store = random_store(standard_field(16), 6, 64, np.random.default_rng(103))
+    core = ServerCore(store)
+
+    def session_frame(endpoint, **overrides):
+        fields = {"scheme": "tpir", "endpoint": endpoint, "n_db": 2, "k": 6, "m": 2,
+                  "t": 1, "w": 16, "message_length": 64, **overrides}
+        session = core.new_session()
+        ftype, _ = core.handle_frame(session, wire.TYPE_PARAMS, wire.params_payload(fields))
+        assert ftype == wire.TYPE_PARAMS
+        return session
+
+    crafted = DatabaseQuery(db_index=0, num_messages=6, message_length=64, w=16, p2=1,
+                            compress=True, slot_members=((1,),) * 300,
+                            rows=np.zeros((300, 64), dtype=np.uint16))
+    payload = wire.serialize_database_query(crafted)
+    cached = make_systematic_mds.cache_info().currsize
+    start = time.perf_counter()
+    ftype, reply = core.handle_frame(session_frame(1), wire.TYPE_QUERY, payload)
+    assert time.perf_counter() - start < 0.1
+    assert ftype == wire.TYPE_ERROR
+    assert wire.parse_error_payload(reply)[0] == wire.ERR_MALFORMED_QUERY
+    assert make_systematic_mds.cache_info().currsize == cached
+
+    plan, state = build_plan(params, 3, 5)
+    queries = database_queries(plan, state)
+    # right counts, wrong slot table; and a genuine query under other params
+    shuffled = dataclasses.replace(queries[0], slot_members=queries[0].slot_members[::-1])
+    for session, query in ((session_frame(1), shuffled),
+                           (session_frame(1, m=1), queries[0]),
+                           (session_frame(1, t=2), queries[0])):
+        ftype, reply = core.handle_frame(session, wire.TYPE_QUERY,
+                                         wire.serialize_database_query(query))
+        assert ftype == wire.TYPE_ERROR
+        assert wire.parse_error_payload(reply)[0] == wire.ERR_MALFORMED_QUERY
+
+    # genuine compressed and raw queries are still answered
+    for raw in (False, True):
+        for q in queries:
+            q = dataclasses.replace(q, compress=not raw)
+            ftype, reply = core.handle_frame(session_frame(q.db_index + 1), wire.TYPE_QUERY,
+                                             wire.serialize_database_query(q))
+            assert ftype == wire.TYPE_ANSWER
+            form, symbols = wire.parse_answer(standard_field(16), reply)
+            assert form == (wire.FORM_RAW if raw else wire.FORM_COMPRESSED)
+            assert len(symbols) == plan.profile.p1 - (0 if raw else plan.profile.p2)

@@ -1,6 +1,7 @@
 """Layered scheme: plan structure, answers, compression, decoding, privacy
 invariants, and a from-scratch linear-system oracle for the decoder."""
 
+import dataclasses
 import inspect
 from fractions import Fraction
 from itertools import combinations
@@ -10,6 +11,7 @@ import pytest
 
 from sidepir import linalg, tpir_psi
 from sidepir.capacity import SchemeParams, capacity_tpir_psi, count_profile, desk_grid
+from sidepir.coding import make_mds
 from sidepir.errors import (
     CorruptionError,
     FieldTooSmallError,
@@ -26,8 +28,11 @@ from sidepir.tpir_psi import (
     compress,
     database_queries,
     decode,
+    decode_streams,
+    download_plan,
     known_positions,
     minimum_field_width,
+    session_queries,
 )
 
 GOLDEN_1 = SchemeParams(3, 1, 2, 1)
@@ -528,3 +533,129 @@ def test_warm_retrieval_runs_one_elimination(monkeypatch):
                          plan, state, side)
             assert np.array_equal(got, store.message(theta))
         assert len(calls) == 1, calls
+
+
+# ---------------------------------------------------------------------------
+# fused query assembly and decode peel against per-context references
+
+FUSED_POINTS = [GOLDEN_1, GOLDEN_2, SchemeParams(4, 2, 3, 2), SchemeParams(6, 2, 2, 1, w=16)]
+
+
+def reference_session_queries(plan, mixers):
+    """Rows of every database, one product per (context, member) pair and
+    one row at a time, read off the public slot table."""
+    coef = {}
+    for ci, ctx in enumerate(plan.contexts):
+        gen = make_mds(ctx.length, ctx.dim, plan.field).entries
+        for i in ctx.members:
+            lo, hi = ctx.block_rows[i]
+            coef[(ci, i)] = linalg.matmul(plan.field, gen, mixers[..., i - 1, lo:hi, :])
+    out = []
+    for slots in plan.slots_per_db:
+        rows = [mixers[..., i - 1, s.desired_offset, :] if i == plan.theta
+                else coef[(s.context, i)][..., s.coord, :]
+                for s in slots for i in s.subset]
+        out.append(np.stack(rows, axis=-2))
+    return out
+
+
+def reference_peel(plan, state, raw):
+    """The desired precoded stream and each context's information vector
+    from the raw slot values, one context at a time, by direct solves."""
+    field = plan.field
+    desired = np.zeros(plan.profile.L, dtype=field.dtype)
+    free = [[] for _ in plan.contexts]
+    bear = [[] for _ in plan.contexts]
+    for db, slots in enumerate(plan.slots_per_db):
+        for idx, s in enumerate(slots):
+            value = raw[db][idx]
+            if s.context is None:
+                desired[s.desired_offset] = value
+            elif s.desired_offset is None:
+                free[s.context].append((s.coord, value))
+            else:
+                bear[s.context].append((s.coord, value, s.desired_offset))
+    infos = []
+    for ci, ctx in enumerate(plan.contexts):
+        gen = state.generators[(ctx.length, ctx.dim)].entries
+        coords, values = zip(*free[ci])
+        info = linalg.solve(field, gen[list(coords), :], np.array(values, dtype=field.dtype))
+        infos.append(info)
+        codeword = linalg.matvec(field, gen, info)
+        for coord, value, offset in bear[ci]:
+            desired[offset] = value ^ codeword[coord]
+    return desired, infos
+
+
+@pytest.mark.parametrize("params", FUSED_POINTS, ids=lambda p: p.label())
+def test_session_queries_match_per_pair_reference(params):
+    """One product per context shape gives every row the per-(context,
+    member) products give, for every theta and session shape."""
+    rng = np.random.default_rng(60)
+    for theta in range(1, params.K + 1):
+        plan = download_plan(params, theta)
+        for lead in ((), (3,), (2, 2)):
+            length = plan.profile.L
+            mixers = plan.field.random_symbols(rng, lead + (params.K, length, length))
+            got = session_queries(plan, mixers)
+            want = reference_session_queries(plan, mixers)
+            for q, rows in zip(got, want):
+                assert q.rows.shape == rows.shape
+                assert np.array_equal(q.rows, rows), (theta, lead, q.db_index)
+                assert q.slot_members == tuple(s.subset for s in plan.slots_per_db[q.db_index])
+
+
+@pytest.mark.parametrize("params", FUSED_POINTS, ids=lambda p: p.label())
+def test_decode_streams_match_per_context_reference(params):
+    """The shape-batched peel returns the desired stream and every
+    context's information vector of a context-by-context peel, on raw and
+    compressed answers and for every cache size from 0 to M."""
+    for m in range(params.M + 1):
+        sized = dataclasses.replace(params, M=m)
+        for theta in range(1, params.K + 1):
+            plan, state = build_plan(sized, theta, 70 + theta)
+            store = random_store(plan.field, params.K, plan.profile.L,
+                                 np.random.default_rng(71 + m))
+            others = [i for i in range(1, params.K + 1) if i != theta]
+            side = store.side_information(others[-m:] if m else ())
+            queries = database_queries(plan, state)
+            raw = [answer_raw(q, store) for q in queries]
+            want_desired, want_infos = reference_peel(plan, state, raw)
+            bundles = [answer_all([dataclasses.replace(q, compress=False) for q in queries],
+                                  store)]
+            if m:
+                bundles.append(answer_all(queries, store))
+                assert bundles[-1].form == "compressed"
+            for bundle in bundles:
+                got_desired, got_infos = decode_streams(bundle, plan, state, side)
+                assert np.array_equal(got_desired, want_desired), (m, theta, bundle.form)
+                assert len(got_infos) == len(want_infos)
+                for ci, (a, b) in enumerate(zip(got_infos, want_infos)):
+                    assert np.array_equal(a, b), (m, theta, bundle.form, ci)
+
+
+def test_warm_retrieval_runs_one_product_per_context_shape(monkeypatch):
+    """A warm (6,2,2,1) retrieval, whose 31 contexts share one shape, makes
+    at most 16 field products in all: one for the query rows, two for the
+    peel, and the cached-context, erasure and compression products. A
+    product per (context, member) pair and two per context made 154."""
+    params = SchemeParams(6, 2, 2, 1, w=16)
+    store = random_store(standard_field(16), 6, count_profile(params).L,
+                         np.random.default_rng(42))
+    calls = []
+    original = linalg.matmul
+
+    def counting(field, a, b):
+        calls.append((np.shape(a), np.shape(b)))
+        return original(field, a, b)
+
+    monkeypatch.setattr(linalg, "matmul", counting)
+    for theta, cached in ((1, (2, 3)), (4, (1, 6)), (6, (2, 5))):
+        side = store.side_information(cached)
+        for seed in (7, 8):
+            calls.clear()
+            plan, state = build_plan(params, theta, seed)
+            got = decode(answer_all(database_queries(plan, state), store),
+                         plan, state, side)
+            assert np.array_equal(got, store.message(theta))
+            assert len(calls) <= 16, calls
