@@ -5,8 +5,9 @@ Subcommands:
   gen-store  write a random replicated store (and optional side files)
   serve      run one database server
   retrieve   fetch a message from N running servers
-  audit      run correctness / user-privacy / db-privacy / rate audits
-  bench      rate-vs-capacity table over a parameter grid, as CSV
+  audit      run correctness / user-privacy / db-privacy / rate audits;
+             ``audit rate --grid [SPEC] --csv PATH`` writes the
+             rate-vs-capacity table over a parameter grid as CSV
 
 Exit codes: 0 success, 1 failed audit or retrieval, 2 usage error.
 """
@@ -14,6 +15,8 @@ Exit codes: 0 success, 1 failed audit or retrieval, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import os
 import sys
 from fractions import Fraction
@@ -53,8 +56,9 @@ def _params(args) -> SchemeParams:
     return SchemeParams(K=args.K, M=args.M, N=args.N, T=args.T, w=args.w)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+def _indices(text: str) -> list[int]:
+    """``I,J,...`` as sorted 1-based message indices."""
+    return sorted(int(i) for i in text.split(","))
 
 
 def _load_secret(args) -> bytes | None:
@@ -90,7 +94,7 @@ def cmd_capacity(args) -> int:
         if args.rho is None:
             print("--symmetric requires --rho", file=sys.stderr)
             return 2
-        print(capacity_stpir_psi(params, _parse_fraction(args.rho)))
+        print(capacity_stpir_psi(params, args.rho))
     else:
         print(capacity_tpir_psi(params))
     return 0
@@ -105,12 +109,11 @@ def cmd_gen_store(args) -> int:
     wire.write_store(args.out, store)
     print(f"wrote {args.out}: K={params.K} L={length} w={w}")
     if args.extract_side:
-        indices = sorted(int(i) for i in args.extract_side.split(","))
-        side = store.side_information(indices)
+        side = store.side_information(args.extract_side)
         side_store = type(store)(field=field,
-                                 messages=np.stack([side[i] for i in indices]))
+                                 messages=np.stack([side[i] for i in args.extract_side]))
         wire.write_store(args.side_out, side_store)
-        print(f"wrote {args.side_out}: cached messages {indices}")
+        print(f"wrote {args.side_out}: cached messages {args.extract_side}")
     return 0
 
 
@@ -131,16 +134,12 @@ def cmd_serve(args) -> int:
 def _load_side(args, params: SchemeParams):
     if not args.S:
         return {}
-    indices = sorted(int(i) for i in args.S.split(","))
-    if not args.side_file:
-        print("--S requires --side-file", file=sys.stderr)
-        raise SystemExit(2)
     side_store = wire.read_store(args.side_file)
-    if side_store.num_messages != len(indices):
+    if side_store.num_messages != len(args.S):
         raise PirError(
-            f"side file holds {side_store.num_messages} messages, --S names {len(indices)}"
+            f"side file holds {side_store.num_messages} messages, --S names {len(args.S)}"
         )
-    return {i: side_store.messages[pos] for pos, i in enumerate(indices)}
+    return {i: side_store.messages[pos] for pos, i in enumerate(args.S)}
 
 
 def cmd_retrieve(args) -> int:
@@ -175,15 +174,13 @@ def _audit_scheme(args, params: SchemeParams):
 
 def cmd_audit(args) -> int:
     reports = []
-    if args.test == "rate" and args.grid:
-        for params in desk_grid():
-            reports.append(audit_mod.measure_rate(
-                audit_mod.LayeredScheme(params), sessions=min(args.sessions, 5),
-                seed=args.seed))
+    if args.grid is not None:
+        for params in args.grid:
+            schemes = [audit_mod.LayeredScheme(params)]
             if params.K >= 2 and params.M < params.K - 1 and params.T < params.N:
-                reports.append(audit_mod.measure_rate(
-                    audit_mod.SymmetricScheme(params), sessions=min(args.sessions, 5),
-                    seed=args.seed))
+                schemes.append(audit_mod.SymmetricScheme(params))
+            reports += [audit_mod.measure_rate(scheme, sessions=min(args.sessions, 5),
+                                               seed=args.seed) for scheme in schemes]
     else:
         params = _params(args)
         scheme = _audit_scheme(args, params)
@@ -198,52 +195,36 @@ def cmd_audit(args) -> int:
     for rep in reports:
         print(rep.summary())
     if args.json:
-        import json as _json
         with open(args.json, "w") as fh:
-            _json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
+            json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["K", "M", "N", "T", "scheme", "rate_num", "rate_den",
+                             "capacity_num", "capacity_den", "match"])
+            writer.writerows(
+                [r.params.K, r.params.M, r.params.N, r.params.T, r.scheme,
+                 r.measured_rate.numerator, r.measured_rate.denominator,
+                 r.capacity.numerator, r.capacity.denominator,
+                 r.measured_rate == r.capacity] for r in reports)
+        print(f"wrote {args.csv}")
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _parse_grid(spec: str) -> list[SchemeParams]:
-    k_max, n_max = 4, 3
+    """``K<=k,N<=n`` (either part optional) as its nonempty desk grid."""
+    bounds = {"K": 4, "N": 3}
     for part in spec.split(","):
-        part = part.strip().replace(" ", "")
-        if part.upper().startswith("K<="):
-            k_max = int(part[3:])
-        elif part.upper().startswith("N<="):
-            n_max = int(part[3:])
-        else:
-            raise PirError(f"bad grid component {part!r}; want e.g. 'K<=4,N<=3'")
-    return desk_grid(k_max, n_max)
-
-
-def cmd_bench(args) -> int:
-    import csv
-
-    rows = []
-    for params in _parse_grid(args.grid):
-        schemes = [audit_mod.LayeredScheme(params)]
-        if params.K >= 2 and params.M < params.K - 1 and params.T < params.N:
-            schemes.append(audit_mod.SymmetricScheme(params))
-        for scheme in schemes:
-            rep = audit_mod.measure_rate(scheme, sessions=args.sessions, seed=args.seed)
-            rows.append({
-                "K": params.K, "M": params.M, "N": params.N, "T": params.T,
-                "scheme": scheme.name,
-                "rate_num": rep.measured_rate.numerator,
-                "rate_den": rep.measured_rate.denominator,
-                "capacity_num": rep.capacity.numerator,
-                "capacity_den": rep.capacity.denominator,
-                "match": rep.measured_rate == rep.capacity,
-            })
-    with open(args.csv, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    matched = sum(r["match"] for r in rows)
-    print(f"wrote {args.csv}: {matched}/{len(rows)} points at capacity")
-    return 0 if matched == len(rows) else 1
+        name, sep, value = part.replace(" ", "").upper().partition("<=")
+        if name not in bounds or not sep:
+            raise argparse.ArgumentTypeError(
+                f"bad grid component {part!r}; want e.g. 'K<=4,N<=3'")
+        bounds[name] = int(value)
+    grid = desk_grid(bounds["K"], bounds["N"])
+    if not grid:
+        raise argparse.ArgumentTypeError(f"grid {spec!r} holds no parameter point")
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     p.add_argument("--symmetric", action="store_true",
                    help="symmetric variant (database privacy)")
-    p.add_argument("--rho", type=str, default=None,
+    p.add_argument("--rho", type=Fraction, default=None,
                    help="shared randomness per desired symbol, e.g. 1/2")
     p.set_defaults(func=cmd_capacity)
 
@@ -267,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("tpir", "stpir"), default="tpir")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--extract-side", default=None, metavar="I,J",
+    p.add_argument("--extract-side", type=_indices, default=None, metavar="I,J",
                    help="also write these cached messages to --side-out")
     p.add_argument("--side-out", default=None)
     p.set_defaults(func=cmd_gen_store)
@@ -285,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     p.add_argument("--endpoints", required=True, help="host:port,host:port,...")
     p.add_argument("--theta", type=int, required=True, help="desired message index")
-    p.add_argument("--S", default=None, help="cached message indices, e.g. 2,3")
+    p.add_argument("--S", type=_indices, default=None,
+                   help="cached message indices, e.g. 2,3")
     p.add_argument("--side-file", default=None,
                    help="store file holding the cached messages (sorted by index)")
     p.add_argument("--seed", type=int, required=True)
@@ -307,17 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sessions", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", default=None, help="also write reports as JSON")
-    p.add_argument("--grid", action="store_true",
-                   help="rate only: sweep the standard desk grid")
+    p.add_argument("--grid", nargs="?", type=_parse_grid, const="K<=4,N<=3",
+                   default=None, metavar="SPEC",
+                   help="rate only: sweep a desk grid, e.g. 'K<=4,N<=3' (the default)")
+    p.add_argument("--csv", default=None,
+                   help="rate only: also write the rate-vs-capacity table as CSV")
     p.add_argument("--secret-file", default=None)
     p.set_defaults(func=cmd_audit)
-
-    p = sub.add_parser("bench", help="rate-vs-capacity table as CSV")
-    p.add_argument("--grid", default="K<=4,N<=3")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--sessions", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -325,10 +303,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "audit" and not args.grid:
+    if args.command == "audit":
+        if args.test != "rate" and (args.grid is not None or args.csv):
+            parser.error("--grid and --csv apply to the rate audit only")
         missing = [f"--{f}" for f in ("K", "N", "T") if getattr(args, f) is None]
-        if missing:
+        if args.grid is None and missing:
             parser.error(f"audit needs {' '.join(missing)} (or rate --grid)")
+    if args.command == "gen-store" and args.extract_side and not args.side_out:
+        parser.error("--extract-side needs --side-out")
+    if args.command == "retrieve" and args.S and not args.side_file:
+        parser.error("--S needs --side-file")
     try:
         return args.func(args)
     except PirError as exc:

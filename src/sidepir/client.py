@@ -24,6 +24,7 @@ from .server import ServerCore
 from .store import MessageStore
 from .stpir_psi import (
     SESSION_ID_BYTES,
+    cached_sum,
     make_sym_params,
     sym_decode,
     sym_query,
@@ -247,15 +248,9 @@ def _retrieve_symmetric(transports, params, theta, side, rng) -> RetrievalResult
 
 def _retrieve_sum(transports, params, theta, side) -> RetrievalResult:
     """All-but-one cached: one database, one sum, rate 1, no randomness."""
-    if not 1 <= theta <= params.K:
-        raise ParameterError(f"desired index {theta} outside 1..{params.K}")
-    if len(side) != params.K - 1:
-        raise ParameterError("sum retrieval needs the K-1 other messages cached")
-    lengths = {len(v) for v in side.values()}
-    if len(lengths) != 1:
-        raise ParameterError("cached messages must share one length")
-    length = lengths.pop()
     field = make_sym_params(params).field
+    strip = cached_sum(side, params.K, theta, field)
+    length = len(strip)
     params_frames = _params_frames(params, "stpir", field.w, length, 1)
     query = wire.serialize_sum_query(field.w, params.K, length)
     transcripts = _run_endpoints(transports[:1], params_frames[:1], [query])
@@ -263,13 +258,8 @@ def _retrieve_sum(transports, params, theta, side) -> RetrievalResult:
     form, symbols = wire.parse_answer(field, transcripts[0].answer_received)
     if form != wire.FORM_SUM or len(symbols) != length:
         raise ProtocolError("malformed sum answer")
-    message = symbols.copy()
-    for i, vec in side.items():
-        if int(i) == theta:
-            raise ParameterError("the desired message cannot be cached")
-        message ^= np.asarray(vec, dtype=field.dtype)
     return RetrievalResult(
-        message=message, form="sum", downloaded_symbols=length,
+        message=symbols ^ strip, form="sum", downloaded_symbols=length,
         downloaded_bits=length * field.w, rate=Fraction(1),
         capacity=capacity_stpir_psi(params, Fraction(0)), store_digest=digest,
         transcripts=tuple(transcripts),

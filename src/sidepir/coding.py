@@ -55,16 +55,6 @@ class GeneratorMatrix:
         return f"GeneratorMatrix({tag}{self.length}x{self.dim}, GF(2^{self.field.w}))"
 
 
-@dataclass(frozen=True)
-class FullRankMatrix:
-    field: GF
-    entries: np.ndarray  # shape (n, n), invertible
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def _vandermonde(e: int, f: int, field: GF) -> np.ndarray:
     points = np.arange(e, dtype=field.dtype)
     cols = [np.ones(e, dtype=field.dtype)]
@@ -233,16 +223,3 @@ def sample_full_rank_factored(n: int, field: GF,
         pending.sort()
     return out, lu, perm
 
-
-def sample_full_rank_batched(n: int, field: GF, rngs) -> np.ndarray:
-    """The matrices of :func:`sample_full_rank_factored`, without factors."""
-    return sample_full_rank_factored(n, field, rngs)[0]
-
-
-def sample_full_rank(n: int, field: GF, rng: np.random.Generator) -> FullRankMatrix:
-    """Uniform over all invertible n x n matrices (exact, via rejection)."""
-    if n < 1:
-        raise ParameterError("dimension must be positive")
-    entries = sample_full_rank_batched(n, field, [rng])[0]
-    entries.flags.writeable = False
-    return FullRankMatrix(field=field, entries=entries)

@@ -25,7 +25,7 @@ from .capacity import SchemeParams
 from .errors import MalformedQueryError, ParameterError, PirError, ProtocolError
 from .store import MessageStore
 from .stpir_psi import derive_common_randomness, sum_shortcut_answer, sym_answer
-from .tpir_psi import answer_raw, check_query_shape, compress
+from .tpir_psi import answer, check_query_shape
 
 ROLES = ("tpir", "stpir")
 
@@ -138,13 +138,9 @@ class ServerCore:
             return wire.TYPE_ANSWER, body
         # layered query
         check_query_shape(query, self._layered_params(session))
-        raw = answer_raw(query, self.store)
-        if query.compress and query.p2 > 0:
-            parity = compress(raw, field, query.num_slots, query.p2)
-            body = wire.serialize_answer(field, wire.FORM_COMPRESSED, parity)
-        else:
-            body = wire.serialize_answer(field, wire.FORM_RAW, raw)
-        return wire.TYPE_ANSWER, body
+        form, symbols = answer(query, self.store)
+        wire_form = wire.FORM_COMPRESSED if form == "compressed" else wire.FORM_RAW
+        return wire.TYPE_ANSWER, wire.serialize_answer(field, wire_form, symbols)
 
     def _layered_params(self, session: dict) -> SchemeParams:
         """The public layered scheme of this session: the store's K, the

@@ -216,34 +216,39 @@ def sym_decode(answers: np.ndarray, sp: SymParams) -> np.ndarray:
     return sym_coefficients(answers, sp)[sp.base.T:]
 
 
-def sym_session(sp: SymParams, theta: int, store: MessageStore, secret: bytes,
-                session_id: bytes, rng: np.random.Generator) -> np.ndarray:
-    """Full in-process round trip; returns the decoded message."""
-    queries = sym_query(sp, theta, rng)
-    cr = derive_common_randomness(secret, session_id, sp.base.T, sp.field)
-    return sym_decode(sym_answers(sp, queries, store, cr), sp)
-
-
 def sum_shortcut_answer(store: MessageStore) -> np.ndarray:
     """The one-database answer when the client caches all but one message:
     the plain sum of every stored message."""
     return np.bitwise_xor.reduce(store.messages, axis=0)
 
 
-def sym_sum_shortcut(store: MessageStore, side, theta: int) -> np.ndarray:
-    """Rate-1 retrieval for M = K - 1: download the sum from one database
-    and strip the cached messages. Consumes no shared randomness."""
-    side = {int(i): np.asarray(v, dtype=store.field.dtype) for i, v in side.items()}
+def cached_sum(side, k: int, theta: int, field: GF) -> np.ndarray:
+    """The sum of an all-but-one cache: what the sum shortcut strips from
+    the downloaded sum of all K messages.
+
+    Checks first that ``side`` holds exactly the K - 1 messages other than
+    ``theta``, all of one length, so a client can refuse a wrong cache
+    before it sends anything.
+    """
+    if not 1 <= theta <= k:
+        raise ParameterError(f"desired index {theta} outside 1..{k}")
+    side = {int(i): np.asarray(v, dtype=field.dtype) for i, v in side.items()}
     if theta in side:
         raise InvalidSideInformationError("the desired message cannot be cached")
-    expected = set(range(1, store.num_messages + 1)) - {theta}
-    if set(side) != expected:
+    if set(side) != set(range(1, k + 1)) - {theta}:
         raise InvalidSideInformationError(
             "sum shortcut needs exactly the K-1 other messages cached"
         )
+    if len({vec.shape for vec in side.values()}) != 1:
+        raise InvalidSideInformationError("cached messages must share one length")
+    return np.bitwise_xor.reduce(np.stack(list(side.values())), axis=0)
+
+
+def sym_sum_shortcut(store: MessageStore, side, theta: int) -> np.ndarray:
+    """Rate-1 retrieval for M = K - 1: download the sum from one database
+    and strip the cached messages. Consumes no shared randomness."""
+    strip = cached_sum(side, store.num_messages, theta, store.field)
     total = sum_shortcut_answer(store)
-    for vec in side.values():
-        if vec.shape != total.shape:
-            raise InvalidSideInformationError("cached message has the wrong length")
-        total = total ^ vec
-    return total
+    if strip.shape != total.shape:
+        raise InvalidSideInformationError("cached message has the wrong length")
+    return total ^ strip

@@ -44,9 +44,8 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .capacity import CountProfile, SchemeParams, count_profile
+from .capacity import CountProfile, SchemeParams, count_profile, layer_instances
 from .coding import (
-    GeneratorMatrix,
     erasure_decode,
     information_set_inverse,
     make_mds,
@@ -125,7 +124,7 @@ class _Skeleton:
     """Deterministic plan structure for fixed (params, theta); no randomness."""
 
     def __init__(self, params: SchemeParams, theta: int):
-        K, M, N, T = params.K, params.M, params.N, params.T
+        K, N = params.K, params.N
         profile = count_profile(params)
         self.params = params
         self.theta = theta
@@ -152,7 +151,7 @@ class _Skeleton:
         for db in range(N):
             slots: list[QuerySlot] = []
             for k in range(1, K + 1):
-                instances = (N - T) ** (k - 1) * T ** (K - k)
+                instances = layer_instances(params, k)
                 for subset in combinations(range(1, K + 1), k):
                     for j in range(instances):
                         if theta in subset:
@@ -246,13 +245,10 @@ def _skeleton(params: SchemeParams, theta: int) -> _Skeleton:
 def _context_sizes(params: SchemeParams):
     """(size, dim, length) of the context code for every group size that has
     one: dim slots per context avoid the desired message, length - dim carry it."""
-    K, N, T = params.K, params.N, params.T
-    for size in range(1, K):
-        free_per_db = (N - T) ** (size - 1) * T ** (K - size)
-        if free_per_db == 0:
-            continue
-        dim = N * free_per_db
-        yield size, dim, dim + N * (N - T) ** size * T ** (K - size - 1)
+    for size in range(1, params.K):
+        dim = params.N * layer_instances(params, size)
+        if dim:
+            yield size, dim, dim + params.N * layer_instances(params, size + 1)
 
 
 def max_group_length(params: SchemeParams) -> int:
@@ -298,18 +294,20 @@ class DownloadPlan:
 
 @dataclass(frozen=True)
 class PrecodingState:
-    """Everything the client must keep to decode: private mixers, the LU
-    factors of the desired mixer and the public generators.
+    """Everything the client must keep to decode: private mixers and the LU
+    factors of the desired mixer.
 
     The factors come from the rank check that accepted the desired mixer, so
     decoding inverts it by triangular substitution, with no elimination.
-    They determine the desired mixer and are as private as the mixers.
+    They determine the desired mixer and are as private as the mixers. The
+    public generators are not part of it: they are fixed by their
+    dimensions and come from the caches of :func:`make_mds` and
+    :func:`make_systematic_mds`.
     """
 
     field: GF
     mixers: np.ndarray                      # (K, L, L): one full-rank matrix per message
     desired_factors: tuple[np.ndarray, np.ndarray]  # (lu, perm) of the desired mixer
-    generators: dict[tuple[int, int], GeneratorMatrix]
 
 
 @dataclass(frozen=True)
@@ -398,21 +396,13 @@ def build_plan(params: SchemeParams, theta: int,
     """Construct the query plan and the private precoding state: the
     :func:`download_plan` plus one session of :func:`sample_mixers`."""
     plan = download_plan(params, theta)
-    field, profile = plan.field, plan.profile
     stack, lu, perm = sample_mixers(plan, [np.random.default_rng(rng)])
     stack.flags.writeable = False
     desired_factors = (lu[0, theta - 1].copy(), perm[0, theta - 1].copy())
     for arr in desired_factors:
         arr.flags.writeable = False
-    generators: dict[tuple[int, int], GeneratorMatrix] = {}
-    for ctx in plan.contexts:
-        generators.setdefault((ctx.length, ctx.dim), make_mds(ctx.length, ctx.dim, field))
-    if params.M >= 1:
-        dims = (2 * profile.p1 - profile.p2, profile.p1)
-        generators[dims] = make_systematic_mds(*dims, field)
-    state = PrecodingState(field=field, mixers=stack[0], desired_factors=desired_factors,
-                           generators=generators)
-    return plan, state
+    return plan, PrecodingState(field=plan.field, mixers=stack[0],
+                                desired_factors=desired_factors)
 
 
 def session_queries(plan: DownloadPlan, mixers: np.ndarray) -> list[DatabaseQuery]:
@@ -515,17 +505,23 @@ def compress(raw: np.ndarray, field: GF, p1: int, p2: int) -> np.ndarray:
     return linalg.matvec(field, gen.entries[: p1 - p2, :], np.asarray(raw, dtype=field.dtype))
 
 
+def answer(query: DatabaseQuery, store: MessageStore) -> tuple[str, np.ndarray]:
+    """One database's reply, as (form, symbols): the raw slot values, or
+    their compressed parity when the query asks for it and the cache covers
+    p2 > 0 slots."""
+    raw = answer_raw(query, store)
+    if query.compress and query.p2 > 0:
+        return "compressed", compress(raw, store.field, query.num_slots, query.p2)
+    return "raw", raw
+
+
 def answer_all(queries: list[DatabaseQuery], store: MessageStore) -> AnswerBundle:
     """Convenience: run every database on a replicated store."""
-    compress_all = queries[0].compress and queries[0].p2 > 0
-    per_db = []
-    for q in queries:
-        raw = answer_raw(q, store)
-        if compress_all:
-            raw = compress(raw, store.field, q.num_slots, q.p2)
-        per_db.append(raw)
-    return AnswerBundle(form="compressed" if compress_all else "raw",
-                        per_db=tuple(per_db))
+    replies = [answer(q, store) for q in queries]
+    forms = {form for form, _ in replies}
+    if len(forms) != 1:
+        raise ProtocolError("databases disagree on the answer form")
+    return AnswerBundle(form=forms.pop(), per_db=tuple(v for _, v in replies))
 
 
 def _check_side(plan: DownloadPlan, side) -> dict[int, np.ndarray]:
@@ -555,7 +551,7 @@ def _known_context_codewords(plan: DownloadPlan, state: PrecodingState,
     for ci, ctx in enumerate(plan.contexts):
         if not set(ctx.members) <= cached:
             continue
-        gen = state.generators[(ctx.length, ctx.dim)]
+        gen = make_mds(ctx.length, ctx.dim, plan.field)
         total = np.zeros(ctx.length, dtype=plan.field.dtype)
         for i in ctx.members:
             lo, hi = ctx.block_rows[i]
@@ -599,9 +595,10 @@ def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingSt
     with a nonempty cache are cross-checked against the cached slot values,
     which catches corrupted side files or wire corruption.
 
-    The erasure systems and the per-context information sets are rows of
-    public generators chosen by (params, theta, cached set), so their
-    inverses come from the bounded cache behind
+    The generators come from the caches of :func:`make_mds` and
+    :func:`make_systematic_mds`. The erasure systems and the per-context
+    information sets are rows of them chosen by (params, theta, cached
+    set), so their inverses come from the bounded cache behind
     :func:`information_set_inverse` and both steps are matrix-vector
     products. The cache is read only here, after the queries have left, so
     query timing depends on (params, theta) alone.
@@ -620,7 +617,7 @@ def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingSt
 
     raw = np.empty((params.N, p1), dtype=field.dtype)
     if answers.form == "compressed":
-        gen = state.generators[(2 * p1 - p2, p1)]
+        gen = make_systematic_mds(2 * p1 - p2, p1, field)
         parity = p1 - p2
         for db, vec in enumerate(answers.per_db):
             if len(vec) != parity:
@@ -650,7 +647,7 @@ def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingSt
     desired[sing_off] = flat[sing_flat]
     infos: list[np.ndarray] = [None] * len(plan.contexts)
     for grp in gather.groups:
-        gen = state.generators[(grp.length, grp.dim)]
+        gen = make_mds(grp.length, grp.dim, field)
         inverses = np.stack([information_set_inverse(gen, gather.ctx_free[ci][1])
                              for ci in grp.contexts])
         info = linalg.matvec(field, inverses, flat[grp.free_flat])  # (C, dim)

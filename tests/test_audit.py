@@ -72,6 +72,7 @@ class ClippedScheme(audit.LayeredScheme):
     name = "tpir-psi-clipped"
 
     def run_session(self, rng):
+        from sidepir.coding import make_systematic_mds
         from sidepir.store import random_store
         from sidepir.tpir_psi import (answer_all, build_plan, database_queries,
                                       known_positions)
@@ -82,7 +83,7 @@ class ClippedScheme(audit.LayeredScheme):
         side = store.side_information(side_idx)
         kp = known_positions(plan, state, side)
         p1, p2 = self.profile.p1, self.profile.p2
-        gen = state.generators[(2 * p1 - p2, p1)]
+        gen = make_systematic_mds(2 * p1 - p2, p1, plan.field)
         pairs = [(r, int(v)) for r, v in enumerate(bundle.per_db[0])]
         pairs += [(p1 - p2 + slot, val) for slot, val in kp[0][:-1]]  # drop one
         erasure_decode(gen, pairs)  # raises InsufficientSymbolsError

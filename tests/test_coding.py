@@ -237,8 +237,8 @@ def test_full_rank_sampler_basics():
     f4 = standard_field(4)
     rng = np.random.default_rng(8)
     for n in (1, 2, 5):
-        m = coding.sample_full_rank(n, f4, rng)
-        assert linalg.rank(f4, m.entries) == n
+        m = coding.sample_full_rank_factored(n, f4, [rng])[0][0]
+        assert linalg.rank(f4, m) == n
 
 
 def test_full_rank_1x1_uniform_over_nonzero():
@@ -246,7 +246,7 @@ def test_full_rank_1x1_uniform_over_nonzero():
     rng = np.random.default_rng(9)
     counts = np.zeros(16, dtype=int)
     for _ in range(30_000):
-        counts[int(coding.sample_full_rank(1, f4, rng).entries[0, 0])] += 1
+        counts[int(coding.sample_full_rank_factored(1, f4, [rng])[0][0, 0, 0])] += 1
     assert counts[0] == 0
     assert stats.chisquare(counts[1:]).pvalue > 0.001
 
@@ -262,7 +262,7 @@ def test_binary_2x2_acceptance_oracle():
     counter = CountingRng(np.random.default_rng(10))
     accepted = 0
     while accepted < 2000:
-        coding.sample_full_rank(2, f2, counter)
+        coding.sample_full_rank_factored(2, f2, [counter])
         accepted += 1
     rate = accepted / counter.calls
     assert abs(rate - 6 / 16) < 0.02
@@ -292,11 +292,11 @@ def test_batched_sampler_matches_sequential():
     """Batching must not change what any individual source draws."""
     f8 = standard_field(8)
     seeds = [(21, i) for i in range(16)]
-    batch = coding.sample_full_rank_batched(
-        6, f8, [np.random.default_rng(s) for s in seeds])
+    batch = coding.sample_full_rank_factored(
+        6, f8, [np.random.default_rng(s) for s in seeds])[0]
     for i, seed in enumerate(seeds):
-        single = coding.sample_full_rank(6, f8, np.random.default_rng(seed))
-        assert np.array_equal(batch[i], single.entries)
+        single = coding.sample_full_rank_factored(6, f8, [np.random.default_rng(seed)])[0]
+        assert np.array_equal(batch[i], single[0])
 
 
 def test_batched_sampler_is_stream_ordered_for_a_shared_source():
@@ -307,9 +307,10 @@ def test_batched_sampler_is_stream_ordered_for_a_shared_source():
     n, k = 3, 5
     for seed in range(200):
         shared = np.random.default_rng(seed)
-        batch = coding.sample_full_rank_batched(n, f4, [shared] * k)
+        batch = coding.sample_full_rank_factored(n, f4, [shared] * k)[0]
         solo = np.random.default_rng(seed)
-        sequential = [coding.sample_full_rank(n, f4, solo).entries for _ in range(k)]
+        sequential = [coding.sample_full_rank_factored(n, f4, [solo])[0][0]
+                      for _ in range(k)]
         assert np.array_equal(batch, np.stack(sequential))
         # the source ends in the same state, so later draws agree too
         assert shared.integers(1 << 30) == solo.integers(1 << 30)

@@ -152,13 +152,13 @@ def test_out_of_range_symbol_reference(golden1_store):
 def test_server_fails_closed_on_internal_errors(golden1_store, monkeypatch, exc):
     """An exception outside the protocol's own errors still gets a typed
     ERROR frame, in process and over TCP, instead of a dropped connection."""
-    from sidepir import server as server_mod
+    from sidepir import tpir_psi
     from sidepir.tpir_psi import build_plan, database_queries
 
     def broken(query, store):
         raise exc
 
-    monkeypatch.setattr(server_mod, "answer_raw", broken)
+    monkeypatch.setattr(tpir_psi, "answer_raw", broken)
     params_frame = wire.params_payload(
         {"scheme": "tpir", "endpoint": 1, "n_db": 2, "k": 3, "m": 1, "t": 1,
          "w": 4, "message_length": 8})
@@ -270,17 +270,62 @@ def test_cli_audit_and_bench(tmp_path, capsys):
     capsys.readouterr()
     assert json_path.exists()
     csv_path = tmp_path / "bench.csv"
-    assert cli_main(["bench", "--grid", "K<=2,N<=2", "--csv", str(csv_path)]) == 0
+    assert cli_main(["audit", "rate", "--grid", "K<=2,N<=2", "--csv", str(csv_path)]) == 0
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].startswith("K,M,N,T,scheme,rate_num")
     assert len(lines) > 2
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--K", "3", "--M", "0", "--N", "3", "--T", "1",
+     "--symmetric", "--rho", "abc"],
+    ["audit", "correctness", "--grid"],
+    ["audit", "rate", "--grid", "K<=0", "--csv", "{tmp}/rates.csv"],
+    ["audit", "rate", "--grid", "K<=x", "--csv", "{tmp}/rates.csv"],
+    ["gen-store", "--K", "3", "--M", "1", "--N", "2", "--T", "1", "--seed", "1",
+     "--out", "{tmp}/store.pir", "--extract-side", "2"],
+    ["gen-store", "--K", "3", "--M", "1", "--N", "2", "--T", "1", "--seed", "1",
+     "--out", "{tmp}/store.pir", "--extract-side", "x", "--side-out", "{tmp}/side.pir"],
+    ["retrieve", "--endpoints", "127.0.0.1:1", "--K", "3", "--M", "1", "--N", "2",
+     "--T", "1", "--theta", "1", "--S", "x", "--side-file", "{tmp}/side.pir",
+     "--seed", "1", "--out", "{tmp}/msg.bin"],
+], ids=["rho", "grid-not-rate", "empty-grid", "bad-grid", "side-out", "bad-side",
+        "bad-cached-set"])
+def test_cli_usage_errors_exit_2_and_write_nothing(tmp_path, argv):
+    with pytest.raises(SystemExit) as err:
+        cli_main([arg.format(tmp=tmp_path) for arg in argv])
+    assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_audit_grid(capsys):
     assert cli_main(["audit", "rate", "--grid", "--sessions", "2", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+def test_sum_path_refuses_a_wrong_cache_before_sending():
+    """The all-but-one path checks that the cache holds exactly the K-1
+    other messages before its query leaves: a mislabelled cache must not
+    decode to a wrong message, and a cached desired index is refused."""
+    from sidepir.errors import InvalidSideInformationError
+
+    store = random_store(standard_field(4), 3, 2, np.random.default_rng(103))
+    sent = []
+
+    class Recording(client.LocalTransport):
+        def request(self, ftype, payload):
+            sent.append(ftype)
+            return super().request(ftype, payload)
+
+    w2 = store.message(2)
+    for side in ({2: w2, 7: w2}, {1: store.message(1), 2: w2}, {2: w2}):
+        sims = [Recording(ServerCore(store, role="stpir", secret=SECRET))]
+        with pytest.raises(InvalidSideInformationError):
+            client.retrieve(sims, SchemeParams(3, 2, 3, 1), 1, side, seed=1,
+                            scheme="stpir")
+    assert sent == []
 
 
 def test_client_rejects_bad_requests_with_typed_errors(golden1_store):

@@ -23,8 +23,8 @@ from sidepir.stpir_psi import (
     queries_from_masks,
     sym_answer,
     sym_decode,
+    sym_answers,
     sym_query,
-    sym_session,
     sym_sum_shortcut,
 )
 
@@ -244,7 +244,8 @@ def test_full_session_helper():
     sp = make_sym_params(SchemeParams(3, 0, 4, 2))
     rng = np.random.default_rng(6)
     store = random_store(sp.field, 3, 2, rng)
-    got = sym_session(sp, 3, store, SECRET, bytes(16), rng)
+    cr = derive_common_randomness(SECRET, bytes(16), sp.base.T, sp.field)
+    got = sym_decode(sym_answers(sp, sym_query(sp, 3, rng), store, cr), sp)
     assert np.array_equal(got, store.message(3))
 
 
@@ -253,7 +254,8 @@ def test_pinned_wide_field_session():
     assert sp.field.w == 16
     rng = np.random.default_rng(60)
     store = random_store(sp.field, 3, 2, rng)
-    got = sym_session(sp, 2, store, SECRET, bytes(16), rng)
+    cr = derive_common_randomness(SECRET, bytes(16), sp.base.T, sp.field)
+    got = sym_decode(sym_answers(sp, sym_query(sp, 2, rng), store, cr), sp)
     assert np.array_equal(got, store.message(2))
 
 

@@ -173,7 +173,7 @@ def test_peeling_property_counts_and_decode():
     for ci, ctx in enumerate(plan.contexts):
         free_flat, free_coord = plan.skeleton.gather.ctx_free[ci]
         assert len(free_coord) == ctx.dim
-        gen = state.generators[(ctx.length, ctx.dim)]
+        gen = make_mds(ctx.length, ctx.dim, plan.field)
         info = linalg.solve(plan.field, gen.entries[free_coord, :], flat[free_flat])
         codeword = linalg.matvec(plan.field, gen.entries, info)
         # direct stream evaluation from the store must agree coordinate-wise
@@ -251,7 +251,7 @@ def test_answer_slot_structure_matches_table():
     from sidepir import linalg
     desired_row = state.mixers[0][slot.desired_offset]
     ctx = plan.contexts[slot.context]
-    gen = state.generators[(ctx.length, ctx.dim)]
+    gen = make_mds(ctx.length, ctx.dim, plan.field)
     lo, hi = ctx.block_rows[2]
     stream = linalg.matvec(plan.field, gen.entries,
                            linalg.matvec(plan.field, state.mixers[1][lo:hi, :],
@@ -577,7 +577,7 @@ def reference_peel(plan, state, raw):
                 bear[s.context].append((s.coord, value, s.desired_offset))
     infos = []
     for ci, ctx in enumerate(plan.contexts):
-        gen = state.generators[(ctx.length, ctx.dim)].entries
+        gen = make_mds(ctx.length, ctx.dim, field).entries
         coords, values = zip(*free[ci])
         info = linalg.solve(field, gen[list(coords), :], np.array(values, dtype=field.dtype))
         infos.append(info)
