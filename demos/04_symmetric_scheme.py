@@ -38,12 +38,12 @@ def main():
           "masked coordinates; any 2 databases' coordinates are jointly uniform")
 
     session_id = rng.bytes(16)
-    cr = derive_common_randomness(SECRET, session_id, params.T, sp.field)
+    sigma = derive_common_randomness(SECRET, session_id, params.T, sp.field)
     print(f"session {session_id.hex()[:16]}...: servers derive sigma = "
-          f"{cr.sigma.tolist()} from their shared secret ({params.T} symbols, "
+          f"{sigma.tolist()} from their shared secret ({params.T} symbols, "
           f"rho = {params.T}/{params.N - params.T})")
 
-    answers = sym_answers(sp, queries, store, cr)
+    answers = sym_answers(sp, queries, store.messages, sigma)
     print(f"answers (one symbol each): {answers.tolist()}")
 
     coeffs = sym_coefficients(answers, sp)

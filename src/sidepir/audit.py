@@ -49,7 +49,6 @@ from .field import standard_field
 from .store import MessageStore, random_store
 from .stpir_psi import (
     SESSION_ID_BYTES,
-    CommonRandomness,
     derive_common_randomness,
     make_sym_params,
     queries_from_masks,
@@ -309,26 +308,31 @@ class LayeredScheme(_Adapter):
 
     view_digests = _view_digests
 
-    def residual_session(self, rng, store: MessageStore, theta: int,
+    def residual_session(self, rngs, stores: np.ndarray, theta: int,
                          side_idx) -> np.ndarray:
         """Interference streams the client reconstructs during decoding,
         minus everything derivable from its cache: a direct exhibit of the
-        symbols this non-symmetric scheme leaks about other messages."""
-        plan, state = build_plan(self.params, theta, rng)
-        bundle = answer_all(database_queries(plan, state), store)
-        side = store.side_information(side_idx)
-        _, infos = decode_streams(bundle, plan, state, side)
-        pieces = []
-        for ctx, info in zip(plan.contexts, infos):
-            if set(ctx.members) <= set(side):
-                continue
-            for i in ctx.members:
-                if i in side:
-                    lo, hi = ctx.block_rows[i]
-                    info = info ^ linalg.matvec(self.field, state.mixers[i - 1][lo:hi, :],
-                                                side[i])
-            pieces.append(info)
-        return np.concatenate(pieces) if pieces else np.zeros(0, dtype=self.field.dtype)
+        symbols this non-symmetric scheme leaks about other messages. One
+        row per session of ``rngs`` and (B, K, L) ``stores``, one session
+        at a time."""
+        rows = []
+        for rng, data in zip(rngs, stores):
+            store = MessageStore(field=self.field, messages=data)
+            plan, state = build_plan(self.params, theta, rng)
+            bundle = answer_all(database_queries(plan, state), store)
+            side = store.side_information(side_idx)
+            _, infos = decode_streams(bundle, plan, state, side)
+            pieces = []
+            for ctx, info in zip(plan.contexts, infos):
+                if not set(ctx.members) <= set(side):
+                    for i in set(ctx.members) & set(side):
+                        lo, hi = ctx.block_rows[i]
+                        info = info ^ linalg.matvec(
+                            self.field, state.mixers[i - 1][lo:hi, :], side[i])
+                    pieces.append(info)
+            rows.append(np.concatenate(pieces) if pieces
+                        else np.zeros(0, dtype=self.field.dtype))
+        return np.stack(rows)
 
 
 class SymmetricScheme(_Adapter):
@@ -357,26 +361,18 @@ class SymmetricScheme(_Adapter):
             return Fraction(0)
         return Fraction(self.params.T, self.params.N - self.params.T)
 
-    def _common_randomness(self, session_id: bytes) -> CommonRandomness:
-        cr = derive_common_randomness(self.secret, session_id, self.params.T,
-                                      self.field)
-        if self.masked:
-            return cr
-        zero = np.zeros_like(cr.sigma)
-        zero.flags.writeable = False
-        return CommonRandomness(session_id=cr.session_id, sigma=zero)
+    def _draw(self, theta: int, rngs) -> tuple[list[bytes], np.ndarray, np.ndarray]:
+        """Session ids, masks and queries of a batch: each session draws from
+        its own rng in the client's order; one product assembles all queries."""
+        drawn = [(rng.bytes(SESSION_ID_BYTES), sym_masks(self.sym, rng)) for rng in rngs]
+        masks = np.stack([m for _, m in drawn])
+        return [sid for sid, _ in drawn], masks, queries_from_masks(self.sym, theta, masks)
 
-    def _draw_session(self, rng) -> tuple[bytes, np.ndarray]:
-        """(session id, masks), in the client's draw order."""
-        session_id = rng.bytes(SESSION_ID_BYTES)
-        return session_id, sym_masks(self.sym, rng)
-
-    def _answer_session(self, theta: int, rng, store: MessageStore):
-        """One session's masks and the N answers to its queries."""
-        session_id, masks = self._draw_session(rng)
-        queries = queries_from_masks(self.sym, theta, masks)
-        return masks, sym_answers(self.sym, queries, store,
-                                  self._common_randomness(session_id))
+    def _sigma(self, session_ids) -> np.ndarray:
+        """The sessions' shared masks, (B, T); all zero when unmasked."""
+        sigma = np.stack([derive_common_randomness(self.secret, sid, self.params.T,
+                                                   self.field) for sid in session_ids])
+        return sigma if self.masked else np.zeros_like(sigma)
 
     def run_session(self, rng) -> SessionOutcome:
         theta, side_idx = self._draw_theta_side(rng)
@@ -388,8 +384,9 @@ class SymmetricScheme(_Adapter):
                                   downloaded_symbols=ell, desired_symbols=ell,
                                   randomness_symbols=0,
                                   note=f"theta={theta} shortcut")
-        _, answers = self._answer_session(theta, rng, store)
-        ok = bool(np.array_equal(sym_decode(answers, self.sym), store.message(theta)))
+        ids, _, queries = self._draw(theta, [rng])
+        answers = sym_answers(self.sym, queries, store.messages, self._sigma(ids))
+        ok = bool(np.array_equal(sym_decode(answers, self.sym)[0], store.message(theta)))
         return SessionOutcome(ok=ok, downloaded_symbols=self.params.N,
                               desired_symbols=ell,
                               randomness_symbols=self.params.T,
@@ -397,17 +394,14 @@ class SymmetricScheme(_Adapter):
 
     def query_payloads(self, theta: int, seed) -> dict[int, bytes]:
         """The client's query path for one session."""
-        rng = np.random.default_rng(seed)
-        session_id = rng.bytes(SESSION_ID_BYTES)
-        return self._payloads(session_id, sym_query(self.sym, theta, rng))
+        rng = np.random.default_rng(seed)  # the session id is drawn first
+        return self._payloads(rng.bytes(SESSION_ID_BYTES), sym_query(self.sym, theta, rng))
 
     def session_payloads(self, theta: int, seeds) -> list[dict[int, bytes]]:
         """The N payloads of every seed; the queries of all sessions come
         from one :func:`queries_from_masks` call over the session axis."""
-        sessions = [self._draw_session(np.random.default_rng(s)) for s in seeds]
-        queries = queries_from_masks(self.sym, theta,
-                                     np.stack([masks for _, masks in sessions]))
-        return [self._payloads(sid, q) for (sid, _), q in zip(sessions, queries)]
+        ids, _, queries = self._draw(theta, [np.random.default_rng(s) for s in seeds])
+        return [self._payloads(sid, q) for sid, q in zip(ids, queries)]
 
     def _payloads(self, session_id: bytes, queries: np.ndarray) -> dict[int, bytes]:
         return {n + 1: wire.serialize_sym_query(self.field.w, session_id,
@@ -421,19 +415,20 @@ class SymmetricScheme(_Adapter):
 
     view_digests = _view_digests
 
-    def residual_session(self, rng, store: MessageStore, theta: int,
+    def residual_session(self, rngs, stores: np.ndarray, theta: int,
                          side_idx) -> np.ndarray:
-        """Low coefficients of the interpolated answer polynomial, minus the
-        contributions the client can compute itself (its masks applied to the
-        desired and cached messages). Uniform exactly when the shared mask
-        does its job; a deterministic function of the other messages when it
-        does not."""
-        masks, answers = self._answer_session(theta, rng, store)
-        low = sym_coefficients(answers, self.sym)[: self.params.T]
+        """Per session of ``rngs`` and (B, K, N - T) ``stores``: the low
+        coefficients of the interpolated answer polynomial, minus what the
+        client computes itself (its masks applied to the desired and cached
+        messages). Uniform exactly when the shared mask does its job; a
+        deterministic function of the other messages when it does not."""
+        ids, masks, queries = self._draw(theta, rngs)
+        answers = sym_answers(self.sym, queries, stores, self._sigma(ids))
+        low = sym_coefficients(answers, self.sym)[:, : self.params.T]
         for k in set(side_idx) | {theta}:
             # contribution of message k to coefficient j: sum_i W_k[i] * masks[k,i,j]
             low ^= np.bitwise_xor.reduce(
-                self.field.mul(masks[k - 1], store.message(k)[:, None]), axis=0)
+                self.field.mul(masks[:, k - 1], stores[:, k - 1, :, None]), axis=-2)
         return low
 
 
@@ -466,9 +461,15 @@ def _session_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
+def _check_sessions(sessions: int) -> None:
+    if sessions < 1:
+        raise ParameterError(f"an audit needs at least 1 session, got {sessions}")
+
+
 def audit_correctness(scheme, sessions: int, seed: int) -> AuditReport:
     """Full round trips over random (theta, cache, store); pass iff every
     decode is exact. Failures record the session index for replay."""
+    _check_sessions(sessions)
     failures = []
     for i in range(sessions):
         try:
@@ -494,6 +495,7 @@ def audit_user_privacy(scheme, sessions: int, seed: int,
                        subsets=None) -> AuditReport:
     """Two layers: exact structure/determinism checks, then Monte-Carlo TV
     between collusion-view distributions for every desired-index pair."""
+    _check_sessions(sessions)
     params = scheme.params
     failures = []
     stats_out: dict = {}
@@ -544,11 +546,16 @@ def audit_db_privacy(scheme, sessions: int, seed: int,
     R: fully random stores;
     F: the R stores with one symbol of one non-retrieved message flipped.
 
+    Each arm runs ``DEFAULT_BATCH`` sessions per ``residual_session`` call.
+    Every session keeps its own store and session seeds, so the report does
+    not depend on the batch size.
+
     Requires the residual to be per-coordinate uniform on Z and R, and the
     digest distributions of (Z, R) and (R, F) to be indistinguishable. A
     scheme that exposes other-message content fails on Z (the residual
     collapses) or on the two-sample comparisons.
     """
+    _check_sessions(sessions)
     params = scheme.params
     fieldq = scheme.field
     theta = 1
@@ -560,34 +567,32 @@ def audit_db_privacy(scheme, sessions: int, seed: int,
                              "non-retrieved, non-cached message")
     flip_msg = undesired[0]
 
-    def make_store(rng, zero_undesired: bool, flip: bool) -> MessageStore:
-        data = fieldq.random_symbols(rng, (params.K, scheme.message_length))
-        if zero_undesired:
-            for i in undesired:
-                data[i - 1] = 0
-        if flip:
-            data[flip_msg - 1, 0] ^= 1
-        return MessageStore(field=fieldq, messages=data)
-
-    arms: dict[str, list[np.ndarray]] = {"Z": [], "R": [], "F": []}
-    for arm, zero, flip in (("Z", True, False), ("R", False, False),
-                            ("F", False, True)):
-        for i in range(sessions):
-            store_rng = np.random.default_rng(subseed(seed, "store", arm if arm == "Z" else "RF", i))
-            store = make_store(store_rng, zero, flip)
-            rng = np.random.default_rng(subseed(seed, arm, i))
-            arms[arm].append(scheme.residual_session(rng, store, theta, side_idx))
+    # subseed(seed, *labels, i) == subseed(seed, *labels) + (i,)
+    store_seeds = [subseed(seed, "store", label) for label in ("Z", "RF")]
+    arm_seeds = {arm: subseed(seed, arm) for arm in "ZRF"}
+    blocks: dict[str, list[np.ndarray]] = {arm: [] for arm in "ZRF"}
+    for first in range(0, sessions, DEFAULT_BATCH):
+        batch = range(first, min(sessions, first + DEFAULT_BATCH))
+        zero, rand = (np.stack([fieldq.random_symbols(np.random.default_rng(s + (i,)),
+                                                      (params.K, scheme.message_length))
+                                for i in batch]) for s in store_seeds)
+        zero[:, [i - 1 for i in undesired]] = 0
+        flip = rand.copy()  # the R stores, drawn once for both arms
+        flip[:, flip_msg - 1, 0] ^= 1
+        for arm, stores in zip("ZRF", (zero, rand, flip)):
+            rngs = [np.random.default_rng(arm_seeds[arm] + (i,)) for i in batch]
+            blocks[arm].append(scheme.residual_session(rngs, stores, theta, side_idx))
+    arms = {arm: np.concatenate(b) for arm, b in blocks.items()}
 
     failures = []
     stats_out: dict = {"theta": theta, "cached": side_idx,
                        "flip_message": flip_msg}
-    res_len = len(arms["R"][0])
+    res_len = arms["R"].shape[1]
     stats_out["residual_symbols"] = res_len
     chi = {}
     for arm in ("Z", "R"):
-        block = np.stack(arms[arm])
         for j in range(res_len):
-            p = chi_square_uniform_p(block[:, j], fieldq.q)
+            p = chi_square_uniform_p(arms[arm][:, j], fieldq.q)
             chi[f"{arm}[{j}]"] = p
             if p <= chi_p_threshold:
                 failures.append(
@@ -615,6 +620,7 @@ def measure_rate(scheme, sessions: int, seed: int) -> AuditReport:
     immediately: no feasible scheme can beat the bound, so exceeding it can
     only mean the download accounting is broken.
     """
+    _check_sessions(sessions)
     downloads = set()
     desired = set()
     randomness = set()

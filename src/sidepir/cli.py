@@ -106,10 +106,10 @@ def cmd_gen_store(args) -> int:
     field = standard_field(w)
     rng = np.random.default_rng(args.seed)
     store = random_store(field, params.K, length, rng)
+    side = store.side_information(args.extract_side or ())  # before any write
     wire.write_store(args.out, store)
     print(f"wrote {args.out}: K={params.K} L={length} w={w}")
     if args.extract_side:
-        side = store.side_information(args.extract_side)
         side_store = type(store)(field=field,
                                  messages=np.stack([side[i] for i in args.extract_side]))
         wire.write_store(args.side_out, side_store)
@@ -309,6 +309,8 @@ def main(argv=None) -> int:
         missing = [f"--{f}" for f in ("K", "N", "T") if getattr(args, f) is None]
         if args.grid is None and missing:
             parser.error(f"audit needs {' '.join(missing)} (or rate --grid)")
+        if args.sessions < 1:
+            parser.error("--sessions must be at least 1")
     if args.command == "gen-store" and args.extract_side and not args.side_out:
         parser.error("--extract-side needs --side-out")
     if args.command == "retrieve" and args.S and not args.side_file:

@@ -222,10 +222,8 @@ def _retrieve_symmetric(transports, params, theta, side, rng) -> RetrievalResult
     queries = sym_query(sym, theta, rng)
     params_frames = _params_frames(params, "stpir", sym.field.w,
                                    sym.message_length, params.N)
-    query_frames = [
-        wire.serialize_sym_query(sym.field.w, session_id, params.T, queries[n])
-        for n in range(params.N)
-    ]
+    query_frames = [wire.serialize_sym_query(sym.field.w, session_id, params.T, q)
+                    for q in queries]
     transcripts = _run_endpoints(transports, params_frames, query_frames)
     digest = _check_replicas(transcripts)
     answers = []

@@ -24,7 +24,8 @@ from . import wire
 from .capacity import SchemeParams
 from .errors import MalformedQueryError, ParameterError, PirError, ProtocolError
 from .store import MessageStore
-from .stpir_psi import derive_common_randomness, sum_shortcut_answer, sym_answer
+from .stpir_psi import (derive_common_randomness, point_powers,
+                        sum_shortcut_answer, sym_answer)
 from .tpir_psi import answer, check_query_shape
 
 ROLES = ("tpir", "stpir")
@@ -113,29 +114,30 @@ class ServerCore:
         field = self.store.field
         if isinstance(query, wire.SymQueryWire):
             if self.role != "stpir":
-                return wire.TYPE_ERROR, wire.error_payload(
-                    wire.ERR_MALFORMED_QUERY, "symmetric query sent to a tpir server")
-            if query.w != field.w:
-                raise MalformedQueryError(f"query width {query.w}, store width {field.w}")
-            # the mask length is the session's declared threshold, never the
-            # query's word: a shorter mask would weaken database privacy
-            if query.t != session["t"] or not 1 <= query.t < session["n_db"]:
+                raise MalformedQueryError("symmetric query sent to a tpir server")
+            if query.w != field.w or query.coords.shape != self.store.messages.shape:
                 raise MalformedQueryError(
-                    f"query threshold {query.t} does not match the session")
-            cr = derive_common_randomness(self.secret, query.session_id,
-                                          query.t, field)
-            lam = session["endpoint"]  # evaluation point = field encoding of n
-            value = sym_answer(query.coords, self.store, cr, lam)
-            body = wire.serialize_answer(field, wire.FORM_SYMMETRIC,
-                                         np.array([value], dtype=field.dtype))
-            return wire.TYPE_ANSWER, body
+                    f"{query.w}-bit query of shape {query.coords.shape} does not match the store")
+            # the mask length is the session's declared threshold, never the
+            # query's word: a shorter mask would weaken database privacy; and
+            # the points 1..N must be nonzero field elements
+            if query.t != session["t"] or not 1 <= query.t < session["n_db"] < field.q:
+                raise MalformedQueryError(
+                    f"query threshold {query.t} does not fit the session's "
+                    f"{session['n_db']} points in GF(2^{field.w})")
+            sigma = derive_common_randomness(self.secret, query.session_id,
+                                             query.t, field)
+            # only this endpoint's T powers: never a table sized by N
+            value = sym_answer(field, query.coords, self.store.messages, sigma,
+                               point_powers(field, session["endpoint"], query.t))
+            return wire.TYPE_ANSWER, wire.serialize_answer(
+                field, wire.FORM_SYMMETRIC, np.array([value], dtype=field.dtype))
         if isinstance(query, wire.SumQueryWire):
             if query.w != field.w or query.num_messages != self.store.num_messages \
                     or query.message_length != self.store.message_length:
                 raise MalformedQueryError("sum query does not match the store")
-            body = wire.serialize_answer(field, wire.FORM_SUM,
-                                         sum_shortcut_answer(self.store))
-            return wire.TYPE_ANSWER, body
+            return wire.TYPE_ANSWER, wire.serialize_answer(
+                field, wire.FORM_SUM, sum_shortcut_answer(self.store))
         # layered query
         check_query_shape(query, self._layered_params(session))
         form, symbols = answer(query, self.store)

@@ -18,6 +18,10 @@ except the desired message from the client.
 Per session the databases consume exactly T shared symbols to deliver N - T
 desired symbols, so the shared-randomness rate is T / (N - T).
 
+Every step takes leading session axes: one answer kernel, :func:`sym_answer`,
+serves a server's single answer and, through :func:`sym_answers`, all N
+databases of a batch of audited sessions.
+
 When the client already caches K - 1 messages, a one-database download of
 the plain sum of all messages recovers the remaining one at rate 1 with no
 shared randomness at all.
@@ -28,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,7 +40,6 @@ from . import linalg
 from .capacity import SchemeParams
 from .errors import (
     InvalidSideInformationError,
-    MalformedQueryError,
     ParameterError,
     ProtocolError,
     ZeroCapacityError,
@@ -55,19 +58,36 @@ def sym_field_width(params: SchemeParams) -> int:
     raise ParameterError(f"no protocol field has more than {params.N} elements")
 
 
+def point_powers(field: GF, points, count: int) -> np.ndarray:
+    """P[..., j] = points ** j, j < count, for nonzero points; (count,) for a scalar."""
+    logs = field._log[np.asarray(points)][..., None].astype(np.int64)
+    return field._alog[logs * np.arange(count) % field._order]
+
+
 @dataclass(frozen=True)
 class SymParams:
-    """Symmetric-scheme parameters with the public evaluation points."""
+    """Symmetric-scheme parameters with the public evaluation points and
+    their powers, read-only and built once per parameter point by the
+    cached :func:`make_sym_params`."""
 
     base: SchemeParams
     field: GF
-    lambdas: np.ndarray  # N distinct nonzero points, the encoding of 1..N
+    lambdas: np.ndarray  # (N,) distinct nonzero points, the encoding of 1..N
+    vander: np.ndarray   # (N, N) lambda_n ** j: T mask columns, N - T indicators
 
     @property
     def message_length(self) -> int:
         return self.base.N - self.base.T
 
+    @cached_property
+    def interp(self) -> np.ndarray:
+        """(N, N) inverse of ``vander``: answers -> coefficients, on first use."""
+        inv = linalg.inv_matrix(self.field, self.vander)
+        inv.flags.writeable = False
+        return inv
 
+
+@lru_cache(maxsize=64)
 def make_sym_params(params: SchemeParams) -> SymParams:
     if params.K < 2:
         raise ParameterError("the symmetric scheme is defined for K >= 2 messages")
@@ -77,46 +97,31 @@ def make_sym_params(params: SchemeParams) -> SymParams:
             f"width {field.w} gives only {field.q} evaluation points for N={params.N}"
         )
     lambdas = np.arange(1, params.N + 1, dtype=field.dtype)
-    lambdas.flags.writeable = False
-    return SymParams(base=params, field=field, lambdas=lambdas)
-
-
-@dataclass(frozen=True)
-class CommonRandomness:
-    """Per-session masking coefficients shared by every database.
-
-    sigma holds the T coefficients of the masking polynomial; it is derived
-    from a server-shared secret and the session id, so the databases agree
-    without a coordination round and the client can never reconstruct it.
-    """
-
-    session_id: bytes
-    sigma: np.ndarray  # (T,) coefficients of x^0 .. x^(T-1)
+    vander = point_powers(field, lambdas, params.N)
+    for arr in (lambdas, vander):
+        arr.flags.writeable = False
+    return SymParams(base=params, field=field, lambdas=lambdas, vander=vander)
 
 
 def derive_common_randomness(secret: bytes, session_id: bytes, t: int,
-                             field: GF) -> CommonRandomness:
-    """Keyed-PRF expansion of (secret, session id) into T field symbols."""
+                             field: GF) -> np.ndarray:
+    """The session's shared masking polynomial sigma: its T coefficients of
+    x^0 .. x^(T-1), read-only.
+
+    A keyed-PRF expansion of (secret, session id), so the databases agree
+    without a coordination round and the client can never reconstruct it.
+    """
     if len(session_id) != SESSION_ID_BYTES:
         raise ProtocolError(f"session id must be {SESSION_ID_BYTES} bytes")
     if not secret:
         raise ParameterError("shared secret must be nonempty")
     need = field.packed_size(t)
-    stream = b""
-    counter = 0
-    while len(stream) < need:
-        stream += hmac.new(secret, session_id + counter.to_bytes(4, "little"),
-                           hashlib.sha256).digest()
-        counter += 1
+    stream = b"".join(hmac.new(secret, session_id + counter.to_bytes(4, "little"),
+                               hashlib.sha256).digest()
+                      for counter in range((need + 31) // 32))  # 32-byte blocks
     sigma = field.unpack(stream[:need], t)
     sigma.flags.writeable = False
-    return CommonRandomness(session_id=bytes(session_id), sigma=sigma)
-
-
-def _point_powers(sp: SymParams, exponents) -> np.ndarray:
-    """Matrix P[n, j] = lambda_n ** exponents[j]."""
-    cols = [sp.field.pow(sp.lambdas, int(e)) for e in exponents]
-    return np.stack(cols, axis=1)
+    return sigma
 
 
 def queries_from_masks(sp: SymParams, theta: int, masks: np.ndarray) -> np.ndarray:
@@ -133,12 +138,10 @@ def queries_from_masks(sp: SymParams, theta: int, masks: np.ndarray) -> np.ndarr
     if masks.shape[-3:] != (params.K, ell, t):
         raise ParameterError(f"masks must have shape (..., {params.K}, {ell}, {t})")
     lead = masks.shape[:-3]
-    low = _point_powers(sp, range(t))                      # (N, T)
     flat = masks.reshape(lead + (params.K * ell, t))
-    queries = linalg.matmul(field, low, np.swapaxes(flat, -1, -2)).reshape(
+    queries = linalg.matmul(field, sp.vander[:, :t], np.swapaxes(flat, -1, -2)).reshape(
         lead + (params.N, params.K, ell))
-    indicator = _point_powers(sp, range(t, t + ell))       # (N, ell)
-    queries[..., theta - 1, :] ^= indicator
+    queries[..., theta - 1, :] ^= sp.vander[:, t:]
     return queries
 
 
@@ -163,57 +166,36 @@ def sym_query(sp: SymParams, theta: int, rng: np.random.Generator) -> np.ndarray
     return queries_from_masks(sp, theta, sym_masks(sp, rng))
 
 
-def sym_answer(query: np.ndarray, store: MessageStore, cr: CommonRandomness,
-               lambda_n: int) -> int:
-    """One database's single-symbol answer."""
-    field = store.field
-    ell = store.message_length
-    q = np.asarray(query, dtype=field.dtype)
-    if q.shape != (store.num_messages, ell):
-        raise MalformedQueryError(
-            f"query shape {q.shape} does not match a ({store.num_messages}, {ell}) store"
-        )
-    inner = np.bitwise_xor.reduce(field.mul(q, store.messages).ravel())
-    mask = 0
-    power = 1
-    for coeff in cr.sigma.tolist():          # Horner-free: degree is tiny
-        mask ^= field.mul(int(coeff), power)
-        power = field.mul(power, int(lambda_n))
-    return int(inner) ^ mask
+def sym_answer(field: GF, queries: np.ndarray, messages: np.ndarray,
+               sigma: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Database answers: each (K, N - T) query's inner product with its store,
+    plus sigma evaluated at the point whose powers 0..T-1 are ``powers``.
+    Operands broadcast over leading axes: one database's query gives a 0-d
+    answer, all N databases of B sessions give (B, N) answers."""
+    inner = np.bitwise_xor.reduce(field.mul(queries, messages), axis=(-2, -1))
+    return inner ^ np.bitwise_xor.reduce(field.mul(powers, sigma), axis=-1)
 
 
-@lru_cache(maxsize=64)
-def interpolation_matrix(field: GF, n: int) -> np.ndarray:
-    """Read-only inverse of the N x N Vandermonde matrix on the public points
-    1..N: it maps the N answers to the answer polynomial's coefficients.
-    Public and fixed by (field, N), so it is computed once and cached."""
-    points = np.arange(1, n + 1, dtype=field.dtype)
-    vander = np.stack([field.pow(points, j) for j in range(n)], axis=1)
-    inv = linalg.inv_matrix(field, vander)
-    inv.flags.writeable = False
-    return inv
-
-
-def sym_answers(sp: SymParams, queries: np.ndarray, store: MessageStore,
-                cr: CommonRandomness) -> np.ndarray:
-    """All N databases' answers to one session's (N, K, N - T) queries."""
-    return np.array([sym_answer(queries[n], store, cr, int(sp.lambdas[n]))
-                     for n in range(sp.base.N)], dtype=sp.field.dtype)
+def sym_answers(sp: SymParams, queries: np.ndarray, messages: np.ndarray,
+                sigma: np.ndarray) -> np.ndarray:
+    """All N databases' answers, shaped (..., N), to queries (..., N, K, N - T)
+    on stores (..., K, N - T) under shared masks (..., T)."""
+    return sym_answer(sp.field, queries, np.expand_dims(messages, -3),
+                      np.expand_dims(sigma, -2), sp.vander[:, :sp.base.T])
 
 
 def sym_coefficients(answers: np.ndarray, sp: SymParams) -> np.ndarray:
-    """All N coefficients of the answer polynomial, by interpolation."""
-    params, field = sp.base, sp.field
-    a = np.asarray(answers, dtype=field.dtype)
-    if a.shape != (params.N,):
-        raise ProtocolError(f"need {params.N} answers, got {a.shape}")
-    return linalg.matvec(field, interpolation_matrix(field, params.N), a)
+    """All N coefficients of the answer polynomial, by interpolation, for
+    answers shaped (..., N)."""
+    if np.shape(answers)[-1:] != (sp.base.N,):
+        raise ProtocolError(f"need {sp.base.N} answers, got {np.shape(answers)}")
+    return linalg.matvec(sp.field, sp.interp, answers)
 
 
 def sym_decode(answers: np.ndarray, sp: SymParams) -> np.ndarray:
     """Interpolate the answer polynomial; its top N - T coefficients are the
     desired message."""
-    return sym_coefficients(answers, sp)[sp.base.T:]
+    return sym_coefficients(answers, sp)[..., sp.base.T:]
 
 
 def sum_shortcut_answer(store: MessageStore) -> np.ndarray:

@@ -228,11 +228,9 @@ _SYM_HEAD = struct.Struct("<BBHHH16s")
 @dataclass(frozen=True)
 class SymQueryWire:
     w: int
-    num_messages: int
-    message_length: int
     t: int
     session_id: bytes
-    coords: np.ndarray  # (num_messages, message_length)
+    coords: np.ndarray  # (K, N - T)
 
 
 def serialize_sym_query(w: int, session_id: bytes, t: int,
@@ -259,8 +257,7 @@ def _parse_symmetric(data: bytes) -> SymQueryWire:
         )
     coords = field.unpack(body, k * ell).reshape(k, ell)
     coords.flags.writeable = False
-    return SymQueryWire(w=w, num_messages=k, message_length=ell, t=t,
-                        session_id=sid, coords=coords)
+    return SymQueryWire(w=w, t=t, session_id=sid, coords=coords)
 
 
 # ---------------------------------------------------------------------------

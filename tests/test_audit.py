@@ -12,7 +12,7 @@ import pytest
 from sidepir import audit
 from sidepir.capacity import SchemeParams
 from sidepir.coding import erasure_decode
-from sidepir.errors import AuditInvariantError
+from sidepir.errors import AuditInvariantError, ParameterError
 
 MASTER_SEEDS = (0, 1, 2)
 
@@ -225,3 +225,14 @@ def test_view_digests_follow_the_client_query_path(scheme):
         for batch in (1, 512):
             assert scheme.view_digests(theta, subsets, sessions=7, master_seed=31,
                                        batch=batch) == digests
+
+
+def test_audits_refuse_fewer_than_one_session():
+    schemes = (audit.LayeredScheme(SchemeParams(3, 1, 2, 1)),
+               audit.SymmetricScheme(SchemeParams(3, 0, 3, 1)))
+    for scheme in schemes:
+        for run in (audit.audit_correctness, audit.audit_user_privacy,
+                    audit.audit_db_privacy, audit.measure_rate):
+            for sessions in (0, -3):
+                with pytest.raises(ParameterError):
+                    run(scheme, sessions, 0)

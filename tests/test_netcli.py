@@ -290,12 +290,28 @@ def test_cli_audit_and_bench(tmp_path, capsys):
     ["retrieve", "--endpoints", "127.0.0.1:1", "--K", "3", "--M", "1", "--N", "2",
      "--T", "1", "--theta", "1", "--S", "x", "--side-file", "{tmp}/side.pir",
      "--seed", "1", "--out", "{tmp}/msg.bin"],
+    ["audit", "user-privacy", "--K", "3", "--N", "2", "--T", "1", "--sessions", "0"],
+    ["audit", "correctness", "--K", "3", "--N", "2", "--T", "1", "--sessions", "-3"],
+    ["audit", "db-privacy", "--K", "3", "--N", "3", "--T", "1", "--scheme", "stpir",
+     "--sessions", "0", "--json", "{tmp}/db.json"],
+    ["audit", "rate", "--K", "3", "--N", "2", "--T", "1", "--sessions", "0"],
 ], ids=["rho", "grid-not-rate", "empty-grid", "bad-grid", "side-out", "bad-side",
-        "bad-cached-set"])
+        "bad-cached-set", "zero-sessions", "negative-sessions", "db-privacy-sessions",
+        "rate-sessions"])
 def test_cli_usage_errors_exit_2_and_write_nothing(tmp_path, argv):
     with pytest.raises(SystemExit) as err:
         cli_main([arg.format(tmp=tmp_path) for arg in argv])
     assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_store_checks_side_indices_before_writing(tmp_path, capsys):
+    """A cached index outside 1..K is refused before the store is written."""
+    argv = ["gen-store", "--K", "3", "--M", "1", "--N", "2", "--T", "1", "--seed", "1",
+            "--out", str(tmp_path / "s.pir"), "--extract-side", "9",
+            "--side-out", str(tmp_path / "side.pir")]
+    assert cli_main(argv) == 1
+    assert "outside 1..3" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -403,3 +419,84 @@ def test_server_checks_layered_query_against_session_params():
             form, symbols = wire.parse_answer(standard_field(16), reply)
             assert form == (wire.FORM_RAW if raw else wire.FORM_COMPRESSED)
             assert len(symbols) == plan.profile.p1 - (0 if raw else plan.profile.p2)
+
+
+def _sym_session(core, **overrides):
+    fields = {"scheme": "stpir", "endpoint": 1, "n_db": 3, "k": 3, "m": 0, "t": 1,
+              "w": 4, "message_length": 2, **overrides}
+    session = core.new_session()
+    ftype, _ = core.handle_frame(session, wire.TYPE_PARAMS, wire.params_payload(fields))
+    assert ftype == wire.TYPE_PARAMS
+    return session
+
+
+def test_symmetric_server_refuses_points_outside_the_field(caplog):
+    """The evaluation points 1..N must be nonzero elements of GF(2^w): an
+    endpoint of q or more is a malformed session, refused without a logged
+    traceback, while the largest field point is still answered."""
+    from sidepir.stpir_psi import make_sym_params, sym_query
+
+    store = random_store(standard_field(4), 3, 2, np.random.default_rng(104))
+    core = ServerCore(store, role="stpir", secret=SECRET)
+    query = sym_query(make_sym_params(SchemeParams(3, 0, 3, 1)), 2,
+                      np.random.default_rng(5))[0]
+    payload = wire.serialize_sym_query(4, bytes(16), 1, query)
+    with caplog.at_level("DEBUG", logger="sidepir.server"):
+        ftype, reply = core.handle_frame(_sym_session(core, endpoint=16, n_db=16),
+                                         wire.TYPE_QUERY, payload)
+    assert ftype == wire.TYPE_ERROR
+    assert wire.parse_error_payload(reply)[0] == wire.ERR_MALFORMED_QUERY
+    assert caplog.records == []
+    ftype, _ = core.handle_frame(_sym_session(core, endpoint=15, n_db=15),
+                                 wire.TYPE_QUERY, payload)
+    assert ftype == wire.TYPE_ANSWER
+
+
+def test_server_checks_symmetric_query_against_session():
+    """A symmetric query is answered only when its (K, N - T) coordinates
+    fit the store and its T is the one its PARAMS frame declared."""
+    from sidepir.stpir_psi import make_sym_params, sym_query
+
+    f4 = standard_field(4)
+    store = random_store(f4, 3, 2, np.random.default_rng(104))
+    core = ServerCore(store, role="stpir", secret=SECRET)
+    query = sym_query(make_sym_params(SchemeParams(3, 0, 3, 1)), 2,
+                      np.random.default_rng(5))[0]
+
+    def ask(coords, t=1):
+        payload = wire.serialize_sym_query(4, bytes(16), t, coords)
+        return core.handle_frame(_sym_session(core), wire.TYPE_QUERY, payload)
+
+    assert ask(query)[0] == wire.TYPE_ANSWER
+    for reply in (ask(query[:2]), ask(np.zeros((4, 2), dtype=f4.dtype)),
+                  ask(query[:, :1]), ask(query, t=2)):
+        ftype, payload = reply
+        assert ftype == wire.TYPE_ERROR
+        assert wire.parse_error_payload(payload)[0] == wire.ERR_MALFORMED_QUERY
+
+
+def test_symmetric_server_evaluates_a_large_threshold_in_one_pass():
+    """T is the client's to declare, up to q - 2. The server evaluates the
+    shared mask at its point in one vectorised pass, not one Python step per
+    coefficient, and the answer still equals the Horner evaluation."""
+    import time
+
+    from sidepir.stpir_psi import derive_common_randomness
+
+    f16 = standard_field(16)
+    store = random_store(f16, 2, 1, np.random.default_rng(105))
+    core = ServerCore(store, role="stpir", secret=SECRET)
+    t, point = 65534, 65535
+    session = _sym_session(core, endpoint=point, n_db=point, t=t, k=2, w=16,
+                           message_length=1)
+    coords = np.array([[3], [7]], dtype=f16.dtype)
+    start = time.perf_counter()
+    ftype, reply = core.handle_frame(session, wire.TYPE_QUERY,
+                                     wire.serialize_sym_query(16, bytes(16), t, coords))
+    assert time.perf_counter() - start < 0.1
+    assert ftype == wire.TYPE_ANSWER
+    horner = 0
+    for coeff in reversed(derive_common_randomness(SECRET, bytes(16), t, f16).tolist()):
+        horner = f16.mul(horner, point) ^ coeff
+    inner = f16.mul(3, int(store.messages[0, 0])) ^ f16.mul(7, int(store.messages[1, 0]))
+    assert wire.parse_answer(f16, reply)[1].tolist() == [inner ^ horner]

@@ -17,9 +17,9 @@ from sidepir.errors import (
 )
 from sidepir.store import MessageStore, random_store
 from sidepir.stpir_psi import (
-    CommonRandomness,
     derive_common_randomness,
     make_sym_params,
+    point_powers,
     queries_from_masks,
     sym_answer,
     sym_decode,
@@ -31,17 +31,14 @@ from sidepir.stpir_psi import (
 SECRET = bytes(range(32))
 
 
-def zero_cr(t, field):
-    sigma = np.zeros(t, dtype=field.dtype)
-    sigma.flags.writeable = False
-    return CommonRandomness(session_id=bytes(16), sigma=sigma)
+def zero_sigma(t, field):
+    return np.zeros(t, dtype=field.dtype)
 
 
-def run_masked_session(sp, theta, store, rng, cr=None):
+def run_masked_session(sp, theta, store, rng):
     queries = sym_query(sp, theta, rng)
-    cr = cr or derive_common_randomness(SECRET, rng.bytes(16), sp.base.T, sp.field)
-    answers = np.array([sym_answer(queries[n], store, cr, int(sp.lambdas[n]))
-                        for n in range(sp.base.N)], dtype=sp.field.dtype)
+    sigma = derive_common_randomness(SECRET, rng.bytes(16), sp.base.T, sp.field)
+    answers = sym_answers(sp, queries, store.messages, sigma)
     return sym_decode(answers, sp), answers
 
 
@@ -72,9 +69,10 @@ def test_zero_store_zero_sigma_gives_zero():
                          messages=np.zeros((2, 2), dtype=sp.field.dtype))
     rng = np.random.default_rng(0)
     queries = sym_query(sp, 1, rng)
-    cr = zero_cr(1, sp.field)
+    sigma = zero_sigma(1, sp.field)
     for n in range(3):
-        assert sym_answer(queries[n], store, cr, int(sp.lambdas[n])) == 0
+        powers = point_powers(sp.field, int(sp.lambdas[n]), 1)
+        assert sym_answer(sp.field, queries[n], store.messages, sigma, powers) == 0
 
 
 def test_unmasked_queries_still_decode():
@@ -83,9 +81,7 @@ def test_unmasked_queries_still_decode():
     masks = np.zeros((3, 2, 2), dtype=sp.field.dtype)
     queries = queries_from_masks(sp, 2, masks)
     store = random_store(sp.field, 3, 2, np.random.default_rng(1))
-    cr = zero_cr(2, sp.field)
-    answers = np.array([sym_answer(queries[n], store, cr, int(sp.lambdas[n]))
-                        for n in range(4)], dtype=sp.field.dtype)
+    answers = sym_answers(sp, queries, store.messages, zero_sigma(2, sp.field))
     assert np.array_equal(sym_decode(answers, sp), store.message(2))
 
 
@@ -96,9 +92,7 @@ def test_answers_interpolate_known_polynomial_when_unmasked():
     masks = np.zeros((2, 3, 1), dtype=sp.field.dtype)
     store = random_store(sp.field, 2, 3, np.random.default_rng(2))
     queries = queries_from_masks(sp, 1, masks)
-    cr = zero_cr(1, sp.field)
-    answers = np.array([sym_answer(queries[n], store, cr, int(sp.lambdas[n]))
-                        for n in range(4)], dtype=sp.field.dtype)
+    answers = sym_answers(sp, queries, store.messages, zero_sigma(1, sp.field))
     from sidepir import linalg
     vander = np.stack([sp.field.pow(sp.lambdas, j) for j in range(4)], axis=1)
     coeffs = linalg.solve(sp.field, vander, answers)
@@ -108,16 +102,17 @@ def test_answers_interpolate_known_polynomial_when_unmasked():
 
 def test_answer_matches_symbolic_polynomial_oracle():
     """Build A(x)'s coefficients symbolically with scalar ops and evaluate by
-    Horner; the databases' inner products must agree everywhere."""
+    Horner; the databases' inner products must agree everywhere, one
+    database at a time and in one batched call over all sessions."""
     sp = make_sym_params(SchemeParams(2, 0, 3, 1))
     f = sp.field
     rng = np.random.default_rng(3)
+    batch = {"queries": [], "stores": [], "sigma": [], "horner": []}
     for _ in range(30):
         store = random_store(f, 2, 2, rng)
         theta = int(rng.integers(1, 3))
         masks = f.random_symbols(rng, (2, 2, 1))
         sigma = f.random_symbols(rng, (1,))
-        cr = CommonRandomness(session_id=bytes(16), sigma=sigma)
         queries = queries_from_masks(sp, theta, masks)
         # coefficients: degree 0 from masks+sigma, degrees T..N-1 the message
         coeffs = [int(sigma[0]), 0, 0]
@@ -131,7 +126,16 @@ def test_answer_matches_symbolic_polynomial_oracle():
             horner = 0
             for c in reversed(coeffs):
                 horner = f.mul(horner, lam) ^ c
-            assert horner == sym_answer(queries[n], store, cr, lam)
+            powers = point_powers(f, lam, 1)
+            assert horner == sym_answer(f, queries[n], store.messages, sigma, powers)
+            batch["horner"].append(horner)
+        batch["queries"].append(queries)
+        batch["stores"].append(store.messages)
+        batch["sigma"].append(sigma)
+    answers = sym_answers(sp, *(np.stack(batch[key])
+                                for key in ("queries", "stores", "sigma")))
+    assert answers.shape == (30, 3)
+    assert answers.ravel().tolist() == batch["horner"]
 
 
 def test_single_server_view_uniform_by_enumeration():
@@ -200,8 +204,8 @@ def test_randomness_accounting():
     for n, t in ((2, 1), (3, 1), (3, 2), (4, 2)):
         p = SchemeParams(2, 0, n, t)
         sp = make_sym_params(p)
-        cr = derive_common_randomness(SECRET, bytes(16), t, sp.field)
-        assert cr.sigma.shape == (t,)
+        sigma = derive_common_randomness(SECRET, bytes(16), t, sp.field)
+        assert sigma.shape == (t,)
         assert Fraction(t, sp.message_length) == Fraction(t, n - t)
 
 
@@ -211,8 +215,8 @@ def test_common_randomness_is_keyed_and_replicable():
     b = derive_common_randomness(SECRET, bytes(16), 2, f)
     c = derive_common_randomness(SECRET, b"\x01" + bytes(15), 2, f)
     d = derive_common_randomness(b"other-secret-32-bytes-padding!!!", bytes(16), 2, f)
-    assert np.array_equal(a.sigma, b.sigma)
-    assert not np.array_equal(a.sigma, c.sigma) or not np.array_equal(a.sigma, d.sigma)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c) or not np.array_equal(a, d)
     with pytest.raises(Exception):
         derive_common_randomness(SECRET, bytes(3), 2, f)
 
@@ -223,8 +227,8 @@ def test_derived_sigma_uniformity():
     rng = np.random.default_rng(4)
     values = []
     for _ in range(20_000):
-        cr = derive_common_randomness(SECRET, rng.bytes(16), 1, f)
-        values.append(int(cr.sigma[0]))
+        sigma = derive_common_randomness(SECRET, rng.bytes(16), 1, f)
+        values.append(int(sigma[0]))
     counts = np.bincount(np.array(values), minlength=16)
     assert stats.chisquare(counts).pvalue > 0.001
 
@@ -244,8 +248,8 @@ def test_full_session_helper():
     sp = make_sym_params(SchemeParams(3, 0, 4, 2))
     rng = np.random.default_rng(6)
     store = random_store(sp.field, 3, 2, rng)
-    cr = derive_common_randomness(SECRET, bytes(16), sp.base.T, sp.field)
-    got = sym_decode(sym_answers(sp, sym_query(sp, 3, rng), store, cr), sp)
+    sigma = derive_common_randomness(SECRET, bytes(16), sp.base.T, sp.field)
+    got = sym_decode(sym_answers(sp, sym_query(sp, 3, rng), store.messages, sigma), sp)
     assert np.array_equal(got, store.message(3))
 
 
@@ -254,8 +258,8 @@ def test_pinned_wide_field_session():
     assert sp.field.w == 16
     rng = np.random.default_rng(60)
     store = random_store(sp.field, 3, 2, rng)
-    cr = derive_common_randomness(SECRET, bytes(16), sp.base.T, sp.field)
-    got = sym_decode(sym_answers(sp, sym_query(sp, 2, rng), store, cr), sp)
+    sigma = derive_common_randomness(SECRET, bytes(16), sp.base.T, sp.field)
+    got = sym_decode(sym_answers(sp, sym_query(sp, 2, rng), store.messages, sigma), sp)
     assert np.array_equal(got, store.message(2))
 
 
