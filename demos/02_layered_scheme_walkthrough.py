@@ -14,7 +14,7 @@ from sidepir.tpir_psi import (
     build_plan,
     database_queries,
     decode,
-    known_positions,
+    known_slots,
 )
 
 
@@ -48,10 +48,12 @@ def main():
     print(f"raw answers: {[len(r) for r in raw]} symbols per database "
           f"(rate {plan.profile.L}/{sum(len(r) for r in raw)})")
 
-    known = known_positions(plan, state, side)
-    for db, entries in enumerate(known):
-        labels = [subset_label(plan.slots_per_db[db][i].subset) for i, _ in entries]
-        print(f"database {db + 1}: cache already determines slots {labels}")
+    slots, values = known_slots(plan, state, side)
+    for db in range(params.N):
+        labels = [subset_label(plan.slots_per_db[db][i].subset) for i in slots]
+        print(f"database {db + 1}: cache already determines slots {labels}, "
+              f"values {values[db].tolist()}")
+        assert np.array_equal(raw[db][slots], values[db])
 
     bundle = answer_all(queries, store)
     print(f"with redundancy removal each database ships only "

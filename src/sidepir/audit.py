@@ -37,7 +37,7 @@ from itertools import combinations
 import numpy as np
 from scipy import stats
 
-from . import linalg, wire
+from . import wire
 from .capacity import (
     SchemeParams,
     capacity_stpir_psi,
@@ -60,6 +60,7 @@ from .stpir_psi import (
     sym_sum_shortcut,
 )
 from .tpir_psi import (
+    PrecodingState,
     answer_all,
     build_plan,
     database_queries,
@@ -313,26 +314,19 @@ class LayeredScheme(_Adapter):
         """Interference streams the client reconstructs during decoding,
         minus everything derivable from its cache: a direct exhibit of the
         symbols this non-symmetric scheme leaks about other messages. One
-        row per session of ``rngs`` and (B, K, L) ``stores``, one session
-        at a time."""
-        rows = []
-        for rng, data in zip(rngs, stores):
-            store = MessageStore(field=self.field, messages=data)
-            plan, state = build_plan(self.params, theta, rng)
-            bundle = answer_all(database_queries(plan, state), store)
-            side = store.side_information(side_idx)
-            _, infos = decode_streams(bundle, plan, state, side)
-            pieces = []
-            for ctx, info in zip(plan.contexts, infos):
-                if not set(ctx.members) <= set(side):
-                    for i in set(ctx.members) & set(side):
-                        lo, hi = ctx.block_rows[i]
-                        info = info ^ linalg.matvec(
-                            self.field, state.mixers[i - 1][lo:hi, :], side[i])
-                    pieces.append(info)
-            rows.append(np.concatenate(pieces) if pieces
-                        else np.zeros(0, dtype=self.field.dtype))
-        return np.stack(rows)
+        row per session of ``rngs`` and (B, K, L) ``stores``, all decoded
+        as one batch over the session axis from the answers a retrieval
+        gets: each context's information vector minus its cached part, over
+        the contexts that are not fully cached."""
+        plan = download_plan(self.params, theta)
+        mixers, lu, perm = sample_mixers(plan, rngs)
+        state = PrecodingState(field=self.field, mixers=mixers,
+                               desired_factors=(lu[:, theta - 1], perm[:, theta - 1]))
+        store = MessageStore(field=self.field, messages=stores)
+        bundle = answer_all(session_queries(plan, mixers), store)
+        _, infos, parts = decode_streams(bundle, plan, state, store.side_information(side_idx))
+        return np.concatenate([info ^ part for ctx, info, part in zip(plan.contexts, infos, parts)
+                               if not set(ctx.members) <= set(side_idx)], axis=-1)
 
 
 class SymmetricScheme(_Adapter):

@@ -29,7 +29,7 @@ from .stpir_psi import (
     sym_decode,
     sym_query,
 )
-from .tpir_psi import AnswerBundle, build_plan, database_queries, decode
+from .tpir_psi import AnswerBundle, build_plan, check_side, database_queries, decode
 
 
 class TcpTransport:
@@ -186,6 +186,7 @@ def _retrieve_layered(transports, params, theta, side, rng, raw) -> RetrievalRes
     plan, state = build_plan(params, theta, rng)
     if len(transports) != params.N:
         raise ParameterError(f"need {params.N} endpoints, got {len(transports)}")
+    side = check_side(plan, state, side)
     queries = database_queries(plan, state)
     if raw:
         queries = [dataclasses.replace(q, compress=False) for q in queries]
@@ -194,14 +195,15 @@ def _retrieve_layered(transports, params, theta, side, rng, raw) -> RetrievalRes
     query_frames = [wire.serialize_database_query(q) for q in queries]
     transcripts = _run_endpoints(transports, params_frames, query_frames)
     digest = _check_replicas(transcripts)
-    vectors, forms = [], set()
+    expected = wire.FORM_COMPRESSED if queries[0].compress else wire.FORM_RAW
+    vectors = []
     for t in transcripts:
         form, symbols = wire.parse_answer(plan.field, t.answer_received)
-        forms.add(form)
+        if form != expected:
+            raise ProtocolError(f"endpoint {t.endpoint} sent answer form {form:#x}, "
+                                f"the query asked for {expected:#x}")
         vectors.append(symbols)
-    if len(forms) != 1:
-        raise ProtocolError("databases disagree on the answer form")
-    form = "compressed" if forms.pop() == wire.FORM_COMPRESSED else "raw"
+    form = "compressed" if queries[0].compress else "raw"
     bundle = AnswerBundle(form=form, per_db=tuple(vectors))
     message = decode(bundle, plan, state, side)
     downloaded = bundle.downloaded_symbols

@@ -2,7 +2,8 @@
 
 Every database holds an identical store. The layered scheme uses messages of
 length N^K symbols; the symmetric scheme uses N - T. The length is carried
-explicitly so both schemes share one persistence format.
+explicitly so both schemes share one persistence format. Leading axes, if
+any, hold one store per session, for the audits' batches.
 """
 
 from __future__ import annotations
@@ -18,25 +19,25 @@ from .field import GF
 @dataclass(frozen=True)
 class MessageStore:
     field: GF
-    messages: np.ndarray  # shape (K, L)
+    messages: np.ndarray  # shape (..., K, L)
 
     def __post_init__(self):
-        if self.messages.ndim != 2:
-            raise ParameterError("store must be a (K, L) symbol array")
+        if self.messages.ndim < 2:
+            raise ParameterError("store must be a (..., K, L) symbol array")
 
     @property
     def num_messages(self) -> int:
-        return self.messages.shape[0]
+        return self.messages.shape[-2]
 
     @property
     def message_length(self) -> int:
-        return self.messages.shape[1]
+        return self.messages.shape[-1]
 
     def message(self, index: int) -> np.ndarray:
         """Message by 1-based index."""
         if not 1 <= index <= self.num_messages:
             raise ParameterError(f"message index {index} outside 1..{self.num_messages}")
-        return self.messages[index - 1]
+        return self.messages[..., index - 1, :]
 
     def side_information(self, s) -> dict[int, np.ndarray]:
         """The cached subset {index: message} for a set of 1-based indices."""

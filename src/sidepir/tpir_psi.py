@@ -28,11 +28,12 @@ and subtracted, and the mixer inverse recovers the message.
 
 Contexts of one size share one code shape (length, dim), and a point has
 few shapes (one at (6,2,2,1), where all 31 contexts are 4 x 2). Query
-assembly and the peel therefore run one batched product per shape, not per
-context or per (context, member) pair, through index tables that each
-(params, theta) skeleton builds once: which mixer rows feed which product,
-which product row fills which query row, and which slots a context reads
-and writes back.
+assembly, the cached slots and the peel therefore run one batched product
+per shape, not per context or per (context, member) pair, through index
+tables built once per (params, theta), or per cached set: which mixer rows
+feed which product, which product row fills which query row, and which
+slots a context reads and writes back. Every step takes leading session
+axes, so the audits decode a batch of sessions with the retrieval's code.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import numpy as np
 from . import linalg
 from .capacity import CountProfile, SchemeParams, count_profile, layer_instances
 from .coding import (
-    erasure_decode,
     information_set_inverse,
     make_mds,
     make_systematic_mds,
@@ -91,33 +91,26 @@ class ContextGroup:
 class _ShapeGroup:
     """The contexts that share one code shape, and their index tables.
 
-    Query rows: pair g (a context and one of its members, in context then
-    member order) is ``gen @ stack[src[g]]``, with ``stack`` the (K*L, L)
-    mixers flattened. Decode peel: context ``contexts[c]`` reads its
-    information set at the flat (db, slot) positions ``free_flat[c]``, and a
-    desired-bearing slot ``bear_flat[j]`` minus coordinate ``bear_coord[j]``
-    of context ``bear_ctx[j]``'s codeword is desired symbol ``bear_off[j]``.
+    Query rows: pair g, context ``contexts[pair_ctx[g]]`` and its member
+    ``member[g]``, is ``gen @ stack[src[g]]``, with ``stack`` the (K*L, L)
+    mixers flattened. Decode peel: context ``contexts[c]`` reads codeword
+    coordinates ``free_coord[c]`` at the flat (db, slot) ``free_flat[c]``, and
+    slot ``bear_flat[j]`` minus coordinate ``bear_coord[j]`` of context
+    ``bear_ctx[j]``'s codeword is desired symbol ``bear_off[j]``.
     """
 
     length: int
     dim: int
     contexts: tuple[int, ...]
-    src: np.ndarray        # (G, dim)
-    free_flat: np.ndarray  # (C, dim)
+    src: np.ndarray         # (G, dim)
+    member: np.ndarray      # (G,)
+    pair_ctx: np.ndarray    # (G,): position in ``contexts``
+    free_flat: np.ndarray   # (C, dim)
+    free_coord: np.ndarray  # (C, dim)
     bear_flat: np.ndarray
-    bear_ctx: np.ndarray   # position in ``contexts``
+    bear_ctx: np.ndarray    # position in ``contexts``
     bear_coord: np.ndarray
     bear_off: np.ndarray
-
-
-class _Gather:
-    """Precomputed index arrays for one (params, theta) skeleton."""
-
-    def __init__(self):
-        self.groups: list[_ShapeGroup] = []        # one per (length, dim)
-        self.db_rows: list[np.ndarray] = []        # per db: rows of the query pool
-        self.ctx_free: list[tuple[np.ndarray, np.ndarray]] = []   # (flat dbslot, coord)
-        self.singles: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class _Skeleton:
@@ -187,7 +180,10 @@ class _Skeleton:
         self._build_gather()
 
     def _build_gather(self) -> None:
-        g = _Gather()
+        """Index arrays: ``groups``, one :class:`_ShapeGroup` per (length,
+        dim); ``db_rows``, per database its rows of the query pool; and
+        ``singles``, the (flat slot, desired offset) of desired-only slots."""
+        self.groups: list[_ShapeGroup] = []
         p1, length = self.profile.p1, self.profile.L
         free: list[list[tuple[int, int]]] = [[] for _ in self.contexts]
         bear: list[list[tuple[int, int, int]]] = [[] for _ in self.contexts]
@@ -201,40 +197,37 @@ class _Skeleton:
                     free[slot.context].append((flat, slot.coord))
                 else:
                     bear[slot.context].append((flat, slot.coord, slot.desired_offset))
-        for ci, ctx in enumerate(self.contexts):
-            fl, co = zip(*free[ci])
-            g.ctx_free.append((np.array(fl), np.array(co)))
-            assert len(fl) == ctx.dim
-
         # query pool rows: the L desired mixer rows, then each shape group's
         # products, pair by pair, each pair's codeword coordinates in order
         shapes: dict[tuple[int, int], list[int]] = {}
         for ci, ctx in enumerate(self.contexts):
+            assert len(free[ci]) == ctx.dim
             shapes.setdefault((ctx.length, ctx.dim), []).append(ci)
         pool_row: dict[tuple[int, int], int] = {}  # (context, member) -> coordinate 0
         base = length
         for (e, f), cis in shapes.items():
-            src, bears = [], []
+            src, pairs, bears = [], [], []
             for c, ci in enumerate(cis):
                 ctx = self.contexts[ci]
                 for i in ctx.members:
                     lo, hi = ctx.block_rows[i]
                     pool_row[(ci, i)] = base + len(src) * e
                     src.append(range((i - 1) * length + lo, (i - 1) * length + hi))
+                    pairs.append((i, c))
                 bears += [(fl, c, co, off) for fl, co, off in bear[ci]]
             base += len(src) * e
+            member, pair_ctx = np.array(pairs, dtype=np.int64).T
+            free_flat, free_coord = np.array([free[ci] for ci in cis]).transpose(2, 0, 1)
             bf, bc, bco, bo = np.array(bears, dtype=np.int64).reshape(-1, 4).T
-            g.groups.append(_ShapeGroup(
+            self.groups.append(_ShapeGroup(
                 length=e, dim=f, contexts=tuple(cis), src=np.array(src, dtype=np.int64),
-                free_flat=np.stack([g.ctx_free[ci][0] for ci in cis]),
+                member=member, pair_ctx=pair_ctx, free_flat=free_flat, free_coord=free_coord,
                 bear_flat=bf, bear_ctx=bc, bear_coord=bco, bear_off=bo))
-        for slots in self.slots_per_db:
-            g.db_rows.append(np.array(
-                [slot.desired_offset if i == self.theta
-                 else pool_row[(slot.context, i)] + slot.coord
-                 for slot in slots for i in slot.subset], dtype=np.int64))
-        g.singles = tuple(np.array(singles, dtype=np.int64).reshape(-1, 2).T)
-        self.gather = g
+        self.db_rows = [np.array([slot.desired_offset if i == self.theta
+                                  else pool_row[(slot.context, i)] + slot.coord
+                                  for slot in slots for i in slot.subset], dtype=np.int64)
+                        for slots in self.slots_per_db]
+        self.singles = tuple(np.array(singles, dtype=np.int64).reshape(-1, 2).T)
 
 
 @lru_cache(maxsize=None)
@@ -306,7 +299,7 @@ class PrecodingState:
     """
 
     field: GF
-    mixers: np.ndarray                      # (K, L, L): one full-rank matrix per message
+    mixers: np.ndarray                      # (..., K, L, L): one full-rank matrix per message
     desired_factors: tuple[np.ndarray, np.ndarray]  # (lu, perm) of the desired mixer
 
 
@@ -334,7 +327,8 @@ class DatabaseQuery:
 
 @dataclass(frozen=True)
 class AnswerBundle:
-    """Per-database answer vectors, raw (p1) or compressed (p1 - p2)."""
+    """Per-database answer vectors, raw (p1) or compressed (p1 - p2) on the
+    last axis; leading axes are sessions."""
 
     form: str  # "raw" or "compressed"
     per_db: tuple[np.ndarray, ...]
@@ -342,13 +336,13 @@ class AnswerBundle:
     def __post_init__(self):
         if self.form not in ("raw", "compressed"):
             raise ParameterError(f"unknown answer form {self.form!r}")
-        lengths = {len(v) for v in self.per_db}
+        lengths = {np.shape(v)[-1] for v in self.per_db}
         if len(lengths) > 1:
             raise ProtocolError("databases returned answers of different lengths")
 
     @property
     def downloaded_symbols(self) -> int:
-        return sum(len(v) for v in self.per_db)
+        return sum(np.shape(v)[-1] for v in self.per_db)
 
 
 def download_plan(params: SchemeParams, theta: int) -> DownloadPlan:
@@ -418,18 +412,18 @@ def session_queries(plan: DownloadPlan, mixers: np.ndarray) -> list[DatabaseQuer
     by index tables built once per (params, theta).
     """
     params, field, profile = plan.params, plan.field, plan.profile
-    gather = plan.skeleton.gather
+    skel = plan.skeleton
     lead = mixers.shape[:-3]
     stack = mixers.reshape(lead + (-1, profile.L))
     pool = [mixers[..., plan.theta - 1, :, :]]
-    for grp in gather.groups:
+    for grp in skel.groups:
         gen = make_mds(grp.length, grp.dim, field).entries
         coef = linalg.matmul(field, gen, stack[..., grp.src, :])  # (..., G, e, L)
         pool.append(coef.reshape(lead + (-1, profile.L)))
     pool = np.concatenate(pool, axis=-2)
     queries = []
     for db in range(params.N):
-        rows = pool[..., gather.db_rows[db], :]
+        rows = pool[..., skel.db_rows[db], :]
         rows.flags.writeable = False
         queries.append(DatabaseQuery(
             db_index=db,
@@ -438,7 +432,7 @@ def session_queries(plan: DownloadPlan, mixers: np.ndarray) -> list[DatabaseQuer
             w=field.w,
             p2=profile.p2,
             compress=params.M >= 1,
-            slot_members=plan.skeleton.slot_members,
+            slot_members=skel.slot_members,
             rows=rows,
         ))
     return queries
@@ -468,7 +462,8 @@ def check_query_shape(query: DatabaseQuery, params: SchemeParams) -> None:
 
 
 def answer_raw(query: DatabaseQuery, store: MessageStore) -> np.ndarray:
-    """The database side: evaluate each slot's linear combination."""
+    """The database side: evaluate each slot's linear combination. A store
+    with leading session axes (..., K, L) answers rows (..., R, L) at once."""
     field = store.field
     if field.w != query.w:
         raise MalformedQueryError(
@@ -487,22 +482,24 @@ def answer_raw(query: DatabaseQuery, store: MessageStore) -> np.ndarray:
     flat_members = np.concatenate([np.asarray(m) for m in query.slot_members])
     if flat_members.min() < 1 or flat_members.max() > query.num_messages:
         raise MalformedQueryError("slot references an out-of-range message index")
-    if query.rows.shape != (int(counts.sum()), query.message_length):
+    lead = store.messages.shape[:-2]
+    if query.rows.shape != lead + (int(counts.sum()), query.message_length):
         raise MalformedQueryError("coefficient row block has the wrong shape")
-    vecs = store.messages[flat_members - 1]
-    terms = np.bitwise_xor.reduce(field.mul(query.rows, vecs), axis=1)
+    vecs = store.messages[..., flat_members - 1, :]
+    terms = np.bitwise_xor.reduce(field.mul(query.rows, vecs), axis=-1)
     starts = np.zeros(len(counts), dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
-    return np.bitwise_xor.reduceat(terms, starts)
+    return np.bitwise_xor.reduceat(terms, starts, axis=-1)
 
 
 def compress(raw: np.ndarray, field: GF, p1: int, p2: int) -> np.ndarray:
     """Redundancy removal: the p1 - p2 parity symbols of the public
-    systematic (2*p1 - p2, p1) code applied to the raw slot values."""
-    if len(raw) != p1:
-        raise ParameterError(f"raw answer has {len(raw)} symbols, expected {p1}")
+    systematic (2*p1 - p2, p1) code applied to the raw slot values (last axis)."""
+    raw = np.asarray(raw, dtype=field.dtype)
+    if raw.shape[-1] != p1:
+        raise ParameterError(f"raw answer has {raw.shape[-1]} symbols, expected {p1}")
     gen = make_systematic_mds(2 * p1 - p2, p1, field)
-    return linalg.matvec(field, gen.entries[: p1 - p2, :], np.asarray(raw, dtype=field.dtype))
+    return linalg.matvec(field, gen.entries[: p1 - p2, :], raw)
 
 
 def answer(query: DatabaseQuery, store: MessageStore) -> tuple[str, np.ndarray]:
@@ -524,148 +521,153 @@ def answer_all(queries: list[DatabaseQuery], store: MessageStore) -> AnswerBundl
     return AnswerBundle(form=forms.pop(), per_db=tuple(v for _, v in replies))
 
 
-def _check_side(plan: DownloadPlan, side) -> dict[int, np.ndarray]:
-    params = plan.params
-    side = {int(i): np.asarray(v, dtype=plan.field.dtype) for i, v in side.items()}
+def check_side(plan: DownloadPlan, state: PrecodingState, side) -> dict[int, np.ndarray]:
+    """The cache as field symbols, checked before any query leaves: M messages
+    but not the desired one, indices in 1..K, one message per session of
+    ``state``, symbols in range before a cast to the field's dtype wraps them."""
+    params, field = plan.params, plan.field
+    shape = state.mixers.shape[:-3] + (plan.profile.L,)
+    side = {int(i): np.asarray(v) for i, v in side.items()}
     if len(side) != params.M:
-        raise InvalidSideInformationError(
-            f"cache holds {len(side)} messages, parameters say {params.M}"
-        )
+        raise InvalidSideInformationError(f"cache holds {len(side)} messages, not M={params.M}")
     if plan.theta in side:
         raise InvalidSideInformationError("the desired message cannot be cached")
     for i, vec in side.items():
         if not 1 <= i <= params.K:
             raise InvalidSideInformationError(f"cached index {i} outside 1..{params.K}")
-        if vec.shape != (plan.profile.L,):
-            raise InvalidSideInformationError(
-                f"cached message {i} has length {vec.shape}, expected {plan.profile.L}"
-            )
-    return side
+        if vec.shape != shape:
+            raise InvalidSideInformationError(f"cached message {i} is {vec.shape}, not {shape}")
+        if not np.issubdtype(vec.dtype, np.integer) or vec.min() < 0 or vec.max() >= field.q:
+            raise InvalidSideInformationError(f"cached message {i} holds non-field symbols")
+    return {i: vec.astype(field.dtype) for i, vec in side.items()}
 
 
-def _known_context_codewords(plan: DownloadPlan, state: PrecodingState,
-                             side: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """Full codewords of every context whose members are all cached."""
-    cached = set(side)
-    out = {}
-    for ci, ctx in enumerate(plan.contexts):
-        if not set(ctx.members) <= cached:
-            continue
-        gen = make_mds(ctx.length, ctx.dim, plan.field)
-        total = np.zeros(ctx.length, dtype=plan.field.dtype)
-        for i in ctx.members:
-            lo, hi = ctx.block_rows[i]
-            info = linalg.matvec(plan.field, state.mixers[i - 1][lo:hi, :], side[i])
-            total ^= linalg.matvec(plan.field, gen.entries, info)
-        out[ci] = total
-    return out
+@lru_cache(maxsize=256)
+def _peel(params: SchemeParams, theta: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per shape group: each context's generator rows at its free
+    coordinates and their inverses, ``(free_gen, inverses)``, both (C, dim, dim)."""
+    plan = download_plan(params, theta)
+    gens = [make_mds(grp.length, grp.dim, plan.field) for grp in plan.skeleton.groups]
+    return tuple((gen.entries[grp.free_coord],
+                  np.stack([information_set_inverse(gen, co) for co in grp.free_coord]))
+                 for grp, gen in zip(plan.skeleton.groups, gens))
 
 
-def known_positions(plan: DownloadPlan, state: PrecodingState,
-                    side) -> list[list[tuple[int, int]]]:
-    """Per database: the (slot index, value) pairs the client can evaluate
-    from its cache alone (slots built only from cached messages)."""
-    side = _check_side(plan, side)
-    codewords = _known_context_codewords(plan, state, side)
-    p1 = plan.profile.p1
-    out: list[list[tuple[int, int]]] = [[] for _ in range(plan.params.N)]
-    gather = plan.skeleton.gather
-    for ci in codewords:
-        flat, coords = gather.ctx_free[ci]
-        values = codewords[ci][coords]
-        for pos, val in zip(flat.tolist(), values.tolist()):
-            out[pos // p1].append((pos % p1, int(val)))
-    for entries in out:
-        entries.sort()
-        if len(entries) != plan.profile.p2:
-            raise AssertionError(
-                f"cache covers {len(entries)} slots per database, expected {plan.profile.p2}"
-            )
-    return out
+@lru_cache(maxsize=256)
+def _decode_tables(params: SchemeParams, theta: int, cached: tuple[int, ...]):
+    """``(slots, erasure, tables)`` for a sorted cached set: the p2 slots
+    built only from cached messages, the same in every database; the inverse
+    that completes compressed answers with them; and per shape group the
+    cached pairs' ``(src, side_row, starts, touched)``: their mixer rows,
+    their member's row in the stacked cache, where each touched context's
+    run of pairs starts, and the contexts with a cached member."""
+    plan = download_plan(params, theta)
+    p1, p2 = plan.profile.p1, plan.profile.p2
+    slots = np.array([j for j, members in enumerate(plan.skeleton.slot_members)
+                      if set(members) <= set(cached)], dtype=np.int64)
+    # codeword rows: the p1 - p2 shipped parity symbols, then the p1 slots
+    erasure = information_set_inverse(make_systematic_mds(2 * p1 - p2, p1, plan.field),
+                                      np.r_[:p1 - p2, p1 - p2 + slots]) if p2 else None
+    tables = []
+    for grp in plan.skeleton.groups:
+        pairs = np.flatnonzero(np.isin(grp.member, cached))
+        touched, starts = np.unique(grp.pair_ctx[pairs], return_index=True)
+        tables.append((grp.src[pairs], np.searchsorted(cached, grp.member[pairs]), starts, touched))
+    return slots, erasure, tables
+
+
+def _from_cache(plan: DownloadPlan, state: PrecodingState, side):
+    """``(slots, erasure, parts, known)``: the known slots and the erasure
+    inverse of :func:`_decode_tables`; per shape each context's cached part
+    (..., C, dim), the sum over its cached members of their mixer rows
+    applied to their messages, by one product of the cached pairs; and the
+    known slot values (..., N, p2), which one more product gives as the fully
+    cached contexts' codewords at their free coordinates."""
+    field, (n, p1), length = plan.field, (plan.params.N, plan.profile.p1), plan.profile.L
+    side = check_side(plan, state, side)
+    cached = tuple(sorted(side))
+    slots, erasure, tables = _decode_tables(plan.params, plan.theta, cached)
+    lead = state.mixers.shape[:-3]
+    stack = state.mixers.reshape(lead + (-1, length))
+    messages = np.stack([side[i] for i in cached], axis=-2) if cached else None
+    free = np.zeros(lead + (n * p1,), dtype=field.dtype)
+    parts = []
+    groups = zip(plan.skeleton.groups, tables, _peel(plan.params, plan.theta))
+    for grp, (src, side_row, starts, touched), (free_gen, _) in groups:
+        parts.append(np.zeros(lead + (len(grp.contexts), grp.dim), dtype=field.dtype))
+        if len(src):
+            terms = linalg.matvec(field, stack[..., src, :], messages[..., side_row, :])
+            parts[-1][..., touched, :] = np.bitwise_xor.reduceat(terms, starts, axis=-2)
+            free[..., grp.free_flat] = linalg.matvec(field, free_gen, parts[-1])
+    return slots, erasure, parts, free[..., np.arange(n)[:, None] * p1 + slots]
+
+
+def known_slots(plan: DownloadPlan, state: PrecodingState, side) -> tuple[np.ndarray, np.ndarray]:
+    """``(slots, values)``: the p2 slots the cache alone determines, the
+    same in every database, and their values shaped (..., N, p2)."""
+    slots, _, _, known = _from_cache(plan, state, side)
+    return slots.copy(), known  # the slots are cached
 
 
 def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
-                   side) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Everything decoding reconstructs before the final mixer solve: the
-    desired precoded stream and, per context, its information vector (the
-    sum over members of each member's mixer rows applied to its message).
+                   side) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Everything decoding reconstructs before the final mixer solve:
+    ``(desired, infos, parts)``, the desired precoded stream and, per
+    context, its information vector (the sum over members of each member's
+    mixer rows applied to its message) and that sum over its cached members
+    alone. Leading axes of mixers, answers and cache are sessions.
 
-    Compressed answers are first completed per database with the cached slot
-    values and erasure-decoded back to the raw slot vectors. Raw answers
-    with a nonempty cache are cross-checked against the cached slot values,
-    which catches corrupted side files or wire corruption.
-
-    The generators come from the caches of :func:`make_mds` and
-    :func:`make_systematic_mds`. The erasure systems and the per-context
-    information sets are rows of them chosen by (params, theta, cached
-    set), so their inverses come from the bounded cache behind
-    :func:`information_set_inverse` and both steps are matrix-vector
-    products. The cache is read only here, after the queries have left, so
-    query timing depends on (params, theta) alone.
-
-    The peel runs per context shape: the cached inverses of its contexts
-    are stacked into one (C, dim, dim) array, and one batched product gives
-    their information vectors, one more their codewords, and one scatter
-    writes every desired-bearing slot back into the stream.
+    Compressed answers are completed with the known slot values, at the
+    same places in every database, and erasure-decoded by one product for
+    all databases and sessions (refused if no slot is known); raw answers
+    are cross-checked against them. One product per context shape then
+    gives its information vectors, one more their codewords, and a scatter
+    writes every desired-bearing slot back. The cache is read only here,
+    after the queries have left, so query timing depends on (params, theta).
     """
     params, field, profile = plan.params, plan.field, plan.profile
-    side = _check_side(plan, side)
+    lead = state.mixers.shape[:-3]
+    slots, erasure, parts, known = _from_cache(plan, state, side)
     if len(answers.per_db) != params.N:
         raise ProtocolError(f"expected {params.N} answers, got {len(answers.per_db)}")
-    p1, p2 = profile.p1, profile.p2
-    known = known_positions(plan, state, side) if side else [[] for _ in range(params.N)]
+    compressed = answers.form == "compressed"
+    if compressed and erasure is None:
+        raise ProtocolError("compressed answers need cached slots; this cache covers none")
+    width = profile.p1 - profile.p2 if compressed else profile.p1
+    for db, vec in enumerate(answers.per_db):
+        if np.shape(vec) != lead + (width,):
+            raise ProtocolError(f"database {db} shipped {np.shape(vec)}, not {lead + (width,)}")
+    raw = np.stack([np.asarray(v, dtype=field.dtype) for v in answers.per_db], axis=-2)
+    if compressed:
+        raw = linalg.matvec(field, erasure, np.concatenate([raw, known], axis=-1))
+    elif (raw[..., slots] != known).any():
+        db, j = np.argwhere(raw[..., slots] != known)[0][-2:]
+        raise CorruptionError(f"database {db} slot {slots[j]} disagrees with the cached value")
 
-    raw = np.empty((params.N, p1), dtype=field.dtype)
-    if answers.form == "compressed":
-        gen = make_systematic_mds(2 * p1 - p2, p1, field)
-        parity = p1 - p2
-        for db, vec in enumerate(answers.per_db):
-            if len(vec) != parity:
-                raise ProtocolError(
-                    f"database {db} shipped {len(vec)} symbols, expected {parity}"
-                )
-            pairs = [(r, int(v)) for r, v in enumerate(vec)]
-            pairs += [(parity + slot, val) for slot, val in known[db]]
-            raw[db] = erasure_decode(gen, pairs)
-    else:
-        for db, vec in enumerate(answers.per_db):
-            if len(vec) != p1:
-                raise ProtocolError(
-                    f"database {db} shipped {len(vec)} symbols, expected {p1}"
-                )
-            raw[db] = np.asarray(vec, dtype=field.dtype)
-            for slot, val in known[db]:
-                if int(raw[db, slot]) != val:
-                    raise CorruptionError(
-                        f"database {db} slot {slot} disagrees with the cached value"
-                    )
-
-    gather = plan.skeleton.gather
-    flat = raw.reshape(-1)
-    desired = np.zeros(profile.L, dtype=field.dtype)
-    sing_flat, sing_off = gather.singles
-    desired[sing_off] = flat[sing_flat]
-    infos: list[np.ndarray] = [None] * len(plan.contexts)
-    for grp in gather.groups:
+    skel = plan.skeleton
+    flat = raw.reshape(lead + (-1,))
+    desired = np.zeros(lead + (profile.L,), dtype=field.dtype)
+    desired[..., skel.singles[1]] = flat[..., skel.singles[0]]
+    infos, cached_parts = [None] * len(plan.contexts), [None] * len(plan.contexts)
+    for grp, (_, inverses), part in zip(skel.groups, _peel(params, plan.theta), parts):
         gen = make_mds(grp.length, grp.dim, field)
-        inverses = np.stack([information_set_inverse(gen, gather.ctx_free[ci][1])
-                             for ci in grp.contexts])
-        info = linalg.matvec(field, inverses, flat[grp.free_flat])  # (C, dim)
-        codewords = linalg.matvec(field, gen.entries, info)        # (C, e)
-        desired[grp.bear_off] = flat[grp.bear_flat] ^ codewords[grp.bear_ctx, grp.bear_coord]
-        for ci, row in zip(grp.contexts, info):
-            infos[ci] = row
-    return desired, infos
+        info = linalg.matvec(field, inverses, flat[..., grp.free_flat])  # (..., C, dim)
+        codewords = linalg.matvec(field, gen.entries, info)            # (..., C, e)
+        desired[..., grp.bear_off] = (flat[..., grp.bear_flat]
+                                      ^ codewords[..., grp.bear_ctx, grp.bear_coord])
+        for c, ci in enumerate(grp.contexts):
+            infos[ci], cached_parts[ci] = info[..., c, :], part[..., c, :]
+    return desired, infos, cached_parts
 
 
 def decode(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
            side) -> np.ndarray:
-    """Recover the desired message exactly from the N answers:
-    :func:`decode_streams`, then the desired mixer's inverse.
+    """Recover the desired message exactly from the N answers of one
+    session: :func:`decode_streams`, then the desired mixer's inverse.
 
     That final step is the only one that inverts a private matrix. It is a
     substitution against the LU factors that ``build_plan`` kept from the
     mixer rank check, so decoding runs no elimination.
     """
-    desired, _ = decode_streams(answers, plan, state, side)
+    desired, _, _ = decode_streams(answers, plan, state, side)
     return linalg.lu_solve(plan.field, *state.desired_factors, desired)

@@ -75,17 +75,17 @@ class ClippedScheme(audit.LayeredScheme):
         from sidepir.coding import make_systematic_mds
         from sidepir.store import random_store
         from sidepir.tpir_psi import (answer_all, build_plan, database_queries,
-                                      known_positions)
+                                      known_slots)
         theta, side_idx = self._draw_theta_side(rng)
         plan, state = build_plan(self.params, theta, rng)
         store = random_store(self.field, self.params.K, self.profile.L, rng)
         bundle = answer_all(database_queries(plan, state), store)
-        side = store.side_information(side_idx)
-        kp = known_positions(plan, state, side)
+        slots, values = known_slots(plan, state, store.side_information(side_idx))
         p1, p2 = self.profile.p1, self.profile.p2
         gen = make_systematic_mds(2 * p1 - p2, p1, plan.field)
         pairs = [(r, int(v)) for r, v in enumerate(bundle.per_db[0])]
-        pairs += [(p1 - p2 + slot, val) for slot, val in kp[0][:-1]]  # drop one
+        pairs += [(p1 - p2 + slot, int(val))
+                  for slot, val in zip(slots[:-1], values[0, :-1])]  # drop one
         erasure_decode(gen, pairs)  # raises InsufficientSymbolsError
         raise AssertionError("unreachable")
 
@@ -133,6 +133,17 @@ def test_db_privacy_positive_and_controls(seed):
     rep = audit.audit_db_privacy(audit.LayeredScheme(SchemeParams(3, 1, 2, 1)),
                                  sessions=1000, seed=seed)
     assert not rep.passed  # the non-symmetric scheme leaks, by design
+
+
+@pytest.mark.parametrize("params", [SchemeParams(3, 1, 2, 1), SchemeParams(4, 2, 3, 2)],
+                         ids=lambda p: p.label())
+def test_layered_db_privacy_report_does_not_depend_on_batch(monkeypatch, params):
+    """The layered residual decodes a whole batch of sessions at once; the
+    report is the same whether a batch holds 512 sessions or 7."""
+    scheme = audit.LayeredScheme(params)
+    want = audit.audit_db_privacy(scheme, 30, 4).to_json()
+    monkeypatch.setattr(audit, "DEFAULT_BATCH", 7)
+    assert audit.audit_db_privacy(scheme, 30, 4).to_json() == want
 
 
 def test_db_privacy_flip_arm_differs_only_by_one_symbol():

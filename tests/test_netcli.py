@@ -9,7 +9,7 @@ import pytest
 from sidepir import client, wire
 from sidepir.capacity import SchemeParams
 from sidepir.cli import main as cli_main
-from sidepir.errors import CorruptionError, PirError, ZeroCapacityError
+from sidepir.errors import CorruptionError, PirError, ProtocolError, ZeroCapacityError
 from sidepir.field import standard_field
 from sidepir.server import DatabaseServer, ServerCore
 from sidepir.store import random_store
@@ -324,7 +324,9 @@ def test_cli_audit_grid(capsys):
 def test_sum_path_refuses_a_wrong_cache_before_sending():
     """The all-but-one path checks that the cache holds exactly the K-1
     other messages before its query leaves: a mislabelled cache must not
-    decode to a wrong message, and a cached desired index is refused."""
+    decode to a wrong message, and a cached desired index is refused. The
+    layered path checks count, indices, shape and symbol range of its cache
+    before its first frame too."""
     from sidepir.errors import InvalidSideInformationError
 
     store = random_store(standard_field(4), 3, 2, np.random.default_rng(103))
@@ -341,7 +343,46 @@ def test_sum_path_refuses_a_wrong_cache_before_sending():
         with pytest.raises(InvalidSideInformationError):
             client.retrieve(sims, SchemeParams(3, 2, 3, 1), 1, side, seed=1,
                             scheme="stpir")
+
+    layered = random_store(standard_field(4), 3, 8, np.random.default_rng(104))
+    w3 = layered.message(3).astype(np.int64)
+    big = w3.copy()
+    big[0] = 16  # outside GF(2^4)
+    for side in ({1: w3}, {2: w3, 3: w3}, {3: w3[:5]}, {3: big}, {3: w3 + 256},
+                 {4: w3}, {3: w3.astype(float)}):
+        sims = [Recording(ServerCore(layered)) for _ in range(2)]
+        with pytest.raises(InvalidSideInformationError):
+            client.retrieve(sims, SchemeParams(3, 1, 2, 1), 1, side, seed=1)
     assert sent == []
+
+
+def test_layered_client_refuses_an_answer_form_it_did_not_ask_for(golden1_store):
+    """Each answer must come in the form its query asked for: compressed iff
+    redundancy removal is on and M >= 1. At M = 0 a raw answer relabelled
+    as compressed would otherwise decode to a wrong message, and an unknown
+    form byte would be read as raw."""
+    class Relabelling(client.LocalTransport):
+        def __init__(self, core, form):
+            super().__init__(core)
+            self.form = form
+
+        def request(self, ftype, payload):
+            ftype, reply = super().request(ftype, payload)
+            if ftype == wire.TYPE_ANSWER:
+                reply = bytes([self.form]) + reply[1:]
+            return ftype, reply
+
+    m0_store = random_store(standard_field(4), 3, 8, np.random.default_rng(105))
+    cases = [(m0_store, SchemeParams(3, 0, 2, 1), set(), False, form)
+             for form in (wire.FORM_COMPRESSED, wire.FORM_SYMMETRIC, wire.FORM_SUM, 0x7f)]
+    cases += [(golden1_store, SchemeParams(3, 1, 2, 1), {3}, False, form)
+              for form in (wire.FORM_RAW, 0x7f)]
+    cases += [(golden1_store, SchemeParams(3, 1, 2, 1), {3}, True, wire.FORM_COMPRESSED)]
+    for store, params, cached, raw, form in cases:
+        sims = [Relabelling(ServerCore(store), form) for _ in range(params.N)]
+        with pytest.raises(ProtocolError, match="answer form"):
+            client.retrieve(sims, params, 1, store.side_information(cached), seed=2,
+                            raw=raw)
 
 
 def test_client_rejects_bad_requests_with_typed_errors(golden1_store):

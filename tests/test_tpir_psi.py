@@ -30,8 +30,9 @@ from sidepir.tpir_psi import (
     decode,
     decode_streams,
     download_plan,
-    known_positions,
+    known_slots,
     minimum_field_width,
+    sample_mixers,
     session_queries,
 )
 
@@ -170,8 +171,11 @@ def test_peeling_property_counts_and_decode():
     raws = np.stack([answer_raw(q, store) for q in queries])
     flat = raws.reshape(-1)
     from sidepir import linalg
+    free = {ci: (grp.free_flat[c], grp.free_coord[c])
+            for grp in plan.skeleton.groups for c, ci in enumerate(grp.contexts)}
+    assert sorted(free) == list(range(len(plan.contexts)))
     for ci, ctx in enumerate(plan.contexts):
-        free_flat, free_coord = plan.skeleton.gather.ctx_free[ci]
+        free_flat, free_coord = free[ci]
         assert len(free_coord) == ctx.dim
         gen = make_mds(ctx.length, ctx.dim, plan.field)
         info = linalg.solve(plan.field, gen.entries[free_coord, :], flat[free_flat])
@@ -211,7 +215,7 @@ def test_plan_takes_no_cache_argument():
                tpir_psi.answer_raw, tpir_psi.compress):
         names = set(inspect.signature(fn).parameters)
         assert not names & {"side", "S", "cached", "side_information"}, fn
-    assert "side" in inspect.signature(tpir_psi.known_positions).parameters
+    assert "side" in inspect.signature(tpir_psi.known_slots).parameters
     assert "side" in inspect.signature(tpir_psi.decode).parameters
 
 
@@ -313,45 +317,43 @@ def test_m0_ships_raw():
 # cached positions
 
 
-def test_known_positions_golden_1():
+def test_known_slots_golden_1():
     plan, state = build_plan(GOLDEN_1, 1, 21)
     store = random_store(plan.field, 3, 8, np.random.default_rng(22))
-    known = known_positions(plan, state, store.side_information({3}))
-    for db, entries in enumerate(known):
-        assert len(entries) == 1
-        slot_idx, value = entries[0]
-        slot = plan.slots_per_db[db][slot_idx]
-        assert slot.subset == (3,)
+    slots, values = known_slots(plan, state, store.side_information({3}))
+    assert len(slots) == 1 and values.shape == (2, 1)
+    for db in range(2):
+        assert plan.slots_per_db[db][slots[0]].subset == (3,)
         raw = answer_raw(database_queries(plan, state)[db], store)
-        assert int(raw[slot_idx]) == value
+        assert np.array_equal(raw[slots], values[db])
 
 
-def test_known_positions_golden_2():
+def test_known_slots_golden_2():
     plan, state = build_plan(GOLDEN_2, 1, 23)
     store = random_store(plan.field, 3, 27, np.random.default_rng(24))
-    known = known_positions(plan, state, store.side_information({2, 3}))
+    slots, values = known_slots(plan, state, store.side_information({2, 3}))
     queries = database_queries(plan, state)
-    for db, entries in enumerate(known):
-        assert len(entries) == 10
-        subsets = [plan.slots_per_db[db][i].subset for i, _ in entries]
+    assert len(slots) == 10 and values.shape == (3, 10)
+    for db in range(3):
+        subsets = [plan.slots_per_db[db][i].subset for i in slots]
         assert subsets.count((2,)) == 4
         assert subsets.count((3,)) == 4
         assert subsets.count((2, 3)) == 2
         raw = answer_raw(queries[db], store)
-        for slot_idx, value in entries:
-            assert int(raw[slot_idx]) == value
+        assert np.array_equal(raw[slots], values[db])
 
 
-def test_known_positions_empty_cache():
+def test_known_slots_empty_cache():
     plan, state = build_plan(SchemeParams(2, 0, 2, 1), 1, 25)
-    assert known_positions(plan, state, {}) == [[], []]
+    slots, values = known_slots(plan, state, {})
+    assert slots.shape == (0,) and values.shape == (2, 0)
 
 
 def test_cached_desired_rejected():
     plan, state = build_plan(GOLDEN_1, 1, 26)
     store = random_store(plan.field, 3, 8, np.random.default_rng(27))
     with pytest.raises(InvalidSideInformationError):
-        known_positions(plan, state, store.side_information({1}))
+        known_slots(plan, state, store.side_information({1}))
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +490,19 @@ def test_decode_rejects_short_answer():
         decode(clipped, plan, state, store.side_information({3}))
 
 
+def test_decode_refuses_compressed_answers_without_cached_slots():
+    """With M = 0 no slot is known, so there is nothing to complete a
+    compressed answer with: raw answers labelled compressed are refused
+    instead of being decoded as parity symbols."""
+    plan, state = build_plan(SchemeParams(3, 0, 2, 1), 1, 46)
+    store = random_store(plan.field, 3, plan.profile.L, np.random.default_rng(47))
+    bundle = answer_all(database_queries(plan, state), store)
+    assert bundle.form == "raw"
+    from sidepir.errors import ProtocolError
+    with pytest.raises(ProtocolError):
+        decode(dataclasses.replace(bundle, form="compressed"), plan, state, {})
+
+
 def test_pinned_wide_field_round_trip():
     params = SchemeParams(2, 1, 2, 1, w=16)
     plan, state = build_plan(params, 1, 44)
@@ -607,9 +622,10 @@ def test_session_queries_match_per_pair_reference(params):
 
 @pytest.mark.parametrize("params", FUSED_POINTS, ids=lambda p: p.label())
 def test_decode_streams_match_per_context_reference(params):
-    """The shape-batched peel returns the desired stream and every
-    context's information vector of a context-by-context peel, on raw and
-    compressed answers and for every cache size from 0 to M."""
+    """The shape-batched peel returns the desired stream, every context's
+    information vector of a context-by-context peel and its cached part (the
+    sum over cached members of one product each), on raw and compressed
+    answers and for every cache size from 0 to M."""
     for m in range(params.M + 1):
         sized = dataclasses.replace(params, M=m)
         for theta in range(1, params.K + 1):
@@ -621,24 +637,35 @@ def test_decode_streams_match_per_context_reference(params):
             queries = database_queries(plan, state)
             raw = [answer_raw(q, store) for q in queries]
             want_desired, want_infos = reference_peel(plan, state, raw)
+            want_parts = []
+            for ctx in plan.contexts:
+                part = np.zeros(ctx.dim, dtype=plan.field.dtype)
+                for i in set(ctx.members) & set(side):
+                    lo, hi = ctx.block_rows[i]
+                    part ^= linalg.matvec(plan.field, state.mixers[i - 1][lo:hi], side[i])
+                want_parts.append(part)
             bundles = [answer_all([dataclasses.replace(q, compress=False) for q in queries],
                                   store)]
             if m:
                 bundles.append(answer_all(queries, store))
                 assert bundles[-1].form == "compressed"
             for bundle in bundles:
-                got_desired, got_infos = decode_streams(bundle, plan, state, side)
+                got_desired, got_infos, got_parts = decode_streams(bundle, plan, state, side)
                 assert np.array_equal(got_desired, want_desired), (m, theta, bundle.form)
-                assert len(got_infos) == len(want_infos)
+                assert len(got_infos) == len(want_infos) == len(got_parts)
                 for ci, (a, b) in enumerate(zip(got_infos, want_infos)):
+                    assert np.array_equal(a, b), (m, theta, bundle.form, ci)
+                for ci, (a, b) in enumerate(zip(got_parts, want_parts)):
                     assert np.array_equal(a, b), (m, theta, bundle.form, ci)
 
 
 def test_warm_retrieval_runs_one_product_per_context_shape(monkeypatch):
     """A warm (6,2,2,1) retrieval, whose 31 contexts share one shape, makes
-    at most 16 field products in all: one for the query rows, two for the
-    peel, and the cached-context, erasure and compression products. A
-    product per (context, member) pair and two per context made 154."""
+    at most 16 field products in all, and its decode at most 5: the cached
+    parts, the known slots' values, one erasure product for all databases,
+    and two for the peel. A product per (context, member) pair and two per
+    context made 154 in all, and per-item cached slots and erasure 12 in
+    decode."""
     params = SchemeParams(6, 2, 2, 1, w=16)
     store = random_store(standard_field(16), 6, count_profile(params).L,
                          np.random.default_rng(42))
@@ -655,7 +682,53 @@ def test_warm_retrieval_runs_one_product_per_context_shape(monkeypatch):
         for seed in (7, 8):
             calls.clear()
             plan, state = build_plan(params, theta, seed)
-            got = decode(answer_all(database_queries(plan, state), store),
-                         plan, state, side)
+            bundle = answer_all(database_queries(plan, state), store)
+            before = len(calls)
+            got = decode(bundle, plan, state, side)
             assert np.array_equal(got, store.message(theta))
             assert len(calls) <= 16, calls
+            assert len(calls) - before <= 5, calls[before:]
+
+
+@pytest.mark.parametrize("params", FUSED_POINTS, ids=lambda p: p.label())
+def test_decode_streams_over_sessions_match_single_sessions(params):
+    """One decode_streams call over B sessions gives what B single-session
+    calls give, on raw and compressed answers and for every cache size from
+    0 to M; the batched answers are the single-session answers too."""
+    batch = 3
+    for m in range(params.M + 1):
+        sized = dataclasses.replace(params, M=m)
+        theta = 1 + m % params.K
+        plan = download_plan(sized, theta)
+        mixers, lu, perm = sample_mixers(plan, [np.random.default_rng((80, m, j))
+                                                for j in range(batch)])
+        state = tpir_psi.PrecodingState(field=plan.field, mixers=mixers,
+                                        desired_factors=(lu[:, theta - 1], perm[:, theta - 1]))
+        stores = plan.field.random_symbols(np.random.default_rng(81 + m),
+                                           (batch, params.K, plan.profile.L))
+        others = [i for i in range(1, params.K + 1) if i != theta]
+        cached = others[-m:] if m else []
+        queries = session_queries(plan, mixers)
+        batched = MessageStore(field=plan.field, messages=stores)
+        bundles = [answer_all([dataclasses.replace(q, compress=False) for q in queries], batched)]
+        if m:
+            bundles.append(answer_all(queries, batched))
+        for bundle in bundles:
+            got = decode_streams(bundle, plan, state, {i: stores[:, i - 1] for i in cached})
+            for j in range(batch):
+                one = tpir_psi.PrecodingState(field=plan.field, mixers=mixers[j],
+                                              desired_factors=(lu[j, theta - 1],
+                                                               perm[j, theta - 1]))
+                store = MessageStore(field=plan.field, messages=stores[j])
+                single = answer_all([dataclasses.replace(q, compress=bundle.form != "raw")
+                                     for q in session_queries(plan, mixers[j])], store)
+                assert single.form == bundle.form
+                for a, b in zip(single.per_db, bundle.per_db):
+                    assert np.array_equal(a, b[j])
+                want = decode_streams(single, plan, one, store.side_information(cached))
+                assert np.array_equal(got[0][j], want[0]), (m, bundle.form, j)
+                assert np.array_equal(linalg.lu_solve(plan.field, *one.desired_factors,
+                                                      want[0]), stores[j, theta - 1])
+                for a_list, b_list in zip(got[1:], want[1:]):
+                    for a, b in zip(a_list, b_list):
+                        assert np.array_equal(a[j], b), (m, bundle.form, j)
