@@ -177,6 +177,12 @@ class GF:
     def element(self, value: int) -> "FieldElement":
         return FieldElement(int(value), self)
 
+    def contains(self, arr) -> bool:
+        """Whether ``arr`` holds only integers in [0, q): symbols that a cast
+        to the field's dtype keeps, where it would wrap 256 + x to x."""
+        arr = np.asarray(arr)
+        return np.issubdtype(arr.dtype, np.integer) and not ((arr < 0) | (arr >= self.q)).any()
+
     def random_symbols(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.integers(0, self.q, size=shape, dtype=self.dtype)
 

@@ -18,9 +18,21 @@ inverted once into bounded ``lru_cache`` helpers in ``coding`` and
 ``stpir_psi`` and applied with :func:`matvec`. Those caches hold no mixer or
 message and are read only while decoding, after the queries were sent, so
 they change neither queries nor their timing.
+
+Every product here is a log-table sum and an antilog gather; Plank,
+Greenan and Miller (FAST 2013) name these lookups as the cost of table
+arithmetic. The sums go into a preallocated intp scratch and the gather is
+one flat ``take`` from it: on a 2-core x86 host a fancy index with int32
+sums costs 3.6-4.0 ns a symbol and ``take`` with intp indices 1.1-1.7 ns.
+The scratch holds at most ``MATMUL_CHUNK`` bytes, so :func:`matmul` steps
+over k and the elimination's rank-1 update over batch members, or rows when
+one member's block is larger. ``GF._log`` stays int32: intp logs would
+double every log array the kernels hold.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -28,9 +40,26 @@ from .errors import ParameterError, SingularMatrixError
 from .field import GF
 
 
-# Symbols of the int32 (..., m, k, n) log-sum temporary that one step of
-# :func:`matmul` may hold: about 1 MiB, plus its antilog gather.
-MATMUL_CHUNK = 1 << 18
+# Bytes of the intp index scratch that one step of a product or of an
+# elimination update may hold (1 MiB); the antilog gather of the same shape
+# adds an eighth (w <= 8) or a quarter (w = 16) of that.
+MATMUL_CHUNK = 1 << 20
+_INTP = np.dtype(np.intp).itemsize
+
+
+def _products(field: GF, la, lb, shape, scratch, gathered) -> np.ndarray:
+    """The field products whose logs are ``la + lb`` (broadcast to
+    ``shape``), as a view of ``gathered``: the int32 logs are summed into
+    the intp ``scratch`` and read from the antilog table by one flat
+    ``take``."""
+    size = math.prod(shape)
+    idx = scratch[:size].reshape(shape)
+    np.add(la, lb, out=idx)
+    out = gathered[:size].reshape(shape)
+    # every log sum lies in [0, 4 * order], inside the table; ``clip`` lets
+    # ``take`` write into ``out`` without buffering it
+    field._alog.take(idx, out=out, mode="clip")
+    return out
 
 
 def matmul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -39,25 +68,34 @@ def matmul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Shapes follow numpy matmul: (..., m, k) @ (..., k, n) -> (..., m, n).
     Each product term is one log-table sum and one antilog gather over a
     (..., m, k, n) temporary, so the contraction runs in steps over k that
-    keep that temporary under ``MATMUL_CHUNK`` symbols and peak memory
-    O(m n) per batch member. A small product is a single step.
+    keep that temporary under ``MATMUL_CHUNK`` bytes of intp indices (or at
+    one index of k, where that alone is larger) and peak memory O(m n) per
+    batch member. A small product is a single step.
     """
     a = np.asarray(a, dtype=field.dtype)
     b = np.asarray(b, dtype=field.dtype)
     m, k = a.shape[-2:]
     n = b.shape[-1]
-    # an operand's size times the other's free dimension is the temporary's
-    # size whenever that operand carries the full batch shape, as in every
-    # caller; no broadcast of the shapes is needed to find it
-    temp = max(a.size * n, b.size * m)
-    step = max(1, k * MATMUL_CHUNK // temp) if temp else 1
-    la = field._log[a][..., :, :, None]
-    lb = field._log[b][..., None, :, :]
-    out = np.bitwise_xor.reduce(
-        field._alog[la[..., :step, :] + lb[..., :step, :]], axis=-2)
-    for lo in range(step, k, step):
-        out ^= np.bitwise_xor.reduce(
-            field._alog[la[..., lo:lo + step, :] + lb[..., lo:lo + step, :]], axis=-2)
+    # the batch shape; the general broadcast costs more than a small
+    # product, so the callers' cases (equal shapes, one unbatched operand)
+    # skip it
+    lead_a, lead_b = a.shape[:-2], b.shape[:-2]
+    lead = (lead_a if lead_a == lead_b or not lead_b else lead_b if not lead_a
+            else np.broadcast_shapes(lead_a, lead_b))
+    out = np.zeros(lead + (m, n), dtype=field.dtype)
+    per_k = math.prod(lead) * m * n
+    if not k or not per_k:
+        return out
+    step = max(1, min(k, MATMUL_CHUNK // _INTP // per_k))
+    size = per_k * step
+    scratch, gathered = np.empty(size, dtype=np.intp), np.empty(size, dtype=field.dtype)
+    log = field._log
+    for lo in range(0, k, step):
+        hi = min(k, lo + step)
+        terms = _products(field, log.take(a[..., :, lo:hi])[..., :, :, None],
+                          log.take(b[..., lo:hi, :])[..., None, :, :],
+                          lead + (m, hi - lo, n), scratch, gathered)
+        out ^= np.bitwise_xor.reduce(terms, axis=-2)
     return out
 
 
@@ -65,6 +103,32 @@ def matvec(field: GF, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """a @ x for a matrix (..., m, k) and vector (..., k)."""
     x = np.asarray(x, dtype=field.dtype)
     return matmul(field, a, x[..., :, None])[..., 0]
+
+
+def _rank1_update(field: GF, tail: np.ndarray, lmult: np.ndarray,
+                  lprow: np.ndarray, scratch, gathered) -> None:
+    """``tail ^= mult (x) prow`` for a (B, r, c) tail, from the int32 logs of
+    the multipliers (B, r) and of the pivot rows (B, c).
+
+    Runs over chunks of batch members, or of rows when one member's tail
+    alone exceeds the scratch, so no step holds more indices than the
+    scratch.
+    """
+    nbatch, r, c = tail.shape
+    if not r or not c:
+        return
+    cap = scratch.size
+    if r * c <= cap:
+        members, rows = cap // (r * c), r
+    else:
+        members, rows = 1, max(1, cap // c)
+    for b0 in range(0, nbatch, members):
+        b1 = min(nbatch, b0 + members)
+        for r0 in range(0, r, rows):
+            r1 = min(r, r0 + rows)
+            tail[b0:b1, r0:r1] ^= _products(
+                field, lmult[b0:b1, r0:r1, None], lprow[b0:b1, None, :],
+                (b1 - b0, r1 - r0, c), scratch, gathered)
 
 
 def lu_batched(field: GF, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,7 +144,8 @@ def lu_batched(field: GF, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
     While every member has had a pivot in each column so far and has a
     nonzero diagonal entry at the current one, the column is eliminated with
-    basic slices and no pivot search or row swap.
+    basic slices and no pivot search or row swap. Both paths end in the
+    same rank-1 update of the trailing block, :func:`_rank1_update`.
     """
     a = np.array(mats, dtype=field.dtype, copy=True)
     nbatch, n, m = a.shape
@@ -89,6 +154,10 @@ def lu_batched(field: GF, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     piv = np.zeros(nbatch, dtype=np.int64)
     every = np.arange(nbatch)
     row_ids = np.arange(n)
+    # the first column's trailing block is the largest; a row of it is the
+    # least one step can hold
+    size = min(nbatch * max(0, n - 1) * max(0, m - 1), max(MATMUL_CHUNK // _INTP, m))
+    scratch, gathered = np.empty(size, dtype=np.intp), np.empty(size, dtype=field.dtype)
     full = True  # piv == col for every member
     for col in range(min(n, m)):
         if full and a[:, col, col].all():
@@ -108,14 +177,16 @@ def lu_batched(field: GF, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
             full = full and bool(has.all())
         # a member without a pivot has prow[:, 0] == 0; its log sentinel
         # gives a finite inv_log and ``below`` zeroes its multipliers
-        inv_log = (order - log[prow[:, 0]]) % order
-        mult = alog[log[a[:, lo:, col]] + inv_log[:, None]]
+        lprow = log.take(prow)
+        inv_log = (order - lprow[:, 0]) % order
+        mult = alog.take(log.take(a[:, lo:, col]) + inv_log[:, None])
         if below is not None:
             mult[~below] = 0
             a[:, lo:, col] = np.where(below, mult, a[:, lo:, col])
         else:
             a[:, lo:, col] = mult
-        a[:, lo:, col + 1:] ^= alog[log[mult][:, :, None] + log[prow[:, None, 1:]]]
+        _rank1_update(field, a[:, lo:, col + 1:], log.take(mult), lprow[:, 1:],
+                      scratch, gathered)
     return a, perm, piv
 
 

@@ -209,12 +209,12 @@ def cached_sum(side, k: int, theta: int, field: GF) -> np.ndarray:
     the downloaded sum of all K messages.
 
     Checks first that ``side`` holds exactly the K - 1 messages other than
-    ``theta``, all of one length, so a client can refuse a wrong cache
-    before it sends anything.
+    ``theta``, all of one length and of field symbols, so a client can
+    refuse a wrong cache before it sends anything.
     """
     if not 1 <= theta <= k:
         raise ParameterError(f"desired index {theta} outside 1..{k}")
-    side = {int(i): np.asarray(v, dtype=field.dtype) for i, v in side.items()}
+    side = {int(i): np.asarray(v) for i, v in side.items()}
     if theta in side:
         raise InvalidSideInformationError("the desired message cannot be cached")
     if set(side) != set(range(1, k + 1)) - {theta}:
@@ -223,7 +223,10 @@ def cached_sum(side, k: int, theta: int, field: GF) -> np.ndarray:
         )
     if len({vec.shape for vec in side.values()}) != 1:
         raise InvalidSideInformationError("cached messages must share one length")
-    return np.bitwise_xor.reduce(np.stack(list(side.values())), axis=0)
+    for i, vec in side.items():
+        if not field.contains(vec):
+            raise InvalidSideInformationError(f"cached message {i} holds non-field symbols")
+    return np.bitwise_xor.reduce(np.stack(list(side.values())), axis=0).astype(field.dtype)
 
 
 def sym_sum_shortcut(store: MessageStore, side, theta: int) -> np.ndarray:

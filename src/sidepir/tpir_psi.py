@@ -537,7 +537,7 @@ def check_side(plan: DownloadPlan, state: PrecodingState, side) -> dict[int, np.
             raise InvalidSideInformationError(f"cached index {i} outside 1..{params.K}")
         if vec.shape != shape:
             raise InvalidSideInformationError(f"cached message {i} is {vec.shape}, not {shape}")
-        if not np.issubdtype(vec.dtype, np.integer) or vec.min() < 0 or vec.max() >= field.q:
+        if not field.contains(vec):
             raise InvalidSideInformationError(f"cached message {i} holds non-field symbols")
     return {i: vec.astype(field.dtype) for i, vec in side.items()}
 

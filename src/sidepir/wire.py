@@ -16,8 +16,10 @@ and the TCP path produce identical transcripts because both emit them.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import BinaryIO, Mapping
 
 import numpy as np
@@ -131,6 +133,26 @@ def parse_error_payload(data: bytes) -> tuple[int, str]:
 _LAYERED_HEAD = struct.Struct("<BBBHIII")
 
 
+@lru_cache(maxsize=16)
+def _layered_template(w: int, compress: bool, k: int, length: int,
+                      slot_members: tuple[tuple[int, ...], ...], p2: int):
+    """A layered payload with its rows left zero, and where each row starts:
+    public fields alone fix both."""
+    row_bytes = standard_field(w).packed_size(length)
+    template = bytearray(_LAYERED_HEAD.pack(SCHEME_LAYERED, w, 1 if compress else 0,
+                                            k, length, len(slot_members), p2))
+    starts = []
+    for members in slot_members:
+        template.append(len(members))
+        for msg in members:
+            template += struct.pack("<H", msg)
+            starts.append(len(template))
+            template += bytes(row_bytes)
+    starts = np.array(starts, dtype=np.intp)
+    starts.flags.writeable = False
+    return np.frombuffer(bytes(template), dtype=np.uint8), starts
+
+
 def serialize_database_query(q: DatabaseQuery):
     """The QUERY payload of a layered query, as bytes.
 
@@ -140,26 +162,18 @@ def serialize_database_query(q: DatabaseQuery):
     """
     field = standard_field(q.w)
     row_bytes = field.packed_size(q.message_length)
-    head = _LAYERED_HEAD.pack(SCHEME_LAYERED, q.w, 1 if q.compress else 0,
-                              q.num_messages, q.message_length, len(q.slot_members), q.p2)
-    template = bytearray(head)
-    starts = []
-    for members in q.slot_members:
-        template.append(len(members))
-        for msg in members:
-            template += struct.pack("<H", msg)
-            starts.append(len(template))
-            template += bytes(row_bytes)
-    positions = (np.array(starts, dtype=np.int64)[:, None] + np.arange(row_bytes)).ravel()
+    template, starts = _layered_template(q.w, q.compress, q.num_messages,
+                                         q.message_length, q.slot_members, q.p2)
     lead = q.rows.shape[:-2]
     rows = np.ascontiguousarray(q.rows, dtype=field.dtype).reshape(-1, q.message_length)
     if field.w == 4 and q.message_length % 2:
         # a padding nibble keeps every row byte-aligned
         rows = np.concatenate([rows, np.zeros((len(rows), 1), dtype=field.dtype)], axis=1)
-    sessions = int(np.prod(lead, dtype=np.int64))
-    out = np.tile(np.frombuffer(bytes(template), dtype=np.uint8), (sessions, 1))
-    out[:, positions] = np.frombuffer(field.pack(rows), dtype=np.uint8).reshape(sessions, -1)
-    return out.reshape(lead + (len(template),)) if lead else out[0].tobytes()
+    sessions = math.prod(lead)
+    out = np.tile(template, (sessions, 1))
+    out[:, (starts[:, None] + np.arange(row_bytes)).ravel()] = np.frombuffer(
+        field.pack(rows), dtype=np.uint8).reshape(sessions, -1)
+    return out.reshape(lead + (template.size,)) if lead else out[0].tobytes()
 
 
 def parse_query_payload(data: bytes, db_index: int = -1):

@@ -1,5 +1,8 @@
 """The LU elimination kernel against a scalar-loop reference elimination."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,5 +179,87 @@ def test_chunked_matmul_matches_broadcast(w, shapes):
     got = linalg.matmul(field, a, b)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
-    big = want.size * a.shape[-1] > linalg.MATMUL_CHUNK
+    big = want.size * a.shape[-1] * np.dtype(np.intp).itemsize > linalg.MATMUL_CHUNK
     assert big == (shapes not in MATMUL_SHAPES[-2:])
+
+
+def staggered_stack(field, rng, nbatch=6, n=9):
+    """Members that lose their pivot at different columns (column j + 1 a
+    copy of column 0 in member j) next to random ones, so that a call runs
+    the fast path over the first columns (in all but the smallest fields)
+    and the pivoting path from column 3 on."""
+    mats = field.random_symbols(rng, (nbatch, n, n))
+    for j in range(2, nbatch):
+        mats[j, :, j + 1] = mats[j, :, 0]
+    return mats
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+def test_chunked_updates_match_reference(w, monkeypatch):
+    """A scratch of 40 indices splits the elimination's trailing update over
+    rows (a 9x9 member's first tails hold 64 and 49 symbols) and over batch
+    members (later tails), and a product's contraction into steps of two."""
+    field = make_field(w)
+    sc = Scalar(field)
+    rng = np.random.default_rng(w + 40)
+    shapes = []
+    products = linalg._products
+
+    def recording(field, la, lb, shape, scratch, gathered):
+        assert math.prod(shape) <= 40
+        shapes.append(shape)
+        return products(field, la, lb, shape, scratch, gathered)
+
+    monkeypatch.setattr(linalg, "MATMUL_CHUNK", 40 * np.dtype(np.intp).itemsize)
+    monkeypatch.setattr(linalg, "_products", recording)
+    for mats in (staggered_stack(field, rng), *stacks(field, (6, 9, 9), rng)):
+        lu, perm, ranks = linalg.lu_batched(field, mats)
+        assert ranks.tolist() == [reference_rank(sc, m) for m in mats]
+        for m, f, p, r in zip(mats, lu, perm, ranks):
+            if r == 9:
+                lower = np.tril(f, -1) + np.eye(9, dtype=field.dtype)
+                assert np.array_equal(broadcast_matmul(field, lower, np.triu(f)), m[p])
+    assert any(s[1] < 8 for s in shapes if s[0] == 1)  # row chunks
+    assert any(1 < s[0] < 6 for s in shapes)  # batch chunks
+    # steps of two over a prime k: the last step is one symbol wide
+    a = field.random_symbols(rng, (2, 2, 11))
+    b = field.random_symbols(rng, (2, 11, 5))
+    shapes.clear()
+    assert np.array_equal(linalg.matmul(field, a, b), broadcast_matmul(field, a, b))
+    assert [s[-2] for s in shapes] == [2] * 5 + [1]
+
+
+def peak_bytes(fn):
+    """Peak bytes that ``fn`` allocates over what was live when it started,
+    and its result."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernels_hold_their_outputs_and_the_byte_bound():
+    """The elimination of a user-privacy audit's stack and a large product
+    hold their outputs, one ``MATMUL_CHUNK`` of indices with its gather,
+    and the small per-column or per-step arrays; not a temporary of the
+    whole trailing block or contraction."""
+    f8, f16 = standard_field(8), standard_field(16)
+    rng = np.random.default_rng(11)
+    mats = f8.random_symbols(rng, (1536, 27, 27))
+    mats[::2, :, 0] = 0  # the pivoting path from the first column
+    peak, (lu, perm, ranks) = peak_bytes(lambda: linalg.lu_batched(f8, mats))
+    outputs = lu.nbytes + perm.nbytes + ranks.nbytes
+    budget = linalg.MATMUL_CHUNK * (1 + f8.dtype(0).itemsize / 8)
+    # per column a few (B, n) index, mask and row-swap arrays
+    per_column = 32 * mats.shape[0] * mats.shape[1]
+    assert peak <= outputs + budget + per_column
+
+    a = f16.random_symbols(rng, (8, 64, 256))
+    b = f16.random_symbols(rng, (8, 256, 64))
+    peak, out = peak_bytes(lambda: linalg.matmul(f16, a, b))
+    budget = linalg.MATMUL_CHUNK * (1 + f16.dtype(0).itemsize / 8)
+    # the output, each step's sum over k, and each step's slices of logs
+    assert peak <= 2 * out.nbytes + budget + (128 << 10)

@@ -337,8 +337,11 @@ def test_sum_path_refuses_a_wrong_cache_before_sending():
             sent.append(ftype)
             return super().request(ftype, payload)
 
-    w2 = store.message(2)
-    for side in ({2: w2, 7: w2}, {1: store.message(1), 2: w2}, {2: w2}):
+    w2, w3 = store.message(2), store.message(3).astype(np.int64)
+    # a symbol past GF(2^4), read as x | 16 or wrapped by the cast from 256 + x
+    for side in ({2: w2, 7: w2}, {1: store.message(1), 2: w2}, {2: w2},
+                 {2: w2, 3: w3 | 16}, {2: w2, 3: w3 + 256}, {2: w2, 3: w3 - 16},
+                 {2: w2, 3: w3.astype(float)}):
         sims = [Recording(ServerCore(store, role="stpir", secret=SECRET))]
         with pytest.raises(InvalidSideInformationError):
             client.retrieve(sims, SchemeParams(3, 2, 3, 1), 1, side, seed=1,
