@@ -9,7 +9,7 @@ Subcommands:
              ``audit rate --grid [SPEC] --csv PATH`` writes the
              rate-vs-capacity table over a parameter grid as CSV
 
-Exit codes: 0 success, 1 failed audit or retrieval, 2 usage error.
+Exit codes: 0 success, 1 failed audit, retrieval or I/O, 2 usage error.
 """
 
 from __future__ import annotations
@@ -70,9 +70,10 @@ def _load_secret(args) -> bytes | None:
         except (UnicodeDecodeError, ValueError):
             return blob
     env = os.environ.get(SECRET_ENV)
-    if env:
-        return bytes.fromhex(env)
-    return None
+    try:
+        return bytes.fromhex(env) if env else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{SECRET_ENV} must be hex") from None
 
 
 def _scheme_store_shape(params: SchemeParams, scheme: str) -> tuple[int, int]:
@@ -118,8 +119,8 @@ def cmd_gen_store(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    store = wire.read_store(args.store)
     secret = _load_secret(args)
+    store = wire.read_store(args.store)
     server = DatabaseServer(store, role=args.role, secret=secret,
                             host=args.host, port=args.port)
     print(f"serving {args.store} as {args.role} on {server.address[0]}:{server.port}",
@@ -317,7 +318,9 @@ def main(argv=None) -> int:
         parser.error("--S needs --side-file")
     try:
         return args.func(args)
-    except PirError as exc:
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))
+    except (PirError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -171,21 +171,25 @@ def retrieve(transports, params: SchemeParams, theta: int, side,
     (empty for M = 0). ``raw`` disables redundancy removal, which also arms
     the cached-value consistency check on the raw answers.
     """
+    if scheme not in ("tpir", "stpir"):
+        raise ParameterError(f"unknown scheme {scheme!r}")
+    # checked before any scheme work: the sum path asks its first endpoint,
+    # every other path all N
+    sum_path = scheme == "stpir" and params.M == params.K - 1
+    if len(transports) != params.N and not (sum_path and transports):
+        wanted = "an endpoint" if sum_path else f"{params.N} endpoints"
+        raise ParameterError(f"need {wanted}, got {len(transports)}")
     rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
     side = {int(i): v for i, v in (side or {}).items()}
     if scheme == "tpir":
         return _retrieve_layered(transports, params, theta, side, rng, raw)
-    if scheme == "stpir":
-        if params.M == params.K - 1:
-            return _retrieve_sum(transports, params, theta, side)
-        return _retrieve_symmetric(transports, params, theta, side, rng)
-    raise ParameterError(f"unknown scheme {scheme!r}")
+    if sum_path:
+        return _retrieve_sum(transports, params, theta, side)
+    return _retrieve_symmetric(transports, params, theta, side, rng)
 
 
 def _retrieve_layered(transports, params, theta, side, rng, raw) -> RetrievalResult:
     plan, state = build_plan(params, theta, rng)
-    if len(transports) != params.N:
-        raise ParameterError(f"need {params.N} endpoints, got {len(transports)}")
     side = check_side(plan, state, side)
     queries = database_queries(plan, state)
     if raw:
@@ -218,8 +222,6 @@ def _retrieve_layered(transports, params, theta, side, rng, raw) -> RetrievalRes
 
 def _retrieve_symmetric(transports, params, theta, side, rng) -> RetrievalResult:
     sym = make_sym_params(params)
-    if len(transports) != params.N:
-        raise ParameterError(f"need {params.N} endpoints, got {len(transports)}")
     session_id = rng.bytes(SESSION_ID_BYTES)
     queries = sym_query(sym, theta, rng)
     params_frames = _params_frames(params, "stpir", sym.field.w,

@@ -26,7 +26,7 @@ from .errors import MalformedQueryError, ParameterError, PirError, ProtocolError
 from .store import MessageStore
 from .stpir_psi import (derive_common_randomness, point_powers,
                         sum_shortcut_answer, sym_answer)
-from .tpir_psi import answer, check_query_shape
+from .tpir_psi import DatabaseQuery, _skeleton, answer
 
 ROLES = ("tpir", "stpir")
 
@@ -107,14 +107,19 @@ class ServerCore:
         if "endpoint" not in session:
             return wire.TYPE_ERROR, wire.error_payload(
                 wire.ERR_PROTOCOL, "QUERY before PARAMS")
+        layered = self._layered_shape(session) if self.role == "tpir" else None
         try:
-            query = wire.parse_query_payload(payload, db_index=session["endpoint"] - 1)
+            query = wire.parse_query_payload(payload, session["endpoint"] - 1, layered)
         except ProtocolError as exc:
             return wire.TYPE_ERROR, wire.error_payload(wire.ERR_MALFORMED_QUERY, str(exc))
         field = self.store.field
+        if isinstance(query, DatabaseQuery):
+            form, symbols = answer(query, self.store)
+            wire_form = wire.FORM_COMPRESSED if form == "compressed" else wire.FORM_RAW
+            return wire.TYPE_ANSWER, wire.serialize_answer(field, wire_form, symbols)
+        if self.role != "stpir":
+            raise MalformedQueryError("a tpir server answers layered queries only")
         if isinstance(query, wire.SymQueryWire):
-            if self.role != "stpir":
-                raise MalformedQueryError("symmetric query sent to a tpir server")
             if query.w != field.w or query.coords.shape != self.store.messages.shape:
                 raise MalformedQueryError(
                     f"{query.w}-bit query of shape {query.coords.shape} does not match the store")
@@ -132,25 +137,33 @@ class ServerCore:
                                point_powers(field, session["endpoint"], query.t))
             return wire.TYPE_ANSWER, wire.serialize_answer(
                 field, wire.FORM_SYMMETRIC, np.array([value], dtype=field.dtype))
-        if isinstance(query, wire.SumQueryWire):
-            if query.w != field.w or query.num_messages != self.store.num_messages \
-                    or query.message_length != self.store.message_length:
-                raise MalformedQueryError("sum query does not match the store")
-            return wire.TYPE_ANSWER, wire.serialize_answer(
-                field, wire.FORM_SUM, sum_shortcut_answer(self.store))
-        # layered query
-        check_query_shape(query, self._layered_params(session))
-        form, symbols = answer(query, self.store)
-        wire_form = wire.FORM_COMPRESSED if form == "compressed" else wire.FORM_RAW
-        return wire.TYPE_ANSWER, wire.serialize_answer(field, wire_form, symbols)
+        if query.w != field.w or query.num_messages != self.store.num_messages \
+                or query.message_length != self.store.message_length:
+            raise MalformedQueryError("sum query does not match the store")
+        return wire.TYPE_ANSWER, wire.serialize_answer(
+            field, wire.FORM_SUM, sum_shortcut_answer(self.store))
 
-    def _layered_params(self, session: dict) -> SchemeParams:
-        """The public layered scheme of this session: the store's K, the
-        PARAMS frame's (M, N, T), and N^K equal to the store's length.
+    def refuse_unread(self, session: dict, ftype: int, length: int) -> bytes | None:
+        """An ERROR payload for a frame refused from its head alone, before its
+        body is read: a QUERY after PARAMS that declares a length its session
+        cannot take. None for any other frame, which is read as usual."""
+        if ftype != wire.TYPE_QUERY or "endpoint" not in session:
+            return None
+        try:
+            layered = self._layered_shape(session) if self.role == "tpir" else None
+        except MalformedQueryError as exc:
+            return wire.error_payload(wire.ERR_MALFORMED_QUERY, str(exc))
+        allowed = wire.query_sizes(self.store, layered)
+        if length in allowed:
+            return None
+        return wire.error_payload(wire.ERR_MALFORMED_QUERY,
+                                  f"QUERY declares {length} bytes; this session takes {allowed}")
 
-        A layered query is checked against it before any work, because its
-        slot count sizes the compression code the server builds.
-        """
+    def _layered_shape(self, session: dict) -> wire.LayeredShape:
+        """The store's w, K and L, and the public slot table and p2 of the
+        PARAMS frame's (M, N, T), whose N^K must be the store's length. The
+        table is the same for every desired index, and its slot count caps the
+        compression code a query makes the server build."""
         k, length = self.store.num_messages, self.store.message_length
         m, n_db, t = session["m"], session["n_db"], session["t"]
         if not isinstance(m, int) or not isinstance(t, int) \
@@ -164,7 +177,9 @@ class ServerCore:
             raise MalformedQueryError(f"session parameters: {exc}") from exc
         if not params.constructible:
             raise MalformedQueryError(f"no layered scheme exists for {params.label()}")
-        return params
+        skeleton = _skeleton(params, 1)
+        return wire.LayeredShape(self.store.field.w, k, length, skeleton.slot_members,
+                                 skeleton.profile.p2)
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -173,21 +188,21 @@ class _Handler(socketserver.StreamRequestHandler):
         session = core.new_session()
         while True:
             try:
-                frame = wire.read_frame_or_eof(self.rfile)
+                head = wire.read_frame_head(self.rfile)
+                if head is None:
+                    return
+                # a refused head leaves its body unread, the stream unframed
+                error = core.refuse_unread(session, *head)
+                reply = (wire.TYPE_ERROR, error) if error else core.handle_frame(
+                    session, head[0], wire.read_exact(self.rfile, head[1]))
             except ProtocolError as exc:
-                try:
-                    self.wfile.write(wire.encode_frame(
-                        wire.TYPE_ERROR,
-                        wire.error_payload(wire.ERR_MALFORMED_FRAME, str(exc))))
-                except OSError:
-                    pass
-                return
-            if frame is None:
-                return
-            ftype, payload = core.handle_frame(session, *frame)
+                error = wire.error_payload(wire.ERR_MALFORMED_FRAME, str(exc))
+                reply = wire.TYPE_ERROR, error
             try:
-                self.wfile.write(wire.encode_frame(ftype, payload))
+                self.wfile.write(wire.encode_frame(*reply))
             except OSError:
+                return
+            if error:
                 return
 
 

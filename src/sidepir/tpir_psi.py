@@ -443,24 +443,6 @@ def database_queries(plan: DownloadPlan, state: PrecodingState) -> list[Database
     return session_queries(plan, state.mixers)
 
 
-def check_query_shape(query: DatabaseQuery, params: SchemeParams) -> None:
-    """Refuse a query whose slot table is not the public one of ``params``.
-
-    The slot table is the same for every desired index, so comparing it
-    with the theta = 1 skeleton tells the server nothing it may not know.
-    It caps a server's work at the scheme it agreed to: the slot count p1
-    sizes the (2*p1 - p2, p1) compression code that :func:`compress` builds
-    and caches.
-    """
-    profile = count_profile(params)
-    if (query.num_slots, query.p2) != (profile.p1, profile.p2):
-        raise MalformedQueryError(
-            f"query has p1={query.num_slots}, p2={query.p2}; {params.label()} "
-            f"has p1={profile.p1}, p2={profile.p2}")
-    if query.slot_members != _skeleton(params, 1).slot_members:
-        raise MalformedQueryError(f"slot table does not match {params.label()}")
-
-
 def answer_raw(query: DatabaseQuery, store: MessageStore) -> np.ndarray:
     """The database side: evaluate each slot's linear combination. A store
     with leading session axes (..., K, L) answers rows (..., R, L) at once."""

@@ -20,7 +20,7 @@ import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Mapping
+from typing import BinaryIO, Mapping, NamedTuple
 
 import numpy as np
 
@@ -77,14 +77,15 @@ def read_exact(stream: BinaryIO, n: int) -> bytes:
 
 def read_frame(stream: BinaryIO) -> tuple[int, bytes]:
     """Read one frame; an end of stream before it is a ProtocolError."""
-    frame = read_frame_or_eof(stream)
-    if frame is None:
+    head = read_frame_head(stream)
+    if head is None:
         raise ProtocolError("stream ended before a frame")
-    return frame
+    return head[0], read_exact(stream, head[1])
 
 
-def read_frame_or_eof(stream: BinaryIO) -> tuple[int, bytes] | None:
-    """Read one frame; a clean end of stream before it returns None."""
+def read_frame_head(stream: BinaryIO) -> tuple[int, int] | None:
+    """Read a frame's 9-byte head as (type, declared payload length), leaving
+    the payload unread; a clean end of stream before it returns None."""
     first = stream.read(1)
     if not first:
         return None
@@ -94,7 +95,7 @@ def read_frame_or_eof(stream: BinaryIO) -> tuple[int, bytes] | None:
     (length,) = struct.unpack("<I", head[5:9])
     if length > _MAX_PAYLOAD:
         raise ProtocolError("declared payload exceeds the frame limit")
-    return head[4], read_exact(stream, length)
+    return head[4], length
 
 
 # ---------------------------------------------------------------------------
@@ -131,26 +132,41 @@ def parse_error_payload(data: bytes) -> tuple[int, str]:
 # layered-scheme query payloads
 
 _LAYERED_HEAD = struct.Struct("<BBBHIII")
+_COMPRESS_AT = 2  # the one header byte the public fields leave free
+
+
+class LayeredShape(NamedTuple):
+    """What fixes a layered payload: all but its compress byte and rows."""
+
+    w: int
+    num_messages: int
+    message_length: int
+    slot_members: tuple[tuple[int, ...], ...]
+    p2: int
 
 
 @lru_cache(maxsize=16)
-def _layered_template(w: int, compress: bool, k: int, length: int,
-                      slot_members: tuple[tuple[int, ...], ...], p2: int):
-    """A layered payload with its rows left zero, and where each row starts:
-    public fields alone fix both."""
-    row_bytes = standard_field(w).packed_size(length)
-    template = bytearray(_LAYERED_HEAD.pack(SCHEME_LAYERED, w, 1 if compress else 0,
-                                            k, length, len(slot_members), p2))
+def _layered_template(shape: LayeredShape):
+    """The one layout of a layered payload, to write and to read: the payload
+    with compress byte 0 and rows zero, a mask of its row bytes, and the
+    offsets of the other bytes but the compress byte."""
+    row_bytes = standard_field(shape.w).packed_size(shape.message_length)
+    template = bytearray(_LAYERED_HEAD.pack(SCHEME_LAYERED, shape.w, 0, shape.num_messages,
+                                            shape.message_length, len(shape.slot_members),
+                                            shape.p2))
     starts = []
-    for members in slot_members:
+    for members in shape.slot_members:
         template.append(len(members))
         for msg in members:
             template += struct.pack("<H", msg)
             starts.append(len(template))
             template += bytes(row_bytes)
-    starts = np.array(starts, dtype=np.intp)
-    starts.flags.writeable = False
-    return np.frombuffer(bytes(template), dtype=np.uint8), starts
+    rows = np.zeros(len(template), dtype=bool)
+    rows[(np.array(starts, dtype=np.intp)[:, None] + np.arange(row_bytes)).ravel()] = True
+    # the compress byte is in the header, before any row
+    fixed = np.delete(np.flatnonzero(~rows), _COMPRESS_AT)
+    rows.flags.writeable = fixed.flags.writeable = False
+    return np.frombuffer(bytes(template), dtype=np.uint8), rows, fixed
 
 
 def serialize_database_query(q: DatabaseQuery):
@@ -161,28 +177,33 @@ def serialize_database_query(q: DatabaseQuery):
     each session's header and slot table filled with its packed rows.
     """
     field = standard_field(q.w)
-    row_bytes = field.packed_size(q.message_length)
-    template, starts = _layered_template(q.w, q.compress, q.num_messages,
-                                         q.message_length, q.slot_members, q.p2)
+    template, mask, _ = _layered_template(
+        LayeredShape(q.w, q.num_messages, q.message_length, q.slot_members, q.p2))
     lead = q.rows.shape[:-2]
     rows = np.ascontiguousarray(q.rows, dtype=field.dtype).reshape(-1, q.message_length)
     if field.w == 4 and q.message_length % 2:
         # a padding nibble keeps every row byte-aligned
         rows = np.concatenate([rows, np.zeros((len(rows), 1), dtype=field.dtype)], axis=1)
-    sessions = math.prod(lead)
-    out = np.tile(template, (sessions, 1))
-    out[:, (starts[:, None] + np.arange(row_bytes)).ravel()] = np.frombuffer(
-        field.pack(rows), dtype=np.uint8).reshape(sessions, -1)
-    return out.reshape(lead + (template.size,)) if lead else out[0].tobytes()
+    sessions, size = math.prod(lead), template.size
+    # flat masks: a 2-d fancy index would cost several times more
+    out = np.tile(template, sessions)
+    out[np.tile(mask, sessions)] = np.frombuffer(field.pack(rows), dtype=np.uint8)
+    out[_COMPRESS_AT::size] = 1 if q.compress else 0
+    return out.reshape(lead + (size,)) if lead else out.tobytes()
 
 
-def parse_query_payload(data: bytes, db_index: int = -1):
-    """Decode a QUERY payload into the matching scheme's query object."""
+def parse_query_payload(data: bytes, db_index: int = -1,
+                        layered: LayeredShape | None = None):
+    """Decode a QUERY payload into the matching scheme's query object. A
+    layered payload must match the template of ``layered``, its session's
+    shape, in every byte but the rows and the compress byte (0 or 1)."""
     if not data:
         raise ProtocolError("empty query payload")
     scheme = data[0]
     if scheme == SCHEME_LAYERED:
-        return _parse_layered(data, db_index)
+        if layered is None:
+            raise ProtocolError("no layered scheme is expected in this session")
+        return _parse_layered(data, db_index, layered)
     if scheme == SCHEME_SYMMETRIC:
         return _parse_symmetric(data)
     if scheme == SCHEME_SUM:
@@ -190,47 +211,28 @@ def parse_query_payload(data: bytes, db_index: int = -1):
     raise ProtocolError(f"unknown query scheme {scheme:#x}")
 
 
-def _parse_layered(data: bytes, db_index: int) -> DatabaseQuery:
-    try:
-        scheme, w, compress, k, length, p1, p2 = _LAYERED_HEAD.unpack_from(data, 0)
-    except struct.error as exc:
-        raise ProtocolError(f"truncated query header: {exc}") from exc
-    if w not in (4, 8, 16):
-        raise ProtocolError(f"unsupported symbol width {w}")
-    field = standard_field(w)
-    row_bytes = field.packed_size(length)
-    # the slot table first: member counts and ids, and where each row starts
-    pos = _LAYERED_HEAD.size
-    members: list[tuple[int, ...]] = []
-    starts: list[int] = []
-    for _ in range(p1):
-        if pos >= len(data):
-            raise ProtocolError("query payload truncated in slot table")
-        nmem = data[pos]
-        pos += 1
-        slot = []
-        for _ in range(nmem):
-            if pos + 2 + row_bytes > len(data):
-                raise ProtocolError("query payload truncated in a slot row")
-            (msg,) = struct.unpack_from("<H", data, pos)
-            slot.append(msg)
-            starts.append(pos + 2)
-            pos += 2 + row_bytes
-        members.append(tuple(slot))
-    if pos != len(data):
-        raise ProtocolError(f"{len(data) - pos} trailing bytes after slot table")
-    # then every row in one unpack; at w = 4 a row of odd length carries a
+def _parse_layered(data: bytes, db_index: int, shape: LayeredShape) -> DatabaseQuery:
+    template, rows, fixed = _layered_template(shape)
+    if len(data) != template.size:
+        raise ProtocolError(f"layered query holds {len(data)} bytes, "
+                            f"its session's scheme {template.size}")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf[_COMPRESS_AT] > 1 or buf[fixed].tobytes() != template[fixed].tobytes():
+        raise ProtocolError("layered query header or slot table does not match its session's")
+    # every row in one unpack; at w = 4 a row of odd length carries a
     # padding nibble, cut off after unpacking
-    offsets = np.array(starts, dtype=np.int64)[:, None] + np.arange(row_bytes)
-    packed = np.frombuffer(data, dtype=np.uint8)[offsets].tobytes()
-    width = 2 * row_bytes if field.w == 4 else length
-    block = field.unpack(packed, len(starts) * width).reshape(len(starts), width)
+    field, length = standard_field(shape.w), shape.message_length
+    packed = buf[rows].tobytes()
+    count = len(packed) // field.packed_size(length)
+    width = 2 * field.packed_size(length) if field.w == 4 else length
+    block = field.unpack(packed, count * width).reshape(count, width)
     if width != length:
         block = np.ascontiguousarray(block[:, :length])
     block.flags.writeable = False
-    return DatabaseQuery(db_index=db_index, num_messages=k, message_length=length,
-                         w=w, p2=p2, compress=bool(compress),
-                         slot_members=tuple(members), rows=block)
+    return DatabaseQuery(db_index=db_index, num_messages=shape.num_messages,
+                         message_length=length, w=shape.w, p2=shape.p2,
+                         compress=bool(buf[_COMPRESS_AT]),
+                         slot_members=shape.slot_members, rows=block)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +301,14 @@ def _parse_sum(data: bytes) -> SumQueryWire:
     if len(data) != _SUM_HEAD.size:
         raise ProtocolError("trailing bytes after sum query header")
     return SumQueryWire(w=w, num_messages=k, message_length=length)
+
+
+def query_sizes(store: MessageStore, layered: LayeredShape | None) -> tuple[int, ...]:
+    """The QUERY lengths a session takes: its layered template's, or else a
+    symmetric query of one coordinate per stored symbol and the sum query."""
+    if layered is not None:
+        return (_layered_template(layered)[0].size,)
+    return _SYM_HEAD.size + store.field.packed_size(store.messages.size), _SUM_HEAD.size
 
 
 # ---------------------------------------------------------------------------

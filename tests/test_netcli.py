@@ -211,6 +211,48 @@ def test_truncated_frame_over_tcp(golden1_store):
     assert wire.parse_error_payload(payload)[0] == wire.ERR_MALFORMED_FRAME
 
 
+@pytest.mark.parametrize("role,fields,honest", [
+    ("tpir", {"k": 3, "m": 1, "n_db": 2, "t": 1, "w": 4, "message_length": 8}, 96),
+    ("stpir", {"k": 3, "m": 0, "n_db": 3, "t": 1, "w": 4, "message_length": 2}, 27),
+], ids=["tpir", "stpir"])
+def test_query_sized_before_its_body_is_read(role, fields, honest):
+    """After PARAMS a QUERY head that declares a length the session cannot
+    take (1 GiB, or one byte off a genuine query's) gets a typed ERROR at
+    once, without the server waiting for the body, and the connection
+    closes. A QUERY of the genuine length is read: its zero body is then
+    refused by the parser, on a connection that stays open."""
+    store = random_store(standard_field(4), fields["k"], fields["message_length"],
+                         np.random.default_rng(106))
+    params = wire.encode_frame(wire.TYPE_PARAMS, wire.params_payload(
+        {"scheme": role, "endpoint": 1, **fields}))
+    server = DatabaseServer(store, role=role, secret=SECRET).start()
+    try:
+        for length in (1 << 30, honest + 1, honest - 1, 0):
+            sock = socket.create_connection(("127.0.0.1", server.port), timeout=3)
+            stream = sock.makefile("rwb")
+            stream.write(params)
+            stream.flush()
+            assert wire.read_frame(stream)[0] == wire.TYPE_PARAMS
+            stream.write(b"PIR1" + bytes([wire.TYPE_QUERY]) + struct.pack("<I", length))
+            stream.flush()
+            ftype, payload = wire.read_frame(stream)
+            assert ftype == wire.TYPE_ERROR
+            assert wire.parse_error_payload(payload)[0] == wire.ERR_MALFORMED_QUERY
+            assert stream.read() == b""
+            sock.close()
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=3)
+        stream = sock.makefile("rwb")
+        stream.write(params + wire.encode_frame(wire.TYPE_QUERY, bytes(honest)) + params)
+        stream.flush()
+        assert wire.read_frame(stream)[0] == wire.TYPE_PARAMS
+        ftype, payload = wire.read_frame(stream)
+        assert wire.parse_error_payload(payload)[0] == wire.ERR_MALFORMED_QUERY
+        assert wire.read_frame(stream)[0] == wire.TYPE_PARAMS
+        sock.close()
+    finally:
+        server.stop()
+
+
 # ---------------------------------------------------------------------------
 # command-line interface
 
@@ -295,13 +337,27 @@ def test_cli_audit_and_bench(tmp_path, capsys):
     ["audit", "db-privacy", "--K", "3", "--N", "3", "--T", "1", "--scheme", "stpir",
      "--sessions", "0", "--json", "{tmp}/db.json"],
     ["audit", "rate", "--K", "3", "--N", "2", "--T", "1", "--sessions", "0"],
+    ["serve", "--port", "0", "--store", "{tmp}/store.pir"],
 ], ids=["rho", "grid-not-rate", "empty-grid", "bad-grid", "side-out", "bad-side",
         "bad-cached-set", "zero-sessions", "negative-sessions", "db-privacy-sessions",
-        "rate-sessions"])
-def test_cli_usage_errors_exit_2_and_write_nothing(tmp_path, argv):
+        "rate-sessions", "non-hex-secret"])
+def test_cli_usage_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, argv):
+    # read only by the commands that use a secret: here, serve
+    monkeypatch.setenv("SIDEPIR_SECRET", "zz")
     with pytest.raises(SystemExit) as err:
         cli_main([arg.format(tmp=tmp_path) for arg in argv])
     assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--port", "0", "--store", "{tmp}/missing.pir"],
+    ["retrieve", "--endpoints", "127.0.0.1:1,127.0.0.1:1", "--K", "3", "--M", "0",
+     "--N", "2", "--T", "1", "--theta", "1", "--seed", "1", "--out", "{tmp}/msg.bin"],
+], ids=["missing-store", "refused-endpoint"])
+def test_cli_os_errors_exit_1_with_an_error_line(tmp_path, capsys, argv):
+    assert cli_main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -405,6 +461,38 @@ def test_client_rejects_bad_requests_with_typed_errors(golden1_store):
     sims = client.local_simulator(sym_store, 3, role="stpir", secret=SECRET)
     with pytest.raises(ZeroCapacityError):
         client.retrieve(sims, SchemeParams(3, 0, 3, 3), 1, {}, seed=1, scheme="stpir")
+
+
+@pytest.mark.parametrize("scheme,params,cached,counts", [
+    ("tpir", SchemeParams(3, 1, 2, 1), {3}, (0, 1, 3)),
+    ("stpir", SchemeParams(3, 0, 3, 1), set(), (0, 2, 4)),
+    ("stpir", SchemeParams(3, 2, 3, 1), {2, 3}, (0,)),
+], ids=["layered", "symmetric", "sum"])
+def test_client_checks_the_endpoint_count_first(golden1_store, monkeypatch,
+                                                scheme, params, cached, counts):
+    """A wrong number of endpoints is a ParameterError before any scheme
+    work: no mixer is drawn and no frame is sent. The sum path needs one."""
+    from sidepir import tpir_psi
+    from sidepir.errors import ParameterError
+
+    drawn = []
+    monkeypatch.setattr(tpir_psi, "sample_mixers", lambda *a: drawn.append(a))
+    store = golden1_store if scheme == "tpir" else random_store(
+        standard_field(4), 3, 2, np.random.default_rng(102))
+    sent = []
+
+    class Recording(client.LocalTransport):
+        def request(self, ftype, payload):
+            sent.append(ftype)
+            return super().request(ftype, payload)
+
+    for count in counts:
+        sims = [Recording(ServerCore(store, role=scheme, secret=SECRET))
+                for _ in range(count)]
+        with pytest.raises(ParameterError, match="endpoint"):
+            client.retrieve(sims, params, 1, store.side_information(cached), seed=1,
+                            scheme=scheme)
+    assert drawn == [] and sent == []
 
 
 def test_server_checks_layered_query_against_session_params():

@@ -32,7 +32,7 @@ def test_frame_rejects_bad_magic_and_truncation():
     frame = wire.encode_frame(wire.TYPE_QUERY, b"abcdef")
     with pytest.raises(ProtocolError):
         wire.read_frame(io.BytesIO(frame[:-2]))
-    assert wire.read_frame_or_eof(io.BytesIO(b"")) is None
+    assert wire.read_frame_head(io.BytesIO(b"")) is None
 
 
 def test_store_file_layout_and_round_trip(tmp_path):
@@ -59,6 +59,11 @@ def test_store_file_rejects_bad_sizes():
         wire.parse_store(b"BADMAGIC" + data[8:])
 
 
+def _shape(q):
+    """The shape a session expects; tests take it from the query they send."""
+    return wire.LayeredShape(q.w, q.num_messages, q.message_length, q.slot_members, q.p2)
+
+
 @pytest.mark.parametrize("params,theta", [
     (SchemeParams(3, 1, 2, 1), 1),
     (SchemeParams(3, 1, 2, 1), 3),
@@ -69,7 +74,7 @@ def test_layered_query_round_trip(params, theta):
     plan, state = build_plan(params, theta, 7)
     for q in database_queries(plan, state):
         data = wire.serialize_database_query(q)
-        back = wire.parse_query_payload(data, db_index=q.db_index)
+        back = wire.parse_query_payload(data, q.db_index, _shape(q))
         assert back.slot_members == q.slot_members
         assert np.array_equal(back.rows, q.rows)
         assert (back.p2, back.compress, back.w, back.num_messages,
@@ -86,22 +91,43 @@ def test_layered_query_round_trip_odd_lengths(w, length):
     q = DatabaseQuery(db_index=0, num_messages=3, message_length=length, w=w,
                       p2=1, compress=True, slot_members=members, rows=rows)
     data = wire.serialize_database_query(q)
-    back = wire.parse_query_payload(data, db_index=0)
+    back = wire.parse_query_payload(data, 0, _shape(q))
     assert back.slot_members == members
     assert np.array_equal(back.rows, rows) and back.rows.flags.c_contiguous
     assert wire.serialize_database_query(back) == data
 
 
-def test_layered_query_oversized_slot_table_rejected_before_unpack(monkeypatch):
-    """A slot table that claims more slots or members than the payload holds
-    is refused while the table is read, before any row is unpacked."""
+def _edit_header(index, value):
+    def edit(data):
+        fields = list(wire._LAYERED_HEAD.unpack_from(data, 0))
+        fields[index] = value(fields[index])
+        return wire._LAYERED_HEAD.pack(*fields) + data[wire._LAYERED_HEAD.size:]
+    return edit
+
+
+_FIRST_SLOT = wire._LAYERED_HEAD.size  # the first slot's member count
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_header(1, lambda w: 8),
+    _edit_header(2, lambda c: 2),
+    _edit_header(3, lambda k: k + 1),
+    _edit_header(4, lambda length: length + 1),
+    _edit_header(5, lambda p1: p1 + 1000),
+    _edit_header(6, lambda p2: p2 + 1),
+    lambda d: d[:_FIRST_SLOT] + b"\xff" + d[_FIRST_SLOT + 1:],
+    lambda d: d[:_FIRST_SLOT + 1] + b"\x02" + d[_FIRST_SLOT + 2:],
+    lambda d: d[:-1],
+    lambda d: d + b"\x00",
+], ids=["w", "compress", "k", "length", "p1", "p2", "member-count", "member-id",
+        "short", "long"])
+def test_layered_query_off_template_rejected_before_unpack(monkeypatch, edit):
+    """A layered payload is read against its session's template: one changed
+    header field, member count or member id, or one byte more or less, is
+    refused before any row is unpacked."""
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)
-    data = wire.serialize_database_query(database_queries(plan, state)[0])
-    head = wire._LAYERED_HEAD
-    fields = list(head.unpack_from(data, 0))
-    fields[5] += 1000  # p1: slots the payload does not hold
-    more_slots = head.pack(*fields) + data[head.size:]
-    more_members = data[:head.size] + b"\xff" + data[head.size + 1:]
+    query = database_queries(plan, state)[0]
+    data, shape = wire.serialize_database_query(query), _shape(query)
     unpacked = []
     original = GF.unpack
 
@@ -110,21 +136,30 @@ def test_layered_query_oversized_slot_table_rejected_before_unpack(monkeypatch):
         return original(self, blob, count)
 
     monkeypatch.setattr(GF, "unpack", counting)
-    for bad, message in ((more_slots, "slot table"), (more_members, "slot row")):
-        with pytest.raises(ProtocolError, match=message):
-            wire.parse_query_payload(bad)
+    bad = edit(data)
+    assert bad != data
+    with pytest.raises(ProtocolError):
+        wire.parse_query_payload(bad, 0, shape)
     assert unpacked == []
-    wire.parse_query_payload(data)
+    wire.parse_query_payload(data, 0, shape)
     assert len(unpacked) == 1
+
+
+def test_layered_query_needs_a_session_shape():
+    plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)
+    data = wire.serialize_database_query(database_queries(plan, state)[0])
+    with pytest.raises(ProtocolError, match="no layered scheme"):
+        wire.parse_query_payload(data)
 
 
 def test_layered_query_truncation_detected():
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)
-    data = wire.serialize_database_query(database_queries(plan, state)[0])
+    query = database_queries(plan, state)[0]
+    data, shape = wire.serialize_database_query(query), _shape(query)
     with pytest.raises(ProtocolError):
-        wire.parse_query_payload(data[:-3])
+        wire.parse_query_payload(data[:-3], 0, shape)
     with pytest.raises(ProtocolError):
-        wire.parse_query_payload(data + b"\x00")
+        wire.parse_query_payload(data + b"\x00", 0, shape)
 
 
 def test_sym_query_round_trip():
