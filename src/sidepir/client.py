@@ -3,15 +3,18 @@
 Both transports exchange the same frames with the same server core, so a
 retrieval records a transcript (the four payloads per endpoint) that is
 byte-identical between a real network run and the in-process simulator for
-the same seed. Answers are collected concurrently and matched to endpoints
-by position; any endpoint failure aborts the retrieval.
+the same seed. A retrieval is pipelined in one thread: each endpoint's
+PARAMS and QUERY leave back to back in one send, to every endpoint, before
+any reply is read; then each endpoint's two replies are read in order. The
+servers work in parallel meanwhile, and any endpoint failure aborts the
+retrieval.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import socket
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,11 +40,21 @@ class TcpTransport:
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rwb")
+        self._file = self._sock.makefile("rb")
 
-    def request(self, ftype: int, payload: bytes) -> tuple[int, bytes]:
-        self._file.write(wire.encode_frame(ftype, payload))
-        self._file.flush()
+    def send(self, frames) -> None:
+        """Write (type, payload) frames back to back in one call, without
+        waiting for a reply; each payload is copied once, into the join."""
+        data = b"".join(part for ftype, payload in frames
+                        for part in (wire.frame_head(ftype, len(payload)), payload))
+        try:
+            self._sock.sendall(data)
+        except (BrokenPipeError, ConnectionResetError):
+            # the server refused a frame from its head and closed; the
+            # replies it wrote first, read next, say why
+            pass
+
+    def receive(self) -> tuple[int, bytes]:
         return wire.read_frame(self._file)
 
     def close(self) -> None:
@@ -57,9 +70,14 @@ class LocalTransport:
     def __init__(self, core: ServerCore):
         self._core = core
         self._session = core.new_session()
+        self._replies = collections.deque()
 
-    def request(self, ftype: int, payload: bytes) -> tuple[int, bytes]:
-        return self._core.handle_frame(self._session, ftype, payload)
+    def send(self, frames) -> None:
+        self._replies.extend(self._core.handle_frame(self._session, ftype, payload)
+                             for ftype, payload in frames)
+
+    def receive(self) -> tuple[int, bytes]:
+        return self._replies.popleft()
 
     def close(self) -> None:
         pass
@@ -106,16 +124,16 @@ class RetrievalResult:
     transcripts: tuple[EndpointTranscript, ...]
 
 
-def _exchange(transport, endpoint: int, params_payload: bytes,
-              query_payload: bytes) -> EndpointTranscript:
-    ftype, reply = transport.request(wire.TYPE_PARAMS, params_payload)
+def _receive(transport, endpoint: int, params_payload: bytes,
+             query_payload: bytes) -> EndpointTranscript:
+    ftype, reply = transport.receive()
     if ftype == wire.TYPE_ERROR:
         code, msg = wire.parse_error_payload(reply)
         raise ProtocolError(f"endpoint {endpoint} rejected params ({code:#x}): {msg}")
     if ftype != wire.TYPE_PARAMS:
         raise ProtocolError(f"endpoint {endpoint} answered params with type {ftype:#x}")
     params_received = reply
-    ftype, answer = transport.request(wire.TYPE_QUERY, query_payload)
+    ftype, answer = transport.receive()
     if ftype == wire.TYPE_ERROR:
         code, msg = wire.parse_error_payload(answer)
         raise ProtocolError(f"endpoint {endpoint} rejected query ({code:#x}): {msg}")
@@ -127,12 +145,13 @@ def _exchange(transport, endpoint: int, params_payload: bytes,
 
 
 def _run_endpoints(transports, params_payloads, query_payloads):
-    with ThreadPoolExecutor(max_workers=len(transports)) as pool:
-        futures = [
-            pool.submit(_exchange, tr, i + 1, params_payloads[i], query_payloads[i])
-            for i, tr in enumerate(transports)
-        ]
-        return [f.result() for f in futures]
+    # A server replies to a frame only once it has read it whole, and an
+    # unread reply stalls only its own server: sending to every endpoint
+    # before reading cannot deadlock.
+    for tr, params, query in zip(transports, params_payloads, query_payloads):
+        tr.send(((wire.TYPE_PARAMS, params), (wire.TYPE_QUERY, query)))
+    return [_receive(tr, i + 1, params_payloads[i], query_payloads[i])
+            for i, tr in enumerate(transports)]
 
 
 def _check_replicas(transcripts) -> str:

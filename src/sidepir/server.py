@@ -7,8 +7,12 @@ makes network and simulated transcripts byte-identical.
 
 Sessions are one QUERY each: a connection first announces itself with a
 PARAMS frame (carrying its assigned endpoint index, which the symmetric
-scheme needs for its evaluation point), then sends the QUERY. Servers keep
-no state across sessions beyond the store and the shared secret.
+scheme needs for its evaluation point), then sends the QUERY. A client may
+send both back to back: frames are answered in order, one reply each, and
+the QUERY is sized against the session that PARAMS set. Any frame before
+that, and any frame but the QUERY after it, is bounded by
+:data:`MAX_SESSIONLESS_FRAME`. Servers keep no state across sessions beyond
+the store and the shared secret.
 """
 
 from __future__ import annotations
@@ -29,6 +33,11 @@ from .stpir_psi import (derive_common_randomness, point_powers,
 from .tpir_psi import DatabaseQuery, _skeleton, answer
 
 ROLES = ("tpir", "stpir")
+
+# a PARAMS payload is at most 216 bytes even with all seven integers at u64
+# width; no frame but a session's QUERY may declare more than this
+MAX_SESSIONLESS_FRAME = 4096
+_INT_FIELDS = ("endpoint", "n_db", "k", "m", "t", "w", "message_length")
 
 log = logging.getLogger(__name__)
 
@@ -73,26 +82,28 @@ class ServerCore:
 
     def _handle_params(self, session: dict, payload: bytes) -> tuple[int, bytes]:
         req = wire.parse_params_payload(payload)
+        # type, not isinstance: a JSON true must not pass as the integer 1
+        loose = [name for name in _INT_FIELDS if type(req.get(name)) is not int]
+        if loose:
+            raise ProtocolError(f"params fields {', '.join(loose)} must be integers")
         problems = []
         if req.get("scheme") != self.role:
             problems.append(f"server role is {self.role!r}, client wants {req.get('scheme')!r}")
-        if req.get("k") != self.store.num_messages:
+        if req["k"] != self.store.num_messages:
             problems.append(f"store holds {self.store.num_messages} messages")
-        if req.get("message_length") != self.store.message_length:
+        if req["message_length"] != self.store.message_length:
             problems.append(f"store messages have length {self.store.message_length}")
-        if req.get("w") != self.store.field.w:
+        if req["w"] != self.store.field.w:
             problems.append(f"store symbols are {self.store.field.w}-bit")
-        endpoint = req.get("endpoint")
-        n_db = req.get("n_db")
-        if not isinstance(endpoint, int) or not isinstance(n_db, int) \
-                or not 1 <= endpoint <= n_db:
+        endpoint, n_db = req["endpoint"], req["n_db"]
+        if not 1 <= endpoint <= n_db:
             problems.append(f"bad endpoint assignment {endpoint}/{n_db}")
         if problems:
             return wire.TYPE_ERROR, wire.error_payload(
                 wire.ERR_STORE_MISMATCH, "; ".join(problems))
         session["endpoint"] = endpoint
-        session["m"] = req.get("m")
-        session["t"] = req.get("t")
+        session["m"] = req["m"]
+        session["t"] = req["t"]
         session["n_db"] = n_db
         reply = wire.params_payload({
             "ok": True,
@@ -146,9 +157,14 @@ class ServerCore:
     def refuse_unread(self, session: dict, ftype: int, length: int) -> bytes | None:
         """An ERROR payload for a frame refused from its head alone, before its
         body is read: a QUERY after PARAMS that declares a length its session
-        cannot take. None for any other frame, which is read as usual."""
+        cannot take, or any other frame longer than MAX_SESSIONLESS_FRAME.
+        None for a frame that is to be read."""
         if ftype != wire.TYPE_QUERY or "endpoint" not in session:
-            return None
+            if length <= MAX_SESSIONLESS_FRAME:
+                return None
+            return wire.error_payload(
+                wire.ERR_MALFORMED_FRAME, f"frame of type {ftype:#x} declares {length} "
+                f"bytes; before a session's QUERY the limit is {MAX_SESSIONLESS_FRAME}")
         try:
             layered = self._layered_shape(session) if self.role == "tpir" else None
         except MalformedQueryError as exc:
@@ -166,8 +182,7 @@ class ServerCore:
         compression code a query makes the server build."""
         k, length = self.store.num_messages, self.store.message_length
         m, n_db, t = session["m"], session["n_db"], session["t"]
-        if not isinstance(m, int) or not isinstance(t, int) \
-                or not 1 <= n_db <= length or n_db ** k != length:
+        if not 1 <= n_db <= length or n_db ** k != length:
             raise MalformedQueryError(
                 f"session parameters (M={m}, N={n_db}, T={t}) do not fit a "
                 f"layered scheme on {k} messages of length {length}")
@@ -183,6 +198,10 @@ class ServerCore:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    # a pipelined session gets two replies back to back: the second must not
+    # wait for the client to acknowledge the first
+    disable_nagle_algorithm = True
+
     def handle(self):
         core: ServerCore = self.server.core  # type: ignore[attr-defined]
         session = core.new_session()

@@ -59,10 +59,15 @@ _STORE_HEADER = struct.Struct("<8sBHQ")
 # ---------------------------------------------------------------------------
 # frames
 
-def encode_frame(ftype: int, payload: bytes) -> bytes:
-    if len(payload) > _MAX_PAYLOAD:
+def frame_head(ftype: int, length: int) -> bytes:
+    """The 9-byte head of a frame whose payload is ``length`` bytes."""
+    if length > _MAX_PAYLOAD:
         raise ProtocolError("payload exceeds the 1 GiB frame limit")
-    return FRAME_MAGIC + bytes([ftype]) + struct.pack("<I", len(payload)) + payload
+    return FRAME_MAGIC + bytes([ftype]) + struct.pack("<I", length)
+
+
+def encode_frame(ftype: int, payload: bytes) -> bytes:
+    return frame_head(ftype, len(payload)) + payload
 
 
 def read_exact(stream: BinaryIO, n: int) -> bytes:

@@ -176,8 +176,9 @@ def test_server_fails_closed_on_internal_errors(golden1_store, monkeypatch, exc)
     try:
         transport = client.TcpTransport("127.0.0.1", server.port)
         try:
-            assert transport.request(wire.TYPE_PARAMS, params_frame)[0] == wire.TYPE_PARAMS
-            ftype, payload = transport.request(wire.TYPE_QUERY, query_frame)
+            transport.send(((wire.TYPE_PARAMS, params_frame), (wire.TYPE_QUERY, query_frame)))
+            assert transport.receive()[0] == wire.TYPE_PARAMS
+            ftype, payload = transport.receive()
         finally:
             transport.close()
     finally:
@@ -209,6 +210,106 @@ def test_truncated_frame_over_tcp(golden1_store):
     ftype, payload = wire.read_frame(__import__("io").BytesIO(data))
     assert ftype == wire.TYPE_ERROR
     assert wire.parse_error_payload(payload)[0] == wire.ERR_MALFORMED_FRAME
+
+
+def _raw_session(port, data, end=False):
+    """Send raw bytes on a new connection, then with ``end`` close its write
+    side; every reply frame until the server closes, read within a 3 s
+    timeout."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=3)
+    try:
+        stream = sock.makefile("rwb")
+        stream.write(data)
+        stream.flush()
+        if end:
+            sock.shutdown(socket.SHUT_WR)
+        replies = []
+        while (head := wire.read_frame_head(stream)) is not None:
+            replies.append((head[0], wire.read_exact(stream, head[1])))
+        return replies
+    finally:
+        sock.close()
+
+
+def test_frames_before_the_session_query_are_bounded(golden1_store):
+    """Before PARAMS, and for any frame but the session's QUERY after it, a
+    head declaring more than MAX_SESSIONLESS_FRAME bytes gets a typed ERROR
+    at once, without the server waiting for the body, and the connection
+    closes. A frame at the bound is still read."""
+    from sidepir.server import MAX_SESSIONLESS_FRAME
+
+    params = wire.encode_frame(wire.TYPE_PARAMS, wire.params_payload(
+        {"scheme": "tpir", "endpoint": 1, "n_db": 2, "k": 3, "m": 1, "t": 1,
+         "w": 4, "message_length": 8}))
+
+    def head(ftype, length):
+        return b"PIR1" + bytes([ftype]) + struct.pack("<I", length)
+
+    server = DatabaseServer(golden1_store).start()
+    try:
+        for prefix, ftype, length in ((b"", wire.TYPE_PARAMS, 1 << 30),
+                                      (b"", wire.TYPE_QUERY, 1 << 30),
+                                      (b"", 0x66, MAX_SESSIONLESS_FRAME + 1),
+                                      (params, wire.TYPE_PARAMS, 1 << 30)):
+            replies = _raw_session(server.port, prefix + head(ftype, length))
+            assert [f for f, _ in replies] == [wire.TYPE_PARAMS] * bool(prefix) + [
+                wire.TYPE_ERROR]
+            assert wire.parse_error_payload(replies[-1][1])[0] == wire.ERR_MALFORMED_FRAME
+        # at the bound the body is read, then parsed and refused as JSON, and
+        # the connection stays open for the next frame
+        replies = _raw_session(server.port, head(wire.TYPE_PARAMS, MAX_SESSIONLESS_FRAME)
+                               + bytes(MAX_SESSIONLESS_FRAME) + params, end=True)
+        assert [f for f, _ in replies] == [wire.TYPE_ERROR, wire.TYPE_PARAMS]
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("name", ["endpoint", "n_db", "k", "m", "t", "w",
+                                  "message_length"])
+def test_params_integer_fields_refuse_booleans(golden1_store, name):
+    """JSON true is not the integer 1: each integer field of PARAMS refuses a
+    boolean (and a float) with a typed ERROR, and no session is set."""
+    core = ServerCore(golden1_store)
+    fields = {"scheme": "tpir", "endpoint": 1, "n_db": 2, "k": 3, "m": 1, "t": 1,
+              "w": 4, "message_length": 8}
+    session = core.new_session()
+    assert core.handle_frame(session, wire.TYPE_PARAMS,
+                             wire.params_payload(fields))[0] == wire.TYPE_PARAMS
+    for value in (True, False, float(fields[name])):
+        session = core.new_session()
+        ftype, reply = core.handle_frame(session, wire.TYPE_PARAMS,
+                                         wire.params_payload({**fields, name: value}))
+        assert ftype == wire.TYPE_ERROR
+        code, message = wire.parse_error_payload(reply)
+        assert code == wire.ERR_MALFORMED_FRAME and name in message
+        assert session == {}
+
+
+def test_server_disables_nagle_on_accepted_connections(golden1_store, monkeypatch):
+    """A pipelined session gets its PARAMS reply and its ANSWER back to back;
+    with TCP_NODELAY the second never waits for the client's ACK of the
+    first."""
+    from sidepir import server as server_mod
+
+    seen = []
+    original = server_mod._Handler.handle
+
+    def handle(self):
+        seen.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        return original(self)
+
+    monkeypatch.setattr(server_mod._Handler, "handle", handle)
+    servers = [DatabaseServer(golden1_store).start() for _ in range(2)]
+    try:
+        tr = tcp_transports(servers)
+        client.retrieve(tr, SchemeParams(3, 1, 2, 1), 2, golden1_store.side_information({3}),
+                        seed=4)
+        for t in tr:
+            t.close()
+    finally:
+        for s in servers:
+            s.stop()
+    assert len(seen) == 2 and all(seen)
 
 
 @pytest.mark.parametrize("role,fields,honest", [
@@ -389,9 +490,9 @@ def test_sum_path_refuses_a_wrong_cache_before_sending():
     sent = []
 
     class Recording(client.LocalTransport):
-        def request(self, ftype, payload):
-            sent.append(ftype)
-            return super().request(ftype, payload)
+        def send(self, frames):
+            sent.extend(ftype for ftype, _ in frames)
+            super().send(frames)
 
     w2, w3 = store.message(2), store.message(3).astype(np.int64)
     # a symbol past GF(2^4), read as x | 16 or wrapped by the cast from 256 + x
@@ -414,6 +515,110 @@ def test_sum_path_refuses_a_wrong_cache_before_sending():
             client.retrieve(sims, SchemeParams(3, 1, 2, 1), 1, side, seed=1)
     assert sent == []
 
+    # the recording sees what an honest retrieval sends: PARAMS and QUERY
+    # for each endpoint it asks
+    sims = [Recording(ServerCore(store, role="stpir", secret=SECRET))]
+    client.retrieve(sims, SchemeParams(3, 2, 3, 1), 1, store.side_information({2, 3}),
+                    seed=1, scheme="stpir")
+    sims = [Recording(ServerCore(layered)) for _ in range(2)]
+    client.retrieve(sims, SchemeParams(3, 1, 2, 1), 1, layered.side_information({3}),
+                    seed=1)
+    assert sent == [wire.TYPE_PARAMS, wire.TYPE_QUERY] * 3
+
+
+class Logging(client.LocalTransport):
+    """Logs (call, transport, frame types) of every send and receive."""
+
+    def __init__(self, core, log):
+        super().__init__(core)
+        self.log = log
+
+    def send(self, frames):
+        self.log.append(("send", self, [ftype for ftype, _ in frames]))
+        super().send(frames)
+
+    def receive(self):
+        self.log.append(("receive", self, None))
+        return super().receive()
+
+
+@pytest.mark.parametrize("scheme,params,cached", [
+    ("tpir", SchemeParams(3, 1, 2, 1), {3}),
+    ("stpir", SchemeParams(3, 0, 3, 1), set()),
+    ("stpir", SchemeParams(3, 2, 3, 1), {2, 3}),
+], ids=["layered", "symmetric", "sum"])
+def test_client_pipelines_each_endpoint(golden1_store, scheme, params, cached):
+    """Each endpoint's PARAMS and QUERY leave in one send, every endpoint is
+    sent to before the first reply is read, and then each endpoint's two
+    replies are read in endpoint order."""
+    store = golden1_store if scheme == "tpir" else random_store(
+        standard_field(4), 3, 2, np.random.default_rng(102))
+    log = []
+    sims = [Logging(ServerCore(store, role=scheme, secret=SECRET), log)
+            for _ in range(params.N)]
+    result = client.retrieve(sims, params, 1, store.side_information(cached), seed=3,
+                             scheme=scheme)
+    assert np.array_equal(result.message, store.message(1))
+    asked = sims[:len(result.transcripts)]
+    assert log == ([("send", t, [wire.TYPE_PARAMS, wire.TYPE_QUERY]) for t in asked]
+                   + [("receive", t, None) for t in asked for _ in range(2)])
+
+
+def test_retrieve_starts_no_thread(golden1_store, monkeypatch):
+    """A retrieval runs in the caller's thread: no per-retrieval pool."""
+    import threading
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("retrieve started a thread")
+
+    monkeypatch.setattr(threading, "Thread", refuse)
+    sym_store = random_store(standard_field(4), 3, 2, np.random.default_rng(102))
+    for store, params, scheme, cached in (
+            (golden1_store, SchemeParams(3, 1, 2, 1), "tpir", {3}),
+            (sym_store, SchemeParams(3, 0, 3, 1), "stpir", set())):
+        sims = client.local_simulator(store, params.N, role=scheme, secret=SECRET)
+        result = client.retrieve(sims, params, 2, store.side_information(cached),
+                                 seed=5, scheme=scheme)
+        assert np.array_equal(result.message, store.message(2))
+
+
+def test_params_mismatch_over_tcp_with_the_query_already_sent(golden1_store):
+    """A rejected PARAMS still raises "rejected params" although its QUERY
+    left with it: a QUERY small enough to be read is answered "QUERY before
+    PARAMS", and one refused from its head (the server then closes, perhaps
+    while the client still writes) still leaves the PARAMS reply readable.
+    The same servers then serve the next connection."""
+    servers = [DatabaseServer(golden1_store).start() for _ in range(2)]
+    side = golden1_store.side_information({3})
+    try:
+        # 8-bit symbols asked of a 4-bit store
+        tr = tcp_transports(servers)
+        with pytest.raises(ProtocolError, match="endpoint 1 rejected params"):
+            client.retrieve(tr, SchemeParams(3, 1, 2, 1, w=8), 1, side, seed=6)
+        for t in tr:
+            t.close()
+        bad = wire.params_payload({"scheme": "tpir", "endpoint": 1, "n_db": 2, "k": 5,
+                                   "m": 1, "t": 1, "w": 4, "message_length": 8})
+        for query in (bytes(96), bytes(32 << 20)):
+            tr = tcp_transports(servers[:1])
+            with pytest.raises(ProtocolError, match="endpoint 1 rejected params"):
+                client._run_endpoints(tr, [bad], [query])
+            tr[0].close()
+        tr = tcp_transports(servers[:1])
+        tr[0].send(((wire.TYPE_PARAMS, bad), (wire.TYPE_QUERY, bytes(96))))
+        assert tr[0].receive()[0] == wire.TYPE_ERROR
+        assert wire.parse_error_payload(tr[0].receive()[1]) == (
+            wire.ERR_PROTOCOL, "QUERY before PARAMS")
+        tr[0].close()
+        tr = tcp_transports(servers)
+        result = client.retrieve(tr, SchemeParams(3, 1, 2, 1), 1, side, seed=6)
+        for t in tr:
+            t.close()
+    finally:
+        for s in servers:
+            s.stop()
+    assert np.array_equal(result.message, golden1_store.message(1))
+
 
 def test_layered_client_refuses_an_answer_form_it_did_not_ask_for(golden1_store):
     """Each answer must come in the form its query asked for: compressed iff
@@ -425,8 +630,8 @@ def test_layered_client_refuses_an_answer_form_it_did_not_ask_for(golden1_store)
             super().__init__(core)
             self.form = form
 
-        def request(self, ftype, payload):
-            ftype, reply = super().request(ftype, payload)
+        def receive(self):
+            ftype, reply = super().receive()
             if ftype == wire.TYPE_ANSWER:
                 reply = bytes([self.form]) + reply[1:]
             return ftype, reply
@@ -482,17 +687,25 @@ def test_client_checks_the_endpoint_count_first(golden1_store, monkeypatch,
     sent = []
 
     class Recording(client.LocalTransport):
-        def request(self, ftype, payload):
-            sent.append(ftype)
-            return super().request(ftype, payload)
+        def send(self, frames):
+            sent.extend(ftype for ftype, _ in frames)
+            super().send(frames)
+
+    def endpoints(count):
+        return [Recording(ServerCore(store, role=scheme, secret=SECRET))
+                for _ in range(count)]
 
     for count in counts:
-        sims = [Recording(ServerCore(store, role=scheme, secret=SECRET))
-                for _ in range(count)]
         with pytest.raises(ParameterError, match="endpoint"):
-            client.retrieve(sims, params, 1, store.side_information(cached), seed=1,
-                            scheme=scheme)
+            client.retrieve(endpoints(count), params, 1, store.side_information(cached),
+                            seed=1, scheme=scheme)
     assert drawn == [] and sent == []
+
+    monkeypatch.undo()
+    client.retrieve(endpoints(params.N), params, 1, store.side_information(cached),
+                    seed=1, scheme=scheme)
+    asked = 1 if scheme == "stpir" and params.M == params.K - 1 else params.N
+    assert sent == [wire.TYPE_PARAMS, wire.TYPE_QUERY] * asked
 
 
 def test_server_checks_layered_query_against_session_params():
