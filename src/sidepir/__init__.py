@@ -22,12 +22,11 @@ from .capacity import (
     desk_grid,
     psi,
 )
-from .field import GF, FieldElement, standard_field
+from .field import GF, standard_field
 from .store import MessageStore, random_store
 
 __all__ = [
     "CountProfile",
-    "FieldElement",
     "GF",
     "MessageStore",
     "SchemeParams",

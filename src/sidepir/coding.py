@@ -5,10 +5,12 @@ Generators are deterministic Vandermonde matrices on the evaluation points
 from (e, f, field) with no negotiation. The systematic variant places the
 identity block on the LAST f rows; rows 0..e-f-1 are parity.
 
-Only erasure decoding is provided (no error correction): pick any f known
-coordinates, invert, and check the remaining known coordinates against the
-reconstructed codeword. Generators are public and fixed by (e, f, field), so
-the inverse of each information set is computed once and cached.
+Only erasure decoding is provided (no error correction): a decoder holding
+f coordinates of a codeword applies the inverse of the generator's rows at
+those coordinates, its information set. Generators are public and fixed by
+(e, f, field), so that inverse is computed once per information set and
+cached. Checking surplus coordinates is the decoder's business:
+``tpir_psi.decode_streams`` cross-checks raw answers against the cached slots.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .errors import (
-    CorruptionError,
-    FieldTooSmallError,
-    InsufficientSymbolsError,
-    ParameterError,
-)
+from .errors import FieldTooSmallError, ParameterError
 from .field import GF
 
 # Exhaustive minor verification is affordable up to this code length; longer
@@ -113,14 +110,6 @@ def make_systematic_mds(e: int, f: int, field: GF) -> GeneratorMatrix:
     return GeneratorMatrix(field=field, entries=entries, systematic=True)
 
 
-def encode(g: GeneratorMatrix, x: np.ndarray) -> np.ndarray:
-    """Codeword y = G x for an information vector of length dim."""
-    x = np.asarray(x, dtype=g.field.dtype)
-    if x.shape != (g.dim,):
-        raise ParameterError(f"information vector must have length {g.dim}")
-    return linalg.matvec(g.field, g.entries, x)
-
-
 @lru_cache(maxsize=1024)
 def _information_set_inverse(e: int, f: int, field: GF, systematic: bool,
                              rows: tuple[int, ...]) -> np.ndarray:
@@ -140,42 +129,6 @@ def information_set_inverse(g: GeneratorMatrix, rows) -> np.ndarray:
     """
     return _information_set_inverse(g.length, g.dim, g.field, g.systematic,
                                     tuple(int(r) for r in rows))
-
-
-def erasure_decode(g: GeneratorMatrix, known) -> np.ndarray:
-    """Recover the information vector from >= dim known coordinates.
-
-    ``known`` is an iterable of (row index, symbol) pairs. Any dim of them
-    determine the codeword (MDS property): the lowest dim rows are decoded by
-    a product with the cached :func:`information_set_inverse`. The surplus
-    coordinates are checked against the reconstruction and a mismatch raises
-    :class:`CorruptionError`.
-    """
-    seen: dict[int, int] = {}
-    for row, value in known:
-        row, value = int(row), int(value)
-        if not 0 <= row < g.length:
-            raise ParameterError(f"coordinate {row} outside code length {g.length}")
-        if row in seen:
-            if seen[row] != value:
-                raise CorruptionError(f"coordinate {row} supplied twice with different values")
-            continue
-        seen[row] = value
-    if len(seen) < g.dim:
-        raise InsufficientSymbolsError(
-            f"got {len(seen)} distinct coordinates, need {g.dim}"
-        )
-    rows = sorted(seen)
-    base, rest = rows[: g.dim], rows[g.dim:]
-    values = np.array([seen[r] for r in base], dtype=g.field.dtype)
-    x = linalg.matvec(g.field, information_set_inverse(g, base), values)
-    if rest:
-        recoded = linalg.matvec(g.field, g.entries[rest, :], x)
-        expected = np.array([seen[r] for r in rest], dtype=g.field.dtype)
-        if not np.array_equal(recoded, expected):
-            bad = [r for r, a, b in zip(rest, recoded, expected) if a != b]
-            raise CorruptionError(f"over-determined coordinates disagree at rows {bad}")
-    return x
 
 
 def sample_candidates(n: int, field: GF, rngs) -> np.ndarray:

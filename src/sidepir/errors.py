@@ -9,10 +9,6 @@ class ParameterError(PirError, ValueError):
     """A parameter set violates its validity constraints."""
 
 
-class FieldMismatchError(PirError):
-    """Two field elements from different field configurations were combined."""
-
-
 class FieldTooSmallError(PirError):
     """The requested field cannot host the code lengths the scheme needs.
 
@@ -26,10 +22,6 @@ class FieldTooSmallError(PirError):
 
 class SingularMatrixError(PirError):
     """A matrix expected to be invertible is singular."""
-
-
-class InsufficientSymbolsError(PirError):
-    """Fewer code coordinates than the code dimension were supplied."""
 
 
 class CorruptionError(PirError):

@@ -1,7 +1,8 @@
 """GF(2^w) arithmetic for protocol symbols.
 
-Elements are plain integers in [0, 2^w). A :class:`GF` instance carries the
-log/antilog tables and all operations; every operation accepts either scalars
+Elements are plain integers in [0, 2^w); addition and subtraction are their
+bitwise XOR, ``a ^ b``. A :class:`GF` instance carries the
+log/antilog tables and the other operations; each accepts either scalars
 or numpy arrays, and the array forms are the hot path for the rest of the
 package. Protocol fields are the binary extension fields with w in
 {4, 8, 16}; other widths can be constructed explicitly for test harnesses.
@@ -12,12 +13,11 @@ w = 4 which packs two symbols per byte, low nibble first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import FieldMismatchError, ParameterError
+from .errors import ParameterError
 
 # Standard reduction polynomials (bit i = coefficient of x^i, bit w set).
 DEFAULT_POLYNOMIALS = {
@@ -136,12 +136,6 @@ class GF:
 
     # -- element operations (scalars or arrays) -----------------------------
 
-    def add(self, a, b):
-        """Characteristic-2 addition: bitwise XOR."""
-        return a ^ b
-
-    sub = add
-
     def mul(self, a, b):
         out = self._alog[self._log[a] + self._log[b]]
         if np.ndim(out) == 0:
@@ -173,9 +167,6 @@ class GF:
                 (self._log[arr[nz]].astype(np.int64) * e) % self._order
             ]
         return int(out[0]) if scalar else out
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(int(value), self)
 
     def contains(self, arr) -> bool:
         """Whether ``arr`` holds only integers in [0, q): symbols that a cast
@@ -238,48 +229,3 @@ def standard_field(w: int) -> GF:
         raise ParameterError(f"protocol field width must be one of {STANDARD_WIDTHS}")
     return GF(w)
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single symbol tagged with its field, for the scalar API.
-
-    Bulk operations should use numpy arrays with the :class:`GF` methods
-    directly; this wrapper exists for the element-level contract (width
-    checks, operator syntax).
-    """
-
-    value: int
-    field: GF
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.q:
-            raise ParameterError(
-                f"value {self.value} out of range for GF(2^{self.field.w})"
-            )
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(
-                f"width mismatch: GF(2^{self.field.w}) vs GF(2^{other.field.w})"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.value ^ other.value, self.field)
-
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field.mul(self.value, other.value), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FieldElement({self.value:#x}, GF(2^{self.field.w}))"

@@ -11,7 +11,6 @@ import pytest
 
 from sidepir import audit
 from sidepir.capacity import SchemeParams
-from sidepir.coding import erasure_decode
 from sidepir.errors import AuditInvariantError, ParameterError
 
 MASTER_SEEDS = (0, 1, 2)
@@ -66,35 +65,33 @@ def test_correctness_audit_exhaustive_golden_2():
 
 
 class ClippedScheme(audit.LayeredScheme):
-    """Mutation: decodes with one cached value withheld, so the per-database
-    completion is one coordinate short of the code dimension."""
+    """Mutation: every database ships its compressed answer one symbol
+    short, so each database's completion with the cached slots is one
+    coordinate short of the code dimension."""
 
     name = "tpir-psi-clipped"
 
     def run_session(self, rng):
-        from sidepir.coding import make_systematic_mds
         from sidepir.store import random_store
-        from sidepir.tpir_psi import (answer_all, build_plan, database_queries,
-                                      known_slots)
+        from sidepir.tpir_psi import (AnswerBundle, answer_all, build_plan,
+                                      database_queries, decode_streams)
         theta, side_idx = self._draw_theta_side(rng)
         plan, state = build_plan(self.params, theta, rng)
         store = random_store(self.field, self.params.K, self.profile.L, rng)
         bundle = answer_all(database_queries(plan, state), store)
-        slots, values = known_slots(plan, state, store.side_information(side_idx))
-        p1, p2 = self.profile.p1, self.profile.p2
-        gen = make_systematic_mds(2 * p1 - p2, p1, plan.field)
-        pairs = [(r, int(v)) for r, v in enumerate(bundle.per_db[0])]
-        pairs += [(p1 - p2 + slot, int(val))
-                  for slot, val in zip(slots[:-1], values[0, :-1])]  # drop one
-        erasure_decode(gen, pairs)  # raises InsufficientSymbolsError
+        assert bundle.form == "compressed"
+        clipped = AnswerBundle(form=bundle.form,
+                               per_db=tuple(v[..., :-1] for v in bundle.per_db))
+        decode_streams(clipped, plan, state, store.side_information(side_idx))
         raise AssertionError("unreachable")
 
 
-def test_mutated_scheme_fails_with_insufficient_symbols():
+def test_mutated_scheme_fails_with_short_answers():
     rep = audit.audit_correctness(ClippedScheme(SchemeParams(3, 1, 2, 1)),
                                   sessions=3, seed=0)
     assert not rep.passed
-    assert any("InsufficientSymbols" in f for f in rep.failures)
+    assert all("ProtocolError: database 0 shipped" in f for f in rep.failures), \
+        rep.failures
 
 
 @pytest.mark.parametrize("seed", MASTER_SEEDS)

@@ -1,7 +1,9 @@
 """MDS generators, erasure decoding, full-rank sampling.
 
-The erasure decoder is cross-checked against a row-reduction solver written
-here from scratch on scalar field ops, so the two routes share no code.
+Erasure decoding is tested on the path the layered decoder runs: the cached
+information-set inverse applied with one ``linalg.matvec``. It is
+cross-checked against a row-reduction solver written here from scratch on
+scalar field ops, so the two routes share no code.
 """
 
 import subprocess
@@ -13,12 +15,7 @@ import pytest
 from scipy import stats
 
 from sidepir import coding, linalg
-from sidepir.errors import (
-    CorruptionError,
-    FieldTooSmallError,
-    InsufficientSymbolsError,
-    ParameterError,
-)
+from sidepir.errors import FieldTooSmallError
 from sidepir.field import GF, standard_field
 
 
@@ -44,6 +41,17 @@ def naive_solve(field, rows, values):
     return np.array([aug[r][m] for r in range(m)], dtype=field.dtype)
 
 
+def encode(g, x):
+    return linalg.matvec(g.field, g.entries, x)
+
+
+def decode(g, rows, y):
+    """The information vector from the codeword ``y`` at ``rows``, an
+    information set of ``g``: its cached inverse times those coordinates."""
+    rows = list(rows)
+    return linalg.matvec(g.field, coding.information_set_inverse(g, rows), y[rows])
+
+
 def test_square_mds_is_bijective():
     f8 = standard_field(8)
     g = coding.make_mds(3, 3, f8)
@@ -51,8 +59,8 @@ def test_square_mds_is_bijective():
     seen = set()
     for _ in range(50):
         x = f8.random_symbols(rng, 3)
-        y = coding.encode(g, x)
-        assert np.array_equal(coding.erasure_decode(g, list(enumerate(y))), x)
+        y = encode(g, x)
+        assert np.array_equal(decode(g, range(3), y), x)
         seen.add(bytes(y))
     assert len(seen) > 1
 
@@ -101,9 +109,9 @@ def test_systematic_encode_embeds_input():
     g = coding.make_systematic_mds(13, 7, f8)
     rng = np.random.default_rng(1)
     x = f8.random_symbols(rng, 7)
-    y = coding.encode(g, x)
+    y = encode(g, x)
     assert np.array_equal(y[6:], x)
-    assert np.array_equal(coding.encode(g, np.zeros(7, dtype=f8.dtype)),
+    assert np.array_equal(encode(g, np.zeros(7, dtype=f8.dtype)),
                           np.zeros(13, dtype=f8.dtype))
 
 
@@ -113,7 +121,7 @@ def test_encode_matches_dot_product_oracle():
     rng = np.random.default_rng(2)
     for _ in range(25):
         x = f4.random_symbols(rng, 2)
-        y = coding.encode(g, x)
+        y = encode(g, x)
         for i in range(5):
             expect = f4.mul(int(g.entries[i, 0]), int(x[0])) ^ \
                 f4.mul(int(g.entries[i, 1]), int(x[1]))
@@ -125,12 +133,12 @@ def test_erasure_decode_full_and_partial():
     g = coding.make_mds(13, 7, f8)
     rng = np.random.default_rng(3)
     x = f8.random_symbols(rng, 7)
-    y = coding.encode(g, x)
-    assert np.array_equal(coding.erasure_decode(g, list(enumerate(y))), x)
+    y = encode(g, x)
+    assert np.array_equal(decode(g, range(7), y), x)
+    assert np.array_equal(encode(g, decode(g, range(7), y)), y)  # all 13 rows
     for _ in range(40):
         rows = sorted(rng.choice(13, size=7, replace=False).tolist())
-        pairs = [(r, int(y[r])) for r in rows]
-        assert np.array_equal(coding.erasure_decode(g, pairs), x)
+        assert np.array_equal(decode(g, rows, y), x)
 
 
 def test_erasure_decode_against_naive_oracle_bulk():
@@ -144,11 +152,10 @@ def test_erasure_decode_against_naive_oracle_bulk():
         f = int(rng.integers(1, e + 1))
         g = coding.make_mds(e, f, fld)
         x = fld.random_symbols(rng, f)
-        y = coding.encode(g, x)
+        y = encode(g, x)
         take = int(rng.integers(f, e + 1))
         rows = sorted(rng.choice(e, size=take, replace=False).tolist())
-        pairs = [(r, int(y[r])) for r in rows]
-        got = coding.erasure_decode(g, pairs)
+        got = decode(g, rows[:f], y)
         ref = naive_solve(fld, g.entries[rows[:f], :], [int(y[r]) for r in rows[:f]])
         assert np.array_equal(got, ref)
         assert np.array_equal(got, x)
@@ -161,30 +168,12 @@ def test_erasure_decode_nine_six_drop_three():
     rng = np.random.default_rng(5)
     for _ in range(50):
         x = f8.random_symbols(rng, 6)
-        y = coding.encode(g, x)
+        y = encode(g, x)
         drop = set(rng.choice(9, size=3, replace=False).tolist())
-        pairs = [(r, int(y[r])) for r in range(9) if r not in drop]
-        got = coding.erasure_decode(g, pairs)
         rows = [r for r in range(9) if r not in drop]
+        got = decode(g, rows, y)
         ref = naive_solve(f8, g.entries[rows, :], [int(y[r]) for r in rows])
         assert np.array_equal(got, ref) and np.array_equal(got, x)
-
-
-def test_erasure_decode_errors():
-    f8 = standard_field(8)
-    g = coding.make_mds(9, 6, f8)
-    x = f8.random_symbols(np.random.default_rng(6), 6)
-    y = coding.encode(g, x)
-    with pytest.raises(InsufficientSymbolsError):
-        coding.erasure_decode(g, [(r, int(y[r])) for r in range(5)])
-    bad = [(r, int(y[r])) for r in range(9)]
-    bad[8] = (8, int(y[8]) ^ 1)
-    with pytest.raises(CorruptionError):
-        coding.erasure_decode(g, bad)
-    with pytest.raises(CorruptionError):
-        coding.erasure_decode(g, [(0, 1), (0, 2)] + bad[1:6])
-    with pytest.raises(ParameterError):
-        coding.erasure_decode(g, [(9, 0)] + bad[:6])
 
 
 def test_round_trip_random_subsets_bulk():
@@ -193,12 +182,11 @@ def test_round_trip_random_subsets_bulk():
     for _ in range(200):
         e = int(rng.integers(2, 12))
         f = int(rng.integers(1, e + 1))
-        g = coding.make_mds(e, f, f4) if e <= 16 else None
+        g = coding.make_mds(e, f, f4)
         x = f4.random_symbols(rng, f)
-        y = coding.encode(g, x)
+        y = encode(g, x)
         rows = sorted(rng.choice(e, size=f, replace=False).tolist())
-        assert np.array_equal(
-            coding.erasure_decode(g, [(r, int(y[r])) for r in rows]), x)
+        assert np.array_equal(decode(g, rows, y), x)
 
 
 def test_field_too_small():
@@ -329,9 +317,8 @@ def test_information_set_inverse_matches_direct_solve():
             rows = sorted(rng.choice(e, size=f, replace=False).tolist())
             values = f8.random_symbols(rng, f)
             want = linalg.solve(f8, g.entries[rows, :], values)
-            got = coding.erasure_decode(g, zip(rows, values.tolist()))
-            assert np.array_equal(got, want)
             inv = coding.information_set_inverse(g, rows)
+            assert np.array_equal(linalg.matvec(f8, inv, values), want)
             assert not inv.flags.writeable
             with pytest.raises(ValueError):
                 inv[0, 0] ^= 1
@@ -339,14 +326,3 @@ def test_information_set_inverse_matches_direct_solve():
     coding._information_set_inverse.cache_clear()
     assert coding._information_set_inverse.cache_info().currsize == 0
 
-
-def test_cached_erasure_decode_still_checks_surplus_rows():
-    f8 = standard_field(8)
-    g = coding.make_mds(9, 4, f8)
-    x = f8.random_symbols(np.random.default_rng(32), 4)
-    y = coding.encode(g, x)
-    known = [(r, int(y[r])) for r in (0, 2, 5, 7, 8)]
-    assert np.array_equal(coding.erasure_decode(g, known), x)   # fills the cache
-    known[-1] = (8, int(y[8]) ^ 1)
-    with pytest.raises(CorruptionError):
-        coding.erasure_decode(g, known)

@@ -5,24 +5,15 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from sidepir.errors import FieldMismatchError, ParameterError
+from sidepir.errors import ParameterError
 from sidepir.field import (
     DEFAULT_POLYNOMIALS,
     GF,
-    FieldElement,
     is_irreducible,
     standard_field,
 )
 
 WIDTHS = (4, 8, 16)
-
-
-def test_known_values_add():
-    f8 = standard_field(8)
-    assert f8.add(0x57, 0x57) == 0x00
-    assert f8.add(0x00, 0xAB) == 0xAB
-    f4 = standard_field(4)
-    assert f4.add(0x3, 0x5) == 0x6
 
 
 def test_known_values_mul():
@@ -64,12 +55,12 @@ def test_field_axioms_bulk(w):
     rng = np.random.default_rng(w)
     a, b, c = (f.random_symbols(rng, 100_000) for _ in range(3))
     assert np.array_equal(f.mul(f.mul(a, b), c), f.mul(a, f.mul(b, c)))
-    assert np.array_equal(f.add(f.add(a, b), c), f.add(a, f.add(b, c)))
+    assert np.array_equal((a ^ b) ^ c, a ^ (b ^ c))
     assert np.array_equal(f.mul(a, b), f.mul(b, a))
-    assert np.array_equal(f.add(a, b), f.add(b, a))
-    assert np.array_equal(f.mul(a, f.add(b, c)), f.add(f.mul(a, b), f.mul(a, c)))
+    assert np.array_equal(a ^ b, b ^ a)
+    assert np.array_equal(f.mul(a, b ^ c), f.mul(a, b) ^ f.mul(a, c))
     # adding b twice is the identity
-    assert np.array_equal(f.add(f.add(a, b), b), a)
+    assert np.array_equal((a ^ b) ^ b, a)
 
 
 @pytest.mark.parametrize("w", (4, 8))
@@ -169,7 +160,7 @@ def test_binary_test_harness_field():
     """GF(2) can be constructed explicitly for analysis harnesses."""
     f2 = GF(1, poly=0b11)
     assert f2.mul(1, 1) == 1
-    assert f2.add(1, 1) == 0
+    assert f2.mul(1, 1 ^ 1) == f2.mul(1, 1) ^ f2.mul(1, 1) == 0
 
 
 @pytest.mark.parametrize("w", WIDTHS)
@@ -188,18 +179,6 @@ def test_nibble_packing_layout():
     data = f4.pack(np.array([0x3, 0xA, 0xF], dtype=np.uint8))
     # low nibble first, odd tail padded with zero
     assert data == bytes([0xA3, 0x0F])
-
-
-def test_field_element_operators():
-    f4, f8 = standard_field(4), standard_field(8)
-    a, b = f4.element(0x3), f4.element(0x5)
-    assert (a + b).value == 0x6
-    assert (a * b).value == f4.mul(3, 5)
-    assert a.inverse() * a == f4.element(1)
-    with pytest.raises(FieldMismatchError):
-        _ = a + f8.element(0x3)
-    with pytest.raises(ParameterError):
-        FieldElement(16, f4)
 
 
 @given(st.integers(0, 255), st.integers(0, 255))
