@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import audit as audit_mod
 from . import client as client_mod
 from . import wire
 from .capacity import (
@@ -76,19 +75,6 @@ def _load_secret(args) -> bytes | None:
         raise argparse.ArgumentTypeError(f"{SECRET_ENV} must be hex") from None
 
 
-def _scheme_store_shape(params: SchemeParams, scheme: str) -> tuple[int, int]:
-    """(width, message length) for a store serving the given scheme."""
-    if scheme == "tpir":
-        w = params.w or minimum_field_width(params)
-        length = params.N ** params.K
-    else:
-        w = params.w or sym_field_width(params)
-        length = params.N - params.T
-        if length < 1:
-            raise PirError("symmetric store needs T < N")
-    return w, length
-
-
 def cmd_capacity(args) -> int:
     params = _params(args)
     if args.symmetric:
@@ -103,7 +89,14 @@ def cmd_capacity(args) -> int:
 
 def cmd_gen_store(args) -> int:
     params = _params(args)
-    w, length = _scheme_store_shape(params, args.scheme)
+    if args.scheme == "tpir":
+        w = params.w or minimum_field_width(params)
+        length = params.N ** params.K
+    else:
+        w = params.w or sym_field_width(params)
+        length = params.N - params.T
+        if length < 1:
+            raise PirError("symmetric store needs T < N")
     field = standard_field(w)
     rng = np.random.default_rng(args.seed)
     store = random_store(field, params.K, length, rng)
@@ -132,7 +125,7 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _load_side(args, params: SchemeParams):
+def _load_side(args):
     if not args.S:
         return {}
     side_store = wire.read_store(args.side_file)
@@ -145,7 +138,7 @@ def _load_side(args, params: SchemeParams):
 
 def cmd_retrieve(args) -> int:
     params = _params(args)
-    side = _load_side(args, params)
+    side = _load_side(args)
     endpoints = client_mod.tcp_endpoints(args.endpoints)
     transports = [client_mod.TcpTransport(h, p) for h, p in endpoints]
     try:
@@ -155,7 +148,9 @@ def cmd_retrieve(args) -> int:
     finally:
         for t in transports:
             t.close()
-    field = standard_field(_scheme_store_shape(params, args.scheme)[0])
+    # the width the retrieval used: the sum path also runs at T = N, where
+    # no symmetric store exists
+    field = standard_field(result.downloaded_bits // result.downloaded_symbols)
     with open(args.out, "wb") as fh:
         fh.write(field.pack(result.message))
     match = "matches" if result.rate == result.capacity else "below"
@@ -166,14 +161,9 @@ def cmd_retrieve(args) -> int:
     return 0
 
 
-def _audit_scheme(args, params: SchemeParams):
-    if args.scheme == "tpir":
-        return audit_mod.LayeredScheme(params)
-    secret = _load_secret(args) or audit_mod.AUDIT_SECRET
-    return audit_mod.SymmetricScheme(params, secret=secret)
-
-
 def cmd_audit(args) -> int:
+    from . import audit as audit_mod  # and with it scipy.stats: only audits load them
+
     reports = []
     if args.grid is not None:
         for params in args.grid:
@@ -184,7 +174,11 @@ def cmd_audit(args) -> int:
                                                seed=args.seed) for scheme in schemes]
     else:
         params = _params(args)
-        scheme = _audit_scheme(args, params)
+        if args.scheme == "tpir":
+            scheme = audit_mod.LayeredScheme(params)
+        else:
+            secret = _load_secret(args) or audit_mod.AUDIT_SECRET
+            scheme = audit_mod.SymmetricScheme(params, secret=secret)
         if args.test == "correctness":
             reports.append(audit_mod.audit_correctness(scheme, args.sessions, args.seed))
         elif args.test == "user-privacy":

@@ -126,32 +126,26 @@ class RetrievalResult:
 
 def _receive(transport, endpoint: int, params_payload: bytes,
              query_payload: bytes) -> EndpointTranscript:
-    ftype, reply = transport.receive()
-    if ftype == wire.TYPE_ERROR:
-        code, msg = wire.parse_error_payload(reply)
-        raise ProtocolError(f"endpoint {endpoint} rejected params ({code:#x}): {msg}")
-    if ftype != wire.TYPE_PARAMS:
-        raise ProtocolError(f"endpoint {endpoint} answered params with type {ftype:#x}")
-    params_received = reply
-    ftype, answer = transport.receive()
-    if ftype == wire.TYPE_ERROR:
-        code, msg = wire.parse_error_payload(answer)
-        raise ProtocolError(f"endpoint {endpoint} rejected query ({code:#x}): {msg}")
-    if ftype != wire.TYPE_ANSWER:
-        raise ProtocolError(f"endpoint {endpoint} answered query with type {ftype:#x}")
-    return EndpointTranscript(endpoint=endpoint, params_sent=params_payload,
-                              params_received=params_received,
-                              query_sent=query_payload, answer_received=answer)
+    replies = []
+    for step, wanted in (("params", wire.TYPE_PARAMS), ("query", wire.TYPE_ANSWER)):
+        ftype, reply = transport.receive()
+        if ftype == wire.TYPE_ERROR:
+            code, msg = wire.parse_error_payload(reply)
+            raise ProtocolError(f"endpoint {endpoint} rejected {step} ({code:#x}): {msg}")
+        if ftype != wanted:
+            raise ProtocolError(f"endpoint {endpoint} answered {step} with type {ftype:#x}")
+        replies.append(reply)
+    return EndpointTranscript(endpoint, params_payload, replies[0], query_payload, replies[1])
 
 
 def _run_endpoints(transports, params_payloads, query_payloads):
     # A server replies to a frame only once it has read it whole, and an
     # unread reply stalls only its own server: sending to every endpoint
     # before reading cannot deadlock.
-    for tr, params, query in zip(transports, params_payloads, query_payloads):
+    asked = list(zip(transports, params_payloads, query_payloads))
+    for tr, params, query in asked:
         tr.send(((wire.TYPE_PARAMS, params), (wire.TYPE_QUERY, query)))
-    return [_receive(tr, i + 1, params_payloads[i], query_payloads[i])
-            for i, tr in enumerate(transports)]
+    return [_receive(tr, i + 1, params, query) for i, (tr, params, query) in enumerate(asked)]
 
 
 def _check_replicas(transcripts) -> str:
@@ -181,6 +175,10 @@ def _params_frames(params: SchemeParams, scheme: str, w: int,
     ]
 
 
+_FORM_NAMES = {wire.FORM_RAW: "raw", wire.FORM_COMPRESSED: "compressed",
+               wire.FORM_SYMMETRIC: "symmetric", wire.FORM_SUM: "sum"}
+
+
 def retrieve(transports, params: SchemeParams, theta: int, side,
              seed: int | np.random.Generator, scheme: str = "tpir",
              raw: bool = False) -> RetrievalResult:
@@ -189,6 +187,10 @@ def retrieve(transports, params: SchemeParams, theta: int, side,
     ``side`` maps cached 1-based message indices to their symbol vectors
     (empty for M = 0). ``raw`` disables redundancy removal, which also arms
     the cached-value consistency check on the raw answers.
+
+    Each scheme supplies its field and message length, one QUERY payload per
+    endpoint it asks, the answer form and symbol count it expects of each,
+    its capacity and a decode step; the exchange and its checks are shared.
     """
     if scheme not in ("tpir", "stpir"):
         raise ParameterError(f"unknown scheme {scheme!r}")
@@ -201,87 +203,53 @@ def retrieve(transports, params: SchemeParams, theta: int, side,
     rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
     side = {int(i): v for i, v in (side or {}).items()}
     if scheme == "tpir":
-        return _retrieve_layered(transports, params, theta, side, rng, raw)
-    if sum_path:
-        return _retrieve_sum(transports, params, theta, side)
-    return _retrieve_symmetric(transports, params, theta, side, rng)
+        plan, state = build_plan(params, theta, rng)
+        side = check_side(plan, state, side)
+        queries = database_queries(plan, state)
+        if raw:
+            queries = [dataclasses.replace(q, compress=False) for q in queries]
+        compressed = queries[0].compress
+        field, length, capacity = plan.field, plan.profile.L, capacity_tpir_psi(params)
+        payloads = [wire.serialize_database_query(q) for q in queries]
+        form = wire.FORM_COMPRESSED if compressed else wire.FORM_RAW
+        count = plan.profile.p1 - (plan.profile.p2 if compressed else 0)
 
+        def finish(answers):
+            return decode(AnswerBundle(_FORM_NAMES[form], tuple(answers)), plan, state, side)
+    elif sum_path:
+        # all but one cached: one database, one sum, rate 1, no randomness
+        field = make_sym_params(params).field
+        strip = cached_sum(side, params.K, theta, field)
+        length = count = len(strip)
+        payloads = [wire.serialize_sum_query(field.w, params.K, length)]
+        form, capacity = wire.FORM_SUM, capacity_stpir_psi(params, Fraction(0))
 
-def _retrieve_layered(transports, params, theta, side, rng, raw) -> RetrievalResult:
-    plan, state = build_plan(params, theta, rng)
-    side = check_side(plan, state, side)
-    queries = database_queries(plan, state)
-    if raw:
-        queries = [dataclasses.replace(q, compress=False) for q in queries]
-    params_frames = _params_frames(params, "tpir", plan.field.w,
-                                   plan.profile.L, params.N)
-    query_frames = [wire.serialize_database_query(q) for q in queries]
-    transcripts = _run_endpoints(transports, params_frames, query_frames)
-    digest = _check_replicas(transcripts)
-    expected = wire.FORM_COMPRESSED if queries[0].compress else wire.FORM_RAW
-    vectors = []
-    for t in transcripts:
-        form, symbols = wire.parse_answer(plan.field, t.answer_received)
-        if form != expected:
-            raise ProtocolError(f"endpoint {t.endpoint} sent answer form {form:#x}, "
-                                f"the query asked for {expected:#x}")
-        vectors.append(symbols)
-    form = "compressed" if queries[0].compress else "raw"
-    bundle = AnswerBundle(form=form, per_db=tuple(vectors))
-    message = decode(bundle, plan, state, side)
-    downloaded = bundle.downloaded_symbols
-    rate = Fraction(plan.profile.L, downloaded)
-    return RetrievalResult(
-        message=message, form=form, downloaded_symbols=downloaded,
-        downloaded_bits=downloaded * plan.field.w, rate=rate,
-        capacity=capacity_tpir_psi(params), store_digest=digest,
-        transcripts=tuple(transcripts),
-    )
+        def finish(answers):
+            return answers[0] ^ strip
+    else:
+        sym = make_sym_params(params)
+        session_id = rng.bytes(SESSION_ID_BYTES)
+        payloads = [wire.serialize_sym_query(sym.field.w, session_id, params.T, q)
+                    for q in sym_query(sym, theta, rng)]
+        field, length, form, count = sym.field, sym.message_length, wire.FORM_SYMMETRIC, 1
+        capacity = capacity_stpir_psi(params, Fraction(params.T, params.N - params.T))
 
-
-def _retrieve_symmetric(transports, params, theta, side, rng) -> RetrievalResult:
-    sym = make_sym_params(params)
-    session_id = rng.bytes(SESSION_ID_BYTES)
-    queries = sym_query(sym, theta, rng)
-    params_frames = _params_frames(params, "stpir", sym.field.w,
-                                   sym.message_length, params.N)
-    query_frames = [wire.serialize_sym_query(sym.field.w, session_id, params.T, q)
-                    for q in queries]
-    transcripts = _run_endpoints(transports, params_frames, query_frames)
+        def finish(answers):
+            return sym_decode(np.concatenate(answers), sym)
+    transcripts = _run_endpoints(
+        transports, _params_frames(params, scheme, field.w, length, len(payloads)), payloads)
     digest = _check_replicas(transcripts)
     answers = []
     for t in transcripts:
-        form, symbols = wire.parse_answer(sym.field, t.answer_received)
-        if form != wire.FORM_SYMMETRIC or len(symbols) != 1:
-            raise ProtocolError(f"endpoint {t.endpoint} sent a malformed answer")
-        answers.append(int(symbols[0]))
-    message = sym_decode(np.array(answers, dtype=sym.field.dtype), sym)
-    downloaded = params.N
-    rate = Fraction(sym.message_length, downloaded)
-    rho = Fraction(params.T, params.N - params.T)
+        got, symbols = wire.parse_answer(field, t.answer_received)
+        if (got, len(symbols)) != (form, count):
+            raise ProtocolError(
+                f"endpoint {t.endpoint} sent answer form {got:#x} with {len(symbols)} "
+                f"symbols, the query asked for form {form:#x} with {count}")
+        answers.append(symbols)
+    downloaded = count * len(answers)
     return RetrievalResult(
-        message=message, form="symmetric", downloaded_symbols=downloaded,
-        downloaded_bits=downloaded * sym.field.w, rate=rate,
-        capacity=capacity_stpir_psi(params, rho), store_digest=digest,
-        transcripts=tuple(transcripts),
-    )
-
-
-def _retrieve_sum(transports, params, theta, side) -> RetrievalResult:
-    """All-but-one cached: one database, one sum, rate 1, no randomness."""
-    field = make_sym_params(params).field
-    strip = cached_sum(side, params.K, theta, field)
-    length = len(strip)
-    params_frames = _params_frames(params, "stpir", field.w, length, 1)
-    query = wire.serialize_sum_query(field.w, params.K, length)
-    transcripts = _run_endpoints(transports[:1], params_frames[:1], [query])
-    digest = _check_replicas(transcripts)
-    form, symbols = wire.parse_answer(field, transcripts[0].answer_received)
-    if form != wire.FORM_SUM or len(symbols) != length:
-        raise ProtocolError("malformed sum answer")
-    return RetrievalResult(
-        message=symbols ^ strip, form="sum", downloaded_symbols=length,
-        downloaded_bits=length * field.w, rate=Fraction(1),
-        capacity=capacity_stpir_psi(params, Fraction(0)), store_digest=digest,
-        transcripts=tuple(transcripts),
+        message=finish(answers), form=_FORM_NAMES[form], downloaded_symbols=downloaded,
+        downloaded_bits=downloaded * field.w, rate=Fraction(length, downloaded),
+        capacity=capacity, store_digest=digest, transcripts=tuple(transcripts),
     )

@@ -7,10 +7,13 @@ makes network and simulated transcripts byte-identical.
 
 Sessions are one QUERY each: a connection first announces itself with a
 PARAMS frame (carrying its assigned endpoint index, which the symmetric
-scheme needs for its evaluation point), then sends the QUERY. A client may
-send both back to back: frames are answered in order, one reply each, and
-the QUERY is sized against the session that PARAMS set. Any frame before
-that, and any frame but the QUERY after it, is bounded by
+scheme needs for its evaluation point), then sends the QUERY. PARAMS fixes
+the QUERY shapes the session takes, once: the layered one of its (M, N, T)
+on a tpir server; the sum query and, where T fits, the symmetric one on a
+stpir server. A QUERY is sized from them before its body is read, and must
+match one of them in every byte but its own. A client may send both frames
+back to back: they are answered in order, one reply each. Any frame before
+PARAMS, and any frame but the QUERY after it, is bounded by
 :data:`MAX_SESSIONLESS_FRAME`. Servers keep no state across sessions beyond
 the store and the shared secret.
 """
@@ -102,9 +105,7 @@ class ServerCore:
             return wire.TYPE_ERROR, wire.error_payload(
                 wire.ERR_STORE_MISMATCH, "; ".join(problems))
         session["endpoint"] = endpoint
-        session["m"] = req["m"]
-        session["t"] = req["t"]
-        session["n_db"] = n_db
+        session["layouts"] = self._layouts(req["m"], n_db, req["t"])
         reply = wire.params_payload({
             "ok": True,
             "store_digest": self.store_digest,
@@ -118,9 +119,9 @@ class ServerCore:
         if "endpoint" not in session:
             return wire.TYPE_ERROR, wire.error_payload(
                 wire.ERR_PROTOCOL, "QUERY before PARAMS")
-        layered = self._layered_shape(session) if self.role == "tpir" else None
+        endpoint = session["endpoint"]
         try:
-            query = wire.parse_query_payload(payload, session["endpoint"] - 1, layered)
+            query = wire.parse_query_payload(payload, endpoint - 1, session["layouts"])
         except ProtocolError as exc:
             return wire.TYPE_ERROR, wire.error_payload(wire.ERR_MALFORMED_QUERY, str(exc))
         field = self.store.field
@@ -128,29 +129,13 @@ class ServerCore:
             form, symbols = answer(query, self.store)
             wire_form = wire.FORM_COMPRESSED if form == "compressed" else wire.FORM_RAW
             return wire.TYPE_ANSWER, wire.serialize_answer(field, wire_form, symbols)
-        if self.role != "stpir":
-            raise MalformedQueryError("a tpir server answers layered queries only")
         if isinstance(query, wire.SymQueryWire):
-            if query.w != field.w or query.coords.shape != self.store.messages.shape:
-                raise MalformedQueryError(
-                    f"{query.w}-bit query of shape {query.coords.shape} does not match the store")
-            # the mask length is the session's declared threshold, never the
-            # query's word: a shorter mask would weaken database privacy; and
-            # the points 1..N must be nonzero field elements
-            if query.t != session["t"] or not 1 <= query.t < session["n_db"] < field.q:
-                raise MalformedQueryError(
-                    f"query threshold {query.t} does not fit the session's "
-                    f"{session['n_db']} points in GF(2^{field.w})")
-            sigma = derive_common_randomness(self.secret, query.session_id,
-                                             query.t, field)
+            sigma = derive_common_randomness(self.secret, query.session_id, query.t, field)
             # only this endpoint's T powers: never a table sized by N
             value = sym_answer(field, query.coords, self.store.messages, sigma,
-                               point_powers(field, session["endpoint"], query.t))
+                               point_powers(field, endpoint, query.t))
             return wire.TYPE_ANSWER, wire.serialize_answer(
                 field, wire.FORM_SYMMETRIC, np.array([value], dtype=field.dtype))
-        if query.w != field.w or query.num_messages != self.store.num_messages \
-                or query.message_length != self.store.message_length:
-            raise MalformedQueryError("sum query does not match the store")
         return wire.TYPE_ANSWER, wire.serialize_answer(
             field, wire.FORM_SUM, sum_shortcut_answer(self.store))
 
@@ -165,36 +150,43 @@ class ServerCore:
             return wire.error_payload(
                 wire.ERR_MALFORMED_FRAME, f"frame of type {ftype:#x} declares {length} "
                 f"bytes; before a session's QUERY the limit is {MAX_SESSIONLESS_FRAME}")
-        try:
-            layered = self._layered_shape(session) if self.role == "tpir" else None
-        except MalformedQueryError as exc:
-            return wire.error_payload(wire.ERR_MALFORMED_QUERY, str(exc))
-        allowed = wire.query_sizes(self.store, layered)
+        layouts = session["layouts"].values()
+        allowed = tuple(wire.query_size(s) for s in layouts if not isinstance(s, str))
         if length in allowed:
             return None
-        return wire.error_payload(wire.ERR_MALFORMED_QUERY,
-                                  f"QUERY declares {length} bytes; this session takes {allowed}")
+        return wire.error_payload(wire.ERR_MALFORMED_QUERY, "; ".join(
+            [f"QUERY declares {length} bytes; this session takes {allowed}"]
+            + [s for s in layouts if isinstance(s, str)]))
 
-    def _layered_shape(self, session: dict) -> wire.LayeredShape:
-        """The store's w, K and L, and the public slot table and p2 of the
-        PARAMS frame's (M, N, T), whose N^K must be the store's length. The
-        table is the same for every desired index, and its slot count caps the
-        compression code a query makes the server build."""
-        k, length = self.store.num_messages, self.store.message_length
-        m, n_db, t = session["m"], session["n_db"], session["t"]
+    def _layouts(self, m: int, n_db: int, t: int) -> dict:
+        """The QUERY shapes a session of PARAMS (M, N, T) takes, keyed by
+        scheme byte; where it takes none of a scheme, why. A tpir session
+        takes the layered shape: the slot table and p2 of (M, N, T), the same
+        for every desired index, whose slot count caps the compression code a
+        query makes the server build. A stpir session takes the sum query,
+        and a symmetric one that masks with exactly the declared T symbols
+        (a shorter mask would weaken database privacy) at N nonzero points,
+        enough to interpolate an answer of degree below T + L."""
+        field, k, length = self.store.field, self.store.num_messages, self.store.message_length
+        if self.role == "stpir":
+            symmetric = (wire.SymmetricShape(field.w, k, length, t)
+                         if 1 <= t and t + length <= n_db < field.q else
+                         f"threshold T={t} and {length} coordinates per message do not "
+                         f"fit the session's {n_db} points in GF(2^{field.w})")
+            return {wire.SCHEME_SYMMETRIC: symmetric,
+                    wire.SCHEME_SUM: wire.SumShape(field.w, k, length)}
         if not 1 <= n_db <= length or n_db ** k != length:
-            raise MalformedQueryError(
-                f"session parameters (M={m}, N={n_db}, T={t}) do not fit a "
-                f"layered scheme on {k} messages of length {length}")
+            return {wire.SCHEME_LAYERED: f"session parameters (M={m}, N={n_db}, T={t}) do "
+                    f"not fit a layered scheme on {k} messages of length {length}"}
         try:
             params = SchemeParams(k, m, n_db, t)
         except ParameterError as exc:
-            raise MalformedQueryError(f"session parameters: {exc}") from exc
+            return {wire.SCHEME_LAYERED: f"session parameters: {exc}"}
         if not params.constructible:
-            raise MalformedQueryError(f"no layered scheme exists for {params.label()}")
+            return {wire.SCHEME_LAYERED: f"no layered scheme exists for {params.label()}"}
         skeleton = _skeleton(params, 1)
-        return wire.LayeredShape(self.store.field.w, k, length, skeleton.slot_members,
-                                 skeleton.profile.p2)
+        return {wire.SCHEME_LAYERED: wire.LayeredShape(field.w, k, length, skeleton.slot_members,
+                                                       skeleton.profile.p2)}
 
 
 class _Handler(socketserver.StreamRequestHandler):

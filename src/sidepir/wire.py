@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import BinaryIO, Mapping, NamedTuple
 
@@ -197,23 +196,34 @@ def serialize_database_query(q: DatabaseQuery):
     return out.reshape(lead + (size,)) if lead else out.tobytes()
 
 
-def parse_query_payload(data: bytes, db_index: int = -1,
-                        layered: LayeredShape | None = None):
-    """Decode a QUERY payload into the matching scheme's query object. A
-    layered payload must match the template of ``layered``, its session's
-    shape, in every byte but the rows and the compress byte (0 or 1)."""
+def parse_query_payload(data: bytes, db_index: int, layouts: Mapping):
+    """Decode a QUERY payload into its scheme's query object. ``layouts``
+    maps each scheme byte its session takes to that scheme's shape, or to a
+    string saying why the session takes none. The payload must match its
+    shape in every byte but its own: the rows and compress byte (0 or 1) of
+    a layered query, the session id and coordinates of a symmetric one; a
+    sum query has none, and parses to its shape."""
     if not data:
         raise ProtocolError("empty query payload")
-    scheme = data[0]
-    if scheme == SCHEME_LAYERED:
-        if layered is None:
-            raise ProtocolError("no layered scheme is expected in this session")
-        return _parse_layered(data, db_index, layered)
-    if scheme == SCHEME_SYMMETRIC:
-        return _parse_symmetric(data)
-    if scheme == SCHEME_SUM:
-        return _parse_sum(data)
-    raise ProtocolError(f"unknown query scheme {scheme:#x}")
+    shape = layouts.get(data[0], f"this session takes no query of scheme {data[0]:#x}")
+    if isinstance(shape, str):
+        raise ProtocolError(shape)
+    if isinstance(shape, LayeredShape):
+        return _parse_layered(data, db_index, shape)
+    if isinstance(shape, SymmetricShape):
+        return _parse_symmetric(data, shape)
+    if data != serialize_sum_query(*shape):
+        raise ProtocolError("sum query does not match its session's")
+    return shape
+
+
+def query_size(shape) -> int:
+    """The length of every QUERY payload of a session's ``shape``."""
+    if isinstance(shape, LayeredShape):
+        return _layered_template(shape)[0].size
+    if isinstance(shape, SymmetricShape):
+        return _symmetric_layout(shape)[1]
+    return _SUM_HEAD.size
 
 
 def _parse_layered(data: bytes, db_index: int, shape: LayeredShape) -> DatabaseQuery:
@@ -244,11 +254,27 @@ def _parse_layered(data: bytes, db_index: int, shape: LayeredShape) -> DatabaseQ
 # symmetric-scheme query payloads
 
 _SYM_HEAD = struct.Struct("<BBHHH16s")
+_SID_AT = 8  # the session id follows the fields its shape fixes
 
 
-@dataclass(frozen=True)
-class SymQueryWire:
+class SymmetricShape(NamedTuple):
+    """What fixes a symmetric payload: all but its session id and coordinates."""
+
     w: int
+    num_messages: int
+    message_length: int
+    t: int
+
+
+@lru_cache(maxsize=16)
+def _symmetric_layout(shape: SymmetricShape) -> tuple[bytes, int]:
+    """The header bytes before the session id, and the payload size."""
+    count = shape.num_messages * shape.message_length
+    return (_SYM_HEAD.pack(SCHEME_SYMMETRIC, *shape, bytes(16))[:_SID_AT],
+            _SYM_HEAD.size + standard_field(shape.w).packed_size(count))
+
+
+class SymQueryWire(NamedTuple):
     t: int
     session_id: bytes
     coords: np.ndarray  # (K, N - T)
@@ -262,23 +288,14 @@ def serialize_sym_query(w: int, session_id: bytes, t: int,
     return head + field.pack(coords.reshape(-1))
 
 
-def _parse_symmetric(data: bytes) -> SymQueryWire:
-    try:
-        scheme, w, k, ell, t, sid = _SYM_HEAD.unpack_from(data, 0)
-    except struct.error as exc:
-        raise ProtocolError(f"truncated query header: {exc}") from exc
-    if w not in (4, 8, 16):
-        raise ProtocolError(f"unsupported symbol width {w}")
-    field = standard_field(w)
-    body = data[_SYM_HEAD.size:]
-    expected = field.packed_size(k * ell)
-    if len(body) != expected:
-        raise ProtocolError(
-            f"symmetric query body holds {len(body)} bytes, expected {expected}"
-        )
-    coords = field.unpack(body, k * ell).reshape(k, ell)
+def _parse_symmetric(data: bytes, shape: SymmetricShape) -> SymQueryWire:
+    head, size = _symmetric_layout(shape)
+    if len(data) != size or data[:_SID_AT] != head:
+        raise ProtocolError("symmetric query header or length does not match its session's")
+    field, k, ell = standard_field(shape.w), shape.num_messages, shape.message_length
+    coords = field.unpack(data[_SYM_HEAD.size:], k * ell).reshape(k, ell)
     coords.flags.writeable = False
-    return SymQueryWire(w=w, t=t, session_id=sid, coords=coords)
+    return SymQueryWire(t=shape.t, session_id=data[_SID_AT:_SYM_HEAD.size], coords=coords)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +304,9 @@ def _parse_symmetric(data: bytes) -> SymQueryWire:
 _SUM_HEAD = struct.Struct("<BBHQ")
 
 
-@dataclass(frozen=True)
-class SumQueryWire:
+class SumShape(NamedTuple):
+    """A sum payload is fixed whole by the store it asks."""
+
     w: int
     num_messages: int
     message_length: int
@@ -296,24 +314,6 @@ class SumQueryWire:
 
 def serialize_sum_query(w: int, num_messages: int, message_length: int) -> bytes:
     return _SUM_HEAD.pack(SCHEME_SUM, w, num_messages, message_length)
-
-
-def _parse_sum(data: bytes) -> SumQueryWire:
-    try:
-        scheme, w, k, length = _SUM_HEAD.unpack_from(data, 0)
-    except struct.error as exc:
-        raise ProtocolError(f"truncated query header: {exc}") from exc
-    if len(data) != _SUM_HEAD.size:
-        raise ProtocolError("trailing bytes after sum query header")
-    return SumQueryWire(w=w, num_messages=k, message_length=length)
-
-
-def query_sizes(store: MessageStore, layered: LayeredShape | None) -> tuple[int, ...]:
-    """The QUERY lengths a session takes: its layered template's, or else a
-    symmetric query of one coordinate per stored symbol and the sum query."""
-    if layered is not None:
-        return (_layered_template(layered)[0].size,)
-    return _SYM_HEAD.size + store.field.packed_size(store.messages.size), _SUM_HEAD.size
 
 
 # ---------------------------------------------------------------------------

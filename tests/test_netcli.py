@@ -478,6 +478,43 @@ def test_cli_audit_grid(capsys):
     assert "FAIL" not in out
 
 
+def test_cli_sum_path_at_t_equals_n_writes_the_message(tmp_path, capsys):
+    """The all-but-one path runs at T = N, where no symmetric store exists:
+    the CLI writes the message in the width the retrieval used."""
+    store = random_store(standard_field(4), 3, 2, np.random.default_rng(108))
+    side_path, out_path = tmp_path / "side.pir", tmp_path / "msg.bin"
+    wire.write_store(side_path, type(store)(field=store.field, messages=store.messages[1:]))
+    servers = [DatabaseServer(store, role="stpir", secret=SECRET).start() for _ in range(2)]
+    try:
+        endpoints = ",".join(f"127.0.0.1:{s.port}" for s in servers)
+        code = cli_main(["retrieve", "--endpoints", endpoints, "--scheme", "stpir",
+                         "--K", "3", "--M", "2", "--N", "2", "--T", "2", "--theta", "1",
+                         "--S", "2,3", "--side-file", str(side_path), "--seed", "1",
+                         "--out", str(out_path)])
+    finally:
+        for s in servers:
+            s.stop()
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert "rate 1 matches capacity 1" in out.out
+    assert out_path.read_bytes() == store.field.pack(store.message(1))
+
+
+def test_cli_import_loads_no_audit_stack():
+    """Serving and retrieving never load the audits or scipy.stats: only the
+    audit command imports them."""
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys, sidepir.cli; "
+            "print(sorted({'sidepir.audit', 'scipy.stats'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
+
+
 def test_sum_path_refuses_a_wrong_cache_before_sending():
     """The all-but-one path checks that the cache holds exactly the K-1
     other messages before its query leaves: a mislabelled cache must not
@@ -621,32 +658,97 @@ def test_params_mismatch_over_tcp_with_the_query_already_sent(golden1_store):
 
 
 def test_layered_client_refuses_an_answer_form_it_did_not_ask_for(golden1_store):
-    """Each answer must come in the form its query asked for: compressed iff
-    redundancy removal is on and M >= 1. At M = 0 a raw answer relabelled
-    as compressed would otherwise decode to a wrong message, and an unknown
-    form byte would be read as raw."""
-    class Relabelling(client.LocalTransport):
-        def __init__(self, core, form):
+    """Each answer must come in the form and symbol count its query asked
+    for: a layered answer is compressed iff redundancy removal is on and
+    M >= 1 (at M = 0 a raw answer relabelled as compressed would otherwise
+    decode to a wrong message, and an unknown form byte would be read as
+    raw), a symmetric answer is one symbol, a sum answer one message. A
+    relabelled form, or one symbol more or less, gets the same error naming
+    the endpoint on the layered, symmetric and sum paths."""
+    class Editing(client.LocalTransport):
+        def __init__(self, core, edit):
             super().__init__(core)
-            self.form = form
+            self.edit = edit
 
         def receive(self):
             ftype, reply = super().receive()
             if ftype == wire.TYPE_ANSWER:
-                reply = bytes([self.form]) + reply[1:]
+                reply = self.edit(reply)
             return ftype, reply
 
+    def relabel(form):
+        return lambda reply: bytes([form]) + reply[1:]
+
+    def resize(delta):
+        def edit(reply):
+            f4 = standard_field(4)
+            form, symbols = wire.parse_answer(f4, reply)
+            symbols = np.resize(symbols, len(symbols) + delta)
+            return wire.serialize_answer(f4, form, symbols)
+        return edit
+
     m0_store = random_store(standard_field(4), 3, 8, np.random.default_rng(105))
-    cases = [(m0_store, SchemeParams(3, 0, 2, 1), set(), False, form)
+    sym_store = random_store(standard_field(4), 3, 2, np.random.default_rng(102))
+    cases = [(m0_store, SchemeParams(3, 0, 2, 1), "tpir", set(), False, relabel(form))
              for form in (wire.FORM_COMPRESSED, wire.FORM_SYMMETRIC, wire.FORM_SUM, 0x7f)]
-    cases += [(golden1_store, SchemeParams(3, 1, 2, 1), {3}, False, form)
-              for form in (wire.FORM_RAW, 0x7f)]
-    cases += [(golden1_store, SchemeParams(3, 1, 2, 1), {3}, True, wire.FORM_COMPRESSED)]
-    for store, params, cached, raw, form in cases:
-        sims = [Relabelling(ServerCore(store), form) for _ in range(params.N)]
-        with pytest.raises(ProtocolError, match="answer form"):
+    cases += [(golden1_store, SchemeParams(3, 1, 2, 1), "tpir", {3}, False, edit)
+              for edit in (relabel(wire.FORM_RAW), relabel(0x7f), resize(1), resize(-1))]
+    cases += [(golden1_store, SchemeParams(3, 1, 2, 1), "tpir", {3}, True,
+               relabel(wire.FORM_COMPRESSED))]
+    for params, cached, others in ((SchemeParams(3, 0, 3, 1), set(), wire.FORM_SUM),
+                                   (SchemeParams(3, 2, 3, 1), {2, 3}, wire.FORM_SYMMETRIC)):
+        cases += [(sym_store, params, "stpir", cached, False, edit)
+                  for edit in (relabel(wire.FORM_RAW), relabel(wire.FORM_COMPRESSED),
+                               relabel(others), relabel(0x7f), resize(1), resize(-1))]
+    for store, params, scheme, cached, raw, edit in cases:
+        sims = [Editing(ServerCore(store, role=scheme, secret=SECRET), edit)
+                for _ in range(params.N)]
+        with pytest.raises(ProtocolError, match=r"^endpoint 1 sent answer form"):
             client.retrieve(sims, params, 1, store.side_information(cached), seed=2,
-                            raw=raw)
+                            scheme=scheme, raw=raw)
+
+
+def test_sessions_refuse_queries_of_other_schemes(golden1_store, caplog):
+    """A session takes only the QUERY shapes its PARAMS fixed: a tpir session
+    refuses symmetric and sum payloads, a stpir session a layered one, and a
+    stpir session with T >= N a symmetric one while it still answers the sum
+    query. Each refusal is ERR_MALFORMED_QUERY with no logged traceback, and
+    the session stays open for the query it does take."""
+    from sidepir.stpir_psi import make_sym_params, sym_query
+    from sidepir.tpir_psi import build_plan, database_queries
+
+    sym_store = random_store(standard_field(4), 3, 2, np.random.default_rng(107))
+    plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 13)
+    layered = wire.serialize_database_query(database_queries(plan, state)[0])
+    coords = sym_query(make_sym_params(SchemeParams(3, 0, 3, 1)), 2,
+                       np.random.default_rng(6))[0]
+    symmetric = wire.serialize_sym_query(4, bytes(16), 1, coords)
+    tpir_sum = wire.serialize_sum_query(4, 3, 8)
+    stpir_sum = wire.serialize_sum_query(4, 3, 2)
+    tpir = ServerCore(golden1_store)
+    stpir = ServerCore(sym_store, role="stpir", secret=SECRET)
+    tpir_fields = {"scheme": "tpir", "endpoint": 1, "n_db": 2, "k": 3, "m": 1, "t": 1,
+                   "w": 4, "message_length": 8}
+    stpir_fields = {"scheme": "stpir", "endpoint": 1, "n_db": 3, "k": 3, "m": 0, "t": 1,
+                    "w": 4, "message_length": 2}
+    cases = [(tpir, tpir_fields, (symmetric, tpir_sum, stpir_sum), layered),
+             (stpir, stpir_fields, (layered,), symmetric),
+             (stpir, stpir_fields, (layered,), stpir_sum),
+             (stpir, {**stpir_fields, "t": 3}, (symmetric,), stpir_sum),
+             (stpir, {**stpir_fields, "t": 4}, (symmetric,), stpir_sum),
+             (stpir, {**stpir_fields, "n_db": 1, "t": 1}, (symmetric,), stpir_sum)]
+    with caplog.at_level("DEBUG", logger="sidepir.server"):
+        for core, fields, refused, taken in cases:
+            session = core.new_session()
+            ftype, _ = core.handle_frame(session, wire.TYPE_PARAMS,
+                                         wire.params_payload(fields))
+            assert ftype == wire.TYPE_PARAMS
+            for payload in refused:
+                ftype, reply = core.handle_frame(session, wire.TYPE_QUERY, payload)
+                assert ftype == wire.TYPE_ERROR
+                assert wire.parse_error_payload(reply)[0] == wire.ERR_MALFORMED_QUERY
+            assert core.handle_frame(session, wire.TYPE_QUERY, taken)[0] == wire.TYPE_ANSWER
+    assert caplog.records == []
 
 
 def test_client_rejects_bad_requests_with_typed_errors(golden1_store):

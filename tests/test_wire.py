@@ -60,8 +60,9 @@ def test_store_file_rejects_bad_sizes():
 
 
 def _shape(q):
-    """The shape a session expects; tests take it from the query they send."""
-    return wire.LayeredShape(q.w, q.num_messages, q.message_length, q.slot_members, q.p2)
+    """The layouts a session takes; tests take them from the query they send."""
+    return {wire.SCHEME_LAYERED: wire.LayeredShape(q.w, q.num_messages, q.message_length,
+                                                   q.slot_members, q.p2)}
 
 
 @pytest.mark.parametrize("params,theta", [
@@ -148,8 +149,9 @@ def test_layered_query_off_template_rejected_before_unpack(monkeypatch, edit):
 def test_layered_query_needs_a_session_shape():
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)
     data = wire.serialize_database_query(database_queries(plan, state)[0])
-    with pytest.raises(ProtocolError, match="no layered scheme"):
-        wire.parse_query_payload(data)
+    for layouts in ({}, {wire.SCHEME_SUM: wire.SumShape(4, 3, 8)}):
+        with pytest.raises(ProtocolError, match="takes no query of scheme 0x1"):
+            wire.parse_query_payload(data, 0, layouts)
 
 
 def test_layered_query_truncation_detected():
@@ -167,7 +169,8 @@ def test_sym_query_round_trip():
     coords = f8.random_symbols(np.random.default_rng(2), (3, 2))
     sid = bytes(range(16))
     data = wire.serialize_sym_query(8, sid, 2, coords)
-    back = wire.parse_query_payload(data)
+    back = wire.parse_query_payload(
+        data, 0, {wire.SCHEME_SYMMETRIC: wire.SymmetricShape(8, 3, 2, 2)})
     assert isinstance(back, wire.SymQueryWire)
     assert back.session_id == sid and back.t == 2
     assert np.array_equal(back.coords, coords)
@@ -175,14 +178,67 @@ def test_sym_query_round_trip():
 
 def test_sum_query_round_trip():
     data = wire.serialize_sum_query(4, 3, 8)
-    back = wire.parse_query_payload(data)
-    assert isinstance(back, wire.SumQueryWire)
-    assert (back.w, back.num_messages, back.message_length) == (4, 3, 8)
+    shape = wire.SumShape(4, 3, 8)
+    assert wire.parse_query_payload(data, 0, {wire.SCHEME_SUM: shape}) == shape
+    assert wire.query_size(shape) == len(data)
+
+
+def _edit_fields(head, index, value):
+    def edit(data):
+        fields = list(head.unpack_from(data, 0))
+        fields[index] = value(fields[index])
+        return head.pack(*fields) + data[head.size:]
+    return edit
+
+
+_SYM_COORDS = standard_field(8).random_symbols(np.random.default_rng(3), (3, 2))
+_SYMMETRIC = (wire.serialize_sym_query(8, bytes(range(16)), 1, _SYM_COORDS),
+              {wire.SCHEME_SYMMETRIC: wire.SymmetricShape(8, 3, 2, 1),
+               wire.SCHEME_SUM: wire.SumShape(8, 3, 2)})
+_SUM = (wire.serialize_sum_query(4, 3, 8), {wire.SCHEME_SUM: wire.SumShape(4, 3, 8)})
+
+
+@pytest.mark.parametrize("case,edit", [
+    (_SYMMETRIC, _edit_fields(wire._SYM_HEAD, 1, lambda w: 4)),
+    (_SYMMETRIC, _edit_fields(wire._SYM_HEAD, 2, lambda k: k + 1)),
+    (_SYMMETRIC, _edit_fields(wire._SYM_HEAD, 3, lambda ell: ell - 1)),
+    (_SYMMETRIC, _edit_fields(wire._SYM_HEAD, 4, lambda t: t + 1)),
+    (_SYMMETRIC, _edit_fields(wire._SYM_HEAD, 4, lambda t: 0)),
+    (_SYMMETRIC, lambda d: d[:-1]),
+    (_SYMMETRIC, lambda d: d + b"\x00"),
+    (_SUM, _edit_fields(wire._SUM_HEAD, 1, lambda w: 8)),
+    (_SUM, _edit_fields(wire._SUM_HEAD, 2, lambda k: k + 1)),
+    (_SUM, _edit_fields(wire._SUM_HEAD, 3, lambda length: length - 1)),
+    (_SUM, lambda d: d[:-1]),
+    (_SUM, lambda d: d + b"\x00"),
+], ids=["sym-w", "sym-k", "sym-length", "sym-t", "sym-t0", "sym-short", "sym-long",
+        "sum-w", "sum-k", "sum-length", "sum-short", "sum-long"])
+def test_symmetric_and_sum_queries_off_shape_rejected_before_unpack(monkeypatch, case,
+                                                                     edit):
+    """Symmetric and sum payloads are read against their session's shapes as
+    layered ones are: one changed header field (w, K, N - T or T), or one
+    byte more or less, is refused before any coordinate is unpacked."""
+    data, layouts = case
+    unpacked = []
+    original = GF.unpack
+
+    def counting(self, blob, count):
+        unpacked.append(count)
+        return original(self, blob, count)
+
+    monkeypatch.setattr(GF, "unpack", counting)
+    bad = edit(data)
+    assert bad != data
+    with pytest.raises(ProtocolError):
+        wire.parse_query_payload(bad, 0, layouts)
+    assert unpacked == []
+    wire.parse_query_payload(data, 0, layouts)
+    assert len(unpacked) == (data[0] == wire.SCHEME_SYMMETRIC)
 
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ProtocolError):
-        wire.parse_query_payload(b"\x99rest")
+        wire.parse_query_payload(b"\x99rest", 0, _SUM[1])
 
 
 @pytest.mark.parametrize("w", (4, 8, 16))
