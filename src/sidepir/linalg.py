@@ -25,8 +25,9 @@ arithmetic. The sums go into a preallocated intp scratch and the gather is
 one flat ``take`` from it: on a 2-core x86 host a fancy index with int32
 sums costs 3.6-4.0 ns a symbol and ``take`` with intp indices 1.1-1.7 ns.
 The scratch holds at most ``MATMUL_CHUNK`` bytes, so :func:`matmul` steps
-over k and the elimination's rank-1 update over batch members, or rows when
-one member's block is larger. ``GF._log`` stays int32: intp logs would
+over k, or rows of its left operand when one index of k is larger, and the
+elimination's rank-1 update over batch members, or rows when one member's
+block is larger. ``GF._log`` stays int32: intp logs would
 double every log array the kernels hold.
 """
 
@@ -68,9 +69,9 @@ def matmul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Shapes follow numpy matmul: (..., m, k) @ (..., k, n) -> (..., m, n).
     Each product term is one log-table sum and one antilog gather over a
     (..., m, k, n) temporary, so the contraction runs in steps over k that
-    keep that temporary under ``MATMUL_CHUNK`` bytes of intp indices (or at
-    one index of k, where that alone is larger) and peak memory O(m n) per
-    batch member. A small product is a single step.
+    keep that temporary under ``MATMUL_CHUNK`` bytes of intp indices, and
+    over rows of ``a`` where one index of k for all rows is larger; peak
+    memory is O(m n) per batch member. A small product is a single step.
     """
     a = np.asarray(a, dtype=field.dtype)
     b = np.asarray(b, dtype=field.dtype)
@@ -83,19 +84,25 @@ def matmul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lead = (lead_a if lead_a == lead_b or not lead_b else lead_b if not lead_a
             else np.broadcast_shapes(lead_a, lead_b))
     out = np.zeros(lead + (m, n), dtype=field.dtype)
-    per_k = math.prod(lead) * m * n
-    if not k or not per_k:
+    per_row = math.prod(lead) * n
+    if not k or not m or not per_row:
         return out
-    step = max(1, min(k, MATMUL_CHUNK // _INTP // per_k))
-    size = per_k * step
+    cap = MATMUL_CHUNK // _INTP
+    rows = max(1, min(m, cap // per_row))
+    step = max(1, min(k, cap // (per_row * rows)))
+    size = per_row * rows * step
     scratch, gathered = np.empty(size, dtype=np.intp), np.empty(size, dtype=field.dtype)
     log = field._log
+    # one view of out per chunk of rows, updated in place: an indexed ^=
+    # would copy each chunk back
+    parts = [(r0, out[..., r0:r0 + rows, :]) for r0 in range(0, m, rows)]
     for lo in range(0, k, step):
         hi = min(k, lo + step)
-        terms = _products(field, log.take(a[..., :, lo:hi])[..., :, :, None],
-                          log.take(b[..., lo:hi, :])[..., None, :, :],
-                          lead + (m, hi - lo, n), scratch, gathered)
-        out ^= np.bitwise_xor.reduce(terms, axis=-2)
+        lb = log.take(b[..., lo:hi, :])[..., None, :, :]
+        for r0, part in parts:
+            terms = _products(field, log.take(a[..., r0:r0 + rows, lo:hi])[..., :, :, None],
+                              lb, part.shape[:-1] + (hi - lo, n), scratch, gathered)
+            part ^= np.bitwise_xor.reduce(terms, axis=-2)
     return out
 
 

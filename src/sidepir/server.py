@@ -16,14 +16,24 @@ back to back: they are answered in order, one reply each. Any frame before
 PARAMS, and any frame but the QUERY after it, is bounded by
 :data:`MAX_SESSIONLESS_FRAME`. Servers keep no state across sessions beyond
 the store and the shared secret.
+
+Each open connection is served by a thread of its own, with no cap. The
+threads are reused: one whose connection has ended waits for the next, so
+a server starts a thread only when all it has are busy, and keeps its idle
+threads until it stops. Stopping a server waits for the sessions in flight
+and ends every thread; a connection still open :data:`CLOSE_GRACE` seconds
+later (its client does not read its answer, say) is cut.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import queue
+import socket
 import socketserver
 import threading
+import time
 
 import numpy as np
 
@@ -40,6 +50,9 @@ ROLES = ("tpir", "stpir")
 # a PARAMS payload is at most 216 bytes even with all seven integers at u64
 # width; no frame but a session's QUERY may declare more than this
 MAX_SESSIONLESS_FRAME = 4096
+# how long closing a server waits for its open connections to end before
+# it shuts them both ways
+CLOSE_GRACE = 2.0
 _INT_FIELDS = ("endpoint", "n_db", "k", "m", "t", "w", "message_length")
 
 log = logging.getLogger(__name__)
@@ -217,9 +230,84 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
 
 
-class _ThreadingServer(socketserver.ThreadingTCPServer):
+class _ReusingServer(socketserver.TCPServer):
+    """One handler thread per open connection, as ThreadingTCPServer runs
+    them, but a thread whose connection has ended waits for the next one:
+    a connection goes to an idle worker, and a new (daemon) worker starts
+    only when none is idle. Starting a thread costs more than a loopback
+    handshake, and it sits on every session's critical path. Idle workers
+    are kept until the server closes: a server holds as many threads as it
+    once had connections open at the same time."""
+
     allow_reuse_address = True
-    daemon_threads = True
+
+    def __init__(self, address, handler):
+        # before binding: a failed bind calls server_close, which reads them
+        self._lock = threading.Lock()
+        self._jobs = queue.SimpleQueue()
+        self._idle = 0
+        self._open = set()
+        self._workers = []
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            reuse = self._idle > 0
+            self._idle -= reuse
+        if not reuse:
+            # a worker that fails to start leaves no trace: the caller
+            # reports the error and closes the request
+            worker = threading.Thread(target=self._work, daemon=True)
+            worker.start()
+        with self._lock:
+            if not reuse:
+                self._workers.append(worker)
+            self._open.add(request)
+        self._jobs.put((request, client_address))
+
+    def _work(self):
+        # each connection as ThreadingMixIn.process_request_thread serves it
+        while (job := self._jobs.get()) is not None:
+            request, client_address = job
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                # idle before the close the client sees, so that the
+                # client's next connection finds this worker
+                with self._lock:
+                    self._open.discard(request)
+                    self._idle += 1
+                self.shutdown_request(request)
+
+    def _shutdown_open(self, how):
+        with self._lock:
+            for request in self._open:
+                try:
+                    request.shutdown(how)
+                except OSError:
+                    pass
+
+    def server_close(self):
+        """Stop listening, wait for the sessions in flight and end every
+        worker. An open connection has its read side shut: its handler
+        answers the frames already received, then reads the end of stream.
+        A connection still open after CLOSE_GRACE seconds (its client does
+        not read its answer, say) is shut both ways, so that its handler's
+        write fails instead of blocking."""
+        super().server_close()
+        self._shutdown_open(socket.SHUT_RD)
+        with self._lock:
+            workers, self._workers = self._workers, []
+        for _ in workers:
+            self._jobs.put(None)
+        deadline = time.monotonic() + CLOSE_GRACE
+        for worker in workers:
+            worker.join(max(0.0, deadline - time.monotonic()))
+        self._shutdown_open(socket.SHUT_RDWR)
+        for worker in workers:
+            worker.join()
 
 
 class DatabaseServer:
@@ -233,7 +321,7 @@ class DatabaseServer:
                  secret: bytes | None = None, host: str = "127.0.0.1",
                  port: int = 0):
         self.core = ServerCore(store, role=role, secret=secret)
-        self._server = _ThreadingServer((host, port), _Handler)
+        self._server = _ReusingServer((host, port), _Handler)
         self._server.core = self.core  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
 

@@ -235,13 +235,15 @@ def _parse_layered(data: bytes, db_index: int, shape: LayeredShape) -> DatabaseQ
     if buf[_COMPRESS_AT] > 1 or buf[fixed].tobytes() != template[fixed].tobytes():
         raise ProtocolError("layered query header or slot table does not match its session's")
     # every row in one unpack; at w = 4 a row of odd length carries a
-    # padding nibble, cut off after unpacking
+    # padding nibble, which must be zero and is cut off after unpacking
     field, length = standard_field(shape.w), shape.message_length
     packed = buf[rows].tobytes()
     count = len(packed) // field.packed_size(length)
     width = 2 * field.packed_size(length) if field.w == 4 else length
     block = field.unpack(packed, count * width).reshape(count, width)
     if width != length:
+        if block[:, length].any():
+            raise ProtocolError("layered query has a nonzero padding nibble")
         block = np.ascontiguousarray(block[:, :length])
     block.flags.writeable = False
     return DatabaseQuery(db_index=db_index, num_messages=shape.num_messages,
@@ -293,6 +295,8 @@ def _parse_symmetric(data: bytes, shape: SymmetricShape) -> SymQueryWire:
     if len(data) != size or data[:_SID_AT] != head:
         raise ProtocolError("symmetric query header or length does not match its session's")
     field, k, ell = standard_field(shape.w), shape.num_messages, shape.message_length
+    if field.w == 4 and k * ell % 2 and data[-1] >> 4:
+        raise ProtocolError("symmetric query has a nonzero padding nibble")
     coords = field.unpack(data[_SYM_HEAD.size:], k * ell).reshape(k, ell)
     coords.flags.writeable = False
     return SymQueryWire(t=shape.t, session_id=data[_SID_AT:_SYM_HEAD.size], coords=coords)

@@ -198,7 +198,8 @@ def staggered_stack(field, rng, nbatch=6, n=9):
 def test_chunked_updates_match_reference(w, monkeypatch):
     """A scratch of 40 indices splits the elimination's trailing update over
     rows (a 9x9 member's first tails hold 64 and 49 symbols) and over batch
-    members (later tails), and a product's contraction into steps of two."""
+    members (later tails), a product's contraction into steps of two, and
+    a product too wide for one step of k over rows of its left operand."""
     field = make_field(w)
     sc = Scalar(field)
     rng = np.random.default_rng(w + 40)
@@ -227,6 +228,13 @@ def test_chunked_updates_match_reference(w, monkeypatch):
     shapes.clear()
     assert np.array_equal(linalg.matmul(field, a, b), broadcast_matmul(field, a, b))
     assert [s[-2] for s in shapes] == [2] * 5 + [1]
+    # one index of k over all nine rows (90 indices) exceeds the scratch:
+    # steps of one, each over chunks of four rows
+    a = field.random_symbols(rng, (2, 9, 3))
+    b = field.random_symbols(rng, (2, 3, 5))
+    shapes.clear()
+    assert np.array_equal(linalg.matmul(field, a, b), broadcast_matmul(field, a, b))
+    assert [s[1:3] for s in shapes] == [(4, 1), (4, 1), (1, 1)] * 3
 
 
 def peak_bytes(fn):
@@ -257,9 +265,11 @@ def test_kernels_hold_their_outputs_and_the_byte_bound():
     per_column = 32 * mats.shape[0] * mats.shape[1]
     assert peak <= outputs + budget + per_column
 
-    a = f16.random_symbols(rng, (8, 64, 256))
-    b = f16.random_symbols(rng, (8, 256, 64))
-    peak, out = peak_bytes(lambda: linalg.matmul(f16, a, b))
-    budget = linalg.MATMUL_CHUNK * (1 + f16.dtype(0).itemsize / 8)
-    # the output, each step's sum over k, and each step's slices of logs
-    assert peak <= 2 * out.nbytes + budget + (128 << 10)
+    # a long contraction, and one whose single index of k exceeds the scratch
+    for a_shape, b_shape in (((8, 64, 256), (8, 256, 64)), ((64, 64, 3), (64, 3, 64))):
+        a = f16.random_symbols(rng, a_shape)
+        b = f16.random_symbols(rng, b_shape)
+        peak, out = peak_bytes(lambda: linalg.matmul(f16, a, b))
+        budget = linalg.MATMUL_CHUNK * (1 + f16.dtype(0).itemsize / 8)
+        # the output, each step's sum over k, and each step's slices of logs
+        assert peak <= 2 * out.nbytes + budget + (128 << 10)

@@ -2,6 +2,8 @@
 
 import socket
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -310,6 +312,190 @@ def test_server_disables_nagle_on_accepted_connections(golden1_store, monkeypatc
         for s in servers:
             s.stop()
     assert len(seen) == 2 and all(seen)
+
+
+def _hang_up(transport):
+    """Close a connection once the server has ended it too."""
+    transport._sock.shutdown(socket.SHUT_WR)
+    assert transport._file.read() == b""
+    transport.close()
+
+
+@pytest.fixture
+def handler_threads(monkeypatch):
+    """The threads that ran a connection's handler, per server."""
+    from sidepir import server as server_mod
+
+    threads = {}
+    original = server_mod._Handler.handle
+
+    def handle(self):
+        threads.setdefault(self.server, set()).add(threading.current_thread())
+        return original(self)
+
+    monkeypatch.setattr(server_mod._Handler, "handle", handle)
+    return threads
+
+
+def test_sequential_retrievals_reuse_one_handler_thread(golden1_store, handler_threads):
+    """A connection that ends hands its thread to the next one: twenty
+    sequential retrievals start one handler thread per server, not twenty."""
+    side = golden1_store.side_information({3})
+    servers = [DatabaseServer(golden1_store).start() for _ in range(2)]
+    try:
+        for seed in range(20):
+            tr = tcp_transports(servers)
+            result = client.retrieve(tr, SchemeParams(3, 1, 2, 1), 1, side, seed=seed)
+            assert np.array_equal(result.message, golden1_store.message(1))
+            for t in tr:
+                _hang_up(t)
+    finally:
+        for s in servers:
+            s.stop()
+    assert sorted(len(seen) for seen in handler_threads.values()) == [1, 1]
+
+
+def test_an_idle_connection_does_not_hold_up_another(golden1_store):
+    """Each open connection has a thread of its own: a session that sent its
+    PARAMS and went quiet does not delay a full retrieval beside it."""
+    side = golden1_store.side_information({3})
+    servers = [DatabaseServer(golden1_store).start() for _ in range(2)]
+    try:
+        idle = tcp_transports(servers)
+        for n, t in enumerate(idle, 1):
+            t.send([(wire.TYPE_PARAMS, wire.params_payload(
+                {"scheme": "tpir", "endpoint": n, "n_db": 2, "k": 3, "m": 1, "t": 1,
+                 "w": 4, "message_length": 8}))])
+            assert t.receive()[0] == wire.TYPE_PARAMS
+        tr = [client.TcpTransport("127.0.0.1", s.port, timeout=5) for s in servers]
+        result = client.retrieve(tr, SchemeParams(3, 1, 2, 1), 2, side, seed=8)
+        for t in tr + idle:
+            t.close()
+    finally:
+        for s in servers:
+            s.stop()
+    assert np.array_equal(result.message, golden1_store.message(2))
+
+
+def test_concurrent_connections_each_get_a_thread(golden1_store, handler_threads):
+    """More clients than cores, with a short switch interval: in each of
+    twenty rounds eight connections are answered while all eight stay open
+    (none waits behind another's thread), and the server never holds more
+    handler threads than it had connections open at once."""
+    clients, errors = 8, []
+    barrier = threading.Barrier(clients, timeout=10)
+    server = DatabaseServer(golden1_store).start()
+
+    def run():
+        try:
+            for _ in range(20):
+                t = client.TcpTransport("127.0.0.1", server.port, timeout=10)
+                t.send([(wire.TYPE_QUERY, bytes(8))])
+                assert t.receive()[0] == wire.TYPE_ERROR
+                barrier.wait()
+                _hang_up(t)
+        except Exception as exc:
+            errors.append(exc)
+            barrier.abort()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    workers = [threading.Thread(target=run) for _ in range(clients)]
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(60)
+    finally:
+        sys.setswitchinterval(switch)
+        server.stop()
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    assert [len(seen) <= clients for seen in handler_threads.values()] == [True]
+
+
+def test_stop_waits_for_the_session_in_flight_and_ends_every_thread(golden1_store):
+    """stop() answers a frame the server is handling before it returns, and
+    leaves no thread behind: not the handler of that open connection, nor
+    the idle one of an earlier connection."""
+    before = threading.active_count()
+    server = DatabaseServer(golden1_store).start()
+    earlier = [client.TcpTransport("127.0.0.1", server.port) for _ in range(2)]
+    for t in earlier:
+        t.send([(wire.TYPE_QUERY, bytes(8))])
+        assert t.receive()[0] == wire.TYPE_ERROR
+    _hang_up(earlier[0])
+    entered, release = threading.Event(), threading.Event()
+    original = server.core.handle_frame
+
+    def slow(session, ftype, payload):
+        entered.set()
+        release.wait(5)
+        return original(session, ftype, payload)
+
+    server.core.handle_frame = slow
+    stopper = threading.Thread(target=server.stop)
+    try:
+        earlier[1].send([(wire.TYPE_QUERY, bytes(8))])
+        assert entered.wait(5)
+        stopper.start()
+        # longer than the accept loop's half-second poll, which stop() also waits for
+        stopper.join(1)
+        assert stopper.is_alive()
+    finally:
+        release.set()
+    assert earlier[1].receive()[0] == wire.TYPE_ERROR
+    stopper.join(5)
+    assert not stopper.is_alive()
+    earlier[1].close()
+    assert threading.active_count() == before
+
+
+def test_stop_cuts_a_client_that_does_not_read_its_answer(golden1_store, monkeypatch):
+    """A handler blocked writing an answer no one reads does not hold up
+    stop(): the connection is cut after the grace, and no thread is left."""
+    from sidepir import server as server_mod
+
+    monkeypatch.setattr(server_mod, "CLOSE_GRACE", 0.2)
+    before = threading.active_count()
+    server = DatabaseServer(golden1_store).start()
+    written = threading.Event()
+
+    def large(session, ftype, payload):
+        written.set()
+        # far more than the loopback buffers of both ends hold
+        return wire.TYPE_ANSWER, bytes(1 << 23)
+
+    server.core.handle_frame = large
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    stopper = threading.Thread(target=server.stop)
+    try:
+        sock.connect(("127.0.0.1", server.port))
+        sock.sendall(wire.encode_frame(wire.TYPE_PARAMS, b"{}"))
+        assert written.wait(5)
+        stopper.start()
+        stopper.join(5)
+        assert not stopper.is_alive()
+    finally:
+        sock.close()
+    stopper.join(5)
+    assert threading.active_count() == before
+
+
+def test_a_busy_port_is_an_os_error(golden1_store, tmp_path, capsys):
+    """Binding a port another socket listens on raises the OSError itself,
+    and `sidepir serve` reports it as an error line with exit 1."""
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        with pytest.raises(OSError):
+            DatabaseServer(golden1_store, port=port)
+        wire.write_store(tmp_path / "store.pir", golden1_store)
+        assert cli_main(["serve", "--port", str(port),
+                         "--store", str(tmp_path / "store.pir")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("role,fields,honest", [
@@ -947,3 +1133,37 @@ def test_symmetric_server_evaluates_a_large_threshold_in_one_pass():
         horner = f16.mul(horner, point) ^ coeff
     inner = f16.mul(3, int(store.messages[0, 0])) ^ f16.mul(7, int(store.messages[1, 0]))
     assert wire.parse_answer(f16, reply)[1].tolist() == [inner ^ horner]
+
+
+def test_servers_refuse_a_nonzero_padding_nibble():
+    """At w = 4 an odd count of symbols leaves the high nibble of a byte
+    unused; a QUERY that sets it is refused as malformed, not parsed to the
+    same query as the honest payload. The honest payloads are answered."""
+    from sidepir.tpir_psi import build_plan, database_queries
+
+    f4 = standard_field(4)
+    sym_store = random_store(f4, 3, 1, np.random.default_rng(104))
+    sym_core = ServerCore(sym_store, role="stpir", secret=SECRET)
+    coords = f4.random_symbols(np.random.default_rng(105), (3, 1))
+    sym = wire.serialize_sym_query(4, bytes(16), 1, coords)
+    sym_session = _sym_session(sym_core, n_db=2, message_length=1)
+
+    params = SchemeParams(2, 1, 3, 1, w=4)  # L = 9 symbols a row
+    layered_store = random_store(f4, 2, 9, np.random.default_rng(106))
+    layered_core = ServerCore(layered_store)
+    plan, state = build_plan(params, 2, 9)
+    layered = wire.serialize_database_query(database_queries(plan, state)[0])
+    layered_session = layered_core.new_session()
+    layered_core.handle_frame(layered_session, wire.TYPE_PARAMS, wire.params_payload(
+        {"scheme": "tpir", "endpoint": 1, "n_db": 3, "k": 2, "m": 1, "t": 1, "w": 4,
+         "message_length": 9}))
+
+    for core, session, honest, name in ((sym_core, sym_session, sym, "symmetric"),
+                                        (layered_core, layered_session, layered, "layered")):
+        assert honest[-1] >> 4 == 0
+        padded = honest[:-1] + bytes([honest[-1] | 0x50])
+        ftype, reply = core.handle_frame(session, wire.TYPE_QUERY, padded)
+        assert ftype == wire.TYPE_ERROR
+        assert wire.parse_error_payload(reply) == (
+            wire.ERR_MALFORMED_QUERY, f"{name} query has a nonzero padding nibble")
+        assert core.handle_frame(session, wire.TYPE_QUERY, honest)[0] == wire.TYPE_ANSWER
