@@ -56,7 +56,6 @@ from .stpir_psi import (
     sym_coefficients,
     sym_decode,
     sym_masks,
-    sym_query,
     sym_sum_shortcut,
 )
 from .tpir_psi import (
@@ -104,8 +103,7 @@ def _fold_bit(digest: bytes) -> int:
     return acc & 1
 
 
-def tv_between_digests(sample_a, sample_b,
-                       small_support: int = SMALL_SUPPORT_CUTOFF) -> tuple[float, str]:
+def tv_between_digests(sample_a, sample_b) -> tuple[float, str]:
     """Total-variation estimate between two digest samples.
 
     Returns (tv, estimator): "raw" over the digest histogram when the joint
@@ -113,7 +111,7 @@ def tv_between_digests(sample_a, sample_b,
     "folded" over the 1-bit digest fold.
     """
     support = set(sample_a) | set(sample_b)
-    if len(support) <= small_support:
+    if len(support) <= SMALL_SUPPORT_CUTOFF:
         keys = sorted(support)
         ca = {k: 0 for k in keys}
         cb = {k: 0 for k in keys}
@@ -248,6 +246,11 @@ def _view_digests(scheme, theta: int, subsets, sessions: int, master_seed: int,
 class _Adapter:
     """What the audit adapters share."""
 
+    def query_payloads(self, theta: int, seed) -> dict[int, bytes]:
+        """The N query payloads of the session of ``seed``, keyed by 1-based
+        database: one session of ``session_payloads``."""
+        return self.session_payloads(theta, [seed])[0]
+
     def _draw_theta_side(self, rng) -> tuple[int, tuple[int, ...]]:
         k, m = self.params.K, self.params.M
         theta = int(rng.integers(1, k + 1))
@@ -283,13 +286,8 @@ class LayeredScheme(_Adapter):
                               desired_symbols=self.profile.L, randomness_symbols=0,
                               note=f"theta={theta} cached={side_idx}")
 
-    def query_payloads(self, theta: int, seed) -> dict[int, bytes]:
-        plan, state = build_plan(self.params, theta, np.random.default_rng(seed))
-        return {q.db_index + 1: wire.serialize_database_query(q)
-                for q in database_queries(plan, state)}
-
     def session_payloads(self, theta: int, seeds) -> list[dict[int, bytes]]:
-        """``query_payloads`` of every seed, as one batch: the mixers of all
+        """The payloads of every seed's session, as one batch: the mixers of all
         sessions come from one sampler call, and the queries and payloads
         from one pass of the scheme's code over the session axis."""
         plan = download_plan(self.params, theta)
@@ -386,11 +384,6 @@ class SymmetricScheme(_Adapter):
                               randomness_symbols=self.params.T,
                               note=f"theta={theta}")
 
-    def query_payloads(self, theta: int, seed) -> dict[int, bytes]:
-        """The client's query path for one session."""
-        rng = np.random.default_rng(seed)  # the session id is drawn first
-        return self._payloads(rng.bytes(SESSION_ID_BYTES), sym_query(self.sym, theta, rng))
-
     def session_payloads(self, theta: int, seeds) -> list[dict[int, bytes]]:
         """The N payloads of every seed; the queries of all sessions come
         from one :func:`queries_from_masks` call over the session axis."""
@@ -485,10 +478,10 @@ def all_collusion_subsets(params: SchemeParams) -> list[tuple[int, ...]]:
 
 
 def audit_user_privacy(scheme, sessions: int, seed: int,
-                       tv_threshold: float = DEFAULT_TV_THRESHOLD,
-                       subsets=None) -> AuditReport:
+                       tv_threshold: float = DEFAULT_TV_THRESHOLD) -> AuditReport:
     """Two layers: exact structure/determinism checks, then Monte-Carlo TV
-    between collusion-view distributions for every desired-index pair."""
+    between collusion-view distributions of every T-subset for every
+    desired-index pair."""
     _check_sessions(sessions)
     params = scheme.params
     failures = []
@@ -505,12 +498,12 @@ def audit_user_privacy(scheme, sessions: int, seed: int,
     if probe != scheme.query_payloads(1, probe_seed):
         failures.append("query generation is not deterministic in (theta, seed)")
 
-    subsets = subsets or all_collusion_subsets(params)
+    subsets = all_collusion_subsets(params)
     tv_stats = {}
     max_tv = 0.0
     digests = {t: scheme.view_digests(t, subsets, sessions, seed)
                for t in range(1, params.K + 1)}
-    for s in [tuple(sorted(x)) for x in subsets]:
+    for s in subsets:
         for ta, tb in combinations(range(1, params.K + 1), 2):
             tv, kind = tv_between_digests(digests[ta][s], digests[tb][s])
             tv_stats[f"T={s} theta={ta}/{tb}"] = {"tv": tv, "estimator": kind}
@@ -529,8 +522,7 @@ def audit_user_privacy(scheme, sessions: int, seed: int,
 
 
 def audit_db_privacy(scheme, sessions: int, seed: int,
-                     tv_threshold: float = DEFAULT_TV_THRESHOLD,
-                     chi_p_threshold: float = DEFAULT_CHI_P) -> AuditReport:
+                     tv_threshold: float = DEFAULT_TV_THRESHOLD) -> AuditReport:
     """What can the client learn beyond its message and its cache?
 
     Runs the scheme's residual extractor (the client-computable statistic
@@ -588,7 +580,7 @@ def audit_db_privacy(scheme, sessions: int, seed: int,
         for j in range(res_len):
             p = chi_square_uniform_p(arms[arm][:, j], fieldq.q)
             chi[f"{arm}[{j}]"] = p
-            if p <= chi_p_threshold:
+            if p <= DEFAULT_CHI_P:
                 failures.append(
                     f"residual coordinate {j} is not uniform on arm {arm} (p={p:.2e})"
                 )

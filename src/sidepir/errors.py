@@ -36,10 +36,6 @@ class ZeroCapacityError(PirError):
     """No positive-rate scheme exists for the requested parameters."""
 
 
-class MalformedQueryError(PirError):
-    """A query references symbols or shapes the database cannot serve."""
-
-
 class ProtocolError(PirError):
     """A wire-level exchange violated the framed protocol."""
 

@@ -22,7 +22,9 @@ threads are reused: one whose connection has ended waits for the next, so
 a server starts a thread only when all it has are busy, and keeps its idle
 threads until it stops. Stopping a server waits for the sessions in flight
 and ends every thread; a connection still open :data:`CLOSE_GRACE` seconds
-later (its client does not read its answer, say) is cut.
+later (its client does not read its answer, say) is cut. A started server's
+accept loop looks for a stop request every :data:`STOP_POLL` seconds, so an
+idle one stops at once.
 """
 
 from __future__ import annotations
@@ -39,11 +41,11 @@ import numpy as np
 
 from . import wire
 from .capacity import SchemeParams
-from .errors import MalformedQueryError, ParameterError, PirError, ProtocolError
+from .errors import FieldTooSmallError, ParameterError, PirError, ProtocolError
 from .store import MessageStore
 from .stpir_psi import (derive_common_randomness, point_powers,
                         sum_shortcut_answer, sym_answer)
-from .tpir_psi import DatabaseQuery, _skeleton, answer
+from .tpir_psi import DatabaseQuery, answer, download_plan
 
 ROLES = ("tpir", "stpir")
 
@@ -53,6 +55,9 @@ MAX_SESSIONLESS_FRAME = 4096
 # how long closing a server waits for its open connections to end before
 # it shuts them both ways
 CLOSE_GRACE = 2.0
+# how often a started server's accept loop looks for a stop request, so the
+# longest an idle server's stop() waits for the loop to end
+STOP_POLL = 0.02
 _INT_FIELDS = ("endpoint", "n_db", "k", "m", "t", "w", "message_length")
 
 log = logging.getLogger(__name__)
@@ -83,8 +88,6 @@ class ServerCore:
                 return self._handle_query(session, payload)
             return wire.TYPE_ERROR, wire.error_payload(
                 wire.ERR_PROTOCOL, f"unexpected frame type {ftype:#x}")
-        except MalformedQueryError as exc:
-            return wire.TYPE_ERROR, wire.error_payload(wire.ERR_MALFORMED_QUERY, str(exc))
         except ProtocolError as exc:
             return wire.TYPE_ERROR, wire.error_payload(wire.ERR_MALFORMED_FRAME, str(exc))
         except PirError as exc:
@@ -174,12 +177,13 @@ class ServerCore:
     def _layouts(self, m: int, n_db: int, t: int) -> dict:
         """The QUERY shapes a session of PARAMS (M, N, T) takes, keyed by
         scheme byte; where it takes none of a scheme, why. A tpir session
-        takes the layered shape: the slot table and p2 of (M, N, T), the same
-        for every desired index, whose slot count caps the compression code a
-        query makes the server build. A stpir session takes the sum query,
-        and a symmetric one that masks with exactly the declared T symbols
-        (a shorter mask would weaken database privacy) at N nonzero points,
-        enough to interpolate an answer of degree below T + L."""
+        takes the layered shape of (M, N, T) at the store's width: the plan's
+        public layout, the same for every desired index, whose slot count
+        caps the compression code a query makes the server build. A stpir
+        session takes the sum query, and a symmetric one that masks with
+        exactly the declared T symbols (a shorter mask would weaken database
+        privacy) at N nonzero points, enough to interpolate an answer of
+        degree below T + L."""
         field, k, length = self.store.field, self.store.num_messages, self.store.message_length
         if self.role == "stpir":
             symmetric = (wire.SymmetricShape(field.w, k, length, t)
@@ -192,14 +196,10 @@ class ServerCore:
             return {wire.SCHEME_LAYERED: f"session parameters (M={m}, N={n_db}, T={t}) do "
                     f"not fit a layered scheme on {k} messages of length {length}"}
         try:
-            params = SchemeParams(k, m, n_db, t)
-        except ParameterError as exc:
+            plan = download_plan(SchemeParams(k, m, n_db, t, w=field.w), 1)
+        except (ParameterError, FieldTooSmallError) as exc:
             return {wire.SCHEME_LAYERED: f"session parameters: {exc}"}
-        if not params.constructible:
-            return {wire.SCHEME_LAYERED: f"no layered scheme exists for {params.label()}"}
-        skeleton = _skeleton(params, 1)
-        return {wire.SCHEME_LAYERED: wire.LayeredShape(field.w, k, length, skeleton.slot_members,
-                                                       skeleton.profile.p2)}
+        return {wire.SCHEME_LAYERED: plan.shape}
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -334,7 +334,7 @@ class DatabaseServer:
         return self._server.server_address[1]
 
     def start(self) -> "DatabaseServer":
-        self._thread = threading.Thread(target=self._server.serve_forever,
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(STOP_POLL,),
                                         name=f"sidepir-db-{self.port}", daemon=True)
         self._thread.start()
         return self

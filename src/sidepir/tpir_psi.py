@@ -6,6 +6,13 @@ distinct messages, and every subset of size k gets the same number of slots
 per database, so the slot structure itself carries no information about the
 desired index.
 
+That structure is decided once: the cached :func:`download_plan` builds one
+:class:`DownloadPlan` per (params, theta), and with it the one public
+:class:`LayeredShape` of its queries. Every :class:`DatabaseQuery` carries
+that shape and its private rows; the client writes queries by it, a server
+derives the same shape from a session's PARAMS and reads each QUERY against
+it, and :func:`answer_raw` reads the member index and slot starts it holds.
+
 The desired message is precoded with a private uniform full-rank mixer and
 every one of its L symbols is consumed exactly once across all databases.
 Each undesired message is precoded per "context" (the set of undesired
@@ -38,14 +45,14 @@ axes, so the audits decode a batch of sessions with the retrieval's code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from . import linalg
-from .capacity import CountProfile, SchemeParams, count_profile, layer_instances
+from .capacity import SchemeParams, count_profile, layer_instances
 from .coding import (
     information_set_inverse,
     make_mds,
@@ -56,7 +63,6 @@ from .errors import (
     CorruptionError,
     FieldTooSmallError,
     InvalidSideInformationError,
-    MalformedQueryError,
     ParameterError,
     ProtocolError,
 )
@@ -113,14 +119,53 @@ class _ShapeGroup:
     bear_off: np.ndarray
 
 
-class _Skeleton:
-    """Deterministic plan structure for fixed (params, theta); no randomness."""
+@dataclass(frozen=True)
+class LayeredShape:
+    """The public layout of a layered query: all of its payload but the
+    compress byte and the coefficient rows. It is the same for every desired
+    index and every database, so a server derives it from PARAMS alone.
 
-    def __init__(self, params: SchemeParams, theta: int):
+    ``members`` (each row's 0-based message) and ``starts`` (the row where
+    each slot's run of rows begins) index the rows for answering.
+    """
+
+    w: int
+    num_messages: int
+    message_length: int
+    slot_members: tuple[tuple[int, ...], ...]
+    p2: int
+    members: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+    starts: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        counts = [len(m) for m in self.slot_members]
+        members = np.array([i - 1 for m in self.slot_members for i in m], dtype=np.intp)
+        starts = np.zeros(len(counts), dtype=np.intp)
+        np.cumsum(counts[:-1], out=starts[1:])
+        members.flags.writeable = starts.flags.writeable = False
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "starts", starts)
+
+
+class DownloadPlan:
+    """The one layered structure per (params, theta), from
+    :func:`download_plan`; it holds no randomness.
+
+    ``shape`` is its queries' public layout, the same for every theta. The
+    rest depends on theta and is client-private: the slot table
+    ``slots_per_db``, the ``contexts``, and the index arrays of query
+    assembly and the peel: ``groups``, one :class:`_ShapeGroup` per (length,
+    dim); ``db_rows``, per database its rows of the query pool; ``singles``,
+    the (flat slot, desired offset) of desired-only slots; and ``peel``,
+    built on first use.
+    """
+
+    def __init__(self, params: SchemeParams, theta: int, field: GF):
         K, N = params.K, params.N
         profile = count_profile(params)
         self.params = params
         self.theta = theta
+        self.field = field
         self.profile = profile
 
         others = [i for i in range(1, K + 1) if i != theta]
@@ -166,7 +211,8 @@ class _Skeleton:
             slots_per_db.append(tuple(slots))
         self.slots_per_db = tuple(slots_per_db)
         # every database gets the same slot table; only the rows differ
-        self.slot_members = tuple(s.subset for s in slots_per_db[0])
+        self.shape = LayeredShape(field.w, K, profile.L,
+                                  tuple(s.subset for s in slots_per_db[0]), profile.p2)
 
         # construction-time invariants: counts must match the closed forms
         assert desired_cursor == profile.L
@@ -175,14 +221,11 @@ class _Skeleton:
             assert coord_cursor[ci] == ctx.length
         for slots in self.slots_per_db:
             assert sum(1 for s in slots if theta in s.subset) == profile.m
-            assert tuple(s.subset for s in slots) == self.slot_members
+            assert tuple(s.subset for s in slots) == self.shape.slot_members
 
         self._build_gather()
 
     def _build_gather(self) -> None:
-        """Index arrays: ``groups``, one :class:`_ShapeGroup` per (length,
-        dim); ``db_rows``, per database its rows of the query pool; and
-        ``singles``, the (flat slot, desired offset) of desired-only slots."""
         self.groups: list[_ShapeGroup] = []
         p1, length = self.profile.p1, self.profile.L
         free: list[list[tuple[int, int]]] = [[] for _ in self.contexts]
@@ -229,10 +272,14 @@ class _Skeleton:
                         for slots in self.slots_per_db]
         self.singles = tuple(np.array(singles, dtype=np.int64).reshape(-1, 2).T)
 
-
-@lru_cache(maxsize=None)
-def _skeleton(params: SchemeParams, theta: int) -> _Skeleton:
-    return _Skeleton(params, theta)
+    @cached_property
+    def peel(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per shape group: each context's generator rows at its free
+        coordinates and their inverses, ``(free_gen, inverses)``, both (C, dim, dim)."""
+        gens = [make_mds(grp.length, grp.dim, self.field) for grp in self.groups]
+        return tuple((gen.entries[grp.free_coord],
+                      np.stack([information_set_inverse(gen, co) for co in grp.free_coord]))
+                     for grp, gen in zip(self.groups, gens))
 
 
 def _context_sizes(params: SchemeParams):
@@ -264,28 +311,6 @@ def minimum_field_width(params: SchemeParams) -> int:
 
 
 @dataclass(frozen=True)
-class DownloadPlan:
-    """Client-private query plan: the slot table plus the context groups."""
-
-    params: SchemeParams
-    theta: int
-    field: GF
-    skeleton: _Skeleton
-
-    @property
-    def profile(self) -> CountProfile:
-        return self.skeleton.profile
-
-    @property
-    def slots_per_db(self) -> tuple[tuple[QuerySlot, ...], ...]:
-        return self.skeleton.slots_per_db
-
-    @property
-    def contexts(self) -> tuple[ContextGroup, ...]:
-        return self.skeleton.contexts
-
-
-@dataclass(frozen=True)
 class PrecodingState:
     """Everything the client must keep to decode: private mixers and the LU
     factors of the desired mixer.
@@ -305,24 +330,17 @@ class PrecodingState:
 
 @dataclass(frozen=True)
 class DatabaseQuery:
-    """The public per-database query: slot structure and coefficient rows.
+    """One database's query: its plan's public ``shape`` and the coefficient
+    rows, one per (slot, member message) in the shape's order.
 
-    A database never sees mixers or stream labels, only one coefficient row
-    per (slot, member message) resolved against that message's symbols.
+    A database never sees mixers or stream labels, only the rows, each
+    resolved against its member message's symbols.
     """
 
+    shape: LayeredShape
     db_index: int
-    num_messages: int
-    message_length: int
-    w: int
-    p2: int
     compress: bool
-    slot_members: tuple[tuple[int, ...], ...]
     rows: np.ndarray  # (..., sum of member counts, message_length)
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.slot_members)
 
 
 @dataclass(frozen=True)
@@ -345,8 +363,10 @@ class AnswerBundle:
         return sum(np.shape(v)[-1] for v in self.per_db)
 
 
+@lru_cache(maxsize=None)
 def download_plan(params: SchemeParams, theta: int) -> DownloadPlan:
-    """The public part of a plan: slot table and contexts for (params, theta).
+    """The plan of (params, theta), built once: its slot table, contexts,
+    index tables and public query shape.
 
     ``theta`` is the 1-based desired index. The cached set plays no role
     here: plans are a function of (params, theta, randomness) only, which is
@@ -364,9 +384,7 @@ def download_plan(params: SchemeParams, theta: int) -> DownloadPlan:
             f"width {params.w} too small for {params.label()}; need {w_needed}",
             min_width=w_needed,
         )
-    return DownloadPlan(params=params, theta=theta,
-                        field=standard_field(params.w or w_needed),
-                        skeleton=_skeleton(params, theta))
+    return DownloadPlan(params, theta, standard_field(params.w or w_needed))
 
 
 def sample_mixers(plan: DownloadPlan, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -411,30 +429,21 @@ def session_queries(plan: DownloadPlan, mixers: np.ndarray) -> list[DatabaseQuer
     rows are one gather from the desired mixer's rows and those products,
     by index tables built once per (params, theta).
     """
-    params, field, profile = plan.params, plan.field, plan.profile
-    skel = plan.skeleton
+    field, length = plan.field, plan.profile.L
     lead = mixers.shape[:-3]
-    stack = mixers.reshape(lead + (-1, profile.L))
+    stack = mixers.reshape(lead + (-1, length))
     pool = [mixers[..., plan.theta - 1, :, :]]
-    for grp in skel.groups:
+    for grp in plan.groups:
         gen = make_mds(grp.length, grp.dim, field).entries
         coef = linalg.matmul(field, gen, stack[..., grp.src, :])  # (..., G, e, L)
-        pool.append(coef.reshape(lead + (-1, profile.L)))
+        pool.append(coef.reshape(lead + (-1, length)))
     pool = np.concatenate(pool, axis=-2)
     queries = []
-    for db in range(params.N):
-        rows = pool[..., skel.db_rows[db], :]
+    for db, db_rows in enumerate(plan.db_rows):
+        rows = pool[..., db_rows, :]
         rows.flags.writeable = False
-        queries.append(DatabaseQuery(
-            db_index=db,
-            num_messages=params.K,
-            message_length=profile.L,
-            w=field.w,
-            p2=profile.p2,
-            compress=params.M >= 1,
-            slot_members=skel.slot_members,
-            rows=rows,
-        ))
+        queries.append(DatabaseQuery(shape=plan.shape, db_index=db,
+                                     compress=plan.params.M >= 1, rows=rows))
     return queries
 
 
@@ -445,33 +454,14 @@ def database_queries(plan: DownloadPlan, state: PrecodingState) -> list[Database
 
 def answer_raw(query: DatabaseQuery, store: MessageStore) -> np.ndarray:
     """The database side: evaluate each slot's linear combination. A store
-    with leading session axes (..., K, L) answers rows (..., R, L) at once."""
-    field = store.field
-    if field.w != query.w:
-        raise MalformedQueryError(
-            f"query width {query.w} does not match store width {field.w}"
-        )
-    if store.num_messages < query.num_messages:
-        raise MalformedQueryError("query references more messages than stored")
-    if store.message_length != query.message_length:
-        raise MalformedQueryError(
-            f"query expects messages of length {query.message_length}, "
-            f"store has {store.message_length}"
-        )
-    counts = np.array([len(m) for m in query.slot_members])
-    if counts.size == 0 or counts.min() < 1:
-        raise MalformedQueryError("every slot must reference at least one message")
-    flat_members = np.concatenate([np.asarray(m) for m in query.slot_members])
-    if flat_members.min() < 1 or flat_members.max() > query.num_messages:
-        raise MalformedQueryError("slot references an out-of-range message index")
-    lead = store.messages.shape[:-2]
-    if query.rows.shape != lead + (int(counts.sum()), query.message_length):
-        raise MalformedQueryError("coefficient row block has the wrong shape")
-    vecs = store.messages[..., flat_members - 1, :]
-    terms = np.bitwise_xor.reduce(field.mul(query.rows, vecs), axis=-1)
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return np.bitwise_xor.reduceat(terms, starts, axis=-1)
+    with leading session axes (..., K, L) answers rows (..., R, L) at once.
+
+    The query is taken as it is: a server reads every QUERY against its
+    session's shape, which PARAMS checked against the store."""
+    shape = query.shape
+    vecs = store.messages[..., shape.members, :]
+    terms = np.bitwise_xor.reduce(store.field.mul(query.rows, vecs), axis=-1)
+    return np.bitwise_xor.reduceat(terms, shape.starts, axis=-1)
 
 
 def compress(raw: np.ndarray, field: GF, p1: int, p2: int) -> np.ndarray:
@@ -488,9 +478,9 @@ def answer(query: DatabaseQuery, store: MessageStore) -> tuple[str, np.ndarray]:
     """One database's reply, as (form, symbols): the raw slot values, or
     their compressed parity when the query asks for it and the cache covers
     p2 > 0 slots."""
-    raw = answer_raw(query, store)
-    if query.compress and query.p2 > 0:
-        return "compressed", compress(raw, store.field, query.num_slots, query.p2)
+    raw, shape = answer_raw(query, store), query.shape
+    if query.compress and shape.p2 > 0:
+        return "compressed", compress(raw, store.field, len(shape.slot_members), shape.p2)
     return "raw", raw
 
 
@@ -525,17 +515,6 @@ def check_side(plan: DownloadPlan, state: PrecodingState, side) -> dict[int, np.
 
 
 @lru_cache(maxsize=256)
-def _peel(params: SchemeParams, theta: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per shape group: each context's generator rows at its free
-    coordinates and their inverses, ``(free_gen, inverses)``, both (C, dim, dim)."""
-    plan = download_plan(params, theta)
-    gens = [make_mds(grp.length, grp.dim, plan.field) for grp in plan.skeleton.groups]
-    return tuple((gen.entries[grp.free_coord],
-                  np.stack([information_set_inverse(gen, co) for co in grp.free_coord]))
-                 for grp, gen in zip(plan.skeleton.groups, gens))
-
-
-@lru_cache(maxsize=256)
 def _decode_tables(params: SchemeParams, theta: int, cached: tuple[int, ...]):
     """``(slots, erasure, tables)`` for a sorted cached set: the p2 slots
     built only from cached messages, the same in every database; the inverse
@@ -545,13 +524,13 @@ def _decode_tables(params: SchemeParams, theta: int, cached: tuple[int, ...]):
     run of pairs starts, and the contexts with a cached member."""
     plan = download_plan(params, theta)
     p1, p2 = plan.profile.p1, plan.profile.p2
-    slots = np.array([j for j, members in enumerate(plan.skeleton.slot_members)
+    slots = np.array([j for j, members in enumerate(plan.shape.slot_members)
                       if set(members) <= set(cached)], dtype=np.int64)
     # codeword rows: the p1 - p2 shipped parity symbols, then the p1 slots
     erasure = information_set_inverse(make_systematic_mds(2 * p1 - p2, p1, plan.field),
                                       np.r_[:p1 - p2, p1 - p2 + slots]) if p2 else None
     tables = []
-    for grp in plan.skeleton.groups:
+    for grp in plan.groups:
         pairs = np.flatnonzero(np.isin(grp.member, cached))
         touched, starts = np.unique(grp.pair_ctx[pairs], return_index=True)
         tables.append((grp.src[pairs], np.searchsorted(cached, grp.member[pairs]), starts, touched))
@@ -574,7 +553,7 @@ def _from_cache(plan: DownloadPlan, state: PrecodingState, side):
     messages = np.stack([side[i] for i in cached], axis=-2) if cached else None
     free = np.zeros(lead + (n * p1,), dtype=field.dtype)
     parts = []
-    groups = zip(plan.skeleton.groups, tables, _peel(plan.params, plan.theta))
+    groups = zip(plan.groups, tables, plan.peel)
     for grp, (src, side_row, starts, touched), (free_gen, _) in groups:
         parts.append(np.zeros(lead + (len(grp.contexts), grp.dim), dtype=field.dtype))
         if len(src):
@@ -626,12 +605,11 @@ def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingSt
         db, j = np.argwhere(raw[..., slots] != known)[0][-2:]
         raise CorruptionError(f"database {db} slot {slots[j]} disagrees with the cached value")
 
-    skel = plan.skeleton
     flat = raw.reshape(lead + (-1,))
     desired = np.zeros(lead + (profile.L,), dtype=field.dtype)
-    desired[..., skel.singles[1]] = flat[..., skel.singles[0]]
+    desired[..., plan.singles[1]] = flat[..., plan.singles[0]]
     infos, cached_parts = [None] * len(plan.contexts), [None] * len(plan.contexts)
-    for grp, (_, inverses), part in zip(skel.groups, _peel(params, plan.theta), parts):
+    for grp, (_, inverses), part in zip(plan.groups, plan.peel, parts):
         gen = make_mds(grp.length, grp.dim, field)
         info = linalg.matvec(field, inverses, flat[..., grp.free_flat])  # (..., C, dim)
         codewords = linalg.matvec(field, gen.entries, info)            # (..., C, e)

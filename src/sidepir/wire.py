@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ParameterError, ProtocolError
 from .field import GF, standard_field
 from .store import MessageStore
-from .tpir_psi import DatabaseQuery
+from .tpir_psi import DatabaseQuery, LayeredShape
 
 FRAME_MAGIC = b"PIR1"
 TYPE_QUERY = 0x01
@@ -139,16 +139,6 @@ _LAYERED_HEAD = struct.Struct("<BBBHIII")
 _COMPRESS_AT = 2  # the one header byte the public fields leave free
 
 
-class LayeredShape(NamedTuple):
-    """What fixes a layered payload: all but its compress byte and rows."""
-
-    w: int
-    num_messages: int
-    message_length: int
-    slot_members: tuple[tuple[int, ...], ...]
-    p2: int
-
-
 @lru_cache(maxsize=16)
 def _layered_template(shape: LayeredShape):
     """The one layout of a layered payload, to write and to read: the payload
@@ -174,18 +164,17 @@ def _layered_template(shape: LayeredShape):
 
 
 def serialize_database_query(q: DatabaseQuery):
-    """The QUERY payload of a layered query, as bytes.
+    """The QUERY payload of a layered query, as bytes: its shape's template
+    with the compress byte set and the rows packed in.
 
     Rows shaped (..., rows, L), one block per session, give the payloads of
-    all those sessions at once: a uint8 array shaped (..., payload size),
-    each session's header and slot table filled with its packed rows.
+    all those sessions at once: a uint8 array shaped (..., payload size).
     """
-    field = standard_field(q.w)
-    template, mask, _ = _layered_template(
-        LayeredShape(q.w, q.num_messages, q.message_length, q.slot_members, q.p2))
+    field, length = standard_field(q.shape.w), q.shape.message_length
+    template, mask, _ = _layered_template(q.shape)
     lead = q.rows.shape[:-2]
-    rows = np.ascontiguousarray(q.rows, dtype=field.dtype).reshape(-1, q.message_length)
-    if field.w == 4 and q.message_length % 2:
+    rows = np.ascontiguousarray(q.rows, dtype=field.dtype).reshape(-1, length)
+    if field.w == 4 and length % 2:
         # a padding nibble keeps every row byte-aligned
         rows = np.concatenate([rows, np.zeros((len(rows), 1), dtype=field.dtype)], axis=1)
     sessions, size = math.prod(lead), template.size
@@ -246,10 +235,8 @@ def _parse_layered(data: bytes, db_index: int, shape: LayeredShape) -> DatabaseQ
             raise ProtocolError("layered query has a nonzero padding nibble")
         block = np.ascontiguousarray(block[:, :length])
     block.flags.writeable = False
-    return DatabaseQuery(db_index=db_index, num_messages=shape.num_messages,
-                         message_length=length, w=shape.w, p2=shape.p2,
-                         compress=bool(buf[_COMPRESS_AT]),
-                         slot_members=shape.slot_members, rows=block)
+    return DatabaseQuery(shape=shape, db_index=db_index,
+                         compress=bool(buf[_COMPRESS_AT]), rows=block)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sidepir import audit
+from sidepir import audit, client
 from sidepir.capacity import SchemeParams
 from sidepir.errors import AuditInvariantError, ParameterError
+from sidepir.store import random_store
 
 MASTER_SEEDS = (0, 1, 2)
 
@@ -222,14 +223,24 @@ def test_view_digest_crosscheck_guards_fast_path():
 ], ids=lambda s: f"{s.name}{s.params.label()}")
 def test_view_digests_follow_the_client_query_path(scheme):
     """Batched view sampling gives, session by session, the views of the
-    single-session client path, across batch boundaries and batch sizes."""
-    subsets = audit.all_collusion_subsets(scheme.params)
-    for theta in range(1, scheme.params.K + 1):
+    QUERY payloads ``client.retrieve`` sends, across batch boundaries and
+    batch sizes."""
+    params = scheme.params
+    role = "tpir" if isinstance(scheme, audit.LayeredScheme) else "stpir"
+    store = random_store(scheme.field, params.K, scheme.message_length,
+                         np.random.default_rng(30))
+    subsets = audit.all_collusion_subsets(params)
+    for theta in range(1, params.K + 1):
         digests = scheme.view_digests(theta, subsets, sessions=7, master_seed=31, batch=3)
+        others = [i for i in range(1, params.K + 1) if i != theta]
+        side = store.side_information(others[:params.M])
         for j in range(7):
-            ref = scheme.query_payloads(theta, (31, theta, j))
+            result = client.retrieve(
+                client.local_simulator(store, params.N, role, audit.AUDIT_SECRET),
+                params, theta, side, np.random.default_rng((31, theta, j)), scheme=role)
+            sent = {t.endpoint: t.query_sent for t in result.transcripts}
             for s in subsets:
-                assert digests[s][j] == audit.CollusionView.from_payloads(s, ref).digest()
+                assert digests[s][j] == audit.CollusionView.from_payloads(s, sent).digest()
         for batch in (1, 512):
             assert scheme.view_digests(theta, subsets, sessions=7, master_seed=31,
                                        batch=batch) == digests

@@ -4,6 +4,7 @@ import socket
 import struct
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -143,7 +144,8 @@ def test_out_of_range_symbol_reference(golden1_store):
          "w": 4, "message_length": 8}))
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 11)
     q = database_queries(plan, state)[0]
-    bad = dataclasses.replace(q, slot_members=((7,),) + q.slot_members[1:])
+    shape = dataclasses.replace(q.shape, slot_members=((7,),) + q.shape.slot_members[1:])
+    bad = dataclasses.replace(q, shape=shape)
     ftype, payload = core.handle_frame(session, wire.TYPE_QUERY,
                                        wire.serialize_database_query(bad))
     assert ftype == wire.TYPE_ERROR
@@ -481,6 +483,22 @@ def test_stop_cuts_a_client_that_does_not_read_its_answer(golden1_store, monkeyp
         sock.close()
     stopper.join(5)
     assert threading.active_count() == before
+
+
+def test_an_idle_server_stops_at_once(golden1_store):
+    """stop() on an idle server, fresh or with an idle handler thread left by
+    a finished connection, returns well within the accept loop's default
+    half-second poll."""
+    for served in (False, True):
+        server = DatabaseServer(golden1_store).start()
+        if served:
+            transport = client.TcpTransport("127.0.0.1", server.port)
+            transport.send([(wire.TYPE_QUERY, bytes(8))])
+            assert transport.receive()[0] == wire.TYPE_ERROR
+            _hang_up(transport)
+        start = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - start < 0.1
 
 
 def test_a_busy_port_is_an_os_error(golden1_store, tmp_path, capsys):
@@ -1004,7 +1022,7 @@ def test_server_checks_layered_query_against_session_params():
     import time
 
     from sidepir.coding import make_systematic_mds
-    from sidepir.tpir_psi import DatabaseQuery, build_plan, database_queries
+    from sidepir.tpir_psi import DatabaseQuery, LayeredShape, build_plan, database_queries
 
     params = SchemeParams(6, 2, 2, 1, w=16)
     store = random_store(standard_field(16), 6, 64, np.random.default_rng(103))
@@ -1018,9 +1036,8 @@ def test_server_checks_layered_query_against_session_params():
         assert ftype == wire.TYPE_PARAMS
         return session
 
-    crafted = DatabaseQuery(db_index=0, num_messages=6, message_length=64, w=16, p2=1,
-                            compress=True, slot_members=((1,),) * 300,
-                            rows=np.zeros((300, 64), dtype=np.uint16))
+    crafted = DatabaseQuery(shape=LayeredShape(16, 6, 64, ((1,),) * 300, 1), db_index=0,
+                            compress=True, rows=np.zeros((300, 64), dtype=np.uint16))
     payload = wire.serialize_database_query(crafted)
     cached = make_systematic_mds.cache_info().currsize
     start = time.perf_counter()
@@ -1033,7 +1050,9 @@ def test_server_checks_layered_query_against_session_params():
     plan, state = build_plan(params, 3, 5)
     queries = database_queries(plan, state)
     # right counts, wrong slot table; and a genuine query under other params
-    shuffled = dataclasses.replace(queries[0], slot_members=queries[0].slot_members[::-1])
+    shape = queries[0].shape
+    shuffled = dataclasses.replace(queries[0], shape=dataclasses.replace(
+        shape, slot_members=shape.slot_members[::-1]))
     for session, query in ((session_frame(1), shuffled),
                            (session_frame(1, m=1), queries[0]),
                            (session_frame(1, t=2), queries[0])):

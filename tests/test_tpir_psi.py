@@ -16,7 +16,6 @@ from sidepir.errors import (
     CorruptionError,
     FieldTooSmallError,
     InvalidSideInformationError,
-    MalformedQueryError,
     ParameterError,
 )
 from sidepir.field import standard_field
@@ -172,7 +171,7 @@ def test_peeling_property_counts_and_decode():
     flat = raws.reshape(-1)
     from sidepir import linalg
     free = {ci: (grp.free_flat[c], grp.free_coord[c])
-            for grp in plan.skeleton.groups for c, ci in enumerate(grp.contexts)}
+            for grp in plan.groups for c, ci in enumerate(grp.contexts)}
     assert sorted(free) == list(range(len(plan.contexts)))
     for ci, ctx in enumerate(plan.contexts):
         free_flat, free_coord = free[ci]
@@ -248,7 +247,7 @@ def test_answer_slot_structure_matches_table():
     assert slot.subset == (1, 2)
     assert slot.desired_offset is not None and slot.coord is not None
     q = database_queries(plan, state)[0]
-    assert q.slot_members[3] == (1, 2)
+    assert q.shape.slot_members[3] == (1, 2)
     # its answer is the dot of one desired-mixer row and one group-coded row
     store = random_store(plan.field, 3, 8, np.random.default_rng(9))
     value = int(answer_raw(q, store)[3])
@@ -272,26 +271,13 @@ def test_answer_matches_direct_row_oracle():
     for q in database_queries(plan, state):
         got = answer_raw(q, store)
         pos = 0
-        for sidx, members in enumerate(q.slot_members):
+        for sidx, members in enumerate(q.shape.slot_members):
             acc = 0
             for msg in members:
                 row = q.rows[pos]
                 pos += 1
                 acc ^= int(np.bitwise_xor.reduce(f.mul(row, store.message(msg))))
             assert acc == int(got[sidx])
-
-
-def test_answer_raw_validation():
-    plan, state = build_plan(GOLDEN_1, 1, 12)
-    store = random_store(plan.field, 3, 8, np.random.default_rng(13))
-    q = database_queries(plan, state)[0]
-    import dataclasses
-    bad = dataclasses.replace(q, slot_members=((4,),) + q.slot_members[1:])
-    with pytest.raises(MalformedQueryError):
-        answer_raw(bad, store)
-    small = random_store(plan.field, 3, 4, np.random.default_rng(14))
-    with pytest.raises(MalformedQueryError):
-        answer_raw(q, small)
 
 
 def test_compression_counts():
@@ -389,7 +375,7 @@ def test_decode_against_full_system_oracle():
     rows, rhs = [], []
     for q, vec in zip(queries, bundle.per_db):
         pos = 0
-        for sidx, members in enumerate(q.slot_members):
+        for sidx, members in enumerate(q.shape.slot_members):
             row = [0] * (2 * 4)
             for msg in members:
                 for j in range(4):
@@ -617,7 +603,8 @@ def test_session_queries_match_per_pair_reference(params):
             for q, rows in zip(got, want):
                 assert q.rows.shape == rows.shape
                 assert np.array_equal(q.rows, rows), (theta, lead, q.db_index)
-                assert q.slot_members == tuple(s.subset for s in plan.slots_per_db[q.db_index])
+                assert q.shape.slot_members == tuple(s.subset
+                                                     for s in plan.slots_per_db[q.db_index])
 
 
 @pytest.mark.parametrize("params", FUSED_POINTS, ids=lambda p: p.label())

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from sidepir import wire
-from sidepir.capacity import SchemeParams
+from sidepir.capacity import SchemeParams, desk_grid
 from sidepir.errors import ParameterError, ProtocolError
 from sidepir.field import standard_field
 from sidepir.store import random_store
 from sidepir.field import GF
-from sidepir.tpir_psi import DatabaseQuery, build_plan, database_queries
+from sidepir.server import ServerCore
+from sidepir.tpir_psi import DatabaseQuery, LayeredShape, build_plan, database_queries
 
 
 @given(st.sampled_from([wire.TYPE_QUERY, wire.TYPE_ANSWER, wire.TYPE_ERROR,
@@ -59,10 +60,18 @@ def test_store_file_rejects_bad_sizes():
         wire.parse_store(b"BADMAGIC" + data[8:])
 
 
-def _shape(q):
-    """The layouts a session takes; tests take them from the query they send."""
-    return {wire.SCHEME_LAYERED: wire.LayeredShape(q.w, q.num_messages, q.message_length,
-                                                   q.slot_members, q.p2)}
+def _layouts(plan):
+    """The layouts a tpir server's session takes after the PARAMS a client
+    of ``plan`` sends: derived from PARAMS alone, not from any query."""
+    params = plan.params
+    core = ServerCore(random_store(plan.field, params.K, plan.profile.L,
+                                   np.random.default_rng(0)))
+    session = core.new_session()
+    ftype, _ = core.handle_frame(session, wire.TYPE_PARAMS, wire.params_payload(
+        {"scheme": "tpir", "endpoint": 1, "n_db": params.N, "k": params.K, "m": params.M,
+         "t": params.T, "w": plan.field.w, "message_length": plan.profile.L}))
+    assert ftype == wire.TYPE_PARAMS
+    return session["layouts"]
 
 
 @pytest.mark.parametrize("params,theta", [
@@ -70,30 +79,33 @@ def _shape(q):
     (SchemeParams(3, 1, 2, 1), 3),
     (SchemeParams(3, 2, 3, 2), 2),
     (SchemeParams(2, 0, 2, 1), 1),
-])
+] + [pytest.param(params, theta, id=f"desk-{params.K}{params.M}{params.N}{params.T}-{theta}")
+     for params in desk_grid() if params.constructible for theta in range(1, params.K + 1)])
 def test_layered_query_round_trip(params, theta):
+    """The shape a server's session derives from PARAMS is the shape of the
+    client's queries, for every theta: each query parses against it and
+    writes back the same bytes."""
     plan, state = build_plan(params, theta, 7)
+    layouts = _layouts(plan)
+    assert layouts == {wire.SCHEME_LAYERED: plan.shape}
     for q in database_queries(plan, state):
+        assert q.shape == plan.shape
         data = wire.serialize_database_query(q)
-        back = wire.parse_query_payload(data, q.db_index, _shape(q))
-        assert back.slot_members == q.slot_members
+        back = wire.parse_query_payload(data, q.db_index, layouts)
         assert np.array_equal(back.rows, q.rows)
-        assert (back.p2, back.compress, back.w, back.num_messages,
-                back.message_length) == (q.p2, q.compress, q.w,
-                                         q.num_messages, q.message_length)
+        assert (back.shape, back.compress, back.db_index) == (q.shape, q.compress, q.db_index)
         assert wire.serialize_database_query(back) == data
 
 
 @pytest.mark.parametrize("w,length", [(4, 7), (4, 8), (8, 5), (16, 3)])
 def test_layered_query_round_trip_odd_lengths(w, length):
     field = standard_field(w)
-    members = ((1,), (), (2, 3), (1, 3))
+    shape = LayeredShape(w, 3, length, ((1,), (), (2, 3), (1, 3)), 1)
     rows = field.random_symbols(np.random.default_rng(length), (5, length))
-    q = DatabaseQuery(db_index=0, num_messages=3, message_length=length, w=w,
-                      p2=1, compress=True, slot_members=members, rows=rows)
+    q = DatabaseQuery(shape=shape, db_index=0, compress=True, rows=rows)
     data = wire.serialize_database_query(q)
-    back = wire.parse_query_payload(data, 0, _shape(q))
-    assert back.slot_members == members
+    back = wire.parse_query_payload(data, 0, {wire.SCHEME_LAYERED: shape})
+    assert back.shape == shape
     assert np.array_equal(back.rows, rows) and back.rows.flags.c_contiguous
     assert wire.serialize_database_query(back) == data
 
@@ -128,7 +140,7 @@ def test_layered_query_off_template_rejected_before_unpack(monkeypatch, edit):
     refused before any row is unpacked."""
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)
     query = database_queries(plan, state)[0]
-    data, shape = wire.serialize_database_query(query), _shape(query)
+    data, shape = wire.serialize_database_query(query), _layouts(plan)
     unpacked = []
     original = GF.unpack
 
@@ -157,7 +169,7 @@ def test_layered_query_needs_a_session_shape():
 def test_layered_query_truncation_detected():
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)
     query = database_queries(plan, state)[0]
-    data, shape = wire.serialize_database_query(query), _shape(query)
+    data, shape = wire.serialize_database_query(query), _layouts(plan)
     with pytest.raises(ProtocolError):
         wire.parse_query_payload(data[:-3], 0, shape)
     with pytest.raises(ProtocolError):
