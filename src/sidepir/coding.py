@@ -11,13 +11,20 @@ those coordinates, its information set. Generators are public and fixed by
 (e, f, field), so that inverse is computed once per information set and
 cached. Checking surplus coordinates is the decoder's business:
 ``tpir_psi.decode_streams`` cross-checks raw answers against the cached slots.
+
+Each generator is checked once, when it is built, for the MDS property the
+redundancy removal relies on: every f-row subset (e <= 12) or 24 random ones
+must be invertible. The subsets go through one bounded batched rank,
+:func:`linalg.rank_batched` over stacks of at most ``linalg.MATMUL_CHUNK``
+bytes, not one elimination each, since every process that builds a layered
+code pays this check before its first answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -61,6 +68,10 @@ def _vandermonde(e: int, f: int, field: GF) -> np.ndarray:
 
 
 def _verify_mds(field: GF, entries: np.ndarray) -> None:
+    """Raise on the first singular f-row subset, in the order the subsets
+    are drawn; each :func:`linalg.rank_batched` call stacks at most
+    ``linalg.MATMUL_CHUNK`` bytes of them, or one when a single subset is
+    larger."""
     e, f = entries.shape
     if e <= _EXHAUSTIVE_MDS_LIMIT:
         subsets = combinations(range(e), f)
@@ -70,10 +81,13 @@ def _verify_mds(field: GF, entries: np.ndarray) -> None:
             tuple(rng.choice(e, size=f, replace=False))
             for _ in range(_SPOT_CHECK_SUBSETS)
         )
-    for rows in subsets:
-        if linalg.rank(field, entries[list(rows), :]) != f:
+    per_call = max(1, linalg.MATMUL_CHUNK // entries[:f].nbytes)
+    while chunk := list(islice(subsets, per_call)):
+        ranks = linalg.rank_batched(field, entries[np.array(chunk)])
+        singular = np.flatnonzero(ranks != f)
+        if singular.size:
             raise ParameterError(
-                f"({e},{f}) generator lost the MDS property on rows {rows}"
+                f"({e},{f}) generator lost the MDS property on rows {chunk[singular[0]]}"
             )
 
 

@@ -137,7 +137,9 @@ class GF:
     # -- element operations (scalars or arrays) -----------------------------
 
     def mul(self, a, b):
-        out = self._alog[self._log[a] + self._log[b]]
+        # ``take`` gathers faster than a fancy index and, like it, raises
+        # IndexError on a symbol outside the field
+        out = self._alog.take(self._log.take(a) + self._log.take(b))
         if np.ndim(out) == 0:
             return int(out)
         return out

@@ -333,13 +333,18 @@ def parse_answer(field: GF, data: bytes) -> tuple[int, np.ndarray]:
 # ---------------------------------------------------------------------------
 # store files
 
+def _padded_length(field: GF, length: int) -> int:
+    """Symbols a stored message occupies: w = 4 pads an odd message with one
+    zero nibble, so every message starts on a whole byte."""
+    return length + length % 2 if field.w == 4 else length
+
+
 def store_bytes(store: MessageStore) -> bytes:
+    """The header and every message, packed as one array."""
     k, length = store.messages.shape
     head = _STORE_HEADER.pack(STORE_MAGIC, store.field.w, k, length)
-    parts = [head]
-    for row in store.messages:
-        parts.append(store.field.pack(row))
-    return b"".join(parts)
+    pad = _padded_length(store.field, length) - length
+    return head + store.field.pack(np.pad(store.messages, ((0, 0), (0, pad))))
 
 
 def parse_store(data: bytes) -> MessageStore:
@@ -351,18 +356,14 @@ def parse_store(data: bytes) -> MessageStore:
     if w not in (4, 8, 16):
         raise ParameterError(f"store has unsupported symbol width {w}")
     field = standard_field(w)
-    per_message = field.packed_size(length)
-    expected = _STORE_HEADER.size + k * per_message
+    expected = _STORE_HEADER.size + k * field.packed_size(length)
     if len(data) != expected:
         raise ParameterError(
             f"store file holds {len(data)} bytes, expected {expected}"
         )
-    rows = []
-    pos = _STORE_HEADER.size
-    for _ in range(k):
-        rows.append(field.unpack(data[pos:pos + per_message], length))
-        pos += per_message
-    messages = np.stack(rows) if rows else np.zeros((0, length), dtype=field.dtype)
+    padded = _padded_length(field, length)
+    symbols = field.unpack(data[_STORE_HEADER.size:], k * padded)
+    messages = np.ascontiguousarray(symbols.reshape(k, padded)[:, :length])
     messages.flags.writeable = False
     return MessageStore(field=field, messages=messages)
 

@@ -207,15 +207,6 @@ def test_collusion_view_canonical_serialization():
     assert view_a.subset == (1, 2)
 
 
-def test_view_digest_crosscheck_guards_fast_path():
-    """The batched sampler validates itself against the reference path."""
-    scheme = audit.LayeredScheme(SchemeParams(3, 1, 2, 1))
-    digests = scheme.view_digests(1, [(1,), (2,)], sessions=8, master_seed=11)
-    ref = scheme.query_payloads(1, (11, 1, 0))
-    expect = audit.CollusionView.from_payloads((1,), ref).digest()
-    assert digests[(1,)][0] == expect
-
-
 @pytest.mark.parametrize("scheme", [
     audit.LayeredScheme(SchemeParams(3, 1, 2, 1)),
     audit.LayeredScheme(SchemeParams(3, 2, 3, 2)),

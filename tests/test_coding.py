@@ -8,6 +8,7 @@ scalar field ops, so the two routes share no code.
 
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from scipy import stats
 
 from sidepir import coding, linalg
-from sidepir.errors import FieldTooSmallError
+from sidepir.errors import FieldTooSmallError, ParameterError
 from sidepir.field import GF, standard_field
 
 
@@ -90,6 +91,91 @@ def test_mds_property_exhaustive_small(e, f, w):
     g = coding.make_mds(e, f, fld)
     for rows in combinations(range(e), f):
         assert linalg.rank(fld, g.entries[list(rows), :]) == f
+
+
+def first_singular_subset(field, entries, subsets):
+    """Reference for the self-check: one rank per subset, in order."""
+    return next((rows for rows in subsets
+                 if linalg.rank(field, entries[list(rows), :]) != entries.shape[1]), None)
+
+
+def spot_check_subsets(e, f):
+    rng = np.random.default_rng(0)
+    return [tuple(rng.choice(e, size=f, replace=False)) for _ in range(24)]
+
+
+@pytest.mark.parametrize("e,f,w,dup", [(10, 4, 8, (7, 3)), (123, 63, 16, (40, 90))],
+                         ids=["exhaustive", "spot-check"])
+def test_self_check_refuses_a_duplicated_row(e, f, w, dup):
+    """Negative control: a generator with one row copied onto another is
+    refused, naming the first singular subset in the order the check takes
+    them (every subset, or the 24 drawn from ``default_rng(0)``)."""
+    field = GF(w)
+    entries = coding._vandermonde(e, f, field)
+    entries[dup[1]] = entries[dup[0]]
+    subsets = (list(combinations(range(e), f)) if e <= 12 else spot_check_subsets(e, f))
+    first = first_singular_subset(field, entries, subsets)
+    assert first is not None and first != subsets[0]
+    with pytest.raises(ParameterError) as err:
+        coding._verify_mds(field, entries)
+    assert str(err.value) == f"({e},{f}) generator lost the MDS property on rows {first}"
+    if e <= 12:
+        assert first == (0, 1, 3, 7)
+
+
+def test_self_check_is_one_batched_elimination(monkeypatch):
+    """The spot check of the (123, 63) code at w = 16 stacks its 24 subsets
+    into one elimination; the only other one inverts the systematic tail."""
+    calls = []
+    original = linalg.lu_batched
+
+    def counting(field, mats):
+        calls.append(np.shape(mats))
+        return original(field, mats)
+
+    monkeypatch.setattr(linalg, "lu_batched", counting)
+    coding.make_systematic_mds.__wrapped__(123, 63, GF(16))
+    assert calls == [(1, 63, 63), (24, 63, 63)]
+
+
+def test_self_check_stacks_split_at_the_chunk_bound(monkeypatch):
+    """With room for five subsets per call the same 24 subsets are checked
+    in five calls, and a singular subset past the first call is still the
+    one named."""
+    field = GF(16)
+    entries = coding._vandermonde(123, 63, field)
+    entries[90] = entries[40]
+    monkeypatch.setattr(linalg, "MATMUL_CHUNK", 5 * entries[:63].nbytes)
+    subsets = spot_check_subsets(123, 63)
+    first = first_singular_subset(field, entries, subsets)
+    assert subsets.index(first) >= 5
+    calls = []
+    original = linalg.rank_batched
+    monkeypatch.setattr(linalg, "rank_batched",
+                        lambda fld, mats: calls.append(len(mats)) or original(fld, mats))
+    with pytest.raises(ParameterError) as err:
+        coding._verify_mds(field, entries)
+    assert str(err.value).endswith(f"rows {first}")
+    assert calls == [5] * (subsets.index(first) // 5 + 1)
+    calls.clear()
+    coding._verify_mds(field, coding._vandermonde(123, 63, field))
+    assert calls == [5, 5, 5, 5, 4]
+
+
+def test_self_check_memory_is_bounded():
+    """Each call stacks at most ``MATMUL_CHUNK`` bytes of subsets (11 of the
+    24 at (382, 211), w = 16, whose whole stack is 2.1 MB), so the peak is
+    that stack, its elimination copy and the elimination's scratch of one
+    chunk of indices and a quarter chunk of gathered symbols."""
+    field = GF(16)
+    entries = coding._vandermonde(382, 211, field)
+    tracemalloc.start()
+    try:
+        coding._verify_mds(field, entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * linalg.MATMUL_CHUNK, peak
 
 
 def test_systematic_structure():

@@ -9,6 +9,7 @@ from sidepir.errors import ParameterError
 from sidepir.field import (
     DEFAULT_POLYNOMIALS,
     GF,
+    _slow_mul,
     is_irreducible,
     standard_field,
 )
@@ -24,6 +25,34 @@ def test_known_values_mul():
         for a in (0, 1, 2, f.q - 1):
             assert f.mul(a, 0x01) == a
             assert f.mul(a, 0x00) == 0
+
+
+@pytest.mark.parametrize("w", WIDTHS)
+def test_mul_scalars_zeros_and_arrays(w):
+    """Array products equal the table-building shift-and-reduce product,
+    zeros included; scalars give an int; a symbol outside the field raises
+    IndexError."""
+    f = standard_field(w)
+    rng = np.random.default_rng(w)
+    a = f.random_symbols(rng, (192, 64))
+    a[0] = 0
+    for b in (0, 1, 3, f.q - 1):
+        expect = _slow_mul(a.astype(np.int64), b, f.poly, w)
+        got = f.mul(a, b)
+        assert got.dtype == f.dtype and np.array_equal(got, expect)
+        assert np.array_equal(f.mul(b, a), expect)
+    pairs = f.random_symbols(rng, (2, 300))
+    pairs[:, :5] = 0
+    got = f.mul(pairs[0], pairs[1])
+    assert got.shape == (300,)
+    assert got.tolist() == [_slow_mul(int(x), int(y), f.poly, w) for x, y in pairs.T]
+    for x, y in ((0, 0), (0, 5), (f.q - 1, 1), (np.uint16(2), 3)):
+        out = f.mul(x, y)
+        assert type(out) is int and out == _slow_mul(int(x), int(y), f.poly, w)
+    with pytest.raises(IndexError):
+        f.mul(f.q, 1)
+    with pytest.raises(IndexError):
+        f.mul(a, np.full(a.shape, f.q))
 
 
 def test_inverse_examples():

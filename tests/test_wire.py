@@ -50,6 +50,25 @@ def test_store_file_layout_and_round_trip(tmp_path):
     assert np.array_equal(loaded.messages, store.messages)
 
 
+@pytest.mark.parametrize("w,length", [(4, 7), (4, 8), (8, 7), (16, 7), (4, 1)])
+def test_store_bytes_match_per_message_packing(w, length):
+    """The whole store packs as one array into the bytes of packing each
+    message on its own (at w = 4 an odd message ends in a zero nibble), and
+    parses back to the same messages."""
+    field = standard_field(w)
+    store = random_store(field, 5, length, np.random.default_rng(length))
+    data = wire.store_bytes(store)
+    body = b"".join(field.pack(row) for row in store.messages)
+    assert data[19:] == body
+    loaded = wire.parse_store(data)
+    assert loaded.messages.flags.c_contiguous and not loaded.messages.flags.writeable
+    assert np.array_equal(loaded.messages, store.messages)
+    per_message = field.packed_size(length)
+    for k in range(5):
+        row = data[19 + k * per_message:19 + (k + 1) * per_message]
+        assert np.array_equal(field.unpack(row, length), store.messages[k])
+
+
 def test_store_file_rejects_bad_sizes():
     f8 = standard_field(8)
     store = random_store(f8, 2, 5, np.random.default_rng(1))
