@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import OverflowLimitError, ParameterError
 
@@ -93,11 +94,15 @@ def psi(a: Fraction | int, b: int | float) -> Fraction:
     return (1 - a) / (1 - a**b)
 
 
+# the capacities are exact rationals of public parameters, asked for once per
+# retrieval: each is computed once per point
+@lru_cache(maxsize=256)
 def capacity_tpir_psi(p: SchemeParams) -> Fraction:
     """Highest achievable desired-bits-per-downloaded-bit for the setting."""
     return psi(Fraction(p.T, p.N), p.K - p.M)
 
 
+@lru_cache(maxsize=256)
 def capacity_stpir_psi(p: SchemeParams, rho: Fraction | int) -> Fraction:
     """Capacity of the symmetric (database-private) variant.
 

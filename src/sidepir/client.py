@@ -17,6 +17,7 @@ import dataclasses
 import socket
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,18 +150,19 @@ def _run_endpoints(transports, params_payloads, query_payloads):
 
 
 def _check_replicas(transcripts) -> str:
-    digests = set()
-    for t in transcripts:
-        ack = wire.parse_params_payload(t.params_received)
-        digests.add(ack.get("store_digest"))
+    # replicas send the same reply bytes: each distinct one is parsed once
+    digests = {wire.parse_params_payload(reply).get("store_digest")
+               for reply in {t.params_received for t in transcripts}}
     if len(digests) != 1:
         raise CorruptionError(f"store replicas differ: {sorted(digests)}")
     return digests.pop()
 
 
+@lru_cache(maxsize=64)
 def _params_frames(params: SchemeParams, scheme: str, w: int,
-                   message_length: int, n_endpoints: int) -> list[bytes]:
-    return [
+                   message_length: int, n_endpoints: int) -> tuple[bytes, ...]:
+    """Each endpoint's PARAMS payload: the same for every session of a point."""
+    return tuple(
         wire.params_payload({
             "scheme": scheme,
             "endpoint": i + 1,
@@ -172,7 +174,7 @@ def _params_frames(params: SchemeParams, scheme: str, w: int,
             "message_length": message_length,
         })
         for i in range(n_endpoints)
-    ]
+    )
 
 
 _FORM_NAMES = {wire.FORM_RAW: "raw", wire.FORM_COMPRESSED: "compressed",

@@ -232,10 +232,6 @@ def rank_batched(field: GF, mats: np.ndarray, *, factors: bool = False):
     return (ranks, lu, perm) if factors else ranks
 
 
-def rank(field: GF, mat: np.ndarray) -> int:
-    return int(rank_batched(field, np.asarray(mat)[None])[0])
-
-
 def solve(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a @ x = b for invertible square a; b may be a vector or matrix."""
     a = np.asarray(a, dtype=field.dtype)

@@ -12,10 +12,22 @@ the QUERY shapes the session takes, once: the layered one of its (M, N, T)
 on a tpir server; the sum query and, where T fits, the symmetric one on a
 stpir server. A QUERY is sized from them before its body is read, and must
 match one of them in every byte but its own. A client may send both frames
-back to back: they are answered in order, one reply each. Any frame before
-PARAMS, and any frame but the QUERY after it, is bounded by
-:data:`MAX_SESSIONLESS_FRAME`. Servers keep no state across sessions beyond
-the store and the shared secret.
+back to back: they are answered in order, one reply each. Once a QUERY is
+answered the session is over: the core refuses any further frame, and a
+TCP connection ends right after that ANSWER (a session whose frames got
+only ERROR replies stays open). Any frame before PARAMS, and any frame but
+the QUERY after it, is bounded by :data:`MAX_SESSIONLESS_FRAME`.
+
+Servers keep no state across sessions beyond the store, the shared secret
+and what depends only on public values: the PARAMS reply, built once from
+the store, and the bounded caches of each (M, N, T)'s QUERY shapes and each
+endpoint's point powers.
+
+The listening socket defers each accept until the connection's first bytes
+arrive (``TCP_DEFER_ACCEPT``, where the platform has it), so a session wakes
+the server once, with its PARAMS and QUERY, not also at the handshake; its
+backlog is ``SOMAXCONN``, so a burst of connects is not dropped (a dropped
+SYN costs its client a one-second retransmit).
 
 Each open connection is served by a thread of its own, with no cap. The
 threads are reused: one whose connection has ended waits for the next, so
@@ -36,6 +48,9 @@ import socket
 import socketserver
 import threading
 import time
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -58,6 +73,9 @@ CLOSE_GRACE = 2.0
 # how often a started server's accept loop looks for a stop request, so the
 # longest an idle server's stop() waits for the loop to end
 STOP_POLL = 0.02
+# seconds a connection may stay silent after its handshake before it is
+# accepted anyway (TCP_DEFER_ACCEPT)
+DEFER_ACCEPT = 1
 _INT_FIELDS = ("endpoint", "n_db", "k", "m", "t", "w", "message_length")
 
 log = logging.getLogger(__name__)
@@ -76,16 +94,30 @@ class ServerCore:
         self.role = role
         self.secret = secret
         self.store_digest = hashlib.sha256(wire.store_bytes(store)).hexdigest()
+        # depends only on the store: built once, not per session
+        self._params_reply = wire.params_payload({
+            "ok": True,
+            "store_digest": self.store_digest,
+            "k": store.num_messages,
+            "message_length": store.message_length,
+            "w": store.field.w,
+        })
 
     def new_session(self) -> dict:
         return {}
 
     def handle_frame(self, session: dict, ftype: int, payload: bytes) -> tuple[int, bytes]:
+        if "answered" in session:
+            return wire.TYPE_ERROR, wire.error_payload(
+                wire.ERR_PROTOCOL, "the session has answered its QUERY")
         try:
             if ftype == wire.TYPE_PARAMS:
                 return self._handle_params(session, payload)
             if ftype == wire.TYPE_QUERY:
-                return self._handle_query(session, payload)
+                reply = self._handle_query(session, payload)
+                if reply[0] == wire.TYPE_ANSWER:
+                    session["answered"] = True
+                return reply
             return wire.TYPE_ERROR, wire.error_payload(
                 wire.ERR_PROTOCOL, f"unexpected frame type {ftype:#x}")
         except ProtocolError as exc:
@@ -121,15 +153,10 @@ class ServerCore:
             return wire.TYPE_ERROR, wire.error_payload(
                 wire.ERR_STORE_MISMATCH, "; ".join(problems))
         session["endpoint"] = endpoint
-        session["layouts"] = self._layouts(req["m"], n_db, req["t"])
-        reply = wire.params_payload({
-            "ok": True,
-            "store_digest": self.store_digest,
-            "k": self.store.num_messages,
-            "message_length": self.store.message_length,
-            "w": self.store.field.w,
-        })
-        return wire.TYPE_PARAMS, reply
+        session["layouts"], session["sizes"] = _session_layouts(
+            self.role, self.store.field.w, self.store.num_messages,
+            self.store.message_length, req["m"], n_db, req["t"])
+        return wire.TYPE_PARAMS, self._params_reply
 
     def _handle_query(self, session: dict, payload: bytes) -> tuple[int, bytes]:
         if "endpoint" not in session:
@@ -149,7 +176,7 @@ class ServerCore:
             sigma = derive_common_randomness(self.secret, query.session_id, query.t, field)
             # only this endpoint's T powers: never a table sized by N
             value = sym_answer(field, query.coords, self.store.messages, sigma,
-                               point_powers(field, endpoint, query.t))
+                               _endpoint_powers(field, endpoint, query.t))
             return wire.TYPE_ANSWER, wire.serialize_answer(
                 field, wire.FORM_SYMMETRIC, np.array([value], dtype=field.dtype))
         return wire.TYPE_ANSWER, wire.serialize_answer(
@@ -166,40 +193,53 @@ class ServerCore:
             return wire.error_payload(
                 wire.ERR_MALFORMED_FRAME, f"frame of type {ftype:#x} declares {length} "
                 f"bytes; before a session's QUERY the limit is {MAX_SESSIONLESS_FRAME}")
-        layouts = session["layouts"].values()
-        allowed = tuple(wire.query_size(s) for s in layouts if not isinstance(s, str))
-        if length in allowed:
+        if length in session["sizes"]:
             return None
         return wire.error_payload(wire.ERR_MALFORMED_QUERY, "; ".join(
-            [f"QUERY declares {length} bytes; this session takes {allowed}"]
-            + [s for s in layouts if isinstance(s, str)]))
+            [f"QUERY declares {length} bytes; this session takes {session['sizes']}"]
+            + [s for s in session["layouts"].values() if isinstance(s, str)]))
 
-    def _layouts(self, m: int, n_db: int, t: int) -> dict:
-        """The QUERY shapes a session of PARAMS (M, N, T) takes, keyed by
-        scheme byte; where it takes none of a scheme, why. A tpir session
-        takes the layered shape of (M, N, T) at the store's width: the plan's
-        public layout, the same for every desired index, whose slot count
-        caps the compression code a query makes the server build. A stpir
-        session takes the sum query, and a symmetric one that masks with
-        exactly the declared T symbols (a shorter mask would weaken database
-        privacy) at N nonzero points, enough to interpolate an answer of
-        degree below T + L."""
-        field, k, length = self.store.field, self.store.num_messages, self.store.message_length
-        if self.role == "stpir":
-            symmetric = (wire.SymmetricShape(field.w, k, length, t)
-                         if 1 <= t and t + length <= n_db < field.q else
-                         f"threshold T={t} and {length} coordinates per message do not "
-                         f"fit the session's {n_db} points in GF(2^{field.w})")
-            return {wire.SCHEME_SYMMETRIC: symmetric,
-                    wire.SCHEME_SUM: wire.SumShape(field.w, k, length)}
-        if not 1 <= n_db <= length or n_db ** k != length:
-            return {wire.SCHEME_LAYERED: f"session parameters (M={m}, N={n_db}, T={t}) do "
-                    f"not fit a layered scheme on {k} messages of length {length}"}
+
+# keyed only by public values, the store's and the PARAMS ones; bounded, so a
+# stream of PARAMS with ever-new fields cannot grow a server past it
+@lru_cache(maxsize=64)
+def _session_layouts(role: str, w: int, k: int, length: int, m: int, n_db: int,
+                     t: int) -> tuple[Mapping, tuple[int, ...]]:
+    """The QUERY shapes a session of PARAMS (M, N, T) takes on a ``role``
+    server whose store holds K messages of L symbols of ``w`` bits, keyed by
+    scheme byte; where it takes none of a scheme, why. A tpir session takes
+    the layered shape of (M, N, T) at the store's width: the plan's public
+    layout, the same for every desired index, whose slot count caps the
+    compression code a query makes the server build. A stpir session takes
+    the sum query, and a symmetric one that masks with exactly the declared
+    T symbols (a shorter mask would weaken database privacy) at N nonzero
+    points, enough to interpolate an answer of degree below T + L. Returned
+    read-only, with the QUERY lengths those shapes take."""
+    if role == "stpir":
+        symmetric = (wire.SymmetricShape(w, k, length, t)
+                     if 1 <= t and t + length <= n_db < 1 << w else
+                     f"threshold T={t} and {length} coordinates per message do not "
+                     f"fit the session's {n_db} points in GF(2^{w})")
+        shapes = {wire.SCHEME_SYMMETRIC: symmetric, wire.SCHEME_SUM: wire.SumShape(w, k, length)}
+    elif not 1 <= n_db <= length or n_db ** k != length:
+        shapes = {wire.SCHEME_LAYERED: f"session parameters (M={m}, N={n_db}, T={t}) do "
+                  f"not fit a layered scheme on {k} messages of length {length}"}
+    else:
         try:
-            plan = download_plan(SchemeParams(k, m, n_db, t, w=field.w), 1)
+            shapes = {wire.SCHEME_LAYERED: download_plan(SchemeParams(k, m, n_db, t, w=w), 1).shape}
         except (ParameterError, FieldTooSmallError) as exc:
-            return {wire.SCHEME_LAYERED: f"session parameters: {exc}"}
-        return {wire.SCHEME_LAYERED: plan.shape}
+            shapes = {wire.SCHEME_LAYERED: f"session parameters: {exc}"}
+    return MappingProxyType(shapes), tuple(
+        wire.query_size(s) for s in shapes.values() if not isinstance(s, str))
+
+
+@lru_cache(maxsize=16)
+def _endpoint_powers(field, endpoint: int, count: int) -> np.ndarray:
+    """The powers 0..count-1 of an endpoint's point, read-only: the same in
+    every session of that endpoint and threshold. T < 2^w bounds each."""
+    powers = point_powers(field, endpoint, count)
+    powers.flags.writeable = False
+    return powers
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -226,7 +266,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 self.wfile.write(wire.encode_frame(*reply))
             except OSError:
                 return
-            if error:
+            # an answered QUERY ends the session; so does a refused head
+            if error or reply[0] == wire.TYPE_ANSWER:
                 return
 
 
@@ -240,6 +281,8 @@ class _ReusingServer(socketserver.TCPServer):
     once had connections open at the same time."""
 
     allow_reuse_address = True
+    # socketserver's default of 5 drops SYNs from a burst of connects
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, address, handler):
         # before binding: a failed bind calls server_close, which reads them
@@ -249,6 +292,11 @@ class _ReusingServer(socketserver.TCPServer):
         self._open = set()
         self._workers = []
         super().__init__(address, handler)
+
+    def server_bind(self):
+        if hasattr(socket, "TCP_DEFER_ACCEPT"):
+            self.socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_DEFER_ACCEPT, DEFER_ACCEPT)
+        super().server_bind()
 
     def process_request(self, request, client_address):
         with self._lock:

@@ -131,16 +131,17 @@ def queries_from_masks(sp: SymParams, theta: int, masks: np.ndarray) -> np.ndarr
     query coordinate, with any leading session axes. Returns the queries
     shaped (..., N, K, N - T). Exposed separately so tests can pin the
     randomness (an all-zero mask still decodes; it only stops hiding) and so
-    a batch of sessions is assembled by one product.
+    a batch of sessions is assembled at once: each mask evaluated at every
+    point is one broadcast multiplication by the T mask columns of
+    ``vander`` and an XOR over T.
     """
     params, field = sp.base, sp.field
     ell, t = sp.message_length, params.T
     if masks.shape[-3:] != (params.K, ell, t):
         raise ParameterError(f"masks must have shape (..., {params.K}, {ell}, {t})")
-    lead = masks.shape[:-3]
-    flat = masks.reshape(lead + (params.K * ell, t))
-    queries = linalg.matmul(field, sp.vander[:, :t], np.swapaxes(flat, -1, -2)).reshape(
-        lead + (params.N, params.K, ell))
+    # (N, 1, 1, T) columns times (..., 1, K, N - T, T) masks
+    terms = field.mul(sp.vander[:, None, None, :t], np.expand_dims(masks, -4))
+    queries = np.bitwise_xor.reduce(terms, axis=-1)
     queries[..., theta - 1, :] ^= sp.vander[:, t:]
     return queries
 

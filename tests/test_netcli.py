@@ -1,5 +1,6 @@
 """Server/client over TCP and in process, plus the command-line interface."""
 
+import hashlib
 import socket
 import struct
 import sys
@@ -441,7 +442,7 @@ def test_stop_waits_for_the_session_in_flight_and_ends_every_thread(golden1_stor
         earlier[1].send([(wire.TYPE_QUERY, bytes(8))])
         assert entered.wait(5)
         stopper.start()
-        # longer than the accept loop's half-second poll, which stop() also waits for
+        # far longer than the accept loop's STOP_POLL (0.02 s), which stop() also waits for
         stopper.join(1)
         assert stopper.is_alive()
     finally:
@@ -514,6 +515,188 @@ def test_a_busy_port_is_an_os_error(golden1_store, tmp_path, capsys):
         assert cli_main(["serve", "--port", str(port),
                          "--store", str(tmp_path / "store.pir")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("scheme,params,cached", [
+    ("tpir", SchemeParams(3, 1, 2, 1), {3}),
+    ("stpir", SchemeParams(3, 0, 3, 1), set()),
+    ("stpir", SchemeParams(3, 2, 3, 1), {2, 3}),
+], ids=["layered", "symmetric", "sum"])
+def test_a_session_ends_after_its_answered_query(golden1_store, scheme, params, cached):
+    """A session is one QUERY: once one is answered, a second QUERY or a new
+    PARAMS on that session gets a protocol ERROR, not a second ANSWER."""
+    store = golden1_store if scheme == "tpir" else random_store(
+        standard_field(4), 3, 2, np.random.default_rng(102))
+    sims = client.local_simulator(store, params.N, role=scheme, secret=SECRET)
+    result = client.retrieve(sims, params, 1, store.side_information(cached), seed=3,
+                             scheme=scheme)
+    for sim, t in zip(sims, result.transcripts):
+        sim.send([(wire.TYPE_QUERY, t.query_sent), (wire.TYPE_PARAMS, t.params_sent)])
+        for _ in range(2):
+            ftype, payload = sim.receive()
+            assert ftype == wire.TYPE_ERROR
+            assert wire.parse_error_payload(payload) == (
+                wire.ERR_PROTOCOL, "the session has answered its QUERY")
+
+
+def test_a_connection_ends_after_its_answered_query(golden1_store):
+    """Over TCP the server ends a connection right after its ANSWER: a second
+    QUERY pipelined behind the first gets no reply, only the end of the
+    stream, and the next connection is served as usual."""
+    params, side = SchemeParams(3, 1, 2, 1), golden1_store.side_information({3})
+    t = client.retrieve(client.local_simulator(golden1_store, 2), params, 1, side,
+                        seed=3).transcripts[0]
+    server = DatabaseServer(golden1_store).start()
+    try:
+        for repeat in (1, 2):
+            with socket.create_connection(("127.0.0.1", server.port), timeout=3) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(wire.encode_frame(wire.TYPE_PARAMS, t.params_sent)
+                             + wire.encode_frame(wire.TYPE_QUERY, t.query_sent) * repeat)
+                stream.flush()
+                assert wire.read_frame(stream) == (wire.TYPE_PARAMS, t.params_received)
+                assert wire.read_frame(stream) == (wire.TYPE_ANSWER, t.answer_received)
+                assert stream.read() == b""
+    finally:
+        server.stop()
+
+
+def test_a_burst_of_connects_is_not_dropped(golden1_store):
+    """The listen backlog holds a burst: 32 back-to-back connects each finish
+    well inside the second a dropped SYN would cost its client, and each
+    connection then gets a typed reply."""
+    server = DatabaseServer(golden1_store).start()
+    socks = []
+    try:
+        for _ in range(32):
+            start = time.perf_counter()
+            socks.append(socket.create_connection(("127.0.0.1", server.port), timeout=5))
+            assert time.perf_counter() - start < 0.5
+        for sock in socks:
+            sock.sendall(wire.encode_frame(wire.TYPE_QUERY, bytes(8)))
+        for sock in socks:
+            ftype, payload = wire.read_frame(sock.makefile("rb"))
+            assert ftype == wire.TYPE_ERROR
+            assert wire.parse_error_payload(payload) == (wire.ERR_PROTOCOL, "QUERY before PARAMS")
+    finally:
+        for sock in socks:
+            sock.close()
+        server.stop()
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_DEFER_ACCEPT"),
+                    reason="the platform has no deferred accept")
+def test_a_late_first_frame_is_answered_and_a_silent_connection_does_not_hold_up_stop(
+        golden1_store):
+    """The listener defers each accept until the connection's first bytes
+    arrive: a client that connects and sends 50 ms later is still answered,
+    and a connection that never sends does not delay stop()."""
+    server = DatabaseServer(golden1_store).start()
+    listener = server._server.socket
+    assert listener.getsockopt(socket.IPPROTO_TCP, socket.TCP_DEFER_ACCEPT) > 0
+    silent = socket.create_connection(("127.0.0.1", server.port), timeout=3)
+    late = socket.create_connection(("127.0.0.1", server.port), timeout=3)
+    try:
+        time.sleep(0.05)
+        late.sendall(wire.encode_frame(wire.TYPE_QUERY, bytes(8)))
+        assert wire.read_frame(late.makefile("rb"))[0] == wire.TYPE_ERROR
+        start = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - start < 0.5
+    finally:
+        silent.close()
+        late.close()
+        server.stop()
+
+
+def test_session_caches_stay_bounded(golden1_store):
+    """What a server keeps per PARAMS is keyed only by public values and
+    bounded: 1,000 PARAMS with distinct (M, T) each get a typed reply, and
+    sessions at 117 distinct (endpoint, T) are each answered, while neither
+    the QUERY-shape cache nor the point-power cache grows past its bound."""
+    from sidepir import server as server_mod
+
+    f4 = standard_field(4)
+    sym_store = random_store(f4, 3, 2, np.random.default_rng(102))
+    cores = [ServerCore(golden1_store), ServerCore(sym_store, role="stpir", secret=SECRET)]
+    for core in cores:
+        length = core.store.message_length
+        for i in range(1000):
+            fields = {"scheme": core.role, "endpoint": 1, "n_db": 2, "k": 3, "m": i // 25,
+                      "t": i % 25 + 1, "w": 4, "message_length": length}
+            session = core.new_session()
+            ftype, _ = core.handle_frame(session, wire.TYPE_PARAMS, wire.params_payload(fields))
+            assert ftype == wire.TYPE_PARAMS
+            error = core.refuse_unread(session, wire.TYPE_QUERY, 1 << 20)
+            assert wire.parse_error_payload(error)[0] == wire.ERR_MALFORMED_QUERY
+    coords = f4.random_symbols(np.random.default_rng(9), (3, 2))
+    for n_db in range(3, 16):
+        t = n_db - 2
+        query = wire.serialize_sym_query(4, bytes(16), t, coords)
+        for endpoint in range(1, n_db + 1):
+            session = cores[1].new_session()
+            cores[1].handle_frame(session, wire.TYPE_PARAMS, wire.params_payload(
+                {"scheme": "stpir", "endpoint": endpoint, "n_db": n_db, "k": 3, "m": 0,
+                 "t": t, "w": 4, "message_length": 2}))
+            assert cores[1].handle_frame(session, wire.TYPE_QUERY, query)[0] == wire.TYPE_ANSWER
+    for cache in (server_mod._session_layouts, server_mod._endpoint_powers):
+        info = cache.cache_info()
+        assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+
+
+def _transcript_digest(result) -> str:
+    h = hashlib.sha256()
+    for t in result.transcripts:
+        for part in (t.params_sent, t.params_received, t.query_sent, t.answer_received):
+            h.update(len(part).to_bytes(4, "little") + part)
+    h.update(np.ascontiguousarray(result.message).tobytes())
+    return h.hexdigest()
+
+
+# (scheme, params, store width and message length, store seed, cached set,
+# theta, raw) and the sha256 of the seed-0 transcripts and message, as the
+# client and servers wrote them before their per-point caches
+PINNED_TRANSCRIPTS = {
+    "layered": ("tpir", SchemeParams(3, 1, 2, 1), 4, 8, 102, {3}, 2, False,
+                "8167a6d1c9e09b90b35b30a4f2720f5cfc0f8d30ecec9e55b679fbc3f8ae65b5"),
+    "layered-raw": ("tpir", SchemeParams(3, 1, 2, 1), 4, 8, 102, {3}, 2, True,
+                    "f8bd843285fa21cd39d3715e599dcfbe2c7e00419a51b9335421e204e0bf5e26"),
+    "layered-T=2": ("tpir", SchemeParams(4, 2, 3, 2), 8, 81, 104, {1, 4}, 3, False,
+                    "42d7e93a0f89a73416fb191b192cfc2b27b46b04a8a92f1b6f2dbfebb29ae1bc"),
+    "symmetric-T=2": ("stpir", SchemeParams(4, 1, 3, 2), 4, 1, 106, {2}, 1, False,
+                      "eafd6984220dbeaaa7a436ad503b0ef7b0bafb47ee880be2c3f1796c431f5a7d"),
+    "symmetric-K=4096": ("stpir", SchemeParams(4096, 0, 2, 1, w=4), 4, 1, 108, set(), 77,
+                         False,
+                         "e3e0d0c40798c447edb85f1cdefb4ef03f9ee853ecbb88f7e8afb082ebc09cf0"),
+    "sum": ("stpir", SchemeParams(3, 2, 3, 1), 4, 5, 109, {2, 3}, 1, False,
+            "224fcb760bdb546131de66657ee9ba4f6115843564f667721b61170d1d6ff893"),
+}
+
+
+@pytest.mark.parametrize("point", sorted(PINNED_TRANSCRIPTS))
+def test_fixed_seed_transcripts_are_pinned(point):
+    """Caching what depends only on a parameter point changes no byte: the
+    transcripts of fixed-seed retrievals, in process and over TCP, hash to
+    the values pinned before those caches."""
+    scheme, params, w, length, store_seed, cached, theta, raw, pinned = \
+        PINNED_TRANSCRIPTS[point]
+    store = random_store(standard_field(w), params.K, length,
+                         np.random.default_rng(store_seed))
+    secret = SECRET if scheme == "stpir" else None
+    side = store.side_information(cached)
+    n = 1 if scheme == "stpir" and params.M == params.K - 1 else params.N
+    local = client.retrieve(client.local_simulator(store, n, role=scheme, secret=secret),
+                            params, theta, side, seed=0, scheme=scheme, raw=raw)
+    servers = [DatabaseServer(store, role=scheme, secret=secret).start() for _ in range(n)]
+    try:
+        tr = tcp_transports(servers)
+        over_tcp = client.retrieve(tr, params, theta, side, seed=0, scheme=scheme, raw=raw)
+        for t in tr:
+            t.close()
+    finally:
+        for s in servers:
+            s.stop()
+    assert _transcript_digest(local) == _transcript_digest(over_tcp) == pinned
 
 
 @pytest.mark.parametrize("role,fields,honest", [

@@ -85,6 +85,29 @@ def test_unmasked_queries_still_decode():
     assert np.array_equal(sym_decode(answers, sp), store.message(2))
 
 
+@pytest.mark.parametrize("params", [SchemeParams(3, 0, 3, 1), SchemeParams(4, 1, 4, 2, w=8),
+                                    SchemeParams(3, 0, 5, 3, w=16)], ids=["T=1", "T=2", "T=3"])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["single", "batch", "two-axes"])
+def test_queries_from_masks_equals_the_vandermonde_product(params, lead):
+    """Query assembly is the product of the T mask columns of the Vandermonde
+    matrix with each coordinate's mask, plus the indicator columns on the
+    desired message: the same symbols as that product through
+    ``linalg.matmul``, for one session or any leading session axes."""
+    from sidepir import linalg
+
+    sp = make_sym_params(params)
+    k, n, t, ell = params.K, params.N, params.T, sp.message_length
+    masks = sp.field.random_symbols(np.random.default_rng(7), lead + (k, ell, t))
+    want = linalg.matmul(sp.field, sp.vander[:, :t],
+                         np.swapaxes(masks.reshape(lead + (k * ell, t)), -1, -2))
+    want = want.reshape(lead + (n, k, ell))
+    want[..., 2, :] ^= sp.vander[:, t:]
+    got = queries_from_masks(sp, 3, masks)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for i in np.ndindex(*lead):
+        assert np.array_equal(queries_from_masks(sp, 3, masks[i]), want[i])
+
+
 def test_answers_interpolate_known_polynomial_when_unmasked():
     """With masks and sigma pinned to zero the answer polynomial is exactly
     (0,...,0, W_theta): its low coefficients vanish."""
