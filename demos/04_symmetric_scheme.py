@@ -13,11 +13,12 @@ from sidepir import SchemeParams, random_store
 from sidepir.stpir_psi import (
     derive_common_randomness,
     make_sym_params,
+    queries_from_masks,
+    session_protocol,
     sym_answers,
     sym_coefficients,
     sym_decode,
-    sym_query,
-    sym_sum_shortcut,
+    sym_masks,
 )
 
 SECRET = bytes.fromhex("00112233445566778899aabbccddeeff" * 2)
@@ -33,7 +34,7 @@ def main():
     store = random_store(sp.field, params.K, sp.message_length, rng)
     theta = 2
 
-    queries = sym_query(sp, theta, rng)
+    queries = queries_from_masks(sp, theta, sym_masks(sp, rng))
     print(f"each database receives K*(N-T) = {queries.shape[1] * queries.shape[2]} "
           "masked coordinates; any 2 databases' coordinates are jointly uniform")
 
@@ -57,11 +58,17 @@ def main():
           f"{sp.message_length}/{params.N} = 1 - T/N")
     print()
 
-    cached = store.side_information({1, 3})
-    direct = sym_sum_shortcut(store, cached, 2)
+    # all but one cached: the protocol a stpir retrieval then runs
+    shortcut = SchemeParams(K=3, M=2, N=4, T=2)
+    protocol, side = session_protocol("stpir", shortcut).prepare(
+        2, store.side_information({1, 3}))
+    state = protocol.draw(2, [rng])
+    answers = protocol.answer(state, store)
+    direct = protocol.finish(state, answers, {i: v[None] for i, v in side.items()})[0]
     assert np.array_equal(direct, store.message(2))
-    print("caching all but one message: download the plain sum from a single")
-    print("database and strip the cache; rate 1, no shared randomness at all.")
+    print(f"caching all but one message: {type(protocol).__name__} asks database 1 "
+          f"only, for the plain sum ({protocol.count} symbols), and strips the cache;")
+    print(f"rate {protocol.capacity()}, shared randomness rho = {protocol.rho()}.")
 
 
 if __name__ == "__main__":

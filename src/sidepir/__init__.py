@@ -6,10 +6,10 @@ and that measured rates meet the capacity formulas exactly.
 Layout:
   field, linalg, coding   symbol arithmetic and MDS machinery
   capacity                exact closed forms (the oracle everything is checked against)
-  tpir_psi                the layered scheme with redundancy removal
-  stpir_psi               the symmetric variant and the all-but-one-cached shortcut
-  audit                   executable correctness / privacy / rate audits
-  wire, server, client    framed TCP protocol, store files, retrieval
+  tpir_psi                the layered scheme with redundancy removal, as a protocol object
+  stpir_psi               the symmetric variant and the all-but-one-cached sum, as protocols
+  audit                   correctness / privacy / rate audits, run on the protocol objects
+  wire, server, client    framed TCP protocol, store files, retrieval by the protocols
   cli                     the ``sidepir`` command
 """
 

@@ -38,38 +38,11 @@ import numpy as np
 from scipy import stats
 
 from . import wire
-from .capacity import (
-    SchemeParams,
-    capacity_stpir_psi,
-    capacity_tpir_psi,
-    count_profile,
-)
+from .capacity import SchemeParams
 from .errors import AuditInvariantError, ParameterError
-from .field import standard_field
 from .store import MessageStore, random_store
-from .stpir_psi import (
-    SESSION_ID_BYTES,
-    derive_common_randomness,
-    make_sym_params,
-    queries_from_masks,
-    sym_answers,
-    sym_coefficients,
-    sym_decode,
-    sym_masks,
-    sym_sum_shortcut,
-)
-from .tpir_psi import (
-    PrecodingState,
-    answer_all,
-    build_plan,
-    database_queries,
-    decode,
-    decode_streams,
-    download_plan,
-    minimum_field_width,
-    sample_mixers,
-    session_queries,
-)
+from .stpir_psi import SumProtocol, session_protocol, sym_coefficients
+from .tpir_psi import answer_all, decode_streams, download_plan, session_queries
 
 DEFAULT_TV_THRESHOLD = 0.01
 DEFAULT_CHI_P = 0.001
@@ -244,11 +217,22 @@ def _view_digests(scheme, theta: int, subsets, sessions: int, master_seed: int,
 
 
 class _Adapter:
-    """What the audit adapters share."""
+    """What the audit adapters share: their scheme's ``protocol`` and its runs."""
+
+    server_secret: bytes | None = None  # what the in-process databases mask with
+
+    def __init__(self, params: SchemeParams):
+        self.protocol, self.params = session_protocol(self.role, params), params
+        self.field, self.message_length = self.protocol.field, self.protocol.message_length
+
+    def session_payloads(self, theta: int, seeds) -> list[dict[int, bytes]]:
+        """Every seed's session payloads, keyed by 1-based database: all of
+        them drawn and written by one pass of the protocol."""
+        rngs = [np.random.default_rng(s) for s in seeds]
+        return self.protocol.payloads(self.protocol.draw(theta, rngs))
 
     def query_payloads(self, theta: int, seed) -> dict[int, bytes]:
-        """The N query payloads of the session of ``seed``, keyed by 1-based
-        database: one session of ``session_payloads``."""
+        """The payloads of the session of ``seed``."""
         return self.session_payloads(theta, [seed])[0]
 
     def _draw_theta_side(self, rng) -> tuple[int, tuple[int, ...]]:
@@ -258,50 +242,35 @@ class _Adapter:
         side = tuple(sorted(int(i) for i in rng.choice(others, size=m, replace=False))) if m else ()
         return theta, side
 
+    def _outcome(self, theta: int, side_idx, state, store: MessageStore,
+                 note: str) -> SessionOutcome:
+        """A drawn session's round trip in process, off the wire."""
+        protocol, side = self.protocol, store.side_information(side_idx)
+        answers = protocol.answer(state, store, self.server_secret)
+        got = protocol.finish(state, answers, {i: vec[None] for i, vec in side.items()})
+        return SessionOutcome(ok=bool(np.array_equal(got[0], store.message(theta))),
+                              downloaded_symbols=answers.shape[0] * answers.shape[-1],
+                              desired_symbols=self.message_length,
+                              randomness_symbols=int(protocol.rho() * self.message_length),
+                              note=note)
+
 
 class LayeredScheme(_Adapter):
     """Audit adapter for the layered scheme with redundancy removal."""
 
-    name = "tpir-psi"
-
-    def __init__(self, params: SchemeParams):
-        if not params.constructible:
-            raise ParameterError(f"{params.label()} is not constructible")
-        self.params = params
-        self.profile = count_profile(params)
-        self.message_length = self.profile.L
-        self.field = standard_field(params.w or minimum_field_width(params))
-
-    def capacity(self) -> Fraction:
-        return capacity_tpir_psi(self.params)
+    name, role = "tpir-psi", "tpir"
 
     def run_session(self, rng) -> SessionOutcome:
         theta, side_idx = self._draw_theta_side(rng)
-        plan, state = build_plan(self.params, theta, rng)
-        store = random_store(self.field, self.params.K, self.profile.L, rng)
-        bundle = answer_all(database_queries(plan, state), store)
-        got = decode(bundle, plan, state, store.side_information(side_idx))
-        ok = np.array_equal(got, store.message(theta))
-        return SessionOutcome(ok=ok, downloaded_symbols=bundle.downloaded_symbols,
-                              desired_symbols=self.profile.L, randomness_symbols=0,
-                              note=f"theta={theta} cached={side_idx}")
-
-    def session_payloads(self, theta: int, seeds) -> list[dict[int, bytes]]:
-        """The payloads of every seed's session, as one batch: the mixers of all
-        sessions come from one sampler call, and the queries and payloads
-        from one pass of the scheme's code over the session axis."""
-        plan = download_plan(self.params, theta)
-        mixers, _, _ = sample_mixers(plan, [np.random.default_rng(s) for s in seeds])
-        blocks = [wire.serialize_database_query(q) for q in session_queries(plan, mixers)]
-        return [{db + 1: block[j].tobytes() for db, block in enumerate(blocks)}
-                for j in range(len(seeds))]
+        state = self.protocol.draw(theta, [rng])
+        store = random_store(self.field, self.params.K, self.message_length, rng)
+        return self._outcome(theta, side_idx, state, store, f"theta={theta} cached={side_idx}")
 
     def structure_fingerprint(self, theta: int) -> bytes:
         """Digest of the payloads with every coefficient row zeroed: what
         the wire shows apart from the random rows."""
         plan = download_plan(self.params, theta)
-        zero = np.zeros((self.params.K, self.profile.L, self.profile.L),
-                        dtype=self.field.dtype)
+        zero = np.zeros((self.params.K,) + (self.message_length,) * 2, dtype=self.field.dtype)
         return view_digest(b"".join(wire.serialize_database_query(q)
                                     for q in session_queries(plan, zero)))
 
@@ -316,87 +285,37 @@ class LayeredScheme(_Adapter):
         as one batch over the session axis from the answers a retrieval
         gets: each context's information vector minus its cached part, over
         the contexts that are not fully cached."""
-        plan = download_plan(self.params, theta)
-        mixers, lu, perm = sample_mixers(plan, rngs)
-        state = PrecodingState(field=self.field, mixers=mixers,
-                               desired_factors=(lu[:, theta - 1], perm[:, theta - 1]))
+        plan, state = self.protocol.draw(theta, rngs)
         store = MessageStore(field=self.field, messages=stores)
-        bundle = answer_all(session_queries(plan, mixers), store)
+        bundle = answer_all(self.protocol.queries((plan, state)), store)
         _, infos, parts = decode_streams(bundle, plan, state, store.side_information(side_idx))
         return np.concatenate([info ^ part for ctx, info, part in zip(plan.contexts, infos, parts)
                                if not set(ctx.members) <= set(side_idx)], axis=-1)
 
 
 class SymmetricScheme(_Adapter):
-    """Audit adapter for the symmetric (database-private) scheme."""
+    """Audit adapter for the symmetric scheme, or the sum download at M = K-1."""
 
-    def __init__(self, params: SchemeParams, masked: bool = True,
-                 secret: bytes = AUDIT_SECRET):
-        self.params = params
-        self.sym = make_sym_params(params)
-        self.message_length = self.sym.message_length
-        self.field = self.sym.field
-        self.masked = masked
-        self.secret = secret
+    role = "stpir"
+
+    def __init__(self, params: SchemeParams, masked: bool = True, secret: bytes = AUDIT_SECRET):
+        super().__init__(params)
+        self.server_secret = secret if masked else None
         self.name = "stpir-psi" if masked else "stpir-psi-unmasked"
 
-    @property
-    def shortcut(self) -> bool:
-        return self.params.M == self.params.K - 1
-
-    def capacity(self) -> Fraction:
-        return capacity_stpir_psi(self.params, self.rho())
-
     def rho(self) -> Fraction:
-        """Shared randomness consumed per desired symbol."""
-        if self.shortcut:
-            return Fraction(0)
-        return Fraction(self.params.T, self.params.N - self.params.T)
-
-    def _draw(self, theta: int, rngs) -> tuple[list[bytes], np.ndarray, np.ndarray]:
-        """Session ids, masks and queries of a batch: each session draws from
-        its own rng in the client's order; one product assembles all queries."""
-        drawn = [(rng.bytes(SESSION_ID_BYTES), sym_masks(self.sym, rng)) for rng in rngs]
-        masks = np.stack([m for _, m in drawn])
-        return [sid for sid, _ in drawn], masks, queries_from_masks(self.sym, theta, masks)
-
-    def _sigma(self, session_ids) -> np.ndarray:
-        """The sessions' shared masks, (B, T); all zero when unmasked."""
-        sigma = np.stack([derive_common_randomness(self.secret, sid, self.params.T,
-                                                   self.field) for sid in session_ids])
-        return sigma if self.masked else np.zeros_like(sigma)
+        return self.protocol.rho()
 
     def run_session(self, rng) -> SessionOutcome:
         theta, side_idx = self._draw_theta_side(rng)
-        ell = self.sym.message_length
-        store = random_store(self.field, self.params.K, ell, rng)
-        if self.shortcut:
-            got = sym_sum_shortcut(store, store.side_information(side_idx), theta)
-            return SessionOutcome(ok=bool(np.array_equal(got, store.message(theta))),
-                                  downloaded_symbols=ell, desired_symbols=ell,
-                                  randomness_symbols=0,
-                                  note=f"theta={theta} shortcut")
-        ids, _, queries = self._draw(theta, [rng])
-        answers = sym_answers(self.sym, queries, store.messages, self._sigma(ids))
-        ok = bool(np.array_equal(sym_decode(answers, self.sym)[0], store.message(theta)))
-        return SessionOutcome(ok=ok, downloaded_symbols=self.params.N,
-                              desired_symbols=ell,
-                              randomness_symbols=self.params.T,
-                              note=f"theta={theta}")
-
-    def session_payloads(self, theta: int, seeds) -> list[dict[int, bytes]]:
-        """The N payloads of every seed; the queries of all sessions come
-        from one :func:`queries_from_masks` call over the session axis."""
-        ids, _, queries = self._draw(theta, [np.random.default_rng(s) for s in seeds])
-        return [self._payloads(sid, q) for sid, q in zip(ids, queries)]
-
-    def _payloads(self, session_id: bytes, queries: np.ndarray) -> dict[int, bytes]:
-        return {n + 1: wire.serialize_sym_query(self.field.w, session_id,
-                                                self.params.T, queries[n])
-                for n in range(self.params.N)}
+        store = random_store(self.field, self.params.K, self.message_length, rng)
+        return self._outcome(theta, side_idx, self.protocol.draw(theta, [rng]), store,
+                             f"theta={theta}")
 
     def structure_fingerprint(self, theta: int) -> bytes:
-        head = (self.field.w, self.params.K, self.sym.message_length,
+        if isinstance(self.protocol, SumProtocol):  # a public query, the same at every theta
+            return view_digest(b"".join(self.query_payloads(theta, 0).values()))
+        head = (self.field.w, self.params.K, self.message_length,
                 self.params.T, self.params.N)
         return view_digest(repr(head).encode())
 
@@ -409,9 +328,11 @@ class SymmetricScheme(_Adapter):
         client computes itself (its masks applied to the desired and cached
         messages). Uniform exactly when the shared mask does its job; a
         deterministic function of the other messages when it does not."""
-        ids, masks, queries = self._draw(theta, rngs)
-        answers = sym_answers(self.sym, queries, stores, self._sigma(ids))
-        low = sym_coefficients(answers, self.sym)[:, : self.params.T]
+        state = self.protocol.draw(theta, rngs)
+        answers = self.protocol.answer(state, MessageStore(field=self.field, messages=stores),
+                                       self.server_secret)
+        low = sym_coefficients(answers[..., 0].T, self.protocol.sym)[:, : self.params.T]
+        masks = state[1]
         for k in set(side_idx) | {theta}:
             # contribution of message k to coefficient j: sum_i W_k[i] * masks[k,i,j]
             low ^= np.bitwise_xor.reduce(
@@ -428,8 +349,7 @@ class DirectDownloadScheme:
         self.params = params
 
     def query_payloads(self, theta: int, seed) -> dict[int, bytes]:
-        return {n + 1: b"\x7fGIVE" + bytes([theta, n + 1])
-                for n in range(self.params.N)}
+        return {n + 1: b"\x7fGIVE" + bytes([theta, n + 1]) for n in range(self.params.N)}
 
     def session_payloads(self, theta: int, seeds) -> list[dict[int, bytes]]:
         return [self.query_payloads(theta, s) for s in seeds]
@@ -621,7 +541,7 @@ def measure_rate(scheme, sessions: int, seed: int) -> AuditReport:
     if len(downloads) != 1 or len(desired) != 1:
         failures.append(f"download counts vary across sessions: {sorted(downloads)}")
     rate = Fraction(min(desired), min(downloads))
-    cap = scheme.capacity()
+    cap = scheme.protocol.capacity()
     if rate > cap:
         raise AuditInvariantError(
             f"measured rate {rate} exceeds capacity {cap} for {scheme.params.label()}"

@@ -49,9 +49,14 @@ class SchemeParams:
             raise ParameterError("symbol width must be 4, 8 or 16 bits")
 
     @property
+    def all_but_one_cached(self) -> bool:
+        """M = K-1: a plain sum then retrieves the one message left at rate 1."""
+        return self.M == self.K - 1
+
+    @property
     def constructible(self) -> bool:
         """Whether the layered scheme exists (T < N, or M = K-1)."""
-        return self.T < self.N or self.M == self.K - 1
+        return self.T < self.N or self.all_but_one_cached
 
     def label(self) -> str:
         return f"(K={self.K},M={self.M},N={self.N},T={self.T})"
@@ -114,7 +119,7 @@ def capacity_stpir_psi(p: SchemeParams, rho: Fraction | int) -> Fraction:
         raise ParameterError("symmetric setting is defined for K >= 2 messages")
     if rho < 0:
         raise ParameterError("common randomness amount cannot be negative")
-    if p.M == p.K - 1:
+    if p.all_but_one_cached:
         return Fraction(1)
     if p.T == p.N:
         return Fraction(0)

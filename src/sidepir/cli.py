@@ -35,8 +35,7 @@ from .errors import PirError
 from .field import standard_field
 from .server import DatabaseServer
 from .store import random_store
-from .stpir_psi import sym_field_width
-from .tpir_psi import minimum_field_width
+from .stpir_psi import session_protocol
 
 SECRET_ENV = "SIDEPIR_SECRET"
 
@@ -89,20 +88,14 @@ def cmd_capacity(args) -> int:
 
 def cmd_gen_store(args) -> int:
     params = _params(args)
-    if args.scheme == "tpir":
-        w = params.w or minimum_field_width(params)
-        length = params.N ** params.K
-    else:
-        w = params.w or sym_field_width(params)
-        length = params.N - params.T
-        if length < 1:
-            raise PirError("symmetric store needs T < N")
-    field = standard_field(w)
-    rng = np.random.default_rng(args.seed)
-    store = random_store(field, params.K, length, rng)
+    protocol = session_protocol(args.scheme, params)
+    field, length = protocol.field, protocol.message_length
+    if length < 1:
+        raise PirError("symmetric store needs T < N")
+    store = random_store(field, params.K, length, np.random.default_rng(args.seed))
     side = store.side_information(args.extract_side or ())  # before any write
     wire.write_store(args.out, store)
-    print(f"wrote {args.out}: K={params.K} L={length} w={w}")
+    print(f"wrote {args.out}: K={params.K} L={length} w={field.w}")
     if args.extract_side:
         side_store = type(store)(field=field,
                                  messages=np.stack([side[i] for i in args.extract_side]))
@@ -168,7 +161,7 @@ def cmd_audit(args) -> int:
     if args.grid is not None:
         for params in args.grid:
             schemes = [audit_mod.LayeredScheme(params)]
-            if params.K >= 2 and params.M < params.K - 1 and params.T < params.N:
+            if params.K >= 2 and not params.all_but_one_cached and params.T < params.N:
                 schemes.append(audit_mod.SymmetricScheme(params))
             reports += [audit_mod.measure_rate(scheme, sessions=min(args.sessions, 5),
                                                seed=args.seed) for scheme in schemes]

@@ -13,7 +13,6 @@ retrieval.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import socket
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,18 +21,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import wire
-from .capacity import SchemeParams, capacity_stpir_psi, capacity_tpir_psi
+from .capacity import SchemeParams
 from .errors import CorruptionError, ParameterError, ProtocolError
 from .server import ServerCore
 from .store import MessageStore
-from .stpir_psi import (
-    SESSION_ID_BYTES,
-    cached_sum,
-    make_sym_params,
-    sym_decode,
-    sym_query,
-)
-from .tpir_psi import AnswerBundle, build_plan, check_side, database_queries, decode
+from .stpir_psi import session_protocol
 
 
 class TcpTransport:
@@ -86,9 +78,9 @@ class LocalTransport:
 
 def local_simulator(store: MessageStore, n: int, role: str = "tpir",
                     secret: bytes | None = None) -> list[LocalTransport]:
-    """N in-process databases over one replicated store."""
-    return [LocalTransport(ServerCore(store, role=role, secret=secret))
-            for _ in range(n)]
+    """N in-process databases over one replicated store, all on one server core."""
+    core = ServerCore(store, role=role, secret=secret)
+    return [LocalTransport(core) for _ in range(n)]
 
 
 def tcp_endpoints(spec: str | list[tuple[str, int]]) -> list[tuple[str, int]]:
@@ -177,10 +169,6 @@ def _params_frames(params: SchemeParams, scheme: str, w: int,
     )
 
 
-_FORM_NAMES = {wire.FORM_RAW: "raw", wire.FORM_COMPRESSED: "compressed",
-               wire.FORM_SYMMETRIC: "symmetric", wire.FORM_SUM: "sum"}
-
-
 def retrieve(transports, params: SchemeParams, theta: int, side,
              seed: int | np.random.Generator, scheme: str = "tpir",
              raw: bool = False) -> RetrievalResult:
@@ -190,56 +178,24 @@ def retrieve(transports, params: SchemeParams, theta: int, side,
     (empty for M = 0). ``raw`` disables redundancy removal, which also arms
     the cached-value consistency check on the raw answers.
 
-    Each scheme supplies its field and message length, one QUERY payload per
-    endpoint it asks, the answer form and symbol count it expects of each,
-    its capacity and a decode step; the exchange and its checks are shared.
+    The scheme's protocol (:func:`~sidepir.stpir_psi.session_protocol`)
+    checks the cache, draws one session, writes a QUERY payload for each
+    endpoint it asks, states the answer form and symbol count it expects of
+    each, and decodes; the exchange and its checks are shared.
     """
-    if scheme not in ("tpir", "stpir"):
-        raise ParameterError(f"unknown scheme {scheme!r}")
-    # checked before any scheme work: the sum path asks its first endpoint,
-    # every other path all N
-    sum_path = scheme == "stpir" and params.M == params.K - 1
-    if len(transports) != params.N and not (sum_path and transports):
-        wanted = "an endpoint" if sum_path else f"{params.N} endpoints"
-        raise ParameterError(f"need {wanted}, got {len(transports)}")
-    rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) else seed
-    side = {int(i): v for i, v in (side or {}).items()}
-    if scheme == "tpir":
-        plan, state = build_plan(params, theta, rng)
-        side = check_side(plan, state, side)
-        queries = database_queries(plan, state)
-        if raw:
-            queries = [dataclasses.replace(q, compress=False) for q in queries]
-        compressed = queries[0].compress
-        field, length, capacity = plan.field, plan.profile.L, capacity_tpir_psi(params)
-        payloads = [wire.serialize_database_query(q) for q in queries]
-        form = wire.FORM_COMPRESSED if compressed else wire.FORM_RAW
-        count = plan.profile.p1 - (plan.profile.p2 if compressed else 0)
-
-        def finish(answers):
-            return decode(AnswerBundle(_FORM_NAMES[form], tuple(answers)), plan, state, side)
-    elif sum_path:
-        # all but one cached: one database, one sum, rate 1, no randomness
-        field = make_sym_params(params).field
-        strip = cached_sum(side, params.K, theta, field)
-        length = count = len(strip)
-        payloads = [wire.serialize_sum_query(field.w, params.K, length)]
-        form, capacity = wire.FORM_SUM, capacity_stpir_psi(params, Fraction(0))
-
-        def finish(answers):
-            return answers[0] ^ strip
-    else:
-        sym = make_sym_params(params)
-        session_id = rng.bytes(SESSION_ID_BYTES)
-        payloads = [wire.serialize_sym_query(sym.field.w, session_id, params.T, q)
-                    for q in sym_query(sym, theta, rng)]
-        field, length, form, count = sym.field, sym.message_length, wire.FORM_SYMMETRIC, 1
-        capacity = capacity_stpir_psi(params, Fraction(params.T, params.N - params.T))
-
-        def finish(answers):
-            return sym_decode(np.concatenate(answers), sym)
-    transcripts = _run_endpoints(
-        transports, _params_frames(params, scheme, field.w, length, len(payloads)), payloads)
+    protocol = session_protocol(scheme, params, raw)
+    # checked before any scheme work: the sum download asks its first
+    # endpoint, every other protocol all N
+    one = protocol.endpoints == 1
+    if len(transports) != params.N and not (one and transports):
+        raise ParameterError(f"need {'an endpoint' if one else f'{params.N} endpoints'}, "
+                             f"got {len(transports)}")
+    protocol, side = protocol.prepare(theta, side or {})
+    state = protocol.draw(theta, [np.random.default_rng(seed)])
+    payloads = list(protocol.payloads(state)[0].values())
+    field, form, count = protocol.field, protocol.form, protocol.count
+    transcripts = _run_endpoints(transports, _params_frames(
+        params, scheme, field.w, protocol.message_length, len(payloads)), payloads)
     digest = _check_replicas(transcripts)
     answers = []
     for t in transcripts:
@@ -249,9 +205,11 @@ def retrieve(transports, params: SchemeParams, theta: int, side,
                 f"endpoint {t.endpoint} sent answer form {got:#x} with {len(symbols)} "
                 f"symbols, the query asked for form {form:#x} with {count}")
         answers.append(symbols)
+    message = protocol.finish(state, np.concatenate(answers).reshape(len(answers), 1, count),
+                              {i: vec[None] for i, vec in side.items()})[0]
     downloaded = count * len(answers)
     return RetrievalResult(
-        message=finish(answers), form=_FORM_NAMES[form], downloaded_symbols=downloaded,
-        downloaded_bits=downloaded * field.w, rate=Fraction(length, downloaded),
-        capacity=capacity, store_digest=digest, transcripts=tuple(transcripts),
+        message=message, form=wire.FORM_NAMES[form], downloaded_symbols=downloaded,
+        downloaded_bits=downloaded * field.w, rate=Fraction(protocol.message_length, downloaded),
+        capacity=protocol.capacity(), store_digest=digest, transcripts=tuple(transcripts),
     )

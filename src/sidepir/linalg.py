@@ -78,11 +78,12 @@ def matmul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     m, k = a.shape[-2:]
     n = b.shape[-1]
     # the batch shape; the general broadcast costs more than a small
-    # product, so the callers' cases (equal shapes, one unbatched operand)
-    # skip it
+    # product, so the callers' cases (one operand's batch shape ends the
+    # other's, as equal, unbatched or one-session shapes do) skip it
     lead_a, lead_b = a.shape[:-2], b.shape[:-2]
-    lead = (lead_a if lead_a == lead_b or not lead_b else lead_b if not lead_a
-            else np.broadcast_shapes(lead_a, lead_b))
+    lead = (lead_a if lead_b == lead_a[len(lead_a) - len(lead_b):] else
+            lead_b if lead_a == lead_b[len(lead_b) - len(lead_a):] else
+            np.broadcast_shapes(lead_a, lead_b))
     out = np.zeros(lead + (m, n), dtype=field.dtype)
     per_row = math.prod(lead) * n
     if not k or not m or not per_row:

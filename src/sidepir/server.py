@@ -55,14 +55,14 @@ from typing import Mapping
 import numpy as np
 
 from . import wire
-from .capacity import SchemeParams
-from .errors import FieldTooSmallError, ParameterError, PirError, ProtocolError
+from .errors import ParameterError, PirError, ProtocolError
 from .store import MessageStore
-from .stpir_psi import (derive_common_randomness, point_powers,
-                        sum_shortcut_answer, sym_answer)
-from .tpir_psi import DatabaseQuery, answer, download_plan
+from .stpir_psi import (SumProtocol, SymmetricProtocol, derive_common_randomness,
+                        point_powers, sum_shortcut_answer, sym_answer)
+from .tpir_psi import LayeredProtocol, answer
 
-ROLES = ("tpir", "stpir")
+# the protocols each role answers, in the order a session lists their shapes
+ROLES = {"tpir": (LayeredProtocol,), "stpir": (SymmetricProtocol, SumProtocol)}
 
 # a PARAMS payload is at most 216 bytes even with all seven integers at u64
 # width; no frame but a session's QUERY may declare more than this
@@ -87,7 +87,7 @@ class ServerCore:
     def __init__(self, store: MessageStore, role: str = "tpir",
                  secret: bytes | None = None):
         if role not in ROLES:
-            raise ParameterError(f"role must be one of {ROLES}")
+            raise ParameterError(f"role must be one of {tuple(ROLES)}")
         if role == "stpir" and not secret:
             raise ParameterError("the symmetric role needs a shared secret")
         self.store = store
@@ -168,19 +168,18 @@ class ServerCore:
         except ProtocolError as exc:
             return wire.TYPE_ERROR, wire.error_payload(wire.ERR_MALFORMED_QUERY, str(exc))
         field = self.store.field
-        if isinstance(query, DatabaseQuery):
-            form, symbols = answer(query, self.store)
-            wire_form = wire.FORM_COMPRESSED if form == "compressed" else wire.FORM_RAW
-            return wire.TYPE_ANSWER, wire.serialize_answer(field, wire_form, symbols)
-        if isinstance(query, wire.SymQueryWire):
+        if isinstance(query, wire.DatabaseQuery):
+            name, symbols = answer(query, self.store)
+            form = wire.FORM_COMPRESSED if name == "compressed" else wire.FORM_RAW
+        elif isinstance(query, wire.SymQueryWire):
             sigma = derive_common_randomness(self.secret, query.session_id, query.t, field)
             # only this endpoint's T powers: never a table sized by N
-            value = sym_answer(field, query.coords, self.store.messages, sigma,
-                               _endpoint_powers(field, endpoint, query.t))
-            return wire.TYPE_ANSWER, wire.serialize_answer(
-                field, wire.FORM_SYMMETRIC, np.array([value], dtype=field.dtype))
-        return wire.TYPE_ANSWER, wire.serialize_answer(
-            field, wire.FORM_SUM, sum_shortcut_answer(self.store))
+            form, symbols = wire.FORM_SYMMETRIC, sym_answer(
+                field, query.coords, self.store.messages, sigma,
+                _endpoint_powers(field, endpoint, query.t))[None]
+        else:
+            form, symbols = wire.FORM_SUM, sum_shortcut_answer(self.store)
+        return wire.TYPE_ANSWER, wire.serialize_answer(field, form, symbols)
 
     def refuse_unread(self, session: dict, ftype: int, length: int) -> bytes | None:
         """An ERROR payload for a frame refused from its head alone, before its
@@ -205,30 +204,11 @@ class ServerCore:
 @lru_cache(maxsize=64)
 def _session_layouts(role: str, w: int, k: int, length: int, m: int, n_db: int,
                      t: int) -> tuple[Mapping, tuple[int, ...]]:
-    """The QUERY shapes a session of PARAMS (M, N, T) takes on a ``role``
-    server whose store holds K messages of L symbols of ``w`` bits, keyed by
-    scheme byte; where it takes none of a scheme, why. A tpir session takes
-    the layered shape of (M, N, T) at the store's width: the plan's public
-    layout, the same for every desired index, whose slot count caps the
-    compression code a query makes the server build. A stpir session takes
-    the sum query, and a symmetric one that masks with exactly the declared
-    T symbols (a shorter mask would weaken database privacy) at N nonzero
-    points, enough to interpolate an answer of degree below T + L. Returned
-    read-only, with the QUERY lengths those shapes take."""
-    if role == "stpir":
-        symmetric = (wire.SymmetricShape(w, k, length, t)
-                     if 1 <= t and t + length <= n_db < 1 << w else
-                     f"threshold T={t} and {length} coordinates per message do not "
-                     f"fit the session's {n_db} points in GF(2^{w})")
-        shapes = {wire.SCHEME_SYMMETRIC: symmetric, wire.SCHEME_SUM: wire.SumShape(w, k, length)}
-    elif not 1 <= n_db <= length or n_db ** k != length:
-        shapes = {wire.SCHEME_LAYERED: f"session parameters (M={m}, N={n_db}, T={t}) do "
-                  f"not fit a layered scheme on {k} messages of length {length}"}
-    else:
-        try:
-            shapes = {wire.SCHEME_LAYERED: download_plan(SchemeParams(k, m, n_db, t, w=w), 1).shape}
-        except (ParameterError, FieldTooSmallError) as exc:
-            shapes = {wire.SCHEME_LAYERED: f"session parameters: {exc}"}
+    """Read-only, by scheme byte, the QUERY shape that each protocol of a
+    ``role`` server gives a session of PARAMS (M, N, T) on its store of K
+    messages of L w-bit symbols, or why it gives none; and their lengths."""
+    shapes = {protocol.scheme: protocol.shape(w, k, length, m, n_db, t)
+              for protocol in ROLES[role]}
     return MappingProxyType(shapes), tuple(
         wire.query_size(s) for s in shapes.values() if not isinstance(s, str))
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InvalidSideInformationError, ParameterError
 from .field import GF
 
 
@@ -51,3 +51,27 @@ def random_store(field: GF, num_messages: int, length: int,
     data = field.random_symbols(rng, (num_messages, length))
     data.flags.writeable = False
     return MessageStore(field=field, messages=data)
+
+
+def check_side(side, params, theta: int, field: GF,
+               shape: tuple[int, ...] | None) -> dict[int, np.ndarray]:
+    """A cache as field symbols, checked before any query leaves: M of the K
+    messages but the desired one, each of ``shape`` (or, where it is None, of
+    one length), of symbols in range before a cast to the field's dtype."""
+    k, m = params.K, params.M
+    if not 1 <= theta <= k:
+        raise ParameterError(f"desired index {theta} outside 1..{k}")
+    side = {int(i): np.asarray(v) for i, v in side.items()}
+    if len(side) != m:
+        raise InvalidSideInformationError(f"cache holds {len(side)} messages, not M={m}")
+    if theta in side:
+        raise InvalidSideInformationError("the desired message cannot be cached")
+    for i, vec in side.items():
+        shape = shape or (vec.size,)
+        if not 1 <= i <= k:
+            raise InvalidSideInformationError(f"cached index {i} outside 1..{k}")
+        if vec.shape != shape:
+            raise InvalidSideInformationError(f"cached message {i} is {vec.shape}, not {shape}")
+        if not field.contains(vec):
+            raise InvalidSideInformationError(f"cached message {i} holds non-field symbols")
+    return {i: vec.astype(field.dtype) for i, vec in side.items()}

@@ -24,7 +24,8 @@ databases of a batch of audited sessions.
 
 When the client already caches K - 1 messages, a one-database download of
 the plain sum of all messages recovers the remaining one at rate 1 with no
-shared randomness at all.
+shared randomness at all. :func:`session_protocol` picks the protocol
+object a retrieval, an audit and a server session all run.
 """
 
 from __future__ import annotations
@@ -32,20 +33,17 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import linalg
-from .capacity import SchemeParams
-from .errors import (
-    InvalidSideInformationError,
-    ParameterError,
-    ProtocolError,
-    ZeroCapacityError,
-)
+from . import linalg, wire
+from .capacity import SchemeParams, capacity_stpir_psi
+from .errors import ParameterError, ProtocolError, ZeroCapacityError
 from .field import GF, standard_field
-from .store import MessageStore
+from .store import MessageStore, check_side
+from .tpir_psi import LayeredProtocol
 
 SESSION_ID_BYTES = 16
 
@@ -137,6 +135,10 @@ def queries_from_masks(sp: SymParams, theta: int, masks: np.ndarray) -> np.ndarr
     """
     params, field = sp.base, sp.field
     ell, t = sp.message_length, params.T
+    if params.T == params.N:
+        raise ZeroCapacityError(f"{params.label()}: symmetric retrieval has rate 1 - T/N = 0")
+    if not 1 <= theta <= params.K:
+        raise ParameterError(f"desired index {theta} outside 1..{params.K}")
     if masks.shape[-3:] != (params.K, ell, t):
         raise ParameterError(f"masks must have shape (..., {params.K}, {ell}, {t})")
     # (N, 1, 1, T) columns times (..., 1, K, N - T, T) masks
@@ -149,22 +151,6 @@ def queries_from_masks(sp: SymParams, theta: int, masks: np.ndarray) -> np.ndarr
 def sym_masks(sp: SymParams, rng: np.random.Generator) -> np.ndarray:
     """One session's uniform masking coefficients, shape (K, N - T, T)."""
     return sp.field.random_symbols(rng, (sp.base.K, sp.message_length, sp.base.T))
-
-
-def sym_query(sp: SymParams, theta: int, rng: np.random.Generator) -> np.ndarray:
-    """The N queries, shape (N, K, N - T); any T of them are jointly uniform.
-
-    The cached set is deliberately not an input: queries depend on
-    (theta, randomness) only.
-    """
-    params = sp.base
-    if params.T == params.N:
-        raise ZeroCapacityError(
-            f"{params.label()}: symmetric retrieval has rate 1 - T/N = 0"
-        )
-    if not 1 <= theta <= params.K:
-        raise ParameterError(f"desired index {theta} outside 1..{params.K}")
-    return queries_from_masks(sp, theta, sym_masks(sp, rng))
 
 
 def sym_answer(field: GF, queries: np.ndarray, messages: np.ndarray,
@@ -202,39 +188,118 @@ def sym_decode(answers: np.ndarray, sp: SymParams) -> np.ndarray:
 def sum_shortcut_answer(store: MessageStore) -> np.ndarray:
     """The one-database answer when the client caches all but one message:
     the plain sum of every stored message."""
-    return np.bitwise_xor.reduce(store.messages, axis=0)
+    return np.bitwise_xor.reduce(store.messages, axis=-2)
 
 
-def cached_sum(side, k: int, theta: int, field: GF) -> np.ndarray:
-    """The sum of an all-but-one cache: what the sum shortcut strips from
-    the downloaded sum of all K messages.
+class SymmetricProtocol:
+    """The symmetric scheme as a retrieval runs it, over a leading session
+    axis: N databases asked for one symbol each, so that ``answers`` are
+    shaped (N, sessions, 1). The cache is checked, never read."""
 
-    Checks first that ``side`` holds exactly the K - 1 messages other than
-    ``theta``, all of one length and of field symbols, so a client can
-    refuse a wrong cache before it sends anything.
-    """
-    if not 1 <= theta <= k:
-        raise ParameterError(f"desired index {theta} outside 1..{k}")
-    side = {int(i): np.asarray(v) for i, v in side.items()}
-    if theta in side:
-        raise InvalidSideInformationError("the desired message cannot be cached")
-    if set(side) != set(range(1, k + 1)) - {theta}:
-        raise InvalidSideInformationError(
-            "sum shortcut needs exactly the K-1 other messages cached"
-        )
-    if len({vec.shape for vec in side.values()}) != 1:
-        raise InvalidSideInformationError("cached messages must share one length")
-    for i, vec in side.items():
-        if not field.contains(vec):
-            raise InvalidSideInformationError(f"cached message {i} holds non-field symbols")
-    return np.bitwise_xor.reduce(np.stack(list(side.values())), axis=0).astype(field.dtype)
+    scheme = wire.SCHEME_SYMMETRIC
+
+    def __init__(self, params: SchemeParams):
+        self.params, self.sym, self.endpoints = params, make_sym_params(params), params.N
+        self.field, self.message_length = self.sym.field, self.sym.message_length
+        self.form, self.count = wire.FORM_SYMMETRIC, 1
+
+    def prepare(self, theta: int, side) -> tuple[SymmetricProtocol, dict[int, np.ndarray]]:
+        """This protocol, and one session's cache checked by :func:`check_side`."""
+        return self, check_side(side, self.params, theta, self.field, (self.message_length,))
+
+    def draw(self, theta: int, rngs) -> tuple[list[bytes], np.ndarray, np.ndarray]:
+        """Session ids, masks and queries of one session per random source, each
+        drawing its id, then its masks; one product assembles all queries."""
+        drawn = [(rng.bytes(SESSION_ID_BYTES), sym_masks(self.sym, rng)[None]) for rng in rngs]
+        masks = np.concatenate([m for _, m in drawn])
+        return [sid for sid, _ in drawn], masks, queries_from_masks(self.sym, theta, masks)
+
+    def payloads(self, state) -> list[dict[int, bytes]]:
+        """Each session's QUERY payloads, keyed by 1-based database."""
+        w, t = self.field.w, self.params.T
+        return [{n + 1: wire.serialize_sym_query(w, sid, t, q[n]) for n in range(len(q))}
+                for sid, q in zip(state[0], state[2])]
+
+    def answer(self, state, store: MessageStore, secret: bytes | None) -> np.ndarray:
+        """Every database's answers in process, masked with the sigma that
+        ``secret`` derives per session id, or, where it is None, unmasked."""
+        ids, t = state[0], self.params.T
+        sigma = (np.zeros((len(ids), t), dtype=self.field.dtype) if secret is None else
+                 np.stack([derive_common_randomness(secret, sid, t, self.field) for sid in ids]))
+        return sym_answers(self.sym, state[2], store.messages, sigma).T[..., None]
+
+    def finish(self, state, answers, side) -> np.ndarray:
+        return sym_decode(answers[..., 0].T, self.sym)
+
+    def capacity(self) -> Fraction:
+        return capacity_stpir_psi(self.params, self.rho())
+
+    def rho(self) -> Fraction:
+        """Shared randomness consumed per desired symbol."""
+        return Fraction(self.params.T, self.params.N - self.params.T)
+
+    @staticmethod
+    def shape(w: int, k: int, length: int, m: int, n_db: int, t: int) -> wire.SymmetricShape | str:
+        """The QUERY shape of a session on a store of K messages of L w-bit
+        symbols: exactly the declared T mask symbols (fewer would weaken
+        database privacy), at N points, enough for degree T + L - 1."""
+        if 1 <= t and t + length <= n_db < 1 << w:
+            return wire.SymmetricShape(w, k, length, t)
+        return (f"threshold T={t} and {length} coordinates per message do not fit the "
+                f"session's {n_db} points in GF(2^{w})")
 
 
-def sym_sum_shortcut(store: MessageStore, side, theta: int) -> np.ndarray:
-    """Rate-1 retrieval for M = K - 1: download the sum from one database
-    and strip the cached messages. Consumes no shared randomness."""
-    strip = cached_sum(side, store.num_messages, theta, store.field)
-    total = sum_shortcut_answer(store)
-    if strip.shape != total.shape:
-        raise InvalidSideInformationError("cached message has the wrong length")
-    return total ^ strip
+class SumProtocol:
+    """Rate-1 retrieval when all but one message is cached: one database is
+    asked for the plain sum of every message, so that ``answers`` are shaped
+    (1, sessions, length), and the cache is stripped off. The point leaves
+    the length open: the audits take N - T, a client its cache's."""
+
+    scheme = wire.SCHEME_SUM
+
+    def __init__(self, params: SchemeParams, length: int | None = None):
+        self.params, self.field, self.endpoints = params, make_sym_params(params).field, 1
+        self.message_length = params.N - params.T if length is None else length
+        self.form, self.count = wire.FORM_SUM, self.message_length
+
+    def prepare(self, theta: int, side) -> tuple[SumProtocol, dict[int, np.ndarray]]:
+        """This protocol at the cache's message length, and one session's checked cache."""
+        side = check_side(side, self.params, theta, self.field, None)
+        length = len(next(iter(side.values())))
+        return self if length == self.message_length else SumProtocol(self.params, length), side
+
+    def draw(self, theta: int, rngs) -> int:
+        return len(rngs)
+
+    def payloads(self, state: int) -> list[dict[int, bytes]]:
+        payload = wire.serialize_sum_query(self.field.w, self.params.K, self.message_length)
+        return [{1: payload} for _ in range(state)]
+
+    def answer(self, state: int, store: MessageStore, secret: bytes | None = None) -> np.ndarray:
+        total = sum_shortcut_answer(store)
+        return np.broadcast_to(total, (state, total.shape[-1]))[None]
+
+    def finish(self, state, answers, side) -> np.ndarray:
+        return answers[0] ^ np.bitwise_xor.reduce(np.stack(list(side.values())), axis=0)
+
+    def capacity(self) -> Fraction:
+        return capacity_stpir_psi(self.params, self.rho())
+
+    def rho(self) -> Fraction:
+        return Fraction(0)
+
+    @staticmethod
+    def shape(w: int, k: int, length: int, m: int, n_db: int, t: int) -> wire.SumShape:
+        return wire.SumShape(w, k, length)
+
+
+@lru_cache(maxsize=64)
+def session_protocol(scheme: str, params: SchemeParams, raw: bool = False):
+    """The protocol a ``scheme`` retrieval runs at ``params``, built once per
+    (scheme, point, raw): the layered one for tpir; for stpir, the sum
+    download when all but one message is cached, else the symmetric one."""
+    if scheme == "tpir":
+        return LayeredProtocol(params, raw)
+    if scheme != "stpir":
+        raise ParameterError(f"unknown scheme {scheme!r}")
+    return SumProtocol(params) if params.all_but_one_cached else SymmetricProtocol(params)

@@ -45,14 +45,15 @@ axes, so the audits decode a batch of sessions with the retrieval's code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from . import linalg
-from .capacity import SchemeParams, count_profile, layer_instances
+from . import linalg, wire
+from .capacity import SchemeParams, capacity_tpir_psi, count_profile, layer_instances
 from .coding import (
     information_set_inverse,
     make_mds,
@@ -62,12 +63,12 @@ from .coding import (
 from .errors import (
     CorruptionError,
     FieldTooSmallError,
-    InvalidSideInformationError,
     ParameterError,
     ProtocolError,
 )
 from .field import GF, standard_field
-from .store import MessageStore
+from .store import MessageStore, check_side
+from .wire import DatabaseQuery, LayeredShape
 
 
 @dataclass(frozen=True)
@@ -117,34 +118,6 @@ class _ShapeGroup:
     bear_ctx: np.ndarray    # position in ``contexts``
     bear_coord: np.ndarray
     bear_off: np.ndarray
-
-
-@dataclass(frozen=True)
-class LayeredShape:
-    """The public layout of a layered query: all of its payload but the
-    compress byte and the coefficient rows. It is the same for every desired
-    index and every database, so a server derives it from PARAMS alone.
-
-    ``members`` (each row's 0-based message) and ``starts`` (the row where
-    each slot's run of rows begins) index the rows for answering.
-    """
-
-    w: int
-    num_messages: int
-    message_length: int
-    slot_members: tuple[tuple[int, ...], ...]
-    p2: int
-    members: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
-    starts: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        counts = [len(m) for m in self.slot_members]
-        members = np.array([i - 1 for m in self.slot_members for i in m], dtype=np.intp)
-        starts = np.zeros(len(counts), dtype=np.intp)
-        np.cumsum(counts[:-1], out=starts[1:])
-        members.flags.writeable = starts.flags.writeable = False
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "starts", starts)
 
 
 class DownloadPlan:
@@ -329,21 +302,6 @@ class PrecodingState:
 
 
 @dataclass(frozen=True)
-class DatabaseQuery:
-    """One database's query: its plan's public ``shape`` and the coefficient
-    rows, one per (slot, member message) in the shape's order.
-
-    A database never sees mixers or stream labels, only the rows, each
-    resolved against its member message's symbols.
-    """
-
-    shape: LayeredShape
-    db_index: int
-    compress: bool
-    rows: np.ndarray  # (..., sum of member counts, message_length)
-
-
-@dataclass(frozen=True)
 class AnswerBundle:
     """Per-database answer vectors, raw (p1) or compressed (p1 - p2) on the
     last axis; leading axes are sessions."""
@@ -403,17 +361,20 @@ def sample_mixers(plan: DownloadPlan, rngs) -> tuple[np.ndarray, np.ndarray, np.
     return mats.reshape(shape + (length,)), lu.reshape(shape + (length,)), perm.reshape(shape)
 
 
-def build_plan(params: SchemeParams, theta: int,
-               rng: np.random.Generator | int) -> tuple[DownloadPlan, PrecodingState]:
-    """Construct the query plan and the private precoding state: the
-    :func:`download_plan` plus one session of :func:`sample_mixers`."""
+def build_plan(params: SchemeParams, theta: int, rng) -> tuple[DownloadPlan, PrecodingState]:
+    """The :func:`download_plan` and the private precoding state that
+    :func:`sample_mixers` draws from ``rng``, a Generator or seed, or from
+    each Generator of a list, one session per source on a leading axis."""
     plan = download_plan(params, theta)
-    stack, lu, perm = sample_mixers(plan, [np.random.default_rng(rng)])
+    batch = isinstance(rng, list)
+    stack, lu, perm = sample_mixers(plan, rng if batch else [np.random.default_rng(rng)])
+    if not batch:
+        stack, lu, perm = stack[0], lu[0], perm[0]
     stack.flags.writeable = False
-    desired_factors = (lu[0, theta - 1].copy(), perm[0, theta - 1].copy())
+    desired_factors = (lu[..., theta - 1, :, :].copy(), perm[..., theta - 1, :].copy())
     for arr in desired_factors:
         arr.flags.writeable = False
-    return plan, PrecodingState(field=plan.field, mixers=stack[0],
+    return plan, PrecodingState(field=plan.field, mixers=stack,
                                 desired_factors=desired_factors)
 
 
@@ -493,27 +454,6 @@ def answer_all(queries: list[DatabaseQuery], store: MessageStore) -> AnswerBundl
     return AnswerBundle(form=forms.pop(), per_db=tuple(v for _, v in replies))
 
 
-def check_side(plan: DownloadPlan, state: PrecodingState, side) -> dict[int, np.ndarray]:
-    """The cache as field symbols, checked before any query leaves: M messages
-    but not the desired one, indices in 1..K, one message per session of
-    ``state``, symbols in range before a cast to the field's dtype wraps them."""
-    params, field = plan.params, plan.field
-    shape = state.mixers.shape[:-3] + (plan.profile.L,)
-    side = {int(i): np.asarray(v) for i, v in side.items()}
-    if len(side) != params.M:
-        raise InvalidSideInformationError(f"cache holds {len(side)} messages, not M={params.M}")
-    if plan.theta in side:
-        raise InvalidSideInformationError("the desired message cannot be cached")
-    for i, vec in side.items():
-        if not 1 <= i <= params.K:
-            raise InvalidSideInformationError(f"cached index {i} outside 1..{params.K}")
-        if vec.shape != shape:
-            raise InvalidSideInformationError(f"cached message {i} is {vec.shape}, not {shape}")
-        if not field.contains(vec):
-            raise InvalidSideInformationError(f"cached message {i} holds non-field symbols")
-    return {i: vec.astype(field.dtype) for i, vec in side.items()}
-
-
 @lru_cache(maxsize=256)
 def _decode_tables(params: SchemeParams, theta: int, cached: tuple[int, ...]):
     """``(slots, erasure, tables)`` for a sorted cached set: the p2 slots
@@ -544,11 +484,11 @@ def _from_cache(plan: DownloadPlan, state: PrecodingState, side):
     applied to their messages, by one product of the cached pairs; and the
     known slot values (..., N, p2), which one more product gives as the fully
     cached contexts' codewords at their free coordinates."""
-    field, (n, p1), length = plan.field, (plan.params.N, plan.profile.p1), plan.profile.L
-    side = check_side(plan, state, side)
+    params, field, (n, p1) = plan.params, plan.field, (plan.params.N, plan.profile.p1)
+    length, lead = plan.profile.L, state.mixers.shape[:-3]
+    side = check_side(side, params, plan.theta, field, lead + (length,))
     cached = tuple(sorted(side))
-    slots, erasure, tables = _decode_tables(plan.params, plan.theta, cached)
-    lead = state.mixers.shape[:-3]
+    slots, erasure, tables = _decode_tables(params, plan.theta, cached)
     stack = state.mixers.reshape(lead + (-1, length))
     messages = np.stack([side[i] for i in cached], axis=-2) if cached else None
     free = np.zeros(lead + (n * p1,), dtype=field.dtype)
@@ -622,12 +562,79 @@ def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingSt
 
 def decode(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
            side) -> np.ndarray:
-    """Recover the desired message exactly from the N answers of one
+    """Recover the desired message exactly from the N answers of each
     session: :func:`decode_streams`, then the desired mixer's inverse.
 
     That final step is the only one that inverts a private matrix. It is a
     substitution against the LU factors that ``build_plan`` kept from the
-    mixer rank check, so decoding runs no elimination.
+    mixer rank check, one session at a time, so decoding runs no elimination.
     """
     desired, _, _ = decode_streams(answers, plan, state, side)
-    return linalg.lu_solve(plan.field, *state.desired_factors, desired)
+    length = plan.profile.L
+    lu, perm = state.desired_factors
+    solved = [linalg.lu_solve(plan.field, *args) for args in zip(
+        lu.reshape(-1, length, length), perm.reshape(-1, length), desired.reshape(-1, length))]
+    return np.reshape(solved, desired.shape)
+
+
+class LayeredProtocol:
+    """The layered scheme as a retrieval runs it, over a leading session axis:
+    N databases asked for ``count`` symbols each in answer ``form``, answers
+    shaped (N, sessions, count). ``raw`` turns redundancy removal off."""
+
+    scheme = wire.SCHEME_LAYERED
+
+    def __init__(self, params: SchemeParams, raw: bool = False):
+        if not params.constructible:
+            raise ParameterError(f"{params.label()} is not constructible")
+        profile, compressed = count_profile(params), params.M >= 1 and not raw
+        self.params, self.raw, self.endpoints = params, raw, params.N
+        self.field = standard_field(params.w or minimum_field_width(params))
+        self.message_length = profile.L
+        self.form = wire.FORM_COMPRESSED if compressed else wire.FORM_RAW
+        self.count = profile.p1 - (profile.p2 if compressed else 0)
+
+    def prepare(self, theta: int, side) -> tuple[LayeredProtocol, dict[int, np.ndarray]]:
+        """This protocol, and one session's cache checked by :func:`check_side`."""
+        return self, check_side(side, self.params, theta, self.field, (self.message_length,))
+
+    def draw(self, theta: int, rngs) -> tuple[DownloadPlan, PrecodingState]:
+        """The plan and the K mixers of one session per random source."""
+        return build_plan(self.params, theta, list(rngs))
+
+    def queries(self, state) -> list[DatabaseQuery]:
+        queries = database_queries(*state)
+        return [replace(q, compress=False) for q in queries] if self.raw else queries
+
+    def payloads(self, state) -> list[dict[int, bytes]]:
+        """Each session's QUERY payloads, keyed by 1-based database."""
+        blocks = [wire.serialize_database_query(q) for q in self.queries(state)]
+        return [{db + 1: block[j].tobytes() for db, block in enumerate(blocks)}
+                for j in range(len(blocks[0]))]
+
+    def answer(self, state, store: MessageStore, secret: bytes | None = None) -> np.ndarray:
+        """Every database's answers in process, off the wire."""
+        return np.stack(answer_all(self.queries(state), store).per_db)
+
+    def finish(self, state, answers, side) -> np.ndarray:
+        """Each session's desired message, from its answers and its cache."""
+        return decode(AnswerBundle(wire.FORM_NAMES[self.form], tuple(answers)), *state, side)
+
+    def capacity(self) -> Fraction:
+        return capacity_tpir_psi(self.params)
+
+    def rho(self) -> Fraction:
+        return Fraction(0)
+
+    @staticmethod
+    def shape(w: int, k: int, length: int, m: int, n_db: int, t: int) -> LayeredShape | str:
+        """The QUERY shape of a session of PARAMS (M, N, T) on a store of K
+        messages of L w-bit symbols, the plan's public layout (its slot count
+        caps the code a query makes the server build), or why it has none."""
+        if not 1 <= n_db <= length or n_db ** k != length:
+            return (f"session parameters (M={m}, N={n_db}, T={t}) do not fit a layered "
+                    f"scheme on {k} messages of length {length}")
+        try:
+            return download_plan(SchemeParams(k, m, n_db, t, w=w), 1).shape
+        except (ParameterError, FieldTooSmallError) as exc:
+            return f"session parameters: {exc}"

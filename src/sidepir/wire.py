@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 from typing import BinaryIO, Mapping, NamedTuple
 
@@ -26,7 +27,6 @@ import numpy as np
 from .errors import ParameterError, ProtocolError
 from .field import GF, standard_field
 from .store import MessageStore
-from .tpir_psi import DatabaseQuery, LayeredShape
 
 FRAME_MAGIC = b"PIR1"
 TYPE_QUERY = 0x01
@@ -42,6 +42,8 @@ FORM_RAW = 0x00
 FORM_COMPRESSED = 0x01
 FORM_SYMMETRIC = 0x02
 FORM_SUM = 0x03
+FORM_NAMES = {FORM_RAW: "raw", FORM_COMPRESSED: "compressed", FORM_SYMMETRIC: "symmetric",
+              FORM_SUM: "sum"}
 
 ERR_MALFORMED_FRAME = 0x01
 ERR_MALFORMED_QUERY = 0x02
@@ -137,6 +139,49 @@ def parse_error_payload(data: bytes) -> tuple[int, str]:
 
 _LAYERED_HEAD = struct.Struct("<BBBHIII")
 _COMPRESS_AT = 2  # the one header byte the public fields leave free
+
+
+@dataclass(frozen=True)
+class LayeredShape:
+    """The public layout of a layered query: all of its payload but the
+    compress byte and the coefficient rows. It is the same for every desired
+    index and every database, so a server derives it from PARAMS alone.
+
+    ``members`` (each row's 0-based message) and ``starts`` (the row where
+    each slot's run of rows begins) index the rows for answering.
+    """
+
+    w: int
+    num_messages: int
+    message_length: int
+    slot_members: tuple[tuple[int, ...], ...]
+    p2: int
+    members: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+    starts: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        counts = [len(m) for m in self.slot_members]
+        members = np.array([i - 1 for m in self.slot_members for i in m], dtype=np.intp)
+        starts = np.zeros(len(counts), dtype=np.intp)
+        np.cumsum(counts[:-1], out=starts[1:])
+        members.flags.writeable = starts.flags.writeable = False
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "starts", starts)
+
+
+@dataclass(frozen=True)
+class DatabaseQuery:
+    """One database's layered query: its plan's public ``shape`` and the
+    coefficient rows, one per (slot, member message) in the shape's order.
+
+    A database never sees mixers or stream labels, only the rows, each
+    resolved against its member message's symbols.
+    """
+
+    shape: LayeredShape
+    db_index: int
+    compress: bool
+    rows: np.ndarray  # (..., sum of member counts, message_length)
 
 
 @lru_cache(maxsize=16)
@@ -382,10 +427,11 @@ def read_store(path) -> MessageStore:
 # collusion views
 
 def collusion_view_bytes(subset, query_payloads: Mapping[int, bytes]) -> bytes:
-    """Canonical serialization of the queries a database subset observes."""
+    """Canonical serialization of the queries a database subset observes; one
+    that is sent no QUERY (the sum download asks one) observes an empty one."""
     parts = [b"VIEW1", struct.pack("<H", len(tuple(subset)))]
     for n in sorted(subset):
-        payload = query_payloads[n]
+        payload = query_payloads.get(n, b"")
         parts.append(struct.pack("<HI", n, len(payload)))
         parts.append(payload)
     return b"".join(parts)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sidepir import audit, client
-from sidepir.capacity import SchemeParams
+from sidepir.capacity import SchemeParams, desk_grid
 from sidepir.errors import AuditInvariantError, ParameterError
 from sidepir.store import random_store
 
@@ -78,7 +78,7 @@ class ClippedScheme(audit.LayeredScheme):
                                       database_queries, decode_streams)
         theta, side_idx = self._draw_theta_side(rng)
         plan, state = build_plan(self.params, theta, rng)
-        store = random_store(self.field, self.params.K, self.profile.L, rng)
+        store = random_store(self.field, self.params.K, self.message_length, rng)
         bundle = answer_all(database_queries(plan, state), store)
         assert bundle.form == "compressed"
         clipped = AnswerBundle(form=bundle.form,
@@ -207,15 +207,19 @@ def test_collusion_view_canonical_serialization():
     assert view_a.subset == (1, 2)
 
 
-@pytest.mark.parametrize("scheme", [
-    audit.LayeredScheme(SchemeParams(3, 1, 2, 1)),
-    audit.LayeredScheme(SchemeParams(3, 2, 3, 2)),
-    audit.SymmetricScheme(SchemeParams(3, 0, 3, 2)),
-], ids=lambda s: f"{s.name}{s.params.label()}")
+# every desk-grid point under both schemes where they are defined; the
+# symmetric adapter runs the sum download at M = K - 1, as a retrieval does
+GRID_SCHEMES = [scheme for params in desk_grid() for scheme in
+                [audit.LayeredScheme(params)]
+                + ([audit.SymmetricScheme(params)] if params.K >= 2 else [])]
+
+
+@pytest.mark.parametrize("scheme", GRID_SCHEMES, ids=lambda s: f"{s.name}{s.params.label()}")
 def test_view_digests_follow_the_client_query_path(scheme):
-    """Batched view sampling gives, session by session, the views of the
-    QUERY payloads ``client.retrieve`` sends, across batch boundaries and
-    batch sizes."""
+    """The audited payloads are, session by session, the QUERY payloads that
+    ``client.retrieve`` sends for the same seed, at every desired index; the
+    batched view digests are those of the sent payloads, across batch
+    boundaries and batch sizes."""
     params = scheme.params
     role = "tpir" if isinstance(scheme, audit.LayeredScheme) else "stpir"
     store = random_store(scheme.field, params.K, scheme.message_length,
@@ -226,10 +230,12 @@ def test_view_digests_follow_the_client_query_path(scheme):
         others = [i for i in range(1, params.K + 1) if i != theta]
         side = store.side_information(others[:params.M])
         for j in range(7):
+            seed = (31, theta, j)
             result = client.retrieve(
                 client.local_simulator(store, params.N, role, audit.AUDIT_SECRET),
-                params, theta, side, np.random.default_rng((31, theta, j)), scheme=role)
+                params, theta, side, np.random.default_rng(seed), scheme=role)
             sent = {t.endpoint: t.query_sent for t in result.transcripts}
+            assert scheme.query_payloads(theta, seed) == sent
             for s in subsets:
                 assert digests[s][j] == audit.CollusionView.from_payloads(s, sent).digest()
         for batch in (1, 512):

@@ -950,6 +950,37 @@ def test_sum_path_refuses_a_wrong_cache_before_sending():
     assert sent == [wire.TYPE_PARAMS, wire.TYPE_QUERY] * 3
 
 
+@pytest.mark.parametrize("scheme,params", [
+    ("tpir", SchemeParams(4, 1, 3, 1)),
+    ("stpir", SchemeParams(4, 1, 3, 1)),
+    ("stpir", SchemeParams(4, 3, 3, 1)),
+], ids=["layered", "symmetric", "sum"])
+def test_every_protocol_refuses_a_wrong_cache_before_sending(scheme, params):
+    """One cache check runs on the layered, symmetric and sum protocols
+    before anything is drawn or sent: a cache that holds the desired
+    message, too few or too many messages, or an index outside 1..K with
+    symbols outside GF(2^4) is a typed error, and no transport sees a frame."""
+    from sidepir.errors import InvalidSideInformationError
+    from sidepir.stpir_psi import session_protocol
+
+    length = session_protocol(scheme, params).message_length
+    store = random_store(standard_field(4), params.K, length, np.random.default_rng(110))
+    w = {i: store.message(i) for i in range(1, params.K + 1)}
+    sent = []
+
+    class Recording(client.LocalTransport):
+        def send(self, frames):
+            sent.extend(frames)
+            super().send(frames)
+
+    for side in ({1: w[1]}, {}, {2: w[2], 3: w[3]}, {9: [99, 99]}):
+        sims = [Recording(ServerCore(store, role=scheme, secret=SECRET))
+                for _ in range(params.N)]
+        with pytest.raises(InvalidSideInformationError):
+            client.retrieve(sims, params, 1, side, seed=1, scheme=scheme)
+    assert sent == []
+
+
 class Logging(client.LocalTransport):
     """Logs (call, transport, frame types) of every send and receive."""
 
@@ -1101,14 +1132,14 @@ def test_sessions_refuse_queries_of_other_schemes(golden1_store, caplog):
     stpir session with T >= N a symmetric one while it still answers the sum
     query. Each refusal is ERR_MALFORMED_QUERY with no logged traceback, and
     the session stays open for the query it does take."""
-    from sidepir.stpir_psi import make_sym_params, sym_query
+    from sidepir.stpir_psi import make_sym_params, queries_from_masks, sym_masks
     from sidepir.tpir_psi import build_plan, database_queries
 
     sym_store = random_store(standard_field(4), 3, 2, np.random.default_rng(107))
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 13)
     layered = wire.serialize_database_query(database_queries(plan, state)[0])
-    coords = sym_query(make_sym_params(SchemeParams(3, 0, 3, 1)), 2,
-                       np.random.default_rng(6))[0]
+    sym = make_sym_params(SchemeParams(3, 0, 3, 1))
+    coords = queries_from_masks(sym, 2, sym_masks(sym, np.random.default_rng(6)))[0]
     symmetric = wire.serialize_sym_query(4, bytes(16), 1, coords)
     tpir_sum = wire.serialize_sum_query(4, 3, 8)
     stpir_sum = wire.serialize_sum_query(4, 3, 2)
@@ -1269,12 +1300,12 @@ def test_symmetric_server_refuses_points_outside_the_field(caplog):
     """The evaluation points 1..N must be nonzero elements of GF(2^w): an
     endpoint of q or more is a malformed session, refused without a logged
     traceback, while the largest field point is still answered."""
-    from sidepir.stpir_psi import make_sym_params, sym_query
+    from sidepir.stpir_psi import make_sym_params, queries_from_masks, sym_masks
 
     store = random_store(standard_field(4), 3, 2, np.random.default_rng(104))
     core = ServerCore(store, role="stpir", secret=SECRET)
-    query = sym_query(make_sym_params(SchemeParams(3, 0, 3, 1)), 2,
-                      np.random.default_rng(5))[0]
+    sym = make_sym_params(SchemeParams(3, 0, 3, 1))
+    query = queries_from_masks(sym, 2, sym_masks(sym, np.random.default_rng(5)))[0]
     payload = wire.serialize_sym_query(4, bytes(16), 1, query)
     with caplog.at_level("DEBUG", logger="sidepir.server"):
         ftype, reply = core.handle_frame(_sym_session(core, endpoint=16, n_db=16),
@@ -1290,13 +1321,13 @@ def test_symmetric_server_refuses_points_outside_the_field(caplog):
 def test_server_checks_symmetric_query_against_session():
     """A symmetric query is answered only when its (K, N - T) coordinates
     fit the store and its T is the one its PARAMS frame declared."""
-    from sidepir.stpir_psi import make_sym_params, sym_query
+    from sidepir.stpir_psi import make_sym_params, queries_from_masks, sym_masks
 
     f4 = standard_field(4)
     store = random_store(f4, 3, 2, np.random.default_rng(104))
     core = ServerCore(store, role="stpir", secret=SECRET)
-    query = sym_query(make_sym_params(SchemeParams(3, 0, 3, 1)), 2,
-                      np.random.default_rng(5))[0]
+    sym = make_sym_params(SchemeParams(3, 0, 3, 1))
+    query = queries_from_masks(sym, 2, sym_masks(sym, np.random.default_rng(5)))[0]
 
     def ask(coords, t=1):
         payload = wire.serialize_sym_query(4, bytes(16), t, coords)

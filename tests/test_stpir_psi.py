@@ -24,11 +24,16 @@ from sidepir.stpir_psi import (
     sym_answer,
     sym_decode,
     sym_answers,
-    sym_query,
-    sym_sum_shortcut,
+    sym_masks,
+    session_protocol,
 )
 
 SECRET = bytes(range(32))
+
+
+def sym_query(sp, theta, rng):
+    """One session's N queries, shaped (N, K, N - T), from fresh masks."""
+    return queries_from_masks(sp, theta, sym_masks(sp, rng))
 
 
 def zero_sigma(t, field):
@@ -216,7 +221,8 @@ def test_query_deterministic_and_cache_free():
     q1 = sym_query(sp, 2, np.random.default_rng(42))
     q2 = sym_query(sp, 2, np.random.default_rng(42))
     assert np.array_equal(q1, q2)
-    for fn in (stpir_psi.sym_query, stpir_psi.sym_answer, stpir_psi.queries_from_masks):
+    for fn in (stpir_psi.SymmetricProtocol.draw, stpir_psi.sym_answer,
+               stpir_psi.queries_from_masks):
         names = set(inspect.signature(fn).parameters)
         assert not names & {"side", "S", "cached"}, fn
 
@@ -290,31 +296,46 @@ def test_pinned_wide_field_session():
 # the all-but-one-cached shortcut
 
 
+def sum_download(params, store, cached, theta):
+    """One round trip of the sum protocol in process: its cache check, its
+    one database's answer and the cache stripped off."""
+    protocol, side = session_protocol("stpir", params).prepare(
+        theta, store.side_information(cached))
+    state = protocol.draw(theta, [np.random.default_rng(0)])
+    answers = protocol.answer(state, store)
+    assert answers.shape == (1, 1, store.message_length)
+    return protocol.finish(state, answers, {i: v[None] for i, v in side.items()})[0]
+
+
 def test_sum_shortcut_two_messages():
-    f = make_sym_params(SchemeParams(2, 1, 2, 1)).field
+    params = SchemeParams(2, 1, 2, 1)
+    f = make_sym_params(params).field
     store = random_store(f, 2, 2, np.random.default_rng(7))
-    got = sym_sum_shortcut(store, store.side_information({2}), 1)
+    got = sum_download(params, store, {2}, 1)
     assert np.array_equal(got, store.message(1))
 
 
 def test_sum_shortcut_zero_store():
-    f = make_sym_params(SchemeParams(2, 1, 2, 1)).field
+    params = SchemeParams(2, 1, 2, 1)
+    f = make_sym_params(params).field
     store = MessageStore(field=f, messages=np.zeros((2, 2), dtype=f.dtype))
-    got = sym_sum_shortcut(store, store.side_information({2}), 1)
+    got = sum_download(params, store, {2}, 1)
     assert not got.any()
 
 
 def test_sum_shortcut_three_messages():
-    f = make_sym_params(SchemeParams(3, 2, 2, 1)).field
+    params = SchemeParams(3, 2, 2, 1)
+    f = make_sym_params(params).field
     store = random_store(f, 3, 5, np.random.default_rng(8))
-    got = sym_sum_shortcut(store, store.side_information({1, 3}), 2)
+    got = sum_download(params, store, {1, 3}, 2)
     assert np.array_equal(got, store.message(2))
 
 
 def test_sum_shortcut_validation():
-    f = make_sym_params(SchemeParams(3, 2, 2, 1)).field
+    params = SchemeParams(3, 2, 2, 1)
+    f = make_sym_params(params).field
     store = random_store(f, 3, 5, np.random.default_rng(9))
     with pytest.raises(InvalidSideInformationError):
-        sym_sum_shortcut(store, store.side_information({1}), 2)
+        sum_download(params, store, {1}, 2)
     with pytest.raises(InvalidSideInformationError):
-        sym_sum_shortcut(store, store.side_information({1, 2}), 2)
+        sum_download(params, store, {1, 2}, 2)
