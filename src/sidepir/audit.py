@@ -270,7 +270,8 @@ class LayeredScheme(_Adapter):
         """Digest of the payloads with every coefficient row zeroed: what
         the wire shows apart from the random rows."""
         plan = download_plan(self.params, theta)
-        zero = np.zeros((self.params.K,) + (self.message_length,) * 2, dtype=self.field.dtype)
+        rows = self.message_length + (self.params.K - 1) * plan.block
+        zero = np.zeros((rows, self.message_length), dtype=self.field.dtype)
         return view_digest(b"".join(wire.serialize_database_query(q)
                                     for q in session_queries(plan, zero)))
 

@@ -145,48 +145,71 @@ def information_set_inverse(g: GeneratorMatrix, rows) -> np.ndarray:
                                     tuple(int(r) for r in rows))
 
 
-def sample_candidates(n: int, field: GF, rngs) -> np.ndarray:
-    """One uniform n x n candidate per random source, stacked."""
-    return np.stack([field.random_symbols(rng, (n, n)) for rng in rngs])
+def sample_candidates(n: int, field: GF, rngs, blocks=(), rows: int | None = None) -> np.ndarray:
+    """One uniform n x n candidate per source of ``rngs``, then one uniform
+    ``rows`` x n block per source of ``blocks``, drawn and stacked in that
+    order into (len(rngs) + len(blocks), n, n); a block's rows from
+    ``rows`` on are left unset."""
+    rngs, blocks = list(rngs), list(blocks)
+    out = np.empty((len(rngs) + len(blocks), n, n), dtype=field.dtype)
+    for j, rng in enumerate(rngs):
+        out[j] = field.random_symbols(rng, (n, n))
+    for j, rng in enumerate(blocks, len(rngs)):
+        out[j, :rows] = field.random_symbols(rng, (rows, n))
+    return out
 
 
-def sample_full_rank_factored(n: int, field: GF,
-                              rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniform invertible n x n matrix per slot, by rejection sampling, with
-    the LU factors that the rank check computed for it.
+def sample_full_rank_factored(n: int, field: GF, rngs, blocks=(), rows: int | None = None
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A uniform invertible n x n matrix per slot of ``rngs``, with the LU
+    factors that its rank check computed, and a uniform full-rank ``rows``
+    x n block per slot of ``blocks`` (rows <= n), by rejection sampling.
 
-    ``rngs`` names one random source per slot; a source may fill several
-    slots. Each round draws one candidate per pending slot, in slot order,
-    checks them all with one batched rank, and hands every
-    source's full-rank candidates, in draw order, to its earliest pending
-    slots. A source therefore yields the same matrices, and ends in the same
-    state, as sequential single-matrix calls on it, whatever else is in the
-    batch. Returns ``(mats, lu, perm)``, stacked by slot, with
+    A slot names its random source; a source may fill several slots. Each
+    round draws one candidate per pending slot, the matrices' first, each
+    kind in slot order, checks them all with one :func:`linalg.lu_batched`
+    elimination that reads only a block's ``rows`` rows, and hands every
+    source's full-rank candidates of each kind, in draw order, to its
+    earliest pending slots of that kind. A source therefore yields the same
+    matrices, and ends in the same state, whatever else is in the batch; if
+    its slots are all of one kind, as sequential single-slot calls on it
+    would. Returns ``(mats, lu, perm, blocks)``, each stacked by slot, with
     ``(lu[i], perm[i])`` ready for :func:`linalg.lu_solve` against
     ``mats[i]``.
     """
-    rngs = list(rngs)
-    out = np.empty((len(rngs), n, n), dtype=field.dtype)
+    rows = n if rows is None else rows
+    sources = list(rngs)
+    count = len(sources)
+    sources += blocks
+    out = np.empty((count, n, n), dtype=field.dtype)
     lu = np.empty_like(out)
-    perm = np.empty((len(rngs), n), dtype=np.int64)
-    pending = list(range(len(rngs)))
+    perm = np.empty((count, n), dtype=np.int64)
+    got_blocks = np.empty((len(sources) - count, rows, n), dtype=field.dtype)
+    pending = list(range(len(sources)))
     while pending:
-        cand = sample_candidates(n, field, (rngs[i] for i in pending))
-        ranks, cand_lu, cand_perm = linalg.rank_batched(field, cand, factors=True)
-        full = ranks == n
-        slots: dict[int, list[int]] = {}
-        accepted: dict[int, list[int]] = {}
+        whole = sum(i < count for i in pending)
+        cand = sample_candidates(n, field, (sources[i] for i in pending[:whole]),
+                                 (sources[i] for i in pending[whole:]), rows)
+        cand_lu, cand_perm, ranks = linalg.lu_batched(field, cand, whole, rows)
+        full = (ranks == np.where(np.arange(len(pending)) < whole, n, rows)).tolist()
+        slots: dict[tuple[int, bool], list[int]] = {}
+        accepted: dict[tuple[int, bool], list[int]] = {}
         for j, i in enumerate(pending):
-            slots.setdefault(id(rngs[i]), []).append(i)
+            key = (id(sources[i]), i >= count)
+            slots.setdefault(key, []).append(i)
             if full[j]:
-                accepted.setdefault(id(rngs[i]), []).append(j)
-        pending = []
+                accepted.setdefault(key, []).append(j)
+        # candidate take[k] fills slot fill[k]
+        take, fill, pending = [], [], []
         for key, idx in slots.items():
             got = accepted.get(key, [])
-            out[idx[:len(got)]] = cand[got]
-            lu[idx[:len(got)]] = cand_lu[got]
-            perm[idx[:len(got)]] = cand_perm[got]
+            take += got
+            fill += idx[:len(got)]
             pending += idx[len(got):]
         pending.sort()
-    return out, lu, perm
-
+        take, fill = np.array(take, dtype=np.intp), np.array(fill, dtype=np.intp)
+        mat = fill < count
+        dest, src = fill[mat], take[mat]
+        out[dest], lu[dest], perm[dest] = cand[src], cand_lu[src], cand_perm[src]
+        got_blocks[fill[~mat] - count] = cand[take[~mat], :rows]
+    return out, lu, perm, got_blocks

@@ -171,18 +171,21 @@ def sym_answers(sp: SymParams, queries: np.ndarray, messages: np.ndarray,
                       np.expand_dims(sigma, -2), sp.vander[:, :sp.base.T])
 
 
-def sym_coefficients(answers: np.ndarray, sp: SymParams) -> np.ndarray:
-    """All N coefficients of the answer polynomial, by interpolation, for
-    answers shaped (..., N)."""
+def sym_coefficients(answers: np.ndarray, sp: SymParams, low: int = 0) -> np.ndarray:
+    """Coefficients ``low`` .. N-1 of the answer polynomial, by interpolation,
+    for answers shaped (..., N): one broadcast product of the cached
+    interpolation rows with the answers and an XOR over N, which at N <= 4
+    costs less than a general :func:`linalg.matmul`."""
     if np.shape(answers)[-1:] != (sp.base.N,):
         raise ProtocolError(f"need {sp.base.N} answers, got {np.shape(answers)}")
-    return linalg.matvec(sp.field, sp.interp, answers)
+    terms = sp.field.mul(sp.interp[low:], np.expand_dims(answers, -2))
+    return np.bitwise_xor.reduce(terms, axis=-1)
 
 
 def sym_decode(answers: np.ndarray, sp: SymParams) -> np.ndarray:
     """Interpolate the answer polynomial; its top N - T coefficients are the
     desired message."""
-    return sym_coefficients(answers, sp)[..., sp.base.T:]
+    return sym_coefficients(answers, sp, sp.base.T)
 
 
 def sum_shortcut_answer(store: MessageStore) -> np.ndarray:

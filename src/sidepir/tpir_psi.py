@@ -22,6 +22,12 @@ colluding set of T databases sees exactly one full information set of each
 context code, which makes its view an invertible transform of uniformly
 mixed rows, indistinguishable across desired indices.
 
+The contexts of an undesired message read u = L*T/N rows of its mixer, and
+the first u rows of a uniform invertible L x L matrix are a uniform
+full-rank u x L block. So a session draws one L x L mixer, for the desired
+message, and one u x L block for each other message, and its queries have
+the distribution they would have if every message had a whole mixer.
+
 Redundancy removal: with M cached messages the client already knows the p2
 slots built only from cached messages, so each database re-encodes its p1
 slot values with a public systematic (2*p1-p2, p1) MDS code and ships only
@@ -91,7 +97,7 @@ class ContextGroup:
     members: tuple[int, ...]           # 1-based message indices, ascending
     length: int                        # e: codeword coordinates
     dim: int                           # f: information symbols per member
-    block_rows: dict[int, tuple[int, int]]  # member -> mixer row span
+    block_rows: dict[int, tuple[int, int]]  # member -> span of its rows in the pool
 
 
 @dataclass(frozen=True)
@@ -99,11 +105,12 @@ class _ShapeGroup:
     """The contexts that share one code shape, and their index tables.
 
     Query rows: pair g, context ``contexts[pair_ctx[g]]`` and its member
-    ``member[g]``, is ``gen @ stack[src[g]]``, with ``stack`` the (K*L, L)
-    mixers flattened. Decode peel: context ``contexts[c]`` reads codeword
-    coordinates ``free_coord[c]`` at the flat (db, slot) ``free_flat[c]``, and
-    slot ``bear_flat[j]`` minus coordinate ``bear_coord[j]`` of context
-    ``bear_ctx[j]``'s codeword is desired symbol ``bear_off[j]``.
+    ``member[g]``, is ``gen @ pool[src[g]]``, with ``pool`` the session's
+    mixer pool (see :class:`PrecodingState`). Decode peel: context
+    ``contexts[c]`` reads codeword coordinates ``free_coord[c]`` at the flat
+    (db, slot) ``free_flat[c]``, and slot ``bear_flat[j]`` minus coordinate
+    ``bear_coord[j]`` of context ``bear_ctx[j]``'s codeword is desired
+    symbol ``bear_off[j]``.
     """
 
     length: int
@@ -128,9 +135,10 @@ class DownloadPlan:
     rest depends on theta and is client-private: the slot table
     ``slots_per_db``, the ``contexts``, and the index arrays of query
     assembly and the peel: ``groups``, one :class:`_ShapeGroup` per (length,
-    dim); ``db_rows``, per database its rows of the query pool; ``singles``,
+    dim); ``db_rows``, per database its rows of the query table; ``singles``,
     the (flat slot, desired offset) of desired-only slots; and ``peel``,
-    built on first use.
+    built on first use. ``block`` is u = L*T/N, the rows of each undesired
+    message's block in the mixer pool.
     """
 
     def __init__(self, params: SchemeParams, theta: int, field: GF):
@@ -142,9 +150,12 @@ class DownloadPlan:
         self.profile = profile
 
         others = [i for i in range(1, K + 1) if i != theta]
+        self.block = profile.L * params.T // N
         contexts: list[ContextGroup] = []
         ctx_index: dict[tuple[int, ...], int] = {}
-        block_cursor = {i: 0 for i in others}
+        # the pool holds the L desired mixer rows, then each other message's
+        # block in index order
+        block_cursor = {i: profile.L + j * self.block for j, i in enumerate(others)}
         for size, dim, length in _context_sizes(params):
             for members in combinations(others, size):
                 spans = {}
@@ -192,6 +203,8 @@ class DownloadPlan:
         assert all(len(s) == profile.p1 for s in self.slots_per_db)
         for ci, ctx in enumerate(contexts):
             assert coord_cursor[ci] == ctx.length
+        for j, i in enumerate(others):  # a block holds all the rows its contexts read
+            assert block_cursor[i] == profile.L + (j + 1) * self.block
         for slots in self.slots_per_db:
             assert sum(1 for s in slots if theta in s.subset) == profile.m
             assert tuple(s.subset for s in slots) == self.shape.slot_members
@@ -213,13 +226,14 @@ class DownloadPlan:
                     free[slot.context].append((flat, slot.coord))
                 else:
                     bear[slot.context].append((flat, slot.coord, slot.desired_offset))
-        # query pool rows: the L desired mixer rows, then each shape group's
-        # products, pair by pair, each pair's codeword coordinates in order
+        # query table rows: the L desired mixer rows, then each shape group's
+        # products, pair by pair, each pair's codeword coordinates in order;
+        # a pair's ``src`` rows are its member's span of the mixer pool
         shapes: dict[tuple[int, int], list[int]] = {}
         for ci, ctx in enumerate(self.contexts):
             assert len(free[ci]) == ctx.dim
             shapes.setdefault((ctx.length, ctx.dim), []).append(ci)
-        pool_row: dict[tuple[int, int], int] = {}  # (context, member) -> coordinate 0
+        table_row: dict[tuple[int, int], int] = {}  # (context, member) -> coordinate 0
         base = length
         for (e, f), cis in shapes.items():
             src, pairs, bears = [], [], []
@@ -227,8 +241,8 @@ class DownloadPlan:
                 ctx = self.contexts[ci]
                 for i in ctx.members:
                     lo, hi = ctx.block_rows[i]
-                    pool_row[(ci, i)] = base + len(src) * e
-                    src.append(range((i - 1) * length + lo, (i - 1) * length + hi))
+                    table_row[(ci, i)] = base + len(src) * e
+                    src.append(range(lo, hi))
                     pairs.append((i, c))
                 bears += [(fl, c, co, off) for fl, co, off in bear[ci]]
             base += len(src) * e
@@ -240,7 +254,7 @@ class DownloadPlan:
                 member=member, pair_ctx=pair_ctx, free_flat=free_flat, free_coord=free_coord,
                 bear_flat=bf, bear_ctx=bc, bear_coord=bco, bear_off=bo))
         self.db_rows = [np.array([slot.desired_offset if i == self.theta
-                                  else pool_row[(slot.context, i)] + slot.coord
+                                  else table_row[(slot.context, i)] + slot.coord
                                   for slot in slots for i in slot.subset], dtype=np.int64)
                         for slots in self.slots_per_db]
         self.singles = tuple(np.array(singles, dtype=np.int64).reshape(-1, 2).T)
@@ -285,40 +299,40 @@ def minimum_field_width(params: SchemeParams) -> int:
 
 @dataclass(frozen=True)
 class PrecodingState:
-    """Everything the client must keep to decode: private mixers and the LU
-    factors of the desired mixer.
+    """Everything the client must keep to decode: the private mixer pool and
+    the LU factors of the desired mixer.
 
-    The factors come from the rank check that accepted the desired mixer, so
-    decoding inverts it by triangular substitution, with no elimination.
-    They determine the desired mixer and are as private as the mixers. The
-    public generators are not part of it: they are fixed by their
-    dimensions and come from the caches of :func:`make_mds` and
+    Per session the pool holds L + (K-1)*u rows (u = ``DownloadPlan.block``):
+    the desired message's full-rank L x L mixer, then the full-rank u x L
+    block of each other message in index order, which is every mixer row a
+    query reads. The factors come from the rank check that accepted the
+    desired mixer, so decoding inverts it by triangular substitution, with
+    no elimination. They determine the desired mixer and are as private as
+    the pool. The public generators are not part of it: they are fixed by
+    their dimensions and come from the caches of :func:`make_mds` and
     :func:`make_systematic_mds`.
     """
 
     field: GF
-    mixers: np.ndarray                      # (..., K, L, L): one full-rank matrix per message
+    pool: np.ndarray                        # (..., L + (K-1)*u, L)
     desired_factors: tuple[np.ndarray, np.ndarray]  # (lu, perm) of the desired mixer
 
 
 @dataclass(frozen=True)
 class AnswerBundle:
     """Per-database answer vectors, raw (p1) or compressed (p1 - p2) on the
-    last axis; leading axes are sessions."""
+    last axis, stacked (N, ..., count); the middle axes are sessions."""
 
     form: str  # "raw" or "compressed"
-    per_db: tuple[np.ndarray, ...]
+    per_db: np.ndarray
 
     def __post_init__(self):
         if self.form not in ("raw", "compressed"):
             raise ParameterError(f"unknown answer form {self.form!r}")
-        lengths = {np.shape(v)[-1] for v in self.per_db}
-        if len(lengths) > 1:
-            raise ProtocolError("databases returned answers of different lengths")
 
     @property
     def downloaded_symbols(self) -> int:
-        return sum(np.shape(v)[-1] for v in self.per_db)
+        return self.per_db.shape[0] * self.per_db.shape[-1]
 
 
 @lru_cache(maxsize=None)
@@ -346,19 +360,20 @@ def download_plan(params: SchemeParams, theta: int) -> DownloadPlan:
 
 
 def sample_mixers(plan: DownloadPlan, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The K mixers of one session per random source, with their LU factors.
+    """The mixer pool of one session per random source, with the LU factors
+    of its desired mixer.
 
-    One stream-ordered batch over K slots per source: mixer i of a session
-    is the i-th full-rank candidate its source draws, exactly as K sequential
-    draws would give it. Returns ``(mixers, lu, perm)`` shaped (B, K, L, L),
-    (B, K, L, L) and (B, K, L).
+    One :func:`sample_full_rank_factored` batch: each source draws an L x L
+    mixer, then K - 1 u x L blocks, whatever theta is; the mixer goes to the
+    desired message and the blocks to the others in index order. Returns
+    ``(pool, lu, perm)`` shaped (B, L + (K-1)*u, L), (B, L, L) and (B, L).
     """
     rngs = list(rngs)
     k, length = plan.params.K, plan.profile.L
-    mats, lu, perm = sample_full_rank_factored(
-        length, plan.field, [r for r in rngs for _ in range(k)])
-    shape = (len(rngs), k, length)
-    return mats.reshape(shape + (length,)), lu.reshape(shape + (length,)), perm.reshape(shape)
+    mats, lu, perm, blocks = sample_full_rank_factored(
+        length, plan.field, rngs, [r for r in rngs for _ in range(k - 1)], plan.block)
+    pool = np.concatenate([mats, blocks.reshape(len(rngs), -1, length)], axis=1)
+    return pool, lu, perm
 
 
 def build_plan(params: SchemeParams, theta: int, rng) -> tuple[DownloadPlan, PrecodingState]:
@@ -367,41 +382,37 @@ def build_plan(params: SchemeParams, theta: int, rng) -> tuple[DownloadPlan, Pre
     each Generator of a list, one session per source on a leading axis."""
     plan = download_plan(params, theta)
     batch = isinstance(rng, list)
-    stack, lu, perm = sample_mixers(plan, rng if batch else [np.random.default_rng(rng)])
+    pool, lu, perm = sample_mixers(plan, rng if batch else [np.random.default_rng(rng)])
     if not batch:
-        stack, lu, perm = stack[0], lu[0], perm[0]
-    stack.flags.writeable = False
-    desired_factors = (lu[..., theta - 1, :, :].copy(), perm[..., theta - 1, :].copy())
-    for arr in desired_factors:
+        pool, lu, perm = pool[0], lu[0], perm[0]
+    for arr in (pool, lu, perm):
         arr.flags.writeable = False
-    return plan, PrecodingState(field=plan.field, mixers=stack,
-                                desired_factors=desired_factors)
+    return plan, PrecodingState(field=plan.field, pool=pool, desired_factors=(lu, perm))
 
 
-def session_queries(plan: DownloadPlan, mixers: np.ndarray) -> list[DatabaseQuery]:
-    """The N public wire queries for mixers shaped (..., K, L, L).
+def session_queries(plan: DownloadPlan, pool: np.ndarray) -> list[DatabaseQuery]:
+    """The N public wire queries for a mixer pool shaped (..., L + (K-1)*u, L).
 
     Leading axes are sessions: each query's rows are shaped (..., rows, L),
     so a batch of sessions is resolved by the same products as one.
 
     A row of an undesired member is a row of its context's public generator
-    times that member's block of mixer rows. All (context, member) pairs
+    times that member's span of its block. All (context, member) pairs
     whose contexts share a code shape are one product, and each database's
     rows are one gather from the desired mixer's rows and those products,
     by index tables built once per (params, theta).
     """
     field, length = plan.field, plan.profile.L
-    lead = mixers.shape[:-3]
-    stack = mixers.reshape(lead + (-1, length))
-    pool = [mixers[..., plan.theta - 1, :, :]]
+    lead = pool.shape[:-2]
+    parts = [pool[..., :length, :]]
     for grp in plan.groups:
         gen = make_mds(grp.length, grp.dim, field).entries
-        coef = linalg.matmul(field, gen, stack[..., grp.src, :])  # (..., G, e, L)
-        pool.append(coef.reshape(lead + (-1, length)))
-    pool = np.concatenate(pool, axis=-2)
+        coef = linalg.matmul(field, gen, pool[..., grp.src, :])  # (..., G, e, L)
+        parts.append(coef.reshape(lead + (-1, length)))
+    table = np.concatenate(parts, axis=-2)
     queries = []
     for db, db_rows in enumerate(plan.db_rows):
-        rows = pool[..., db_rows, :]
+        rows = table[..., db_rows, :]
         rows.flags.writeable = False
         queries.append(DatabaseQuery(shape=plan.shape, db_index=db,
                                      compress=plan.params.M >= 1, rows=rows))
@@ -410,7 +421,7 @@ def session_queries(plan: DownloadPlan, mixers: np.ndarray) -> list[DatabaseQuer
 
 def database_queries(plan: DownloadPlan, state: PrecodingState) -> list[DatabaseQuery]:
     """Resolve the plan into the N public wire queries of its session."""
-    return session_queries(plan, state.mixers)
+    return session_queries(plan, state.pool)
 
 
 def answer_raw(query: DatabaseQuery, store: MessageStore) -> np.ndarray:
@@ -446,12 +457,13 @@ def answer(query: DatabaseQuery, store: MessageStore) -> tuple[str, np.ndarray]:
 
 
 def answer_all(queries: list[DatabaseQuery], store: MessageStore) -> AnswerBundle:
-    """Convenience: run every database on a replicated store."""
+    """Convenience: run every database on a replicated store; the answers
+    are stacked (N, ..., count)."""
     replies = [answer(q, store) for q in queries]
     forms = {form for form, _ in replies}
     if len(forms) != 1:
         raise ProtocolError("databases disagree on the answer form")
-    return AnswerBundle(form=forms.pop(), per_db=tuple(v for _, v in replies))
+    return AnswerBundle(form=forms.pop(), per_db=np.stack([v for _, v in replies]))
 
 
 @lru_cache(maxsize=256)
@@ -485,11 +497,10 @@ def _from_cache(plan: DownloadPlan, state: PrecodingState, side):
     known slot values (..., N, p2), which one more product gives as the fully
     cached contexts' codewords at their free coordinates."""
     params, field, (n, p1) = plan.params, plan.field, (plan.params.N, plan.profile.p1)
-    length, lead = plan.profile.L, state.mixers.shape[:-3]
+    length, lead = plan.profile.L, state.pool.shape[:-2]
     side = check_side(side, params, plan.theta, field, lead + (length,))
     cached = tuple(sorted(side))
     slots, erasure, tables = _decode_tables(params, plan.theta, cached)
-    stack = state.mixers.reshape(lead + (-1, length))
     messages = np.stack([side[i] for i in cached], axis=-2) if cached else None
     free = np.zeros(lead + (n * p1,), dtype=field.dtype)
     parts = []
@@ -497,7 +508,7 @@ def _from_cache(plan: DownloadPlan, state: PrecodingState, side):
     for grp, (src, side_row, starts, touched), (free_gen, _) in groups:
         parts.append(np.zeros(lead + (len(grp.contexts), grp.dim), dtype=field.dtype))
         if len(src):
-            terms = linalg.matvec(field, stack[..., src, :], messages[..., side_row, :])
+            terms = linalg.matvec(field, state.pool[..., src, :], messages[..., side_row, :])
             parts[-1][..., touched, :] = np.bitwise_xor.reduceat(terms, starts, axis=-2)
             free[..., grp.free_flat] = linalg.matvec(field, free_gen, parts[-1])
     return slots, erasure, parts, free[..., np.arange(n)[:, None] * p1 + slots]
@@ -516,7 +527,9 @@ def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingSt
     ``(desired, infos, parts)``, the desired precoded stream and, per
     context, its information vector (the sum over members of each member's
     mixer rows applied to its message) and that sum over its cached members
-    alone. Leading axes of mixers, answers and cache are sessions.
+    alone. Leading axes of the pool and the cache are sessions, and so are
+    the middle axes of the answers, stacked (N, ..., count) as
+    :func:`answer_all` and a retrieval give them.
 
     Compressed answers are completed with the known slot values, at the
     same places in every database, and erasure-decoded by one product for
@@ -527,7 +540,7 @@ def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingSt
     after the queries have left, so query timing depends on (params, theta).
     """
     params, field, profile = plan.params, plan.field, plan.profile
-    lead = state.mixers.shape[:-3]
+    lead = state.pool.shape[:-2]
     slots, erasure, parts, known = _from_cache(plan, state, side)
     if len(answers.per_db) != params.N:
         raise ProtocolError(f"expected {params.N} answers, got {len(answers.per_db)}")
@@ -536,9 +549,10 @@ def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingSt
         raise ProtocolError("compressed answers need cached slots; this cache covers none")
     width = profile.p1 - profile.p2 if compressed else profile.p1
     for db, vec in enumerate(answers.per_db):
-        if np.shape(vec) != lead + (width,):
-            raise ProtocolError(f"database {db} shipped {np.shape(vec)}, not {lead + (width,)}")
-    raw = np.stack([np.asarray(v, dtype=field.dtype) for v in answers.per_db], axis=-2)
+        if vec.shape != lead + (width,):
+            raise ProtocolError(f"database {db} shipped {vec.shape}, not {lead + (width,)}")
+    # (..., N, width): a view of the stacked answers
+    raw = np.moveaxis(answers.per_db, 0, -2)
     if compressed:
         raw = linalg.matvec(field, erasure, np.concatenate([raw, known], axis=-1))
     elif (raw[..., slots] != known).any():
@@ -599,7 +613,7 @@ class LayeredProtocol:
         return self, check_side(side, self.params, theta, self.field, (self.message_length,))
 
     def draw(self, theta: int, rngs) -> tuple[DownloadPlan, PrecodingState]:
-        """The plan and the K mixers of one session per random source."""
+        """The plan and the mixer pool of one session per random source."""
         return build_plan(self.params, theta, list(rngs))
 
     def queries(self, state) -> list[DatabaseQuery]:
@@ -614,11 +628,11 @@ class LayeredProtocol:
 
     def answer(self, state, store: MessageStore, secret: bytes | None = None) -> np.ndarray:
         """Every database's answers in process, off the wire."""
-        return np.stack(answer_all(self.queries(state), store).per_db)
+        return answer_all(self.queries(state), store).per_db
 
     def finish(self, state, answers, side) -> np.ndarray:
         """Each session's desired message, from its answers and its cache."""
-        return decode(AnswerBundle(wire.FORM_NAMES[self.form], tuple(answers)), *state, side)
+        return decode(AnswerBundle(wire.FORM_NAMES[self.form], answers), *state, side)
 
     def capacity(self) -> Fraction:
         return capacity_tpir_psi(self.params)

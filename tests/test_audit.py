@@ -82,7 +82,7 @@ class ClippedScheme(audit.LayeredScheme):
         bundle = answer_all(database_queries(plan, state), store)
         assert bundle.form == "compressed"
         clipped = AnswerBundle(form=bundle.form,
-                               per_db=tuple(v[..., :-1] for v in bundle.per_db))
+                               per_db=np.stack([v[..., :-1] for v in bundle.per_db]))
         decode_streams(clipped, plan, state, store.side_information(side_idx))
         raise AssertionError("unreachable")
 

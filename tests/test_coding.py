@@ -326,6 +326,24 @@ def test_full_rank_1x1_uniform_over_nonzero():
     assert stats.chisquare(counts[1:]).pvalue > 0.001
 
 
+def test_full_rank_block_uniform_over_binary_2x4():
+    """A block is uniform over the full-rank blocks: over GF(2) each of the
+    210 full-rank 2 x 4 matrices comes out about equally often, and no
+    other one does. The blocks follow a 4 x 4 mixer from the same source,
+    as in a session's draw."""
+    f2 = GF(1, poly=0b11)
+    bits = 1 << np.arange(8)
+    every = ((np.arange(256)[:, None] & bits) > 0).astype(np.uint8).reshape(256, 2, 4)
+    full = linalg.rank_batched(f2, every) == 2
+    assert int(full.sum()) == 15 * 14
+    draws = 21_000
+    rng = np.random.default_rng(12)
+    blocks = coding.sample_full_rank_factored(4, f2, [rng], [rng] * draws, 2)[3]
+    counts = np.bincount(blocks.reshape(draws, 8) @ bits, minlength=256)
+    assert counts[~full].sum() == 0
+    assert stats.chisquare(counts[full]).pvalue > 0.001
+
+
 def test_binary_2x2_acceptance_oracle():
     """GF(2) harness: 6 of the 16 binary 2x2 matrices are invertible, so the
     rejection sampler must accept at rate 6/16."""
@@ -372,6 +390,26 @@ def test_batched_sampler_matches_sequential():
     for i, seed in enumerate(seeds):
         single = coding.sample_full_rank_factored(6, f8, [np.random.default_rng(seed)])[0]
         assert np.array_equal(batch[i], single[0])
+
+
+def test_batched_sampler_matches_single_sources_with_blocks():
+    """A source that draws one 3 x 3 matrix and four 2 x 3 blocks gets the
+    same matrix, factors and blocks, and ends in the same state, whatever
+    other sources share its batch. Over GF(2^4) rejections of both kinds
+    land mid-batch."""
+    f4 = standard_field(4)
+    seeds = [(22, i) for i in range(40)]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    batch = coding.sample_full_rank_factored(3, f4, rngs, [r for r in rngs for _ in range(4)], 2)
+    assert [a.shape for a in batch] == [(40, 3, 3), (40, 3, 3), (40, 3), (160, 2, 3)]
+    for i, seed in enumerate(seeds):
+        solo = np.random.default_rng(seed)
+        single = coding.sample_full_rank_factored(3, f4, [solo], [solo] * 4, 2)
+        for got, want in zip(batch[:3], single[:3]):
+            assert np.array_equal(got[i], want[0])
+        assert np.array_equal(batch[3][4 * i:4 * i + 4], single[3])
+        assert rngs[i].integers(1 << 30) == solo.integers(1 << 30)
+    assert (linalg.rank_batched(f4, batch[3]) == 2).all()
 
 
 def test_batched_sampler_is_stream_ordered_for_a_shared_source():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sidepir import linalg
-from sidepir.errors import ParameterError, SingularMatrixError
+from sidepir.errors import SingularMatrixError
 from sidepir.field import GF, standard_field
 
 WIDTHS = (1, 4, 8, 16)
@@ -142,10 +142,42 @@ def test_solve_raises_on_singular_input():
         linalg.solve(f16, a, np.ones(5, dtype=f16.dtype))
 
 
-def test_factors_refused_for_wide_stacks():
-    f4 = standard_field(4)
-    with pytest.raises(ParameterError):
-        linalg.rank_batched(f4, np.ones((2, 3, 5), dtype=f4.dtype), factors=True)
+# (n, u, whole members, short members)
+MIXED_SHAPES = [(8, 4, 2, 5), (9, 3, 1, 5), (6, 6, 2, 2), (7, 1, 3, 4), (64, 32, 1, 5)]
+
+
+@pytest.mark.parametrize("pad", [0, 1 << 40], ids=["blocks-alone", "padding-updated"])
+@pytest.mark.parametrize("w", WIDTHS)
+def test_one_loop_over_both_shapes_matches_each_shape_alone(w, pad, monkeypatch):
+    """One elimination over whole n x n members and u x n blocks, padded to
+    n rows with nonzero junk that must not be read, gives every block the
+    rank that an elimination of the blocks alone and the scalar reference
+    give, and the whole members the (lu, perm, ranks) of an elimination of
+    them alone, whether the blocks' padding is left unread or zeroed and
+    updated (``_PAD_SYMBOLS`` forces one mode for every shape). Some members
+    of each kind are singular or need a later column for a pivot, so the
+    pivoting path runs."""
+    monkeypatch.setattr(linalg, "_PAD_SYMBOLS", pad)
+    field = make_field(w)
+    sc = Scalar(field)
+    rng = np.random.default_rng(w + 70)
+    for n, u, whole, short in MIXED_SHAPES:
+        for mats in stacks(field, (whole + short, n, n), rng):
+            blocks = mats[whole:, :u].copy()
+            blocks[::2, :, 0] = 0
+            if u > 1:
+                blocks[1::3, -1] = blocks[1::3, 0]
+            padded = mats.copy()
+            padded[whole:, :u] = blocks
+            padded[whole:, u:] = field.q - 1
+            lu, perm, ranks = linalg.lu_batched(field, padded, whole, u)
+            alone = linalg.lu_batched(field, mats[:whole])
+            assert np.array_equal(lu[:whole], alone[0])
+            assert np.array_equal(perm[:whole], alone[1])
+            assert ranks[:whole].tolist() == alone[2].tolist()
+            assert ranks[whole:].tolist() == linalg.lu_batched(field, blocks)[2].tolist()
+            if n < 10:
+                assert ranks[whole:].tolist() == [reference_rank(sc, b) for b in blocks]
 
 
 def broadcast_matmul(field, a, b):

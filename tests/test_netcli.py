@@ -655,14 +655,16 @@ def _transcript_digest(result) -> str:
 
 # (scheme, params, store width and message length, store seed, cached set,
 # theta, raw) and the sha256 of the seed-0 transcripts and message, as the
-# client and servers wrote them before their per-point caches
+# client and servers wrote them before their per-point caches; the layered
+# ones as written since a session draws one L x L mixer and K - 1 u x L
+# blocks, which consumes the random stream differently
 PINNED_TRANSCRIPTS = {
     "layered": ("tpir", SchemeParams(3, 1, 2, 1), 4, 8, 102, {3}, 2, False,
-                "8167a6d1c9e09b90b35b30a4f2720f5cfc0f8d30ecec9e55b679fbc3f8ae65b5"),
+                "97a53e3ce81275238060fe9e71921b45a1f96688b0f46827d61b9673b3cc6a66"),
     "layered-raw": ("tpir", SchemeParams(3, 1, 2, 1), 4, 8, 102, {3}, 2, True,
-                    "f8bd843285fa21cd39d3715e599dcfbe2c7e00419a51b9335421e204e0bf5e26"),
+                    "e079ac0de1a13ab791da00b0cd6273e6685c8ee375b04e02a026cf0e72050d87"),
     "layered-T=2": ("tpir", SchemeParams(4, 2, 3, 2), 8, 81, 104, {1, 4}, 3, False,
-                    "42d7e93a0f89a73416fb191b192cfc2b27b46b04a8a92f1b6f2dbfebb29ae1bc"),
+                    "97cd78f4532601dafcf89f6e621fabfb366f106cf98dea4937447446a3df7348"),
     "symmetric-T=2": ("stpir", SchemeParams(4, 1, 3, 2), 4, 1, 106, {2}, 1, False,
                       "eafd6984220dbeaaa7a436ad503b0ef7b0bafb47ee880be2c3f1796c431f5a7d"),
     "symmetric-K=4096": ("stpir", SchemeParams(4096, 0, 2, 1, w=4), 4, 1, 108, set(), 77,

@@ -88,7 +88,8 @@ def test_plan_golden_2_structure():
     dims = sorted((c.length, c.dim) for c in plan.contexts)
     assert dims == [(9, 6), (18, 12), (18, 12)]
     # member streams of each context share one generator row-space; their
-    # mixer blocks tile the first 18 rows, matching a 2-collusion exposure
+    # spans tile the member's 18-row block of the pool, which follows the
+    # 27 desired mixer rows: a 2-collusion exposure
     for ctx in plan.contexts:
         for member, (lo, hi) in ctx.block_rows.items():
             assert hi - lo == ctx.dim
@@ -96,10 +97,13 @@ def test_plan_golden_2_structure():
     for ctx in plan.contexts:
         for member, span in ctx.block_rows.items():
             used.setdefault(member, []).append(span)
-    for spans in used.values():
+    assert plan.block == 18
+    others = [i for i in range(1, 4) if i != plan.theta]
+    for member, spans in used.items():
         spans = sorted(spans)
-        assert spans[0][0] == 0
-        assert spans[-1][1] == 18  # T * m rows of private mixing per message
+        start = 27 + 18 * others.index(member)
+        assert spans[0][0] == start
+        assert spans[-1][1] == start + 18  # T * m rows of private mixing per message
         for (a, b), (c, d) in zip(spans, spans[1:]):
             assert b == c
 
@@ -183,7 +187,7 @@ def test_peeling_property_counts_and_decode():
         direct = np.zeros(ctx.length, dtype=plan.field.dtype)
         for i in ctx.members:
             lo, hi = ctx.block_rows[i]
-            stream_info = linalg.matvec(plan.field, state.mixers[i - 1][lo:hi, :],
+            stream_info = linalg.matvec(plan.field, state.pool[lo:hi, :],
                                         store.message(i))
             direct ^= linalg.matvec(plan.field, gen.entries, stream_info)
         assert np.array_equal(codeword, direct)
@@ -227,6 +231,51 @@ def test_plan_deterministic_for_fixed_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("params", [GOLDEN_1, GOLDEN_2, SchemeParams(6, 2, 2, 1, w=16)],
+                         ids=lambda p: p.label())
+def test_mixer_draw_does_not_depend_on_theta(params):
+    """A source draws the same L x L mixer, with the same factors, and the
+    same K - 1 full-rank u x L blocks for every theta: theta only decides
+    which message each of them precodes."""
+    states = [build_plan(params, theta, 5)[1] for theta in range(1, params.K + 1)]
+    length = count_profile(params).L
+    u = length * params.T // params.N
+    first = states[0]
+    assert first.pool.shape == (length + (params.K - 1) * u, length)
+    for state in states[1:]:
+        assert np.array_equal(state.pool, first.pool)
+        for a, b in zip(state.desired_factors, first.desired_factors):
+            assert np.array_equal(a, b)
+    blocks = first.pool[length:].reshape(params.K - 1, u, length)
+    assert (linalg.rank_batched(first.field, blocks) == u).all()
+    assert linalg.rank_batched(first.field, first.pool[None, :length])[0] == length
+
+
+def test_queries_read_only_the_u_rows_of_each_block():
+    """Over the desk grid, for every (params, theta) and every cached set of
+    M messages, each mixer row that query assembly (a shape group's pairs)
+    or the cached parts (``_decode_tables``) read for an undesired member
+    lies in that member's own block of the pool, at an offset below
+    u = L*T/N."""
+    for params in desk_grid():
+        for theta in range(1, params.K + 1):
+            plan = download_plan(params, theta)
+            others = [i for i in range(1, params.K + 1) if i != theta]
+            length, u = plan.profile.L, plan.block
+            assert u == length * params.T // params.N
+
+            def within(src, members):
+                start = length + u * np.array([others.index(i) for i in members], dtype=np.int64)
+                return bool(((src >= start[:, None]) & (src < start[:, None] + u)).all())
+
+            for grp in plan.groups:
+                assert within(grp.src, grp.member), (params, theta)
+            for cached in combinations(others, params.M):
+                _, _, tables = tpir_psi._decode_tables(params, theta, cached)
+                for src, side_row, _, _ in tables:
+                    assert within(src, np.array(cached, dtype=np.int64)[side_row]), (params, cached)
+
+
 # ---------------------------------------------------------------------------
 # answers and compression
 
@@ -252,12 +301,12 @@ def test_answer_slot_structure_matches_table():
     store = random_store(plan.field, 3, 8, np.random.default_rng(9))
     value = int(answer_raw(q, store)[3])
     from sidepir import linalg
-    desired_row = state.mixers[0][slot.desired_offset]
+    desired_row = state.pool[slot.desired_offset]  # the desired mixer's rows come first
     ctx = plan.contexts[slot.context]
     gen = make_mds(ctx.length, ctx.dim, plan.field)
     lo, hi = ctx.block_rows[2]
     stream = linalg.matvec(plan.field, gen.entries,
-                           linalg.matvec(plan.field, state.mixers[1][lo:hi, :],
+                           linalg.matvec(plan.field, state.pool[lo:hi, :],
                                          store.message(2)))
     expect = int(linalg.matvec(plan.field, desired_row[None, :], store.message(1))[0])
     expect ^= int(stream[slot.coord])
@@ -471,7 +520,7 @@ def test_decode_rejects_short_answer():
     from sidepir.tpir_psi import AnswerBundle
     from sidepir.errors import ProtocolError
     clipped = AnswerBundle(form="compressed",
-                           per_db=(bundle.per_db[0][:5], bundle.per_db[1][:5]))
+                           per_db=np.stack([bundle.per_db[0][:5], bundle.per_db[1][:5]]))
     with pytest.raises(ProtocolError):
         decode(clipped, plan, state, store.side_information({3}))
 
@@ -511,18 +560,19 @@ def test_t_equals_n_with_full_cache():
 
 def test_warm_retrieval_runs_one_elimination(monkeypatch):
     """Once (theta, cached set) has been seen, a retrieval eliminates only
-    once: the batched rank check of the K mixers. Decoding inverts the
-    desired mixer by substitution against the factors that check kept, and
-    every other system is public and its inverse is cached."""
+    once: the rank check of the 64 x 64 mixer and the five 32 x 64 blocks,
+    in one call. Decoding inverts the desired mixer by substitution against
+    the factors that check kept, and every other system is public and its
+    inverse is cached."""
     params = SchemeParams(6, 2, 2, 1, w=16)
     store = random_store(standard_field(16), 6, count_profile(params).L,
                          np.random.default_rng(41))
     calls = []
     original = linalg.lu_batched
 
-    def counting(field, mats):
-        calls.append(np.shape(mats))
-        return original(field, mats)
+    def counting(field, mats, *shape):
+        calls.append((np.shape(mats),) + shape)
+        return original(field, mats, *shape)
 
     monkeypatch.setattr(linalg, "lu_batched", counting)
     for theta, cached in ((1, (2, 3)), (4, (1, 6)), (6, (2, 5))):
@@ -533,7 +583,7 @@ def test_warm_retrieval_runs_one_elimination(monkeypatch):
             got = decode(answer_all(database_queries(plan, state), store),
                          plan, state, side)
             assert np.array_equal(got, store.message(theta))
-        assert len(calls) == 1, calls
+        assert calls == [((6, 64, 64), 1, 32)], calls
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +593,17 @@ FUSED_POINTS = [GOLDEN_1, GOLDEN_2, SchemeParams(4, 2, 3, 2), SchemeParams(6, 2,
 
 
 def reference_session_queries(plan, mixers):
-    """Rows of every database, one product per (context, member) pair and
-    one row at a time, read off the public slot table."""
+    """Rows of every database for a whole L x L mixer per message (..., K,
+    L, L), one product per (context, member) pair and one row at a time,
+    read off the public slot table: a member's pool span, less the start of
+    its block, is its span of its own mixer."""
+    others = [i for i in range(1, plan.params.K + 1) if i != plan.theta]
     coef = {}
     for ci, ctx in enumerate(plan.contexts):
         gen = make_mds(ctx.length, ctx.dim, plan.field).entries
         for i in ctx.members:
-            lo, hi = ctx.block_rows[i]
+            start = plan.profile.L + others.index(i) * plan.block
+            lo, hi = (r - start for r in ctx.block_rows[i])
             coef[(ci, i)] = linalg.matmul(plan.field, gen, mixers[..., i - 1, lo:hi, :])
     out = []
     for slots in plan.slots_per_db:
@@ -590,15 +644,20 @@ def reference_peel(plan, state, raw):
 
 @pytest.mark.parametrize("params", FUSED_POINTS, ids=lambda p: p.label())
 def test_session_queries_match_per_pair_reference(params):
-    """One product per context shape gives every row the per-(context,
-    member) products give, for every theta and session shape."""
+    """One product per context shape over the pool of the desired mixer and
+    the other messages' first u rows gives every row that the per-(context,
+    member) products over whole mixers give, for every theta and session
+    shape: no query reads a mixer row at or past u."""
     rng = np.random.default_rng(60)
     for theta in range(1, params.K + 1):
         plan = download_plan(params, theta)
+        others = [i - 1 for i in range(1, params.K + 1) if i != theta]
         for lead in ((), (3,), (2, 2)):
             length = plan.profile.L
             mixers = plan.field.random_symbols(rng, lead + (params.K, length, length))
-            got = session_queries(plan, mixers)
+            blocks = mixers[..., others, :plan.block, :].reshape(lead + (-1, length))
+            pool = np.concatenate([mixers[..., theta - 1, :, :], blocks], axis=-2)
+            got = session_queries(plan, pool)
             want = reference_session_queries(plan, mixers)
             for q, rows in zip(got, want):
                 assert q.rows.shape == rows.shape
@@ -629,7 +688,7 @@ def test_decode_streams_match_per_context_reference(params):
                 part = np.zeros(ctx.dim, dtype=plan.field.dtype)
                 for i in set(ctx.members) & set(side):
                     lo, hi = ctx.block_rows[i]
-                    part ^= linalg.matvec(plan.field, state.mixers[i - 1][lo:hi], side[i])
+                    part ^= linalg.matvec(plan.field, state.pool[lo:hi], side[i])
                 want_parts.append(part)
             bundles = [answer_all([dataclasses.replace(q, compress=False) for q in queries],
                                   store)]
@@ -687,15 +746,14 @@ def test_decode_streams_over_sessions_match_single_sessions(params):
         sized = dataclasses.replace(params, M=m)
         theta = 1 + m % params.K
         plan = download_plan(sized, theta)
-        mixers, lu, perm = sample_mixers(plan, [np.random.default_rng((80, m, j))
-                                                for j in range(batch)])
-        state = tpir_psi.PrecodingState(field=plan.field, mixers=mixers,
-                                        desired_factors=(lu[:, theta - 1], perm[:, theta - 1]))
+        pool, lu, perm = sample_mixers(plan, [np.random.default_rng((80, m, j))
+                                              for j in range(batch)])
+        state = tpir_psi.PrecodingState(field=plan.field, pool=pool, desired_factors=(lu, perm))
         stores = plan.field.random_symbols(np.random.default_rng(81 + m),
                                            (batch, params.K, plan.profile.L))
         others = [i for i in range(1, params.K + 1) if i != theta]
         cached = others[-m:] if m else []
-        queries = session_queries(plan, mixers)
+        queries = session_queries(plan, pool)
         batched = MessageStore(field=plan.field, messages=stores)
         bundles = [answer_all([dataclasses.replace(q, compress=False) for q in queries], batched)]
         if m:
@@ -703,12 +761,11 @@ def test_decode_streams_over_sessions_match_single_sessions(params):
         for bundle in bundles:
             got = decode_streams(bundle, plan, state, {i: stores[:, i - 1] for i in cached})
             for j in range(batch):
-                one = tpir_psi.PrecodingState(field=plan.field, mixers=mixers[j],
-                                              desired_factors=(lu[j, theta - 1],
-                                                               perm[j, theta - 1]))
+                one = tpir_psi.PrecodingState(field=plan.field, pool=pool[j],
+                                              desired_factors=(lu[j], perm[j]))
                 store = MessageStore(field=plan.field, messages=stores[j])
                 single = answer_all([dataclasses.replace(q, compress=bundle.form != "raw")
-                                     for q in session_queries(plan, mixers[j])], store)
+                                     for q in session_queries(plan, pool[j])], store)
                 assert single.form == bundle.form
                 for a, b in zip(single.per_db, bundle.per_db):
                     assert np.array_equal(a, b[j])
