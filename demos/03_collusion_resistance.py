@@ -9,8 +9,8 @@ identical in distribution whichever message is desired.
 
 import numpy as np
 
-from sidepir import SchemeParams, random_store
-from sidepir.audit import CollusionView, LayeredScheme
+from sidepir import SchemeParams, random_store, wire
+from sidepir.audit import LayeredScheme, view_digest
 from sidepir.tpir_psi import answer_all, build_plan, database_queries, decode
 
 
@@ -38,9 +38,8 @@ def main():
 
     print("what colluders actually receive (one session, subset {1,2}):")
     payloads = scheme.query_payloads(1, seed=5)
-    view = CollusionView.from_payloads((1, 2), payloads)
-    print(f"  joint view: {len(view.transcript)} bytes, digest "
-          f"{view.digest().hex()}")
+    view = wire.collusion_view_bytes((1, 2), payloads)
+    print(f"  joint view: {len(view)} bytes, digest {view_digest(view).hex()}")
     print("  rerun the session with fresh randomness and the digest changes;")
     print("  rerun with a different desired index and the distribution does not.")
     print()

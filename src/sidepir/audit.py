@@ -108,24 +108,6 @@ def chi_square_uniform_p(values: np.ndarray, cells: int) -> float:
     return float(stats.chisquare(counts).pvalue)
 
 
-@dataclass(frozen=True)
-class CollusionView:
-    """The queries one database subset observes in a session, canonically
-    serialized so views compare as opaque byte strings."""
-
-    subset: tuple[int, ...]
-    transcript: bytes
-
-    @classmethod
-    def from_payloads(cls, subset, payloads) -> "CollusionView":
-        subset = tuple(sorted(subset))
-        return cls(subset=subset,
-                   transcript=wire.collusion_view_bytes(subset, payloads))
-
-    def digest(self) -> bytes:
-        return view_digest(self.transcript)
-
-
 @dataclass
 class AuditReport:
     test: str
@@ -212,7 +194,7 @@ def _view_digests(scheme, theta: int, subsets, sessions: int, master_seed: int,
                  for j in range(first, min(sessions, first + batch))]
         for pmap in scheme.session_payloads(theta, seeds):
             for s in subsets:
-                out[s].append(CollusionView.from_payloads(s, pmap).digest())
+                out[s].append(view_digest(wire.collusion_view_bytes(s, pmap)))
     return out
 
 
@@ -244,8 +226,8 @@ class _Adapter:
 
     def _outcome(self, theta: int, side_idx, state, store: MessageStore,
                  note: str) -> SessionOutcome:
-        """A drawn session's round trip in process, off the wire."""
-        protocol, side = self.protocol, store.side_information(side_idx)
+        """A drawn session's round trip in process, off the wire, its cache checked once."""
+        protocol, side = self.protocol.prepare(theta, store.side_information(side_idx))
         answers = protocol.answer(state, store, self.server_secret)
         got = protocol.finish(state, answers, {i: vec[None] for i, vec in side.items()})
         return SessionOutcome(ok=bool(np.array_equal(got[0], store.message(theta))),

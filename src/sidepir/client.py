@@ -83,10 +83,8 @@ def local_simulator(store: MessageStore, n: int, role: str = "tpir",
     return [LocalTransport(core) for _ in range(n)]
 
 
-def tcp_endpoints(spec: str | list[tuple[str, int]]) -> list[tuple[str, int]]:
+def tcp_endpoints(spec: str) -> list[tuple[str, int]]:
     """Parse "host:port,host:port,..." into address tuples."""
-    if not isinstance(spec, str):
-        return list(spec)
     out = []
     for part in spec.split(","):
         host, _, port = part.strip().rpartition(":")

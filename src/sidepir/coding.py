@@ -18,6 +18,9 @@ must be invertible. The subsets go through one bounded batched rank,
 :func:`linalg.rank_batched` over stacks of at most ``linalg.MATMUL_CHUNK``
 bytes, not one elimination each, since every process that builds a layered
 code pays this check before its first answer.
+
+Mixers are drawn by rejection sampling, one session per random source, and
+every source of a batch is checked by one elimination a round.
 """
 
 from __future__ import annotations
@@ -159,57 +162,44 @@ def sample_candidates(n: int, field: GF, rngs, blocks=(), rows: int | None = Non
     return out
 
 
-def sample_full_rank_factored(n: int, field: GF, rngs, blocks=(), rows: int | None = None
+def sample_full_rank_factored(n: int, field: GF, rngs, blocks: int = 0, rows: int | None = None
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A uniform invertible n x n matrix per slot of ``rngs``, with the LU
-    factors that its rank check computed, and a uniform full-rank ``rows``
-    x n block per slot of ``blocks`` (rows <= n), by rejection sampling.
+    """Per random source of ``rngs``, by rejection sampling, a uniform
+    invertible n x n matrix with the LU factors of its rank check, then
+    ``blocks`` uniform full-rank ``rows`` x n blocks (rows <= n).
 
-    A slot names its random source; a source may fill several slots. Each
-    round draws one candidate per pending slot, the matrices' first, each
-    kind in slot order, checks them all with one :func:`linalg.lu_batched`
-    elimination that reads only a block's ``rows`` rows, and hands every
-    source's full-rank candidates of each kind, in draw order, to its
-    earliest pending slots of that kind. A source therefore yields the same
-    matrices, and ends in the same state, whatever else is in the batch; if
-    its slots are all of one kind, as sequential single-slot calls on it
-    would. Returns ``(mats, lu, perm, blocks)``, each stacked by slot, with
-    ``(lu[i], perm[i])`` ready for :func:`linalg.lu_solve` against
-    ``mats[i]``.
+    Each round draws a candidate matrix for each source that lacks one, then,
+    source by source, a candidate for each block a source lacks, and checks
+    them all with one :func:`linalg.lu_batched` elimination that reads only a
+    block's ``rows`` rows. A source keeps its full-rank candidates in draw
+    order, so its draw, and its end state, do not depend on the batch; a
+    source passed twice is refused. Returns ``(mats, lu, perm, blocks)``
+    shaped (B, n, n), (B, n, n), (B, n) and (B, blocks, rows, n), with
+    ``(lu[i], perm[i])`` ready for :func:`linalg.lu_solve` against ``mats[i]``.
     """
-    rows = n if rows is None else rows
-    sources = list(rngs)
-    count = len(sources)
-    sources += blocks
+    rngs, rows = list(rngs), n if rows is None else rows
+    count = len(rngs)
+    if len({id(rng) for rng in rngs}) != count:
+        raise ParameterError("a random source draws one session; one was passed twice")
     out = np.empty((count, n, n), dtype=field.dtype)
     lu = np.empty_like(out)
     perm = np.empty((count, n), dtype=np.int64)
-    got_blocks = np.empty((len(sources) - count, rows, n), dtype=field.dtype)
-    pending = list(range(len(sources)))
-    while pending:
-        whole = sum(i < count for i in pending)
-        cand = sample_candidates(n, field, (sources[i] for i in pending[:whole]),
-                                 (sources[i] for i in pending[whole:]), rows)
+    got = np.empty((count, blocks, rows, n), dtype=field.dtype)
+    lacking = np.arange(count)  # the sources still without a matrix
+    have = np.zeros(count, dtype=np.int64)  # each source's full-rank blocks
+    while lacking.size or (have < blocks).any():
+        owner = np.repeat(np.arange(count), blocks - have)
+        whole = lacking.size
+        cand = sample_candidates(n, field, [rngs[i] for i in lacking],
+                                 [rngs[i] for i in owner], rows)
         cand_lu, cand_perm, ranks = linalg.lu_batched(field, cand, whole, rows)
-        full = (ranks == np.where(np.arange(len(pending)) < whole, n, rows)).tolist()
-        slots: dict[tuple[int, bool], list[int]] = {}
-        accepted: dict[tuple[int, bool], list[int]] = {}
-        for j, i in enumerate(pending):
-            key = (id(sources[i]), i >= count)
-            slots.setdefault(key, []).append(i)
-            if full[j]:
-                accepted.setdefault(key, []).append(j)
-        # candidate take[k] fills slot fill[k]
-        take, fill, pending = [], [], []
-        for key, idx in slots.items():
-            got = accepted.get(key, [])
-            take += got
-            fill += idx[:len(got)]
-            pending += idx[len(got):]
-        pending.sort()
-        take, fill = np.array(take, dtype=np.intp), np.array(fill, dtype=np.intp)
-        mat = fill < count
-        dest, src = fill[mat], take[mat]
-        out[dest], lu[dest], perm[dest] = cand[src], cand_lu[src], cand_perm[src]
-        got_blocks[fill[~mat] - count] = cand[take[~mat], :rows]
-    return out, lu, perm, got_blocks
+        ok = np.flatnonzero(ranks[:whole] == n)
+        dest, lacking = lacking[ok], lacking[ranks[:whole] != n]
+        out[dest], lu[dest], perm[dest] = cand[ok], cand_lu[ok], cand_perm[ok]
+        full = np.flatnonzero(ranks[whole:] == rows)
+        owner = owner[full]
+        # a source's k-th full-rank block of the round is its block have + k
+        k = np.arange(owner.size) - np.searchsorted(owner, owner)
+        got[owner, have[owner] + k] = cand[whole + full, :rows]
+        have += np.bincount(owner, minlength=count)
+    return out, lu, perm, got

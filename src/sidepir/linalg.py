@@ -285,11 +285,7 @@ def lu_solve(field: GF, lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.n
 
 def rank_batched(field: GF, mats: np.ndarray) -> np.ndarray:
     """Ranks of a (B, n, m) stack of matrices, by :func:`lu_batched`."""
-    mats = np.asarray(mats, dtype=field.dtype)
-    if mats.shape[2] > mats.shape[1]:
-        # eliminate over the shorter axis by transposing (rank is symmetric)
-        mats = np.swapaxes(mats, 1, 2)
-    return lu_batched(field, mats)[2]
+    return lu_batched(field, np.asarray(mats, dtype=field.dtype))[2]
 
 
 def solve(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:

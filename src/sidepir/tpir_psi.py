@@ -368,11 +368,10 @@ def sample_mixers(plan: DownloadPlan, rngs) -> tuple[np.ndarray, np.ndarray, np.
     desired message and the blocks to the others in index order. Returns
     ``(pool, lu, perm)`` shaped (B, L + (K-1)*u, L), (B, L, L) and (B, L).
     """
-    rngs = list(rngs)
-    k, length = plan.params.K, plan.profile.L
+    length = plan.profile.L
     mats, lu, perm, blocks = sample_full_rank_factored(
-        length, plan.field, rngs, [r for r in rngs for _ in range(k - 1)], plan.block)
-    pool = np.concatenate([mats, blocks.reshape(len(rngs), -1, length)], axis=1)
+        length, plan.field, rngs, plan.params.K - 1, plan.block)
+    pool = np.concatenate([mats, blocks.reshape(len(mats), -1, length)], axis=1)
     return pool, lu, perm
 
 
@@ -495,12 +494,12 @@ def _from_cache(plan: DownloadPlan, state: PrecodingState, side):
     (..., C, dim), the sum over its cached members of their mixer rows
     applied to their messages, by one product of the cached pairs; and the
     known slot values (..., N, p2), which one more product gives as the fully
-    cached contexts' codewords at their free coordinates."""
-    params, field, (n, p1) = plan.params, plan.field, (plan.params.N, plan.profile.p1)
-    length, lead = plan.profile.L, state.pool.shape[:-2]
-    side = check_side(side, params, plan.theta, field, lead + (length,))
+    cached contexts' codewords at their free coordinates. The cache is taken
+    as :meth:`LayeredProtocol.prepare` checked it, before any query left."""
+    field, (n, p1) = plan.field, (plan.params.N, plan.profile.p1)
+    lead = state.pool.shape[:-2]
     cached = tuple(sorted(side))
-    slots, erasure, tables = _decode_tables(params, plan.theta, cached)
+    slots, erasure, tables = _decode_tables(plan.params, plan.theta, cached)
     messages = np.stack([side[i] for i in cached], axis=-2) if cached else None
     free = np.zeros(lead + (n * p1,), dtype=field.dtype)
     parts = []

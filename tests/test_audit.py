@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sidepir import audit, client
+from sidepir import audit, client, wire
 from sidepir.capacity import SchemeParams, desk_grid
 from sidepir.errors import AuditInvariantError, ParameterError
 from sidepir.store import random_store
@@ -200,11 +200,12 @@ def test_report_json_schema():
 
 
 def test_collusion_view_canonical_serialization():
-    view_a = audit.CollusionView.from_payloads((2, 1), {1: b"one", 2: b"two"})
-    view_b = audit.CollusionView.from_payloads((1, 2), {2: b"two", 1: b"one"})
-    assert view_a.transcript == view_b.transcript
-    assert view_a.digest() == view_b.digest()
-    assert view_a.subset == (1, 2)
+    """A subset's view is the same bytes whatever order the subset and the
+    payloads come in, so equal views digest equally."""
+    view_a = wire.collusion_view_bytes((2, 1), {1: b"one", 2: b"two"})
+    view_b = wire.collusion_view_bytes((1, 2), {2: b"two", 1: b"one"})
+    assert view_a == view_b
+    assert audit.view_digest(view_a) == audit.view_digest(view_b)
 
 
 # every desk-grid point under both schemes where they are defined; the
@@ -237,7 +238,7 @@ def test_view_digests_follow_the_client_query_path(scheme):
             sent = {t.endpoint: t.query_sent for t in result.transcripts}
             assert scheme.query_payloads(theta, seed) == sent
             for s in subsets:
-                assert digests[s][j] == audit.CollusionView.from_payloads(s, sent).digest()
+                assert digests[s][j] == audit.view_digest(wire.collusion_view_bytes(s, sent))
         for batch in (1, 512):
             assert scheme.view_digests(theta, subsets, sessions=7, master_seed=31,
                                        batch=batch) == digests

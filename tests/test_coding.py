@@ -6,6 +6,7 @@ cross-checked against a row-reduction solver written here from scratch on
 scalar field ops, so the two routes share no code.
 """
 
+import hashlib
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +19,11 @@ from scipy import stats
 from sidepir import coding, linalg
 from sidepir.errors import FieldTooSmallError, ParameterError
 from sidepir.field import GF, standard_field
+
+
+# sha256 of the mats, factors and blocks that sources default_rng((22, i)),
+# i < 40, draw as 3 x 3 matrices over GF(2^4), each with four 2 x 3 blocks
+SAMPLER_40_SHA256 = "816123de541d9227631293f4648794c7a835d11e93d2036f363111c2c17a29aa"
 
 
 def naive_solve(field, rows, values):
@@ -338,7 +344,7 @@ def test_full_rank_block_uniform_over_binary_2x4():
     assert int(full.sum()) == 15 * 14
     draws = 21_000
     rng = np.random.default_rng(12)
-    blocks = coding.sample_full_rank_factored(4, f2, [rng], [rng] * draws, 2)[3]
+    blocks = coding.sample_full_rank_factored(4, f2, [rng], draws, 2)[3]
     counts = np.bincount(blocks.reshape(draws, 8) @ bits, minlength=256)
     assert counts[~full].sum() == 0
     assert stats.chisquare(counts[full]).pvalue > 0.001
@@ -396,37 +402,33 @@ def test_batched_sampler_matches_single_sources_with_blocks():
     """A source that draws one 3 x 3 matrix and four 2 x 3 blocks gets the
     same matrix, factors and blocks, and ends in the same state, whatever
     other sources share its batch. Over GF(2^4) rejections of both kinds
-    land mid-batch."""
+    land mid-batch. The batch itself is pinned bit for bit: every audit
+    report and transcript of a seed depends on the sampler's stream."""
     f4 = standard_field(4)
     seeds = [(22, i) for i in range(40)]
     rngs = [np.random.default_rng(s) for s in seeds]
-    batch = coding.sample_full_rank_factored(3, f4, rngs, [r for r in rngs for _ in range(4)], 2)
-    assert [a.shape for a in batch] == [(40, 3, 3), (40, 3, 3), (40, 3), (160, 2, 3)]
+    batch = coding.sample_full_rank_factored(3, f4, rngs, 4, 2)
+    assert [a.shape for a in batch] == [(40, 3, 3), (40, 3, 3), (40, 3), (40, 4, 2, 3)]
+    digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in batch))
+    assert digest.hexdigest() == SAMPLER_40_SHA256
     for i, seed in enumerate(seeds):
         solo = np.random.default_rng(seed)
-        single = coding.sample_full_rank_factored(3, f4, [solo], [solo] * 4, 2)
-        for got, want in zip(batch[:3], single[:3]):
+        single = coding.sample_full_rank_factored(3, f4, [solo], 4, 2)
+        for got, want in zip(batch, single):
             assert np.array_equal(got[i], want[0])
-        assert np.array_equal(batch[3][4 * i:4 * i + 4], single[3])
         assert rngs[i].integers(1 << 30) == solo.integers(1 << 30)
-    assert (linalg.rank_batched(f4, batch[3]) == 2).all()
+    assert (linalg.rank_batched(f4, batch[3].reshape(-1, 2, 3)) == 2).all()
 
 
-def test_batched_sampler_is_stream_ordered_for_a_shared_source():
-    """One source filling K slots yields its first K full-rank candidates in
-    draw order: over GF(2^4) about 7% of 3x3 candidates are singular, so
-    rejections land mid-batch in many of these seeds."""
+def test_batched_sampler_refuses_a_repeated_source():
+    """A source draws one session: passing it twice would make its draws
+    depend on the batch, so it is refused before anything is drawn."""
     f4 = standard_field(4)
-    n, k = 3, 5
-    for seed in range(200):
-        shared = np.random.default_rng(seed)
-        batch = coding.sample_full_rank_factored(n, f4, [shared] * k)[0]
-        solo = np.random.default_rng(seed)
-        sequential = [coding.sample_full_rank_factored(n, f4, [solo])[0][0]
-                      for _ in range(k)]
-        assert np.array_equal(batch, np.stack(sequential))
-        # the source ends in the same state, so later draws agree too
-        assert shared.integers(1 << 30) == solo.integers(1 << 30)
+    shared, other = np.random.default_rng(3), np.random.default_rng(4)
+    state = shared.bit_generator.state
+    with pytest.raises(ParameterError):
+        coding.sample_full_rank_factored(3, f4, [shared, other, shared], 2, 1)
+    assert shared.bit_generator.state == state
 
 
 def test_information_set_inverse_matches_direct_solve():

@@ -13,7 +13,13 @@ import pytest
 from sidepir import client, wire
 from sidepir.capacity import SchemeParams
 from sidepir.cli import main as cli_main
-from sidepir.errors import CorruptionError, PirError, ProtocolError, ZeroCapacityError
+from sidepir.errors import (
+    CorruptionError,
+    ParameterError,
+    PirError,
+    ProtocolError,
+    ZeroCapacityError,
+)
 from sidepir.field import standard_field
 from sidepir.server import DatabaseServer, ServerCore
 from sidepir.store import random_store
@@ -84,6 +90,16 @@ def test_wrong_side_file_detected_in_raw_mode(golden1_store):
     wrong[2] ^= 3
     with pytest.raises(CorruptionError):
         client.retrieve(sims, params, theta=1, side={3: wrong}, seed=2, raw=True)
+
+
+def test_tcp_endpoints_parses_host_port_lists():
+    """``--endpoints`` is "host:port" items split on commas, blanks around
+    an item ignored; an item without a host, or a port of digits, is refused."""
+    assert client.tcp_endpoints("127.0.0.1:1, localhost:2") == [("127.0.0.1", 1),
+                                                               ("localhost", 2)]
+    for spec in ("host", "host:", ":80", "h:x"):
+        with pytest.raises(ParameterError):
+            client.tcp_endpoints(spec)
 
 
 def test_stpir_retrieval_and_shortcut():

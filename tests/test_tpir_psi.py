@@ -2,6 +2,7 @@
 invariants, and a from-scratch linear-system oracle for the decoder."""
 
 import dataclasses
+import hashlib
 import inspect
 from fractions import Fraction
 from itertools import combinations
@@ -251,6 +252,20 @@ def test_mixer_draw_does_not_depend_on_theta(params):
     assert linalg.rank_batched(first.field, first.pool[None, :length])[0] == length
 
 
+@pytest.mark.parametrize("params, theta, seed, want", [
+    (GOLDEN_2, 1, 0, "197b7b9a46f72d301e594e6df76ff2a46b395d5339496f1353343508e8b5da5b"),
+    (SchemeParams(6, 2, 2, 1, w=16), 2, 1,
+     "48eb2280128876e33461456df1a3680333f2ba4ea73d12e962761ce99321bb68"),
+], ids=["3,2,3,2", "6,2,2,1,w=16"])
+def test_mixer_stream_is_pinned(params, theta, seed, want):
+    """A seed's mixer pool and desired factors are fixed bit for bit: the
+    audit reports and transcripts of a seed all depend on them."""
+    _, state = build_plan(params, theta, seed)
+    arrays = (state.pool, *state.desired_factors)
+    digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays))
+    assert digest.hexdigest() == want
+
+
 def test_queries_read_only_the_u_rows_of_each_block():
     """Over the desk grid, for every (params, theta) and every cached set of
     M messages, each mixer row that query assembly (a shape group's pairs)
@@ -385,10 +400,11 @@ def test_known_slots_empty_cache():
 
 
 def test_cached_desired_rejected():
-    plan, state = build_plan(GOLDEN_1, 1, 26)
-    store = random_store(plan.field, 3, 8, np.random.default_rng(27))
+    """The protocol's one cache check, which runs before any query leaves,
+    refuses a cache that holds the desired message."""
+    store = random_store(standard_field(4), 3, 8, np.random.default_rng(27))
     with pytest.raises(InvalidSideInformationError):
-        known_slots(plan, state, store.side_information({1}))
+        tpir_psi.LayeredProtocol(GOLDEN_1).prepare(1, store.side_information({1}))
 
 
 # ---------------------------------------------------------------------------
