@@ -7,9 +7,9 @@ download from 7 to 6 symbols per database, and the exact decode.
 
 import numpy as np
 
-from sidepir import SchemeParams, capacity_tpir_psi, random_store
+from sidepir import SchemeParams, capacity_tpir_psi, random_store, wire
 from sidepir.tpir_psi import (
-    answer_all,
+    answer,
     answer_raw,
     build_plan,
     database_queries,
@@ -43,7 +43,7 @@ def main():
     store = random_store(plan.field, params.K, plan.profile.L, rng)
     side = store.side_information(cached)
 
-    queries = database_queries(plan, state)
+    queries = database_queries(plan, state.pool)
     raw = [answer_raw(q, store) for q in queries]
     print(f"raw answers: {[len(r) for r in raw]} symbols per database "
           f"(rate {plan.profile.L}/{sum(len(r) for r in raw)})")
@@ -55,14 +55,18 @@ def main():
               f"values {values[db].tolist()}")
         assert np.array_equal(raw[db][slots], values[db])
 
-    bundle = answer_all(queries, store)
+    # each reply is (form byte, symbols), the form as the ANSWER frame carries it
+    replies = [answer(q, store) for q in queries]
+    form = replies[0][0]
+    answers = np.stack([symbols for _, symbols in replies])
     print(f"with redundancy removal each database ships only "
-          f"{len(bundle.per_db[0])} parity symbols of a systematic "
-          f"({2 * plan.profile.p1 - plan.profile.p2},{plan.profile.p1}) code")
+          f"{answers.shape[1]} parity symbols of a systematic "
+          f"({2 * plan.profile.p1 - plan.profile.p2},{plan.profile.p1}) code "
+          f"(answer form {wire.FORM_NAMES[form]})")
 
-    got = decode(bundle, plan, state, side)
+    got = decode(form, answers, plan, state, side)
     assert np.array_equal(got, store.message(theta))
-    total = bundle.downloaded_symbols
+    total = answers.size
     print(f"decoded exactly; downloaded {total} symbols for "
           f"{plan.profile.L} desired ones")
     print(f"rate {plan.profile.L}/{total} = {capacity_tpir_psi(params)} "

@@ -11,7 +11,7 @@ import numpy as np
 
 from sidepir import SchemeParams, random_store, wire
 from sidepir.audit import LayeredScheme, view_digest
-from sidepir.tpir_psi import answer_all, build_plan, database_queries, decode
+from sidepir.tpir_psi import LayeredProtocol, build_plan
 
 
 def main():
@@ -45,12 +45,13 @@ def main():
     print()
 
     store = random_store(plan.field, 3, plan.profile.L, np.random.default_rng(4))
-    bundle = answer_all(database_queries(plan, state), store)
-    got = decode(bundle, plan, state, store.side_information({2, 3}))
+    protocol = LayeredProtocol(params)
+    answers = protocol.answer((plan, state), store)  # stacked (N, count)
+    got = protocol.finish((plan, state), answers, store.side_information({2, 3}))
     assert np.array_equal(got, store.message(1))
     print(f"with both other messages cached, each database ships "
-          f"{len(bundle.per_db[0])} symbols instead of {plan.profile.p1}: "
-          f"rate {plan.profile.L}/{bundle.downloaded_symbols} = 1")
+          f"{answers.shape[1]} symbols instead of {plan.profile.p1}: "
+          f"rate {plan.profile.L}/{answers.size} = 1")
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ from .capacity import SchemeParams
 from .errors import AuditInvariantError, ParameterError
 from .store import MessageStore, random_store
 from .stpir_psi import SumProtocol, session_protocol, sym_coefficients
-from .tpir_psi import answer_all, decode_streams, download_plan, session_queries
+from .tpir_psi import database_queries, decode_streams, download_plan
 
 DEFAULT_TV_THRESHOLD = 0.01
 DEFAULT_CHI_P = 0.001
@@ -255,7 +255,7 @@ class LayeredScheme(_Adapter):
         rows = self.message_length + (self.params.K - 1) * plan.block
         zero = np.zeros((rows, self.message_length), dtype=self.field.dtype)
         return view_digest(b"".join(wire.serialize_database_query(q)
-                                    for q in session_queries(plan, zero)))
+                                    for q in database_queries(plan, zero)))
 
     view_digests = _view_digests
 
@@ -270,8 +270,9 @@ class LayeredScheme(_Adapter):
         the contexts that are not fully cached."""
         plan, state = self.protocol.draw(theta, rngs)
         store = MessageStore(field=self.field, messages=stores)
-        bundle = answer_all(self.protocol.queries((plan, state)), store)
-        _, infos, parts = decode_streams(bundle, plan, state, store.side_information(side_idx))
+        answers = self.protocol.answer((plan, state), store)
+        _, infos, parts = decode_streams(self.protocol.form, answers, plan, state,
+                                         store.side_information(side_idx))
         return np.concatenate([info ^ part for ctx, info, part in zip(plan.contexts, infos, parts)
                                if not set(ctx.members) <= set(side_idx)], axis=-1)
 
@@ -285,9 +286,6 @@ class SymmetricScheme(_Adapter):
         super().__init__(params)
         self.server_secret = secret if masked else None
         self.name = "stpir-psi" if masked else "stpir-psi-unmasked"
-
-    def rho(self) -> Fraction:
-        return self.protocol.rho()
 
     def run_session(self, rng) -> SessionOutcome:
         theta, side_idx = self._draw_theta_side(rng)

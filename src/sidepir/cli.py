@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--scheme", choices=("tpir", "stpir"), default="tpir")
     p.add_argument("--raw", action="store_true",
-                   help="ship raw answers (no redundancy removal); also arms "
+                   help="tpir only: ship raw answers (no redundancy removal); also arms "
                         "the cached-value consistency check")
     p.set_defaults(func=cmd_retrieve)
 
@@ -303,6 +303,8 @@ def main(argv=None) -> int:
         parser.error("--extract-side needs --side-out")
     if args.command == "retrieve" and args.S and not args.side_file:
         parser.error("--S needs --side-file")
+    if args.command == "retrieve" and args.raw and args.scheme == "stpir":
+        parser.error("--raw applies to --scheme tpir only")
     try:
         return args.func(args)
     except argparse.ArgumentTypeError as exc:

@@ -23,7 +23,7 @@ import numpy as np
 from . import wire
 from .capacity import SchemeParams
 from .errors import CorruptionError, ParameterError, ProtocolError
-from .server import ServerCore
+from .server import MAX_SESSIONLESS_FRAME, ServerCore
 from .store import MessageStore
 from .stpir_psi import session_protocol
 
@@ -47,8 +47,10 @@ class TcpTransport:
             # replies it wrote first, read next, say why
             pass
 
-    def receive(self) -> tuple[int, bytes]:
-        return wire.read_frame(self._file)
+    def receive(self, limit: int = wire.MAX_PAYLOAD) -> tuple[int, bytes]:
+        """The next reply; one whose head declares more than ``limit`` bytes
+        is refused before its body is read."""
+        return wire.read_frame(self._file, limit)
 
     def close(self) -> None:
         try:
@@ -69,8 +71,10 @@ class LocalTransport:
         self._replies.extend(self._core.handle_frame(self._session, ftype, payload)
                              for ftype, payload in frames)
 
-    def receive(self) -> tuple[int, bytes]:
-        return self._replies.popleft()
+    def receive(self, limit: int = wire.MAX_PAYLOAD) -> tuple[int, bytes]:
+        ftype, payload = self._replies.popleft()
+        wire.refuse_length(ftype, len(payload), limit)
+        return ftype, payload
 
     def close(self) -> None:
         pass
@@ -115,11 +119,15 @@ class RetrievalResult:
     transcripts: tuple[EndpointTranscript, ...]
 
 
-def _receive(transport, endpoint: int, params_payload: bytes,
-             query_payload: bytes) -> EndpointTranscript:
+def _receive(transport, endpoint: int, params_payload: bytes, query_payload: bytes,
+             answer_limit: int) -> EndpointTranscript:
     replies = []
-    for step, wanted in (("params", wire.TYPE_PARAMS), ("query", wire.TYPE_ANSWER)):
-        ftype, reply = transport.receive()
+    for step, wanted, limit in (("params", wire.TYPE_PARAMS, MAX_SESSIONLESS_FRAME),
+                                ("query", wire.TYPE_ANSWER, answer_limit)):
+        try:
+            ftype, reply = transport.receive(limit)
+        except ProtocolError as exc:
+            raise ProtocolError(f"endpoint {endpoint} replied to {step}: {exc}") from exc
         if ftype == wire.TYPE_ERROR:
             code, msg = wire.parse_error_payload(reply)
             raise ProtocolError(f"endpoint {endpoint} rejected {step} ({code:#x}): {msg}")
@@ -129,14 +137,18 @@ def _receive(transport, endpoint: int, params_payload: bytes,
     return EndpointTranscript(endpoint, params_payload, replies[0], query_payload, replies[1])
 
 
-def _run_endpoints(transports, params_payloads, query_payloads):
+def _run_endpoints(transports, params_payloads, query_payloads,
+                   answer_limit: int = MAX_SESSIONLESS_FRAME):
+    """Each endpoint's transcript: a PARAMS reply may be as long as a
+    sessionless frame, and a QUERY reply as long as ``answer_limit``."""
     # A server replies to a frame only once it has read it whole, and an
     # unread reply stalls only its own server: sending to every endpoint
     # before reading cannot deadlock.
     asked = list(zip(transports, params_payloads, query_payloads))
     for tr, params, query in asked:
         tr.send(((wire.TYPE_PARAMS, params), (wire.TYPE_QUERY, query)))
-    return [_receive(tr, i + 1, params, query) for i, (tr, params, query) in enumerate(asked)]
+    return [_receive(tr, i + 1, params, query, answer_limit)
+            for i, (tr, params, query) in enumerate(asked)]
 
 
 def _check_replicas(transcripts) -> str:
@@ -193,7 +205,8 @@ def retrieve(transports, params: SchemeParams, theta: int, side,
     payloads = list(protocol.payloads(state)[0].values())
     field, form, count = protocol.field, protocol.form, protocol.count
     transcripts = _run_endpoints(transports, _params_frames(
-        params, scheme, field.w, protocol.message_length, len(payloads)), payloads)
+        params, scheme, field.w, protocol.message_length, len(payloads)), payloads,
+        max(MAX_SESSIONLESS_FRAME, wire.answer_size(field, count)))
     digest = _check_replicas(transcripts)
     answers = []
     for t in transcripts:

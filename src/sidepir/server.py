@@ -169,8 +169,7 @@ class ServerCore:
             return wire.TYPE_ERROR, wire.error_payload(wire.ERR_MALFORMED_QUERY, str(exc))
         field = self.store.field
         if isinstance(query, wire.DatabaseQuery):
-            name, symbols = answer(query, self.store)
-            form = wire.FORM_COMPRESSED if name == "compressed" else wire.FORM_RAW
+            form, symbols = answer(query, self.store)
         elif isinstance(query, wire.SymQueryWire):
             sigma = derive_common_randomness(self.secret, query.session_id, query.t, field)
             # only this endpoint's T powers: never a table sized by N

@@ -300,9 +300,12 @@ class SumProtocol:
 def session_protocol(scheme: str, params: SchemeParams, raw: bool = False):
     """The protocol a ``scheme`` retrieval runs at ``params``, built once per
     (scheme, point, raw): the layered one for tpir; for stpir, the sum
-    download when all but one message is cached, else the symmetric one."""
+    download when all but one message is cached, else the symmetric one.
+    Only the layered answers have a raw form."""
     if scheme == "tpir":
         return LayeredProtocol(params, raw)
     if scheme != "stpir":
         raise ParameterError(f"unknown scheme {scheme!r}")
+    if raw:
+        raise ParameterError("raw answers are the tpir scheme's; stpir answers have one form")
     return SumProtocol(params) if params.all_but_one_cached else SymmetricProtocol(params)

@@ -278,15 +278,12 @@ def _context_sizes(params: SchemeParams):
             yield size, dim, dim + params.N * layer_instances(params, size + 1)
 
 
-def max_group_length(params: SchemeParams) -> int:
-    """Longest context codeword over all group sizes (0 if K = 1)."""
-    return max((length for _, _, length in _context_sizes(params)), default=0)
-
-
 def minimum_field_width(params: SchemeParams) -> int:
-    """Smallest protocol width hosting every code the scheme instantiates."""
+    """Smallest protocol width hosting every code the scheme instantiates:
+    the longest context codeword and the compression code."""
     profile = count_profile(params)
-    required = max(max_group_length(params), 2 * profile.p1 - profile.p2) + 1
+    longest = max((length for _, _, length in _context_sizes(params)), default=0)
+    required = max(longest, 2 * profile.p1 - profile.p2) + 1
     for w in (4, 8, 16):
         if (1 << w) >= required:
             return w
@@ -313,26 +310,8 @@ class PrecodingState:
     :func:`make_systematic_mds`.
     """
 
-    field: GF
     pool: np.ndarray                        # (..., L + (K-1)*u, L)
     desired_factors: tuple[np.ndarray, np.ndarray]  # (lu, perm) of the desired mixer
-
-
-@dataclass(frozen=True)
-class AnswerBundle:
-    """Per-database answer vectors, raw (p1) or compressed (p1 - p2) on the
-    last axis, stacked (N, ..., count); the middle axes are sessions."""
-
-    form: str  # "raw" or "compressed"
-    per_db: np.ndarray
-
-    def __post_init__(self):
-        if self.form not in ("raw", "compressed"):
-            raise ParameterError(f"unknown answer form {self.form!r}")
-
-    @property
-    def downloaded_symbols(self) -> int:
-        return self.per_db.shape[0] * self.per_db.shape[-1]
 
 
 @lru_cache(maxsize=None)
@@ -359,37 +338,30 @@ def download_plan(params: SchemeParams, theta: int) -> DownloadPlan:
     return DownloadPlan(params, theta, standard_field(params.w or w_needed))
 
 
-def sample_mixers(plan: DownloadPlan, rngs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mixer pool of one session per random source, with the LU factors
-    of its desired mixer.
+def build_plan(params: SchemeParams, theta: int, rng) -> tuple[DownloadPlan, PrecodingState]:
+    """The :func:`download_plan` and the private precoding state drawn from
+    ``rng``, a Generator or seed, or from each Generator of a list, one
+    session per source on a leading axis.
 
     One :func:`sample_full_rank_factored` batch: each source draws an L x L
     mixer, then K - 1 u x L blocks, whatever theta is; the mixer goes to the
-    desired message and the blocks to the others in index order. Returns
-    ``(pool, lu, perm)`` shaped (B, L + (K-1)*u, L), (B, L, L) and (B, L).
+    desired message and the blocks to the others in index order.
     """
-    length = plan.profile.L
-    mats, lu, perm, blocks = sample_full_rank_factored(
-        length, plan.field, rngs, plan.params.K - 1, plan.block)
-    pool = np.concatenate([mats, blocks.reshape(len(mats), -1, length)], axis=1)
-    return pool, lu, perm
-
-
-def build_plan(params: SchemeParams, theta: int, rng) -> tuple[DownloadPlan, PrecodingState]:
-    """The :func:`download_plan` and the private precoding state that
-    :func:`sample_mixers` draws from ``rng``, a Generator or seed, or from
-    each Generator of a list, one session per source on a leading axis."""
     plan = download_plan(params, theta)
     batch = isinstance(rng, list)
-    pool, lu, perm = sample_mixers(plan, rng if batch else [np.random.default_rng(rng)])
+    length = plan.profile.L
+    mats, lu, perm, blocks = sample_full_rank_factored(
+        length, plan.field, rng if batch else [np.random.default_rng(rng)],
+        params.K - 1, plan.block)
+    pool = np.concatenate([mats, blocks.reshape(len(mats), -1, length)], axis=1)
     if not batch:
         pool, lu, perm = pool[0], lu[0], perm[0]
     for arr in (pool, lu, perm):
         arr.flags.writeable = False
-    return plan, PrecodingState(field=plan.field, pool=pool, desired_factors=(lu, perm))
+    return plan, PrecodingState(pool=pool, desired_factors=(lu, perm))
 
 
-def session_queries(plan: DownloadPlan, pool: np.ndarray) -> list[DatabaseQuery]:
+def database_queries(plan: DownloadPlan, pool: np.ndarray) -> list[DatabaseQuery]:
     """The N public wire queries for a mixer pool shaped (..., L + (K-1)*u, L).
 
     Leading axes are sessions: each query's rows are shaped (..., rows, L),
@@ -418,11 +390,6 @@ def session_queries(plan: DownloadPlan, pool: np.ndarray) -> list[DatabaseQuery]
     return queries
 
 
-def database_queries(plan: DownloadPlan, state: PrecodingState) -> list[DatabaseQuery]:
-    """Resolve the plan into the N public wire queries of its session."""
-    return session_queries(plan, state.pool)
-
-
 def answer_raw(query: DatabaseQuery, store: MessageStore) -> np.ndarray:
     """The database side: evaluate each slot's linear combination. A store
     with leading session axes (..., K, L) answers rows (..., R, L) at once.
@@ -445,24 +412,15 @@ def compress(raw: np.ndarray, field: GF, p1: int, p2: int) -> np.ndarray:
     return linalg.matvec(field, gen.entries[: p1 - p2, :], raw)
 
 
-def answer(query: DatabaseQuery, store: MessageStore) -> tuple[str, np.ndarray]:
-    """One database's reply, as (form, symbols): the raw slot values, or
-    their compressed parity when the query asks for it and the cache covers
-    p2 > 0 slots."""
+def answer(query: DatabaseQuery, store: MessageStore) -> tuple[int, np.ndarray]:
+    """One database's reply, as (form byte, symbols): the raw slot values
+    (``FORM_RAW``), or their parity (``FORM_COMPRESSED``) when the query
+    asks for it and the cache covers p2 > 0 slots."""
     raw, shape = answer_raw(query, store), query.shape
     if query.compress and shape.p2 > 0:
-        return "compressed", compress(raw, store.field, len(shape.slot_members), shape.p2)
-    return "raw", raw
-
-
-def answer_all(queries: list[DatabaseQuery], store: MessageStore) -> AnswerBundle:
-    """Convenience: run every database on a replicated store; the answers
-    are stacked (N, ..., count)."""
-    replies = [answer(q, store) for q in queries]
-    forms = {form for form, _ in replies}
-    if len(forms) != 1:
-        raise ProtocolError("databases disagree on the answer form")
-    return AnswerBundle(form=forms.pop(), per_db=np.stack([v for _, v in replies]))
+        return wire.FORM_COMPRESSED, compress(raw, store.field, len(shape.slot_members),
+                                              shape.p2)
+    return wire.FORM_RAW, raw
 
 
 @lru_cache(maxsize=256)
@@ -520,15 +478,16 @@ def known_slots(plan: DownloadPlan, state: PrecodingState, side) -> tuple[np.nda
     return slots.copy(), known  # the slots are cached
 
 
-def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
+def decode_streams(form: int, answers: np.ndarray, plan: DownloadPlan, state: PrecodingState,
                    side) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Everything decoding reconstructs before the final mixer solve:
     ``(desired, infos, parts)``, the desired precoded stream and, per
     context, its information vector (the sum over members of each member's
     mixer rows applied to its message) and that sum over its cached members
     alone. Leading axes of the pool and the cache are sessions, and so are
-    the middle axes of the answers, stacked (N, ..., count) as
-    :func:`answer_all` and a retrieval give them.
+    the middle axes of the ``answers``, stacked (N, ..., count) as
+    :meth:`LayeredProtocol.answer` and a retrieval give them, all of answer
+    ``form`` ``FORM_RAW`` or ``FORM_COMPRESSED``.
 
     Compressed answers are completed with the known slot values, at the
     same places in every database, and erasure-decoded by one product for
@@ -541,17 +500,16 @@ def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingSt
     params, field, profile = plan.params, plan.field, plan.profile
     lead = state.pool.shape[:-2]
     slots, erasure, parts, known = _from_cache(plan, state, side)
-    if len(answers.per_db) != params.N:
-        raise ProtocolError(f"expected {params.N} answers, got {len(answers.per_db)}")
-    compressed = answers.form == "compressed"
+    if form not in (wire.FORM_RAW, wire.FORM_COMPRESSED):
+        raise ProtocolError(f"layered answers have no form {form:#x}")
+    compressed = form == wire.FORM_COMPRESSED
     if compressed and erasure is None:
         raise ProtocolError("compressed answers need cached slots; this cache covers none")
-    width = profile.p1 - profile.p2 if compressed else profile.p1
-    for db, vec in enumerate(answers.per_db):
-        if vec.shape != lead + (width,):
-            raise ProtocolError(f"database {db} shipped {vec.shape}, not {lead + (width,)}")
+    want = (params.N,) + lead + (profile.p1 - profile.p2 if compressed else profile.p1,)
+    if np.shape(answers) != want:
+        raise ProtocolError(f"answers are shaped {np.shape(answers)}, not {want}")
     # (..., N, width): a view of the stacked answers
-    raw = np.moveaxis(answers.per_db, 0, -2)
+    raw = np.moveaxis(answers, 0, -2)
     if compressed:
         raw = linalg.matvec(field, erasure, np.concatenate([raw, known], axis=-1))
     elif (raw[..., slots] != known).any():
@@ -573,7 +531,7 @@ def decode_streams(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingSt
     return desired, infos, cached_parts
 
 
-def decode(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
+def decode(form: int, answers: np.ndarray, plan: DownloadPlan, state: PrecodingState,
            side) -> np.ndarray:
     """Recover the desired message exactly from the N answers of each
     session: :func:`decode_streams`, then the desired mixer's inverse.
@@ -582,7 +540,7 @@ def decode(answers: AnswerBundle, plan: DownloadPlan, state: PrecodingState,
     substitution against the LU factors that ``build_plan`` kept from the
     mixer rank check, one session at a time, so decoding runs no elimination.
     """
-    desired, _, _ = decode_streams(answers, plan, state, side)
+    desired, _, _ = decode_streams(form, answers, plan, state, side)
     length = plan.profile.L
     lu, perm = state.desired_factors
     solved = [linalg.lu_solve(plan.field, *args) for args in zip(
@@ -616,7 +574,7 @@ class LayeredProtocol:
         return build_plan(self.params, theta, list(rngs))
 
     def queries(self, state) -> list[DatabaseQuery]:
-        queries = database_queries(*state)
+        queries = database_queries(state[0], state[1].pool)
         return [replace(q, compress=False) for q in queries] if self.raw else queries
 
     def payloads(self, state) -> list[dict[int, bytes]]:
@@ -626,12 +584,13 @@ class LayeredProtocol:
                 for j in range(len(blocks[0]))]
 
     def answer(self, state, store: MessageStore, secret: bytes | None = None) -> np.ndarray:
-        """Every database's answers in process, off the wire."""
-        return answer_all(self.queries(state), store).per_db
+        """Every database's answers in process, off the wire: the symbols of
+        :func:`answer`, stacked (N, sessions, count), all of form ``form``."""
+        return np.stack([answer(q, store)[1] for q in self.queries(state)])
 
     def finish(self, state, answers, side) -> np.ndarray:
         """Each session's desired message, from its answers and its cache."""
-        return decode(AnswerBundle(wire.FORM_NAMES[self.form], answers), *state, side)
+        return decode(self.form, answers, *state, side)
 
     def capacity(self) -> Fraction:
         return capacity_tpir_psi(self.params)

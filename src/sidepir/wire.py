@@ -51,7 +51,7 @@ ERR_STORE_MISMATCH = 0x03
 ERR_INTERNAL = 0x04
 ERR_PROTOCOL = 0x05
 
-_MAX_PAYLOAD = 1 << 30
+MAX_PAYLOAD = 1 << 30
 
 STORE_MAGIC = b"PIRSTOR1"
 _STORE_HEADER = struct.Struct("<8sBHQ")
@@ -62,7 +62,7 @@ _STORE_HEADER = struct.Struct("<8sBHQ")
 
 def frame_head(ftype: int, length: int) -> bytes:
     """The 9-byte head of a frame whose payload is ``length`` bytes."""
-    if length > _MAX_PAYLOAD:
+    if length > MAX_PAYLOAD:
         raise ProtocolError("payload exceeds the 1 GiB frame limit")
     return FRAME_MAGIC + bytes([ftype]) + struct.pack("<I", length)
 
@@ -81,12 +81,21 @@ def read_exact(stream: BinaryIO, n: int) -> bytes:
     return buf
 
 
-def read_frame(stream: BinaryIO) -> tuple[int, bytes]:
-    """Read one frame; an end of stream before it is a ProtocolError."""
+def read_frame(stream: BinaryIO, limit: int = MAX_PAYLOAD) -> tuple[int, bytes]:
+    """Read one frame; an end of stream before it is a ProtocolError, and so
+    is a head that declares more than ``limit`` bytes, before its body is read."""
     head = read_frame_head(stream)
     if head is None:
         raise ProtocolError("stream ended before a frame")
+    refuse_length(*head, limit)
     return head[0], read_exact(stream, head[1])
+
+
+def refuse_length(ftype: int, length: int, limit: int) -> None:
+    """Refuse a frame whose payload is longer than ``limit`` bytes."""
+    if length > limit:
+        raise ProtocolError(f"frame of type {ftype:#x} declares {length} bytes, "
+                            f"over the {limit} this step takes")
 
 
 def read_frame_head(stream: BinaryIO) -> tuple[int, int] | None:
@@ -99,7 +108,7 @@ def read_frame_head(stream: BinaryIO) -> tuple[int, int] | None:
     if head[:4] != FRAME_MAGIC:
         raise ProtocolError(f"bad frame magic {head[:4]!r}")
     (length,) = struct.unpack("<I", head[5:9])
-    if length > _MAX_PAYLOAD:
+    if length > MAX_PAYLOAD:
         raise ProtocolError("declared payload exceeds the frame limit")
     return head[4], length
 
@@ -356,6 +365,11 @@ def serialize_sum_query(w: int, num_messages: int, message_length: int) -> bytes
 # answers
 
 _ANSWER_HEAD = struct.Struct("<BI")
+
+
+def answer_size(field: GF, count: int) -> int:
+    """The payload length of an ANSWER of ``count`` symbols."""
+    return _ANSWER_HEAD.size + field.packed_size(count)
 
 
 def serialize_answer(field: GF, form: int, symbols: np.ndarray) -> bytes:

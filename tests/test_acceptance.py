@@ -28,7 +28,8 @@ from sidepir.errors import AuditInvariantError
 from sidepir.field import standard_field
 from sidepir.server import DatabaseServer
 from sidepir.store import random_store
-from sidepir.tpir_psi import answer_all, build_plan, database_queries, decode
+from sidepir.tpir_psi import answer, build_plan, database_queries, decode
+from sidepir.wire import FORM_COMPRESSED
 
 GOLDEN_1 = SchemeParams(3, 1, 2, 1)
 GOLDEN_2 = SchemeParams(3, 2, 3, 2)
@@ -59,18 +60,26 @@ def criterion(number, description, budget_seconds):
                 f"criterion {number} exceeded its {budget_seconds}s budget")
 
 
+def answer_every(plan, state, store):
+    """Each database's :func:`answer`, as ``(form, answers)``: their one form
+    and their symbols stacked (N, count)."""
+    replies = [answer(q, store) for q in database_queries(plan, state.pool)]
+    (form,) = {form for form, _ in replies}
+    return form, np.stack([symbols for _, symbols in replies])
+
+
 def run_session(params, theta, side_idx, seed):
     plan, state = build_plan(params, theta, np.random.default_rng((seed, 0)))
     store = random_store(plan.field, params.K, plan.profile.L,
                          np.random.default_rng((seed, 1)))
-    bundle = answer_all(database_queries(plan, state), store)
-    got = decode(bundle, plan, state, store.side_information(side_idx))
-    return plan, store, bundle, got
+    form, answers = answer_every(plan, state, store)
+    got = decode(form, answers, plan, state, store.side_information(side_idx))
+    return plan, store, (form, answers), got
 
 
 def test_criterion_1_golden_example_small():
     with criterion(1, "(3,1,2,1) layer profile, 6-symbol downloads, rate 2/3", 1.0):
-        plan, store, bundle, got = run_session(GOLDEN_1, 1, {3}, 1001)
+        plan, store, (form, answers), got = run_session(GOLDEN_1, 1, {3}, 1001)
         for db in range(2):
             slots = plan.slots_per_db[db]
             hist = {}
@@ -78,24 +87,24 @@ def test_criterion_1_golden_example_small():
                 hist[s.layer] = hist.get(s.layer, 0) + 1
             assert hist == {1: 3, 2: 3, 3: 1}
             assert sum(1 for s in slots if 1 in s.subset) == 4
-        assert bundle.form == "compressed"
-        assert [len(v) for v in bundle.per_db] == [6, 6]
+        assert form == FORM_COMPRESSED
+        assert [len(v) for v in answers] == [6, 6]
         assert np.array_equal(got, store.message(1))
-        rate = Fraction(plan.profile.L, bundle.downloaded_symbols)
+        rate = Fraction(plan.profile.L, answers.size)
         assert rate == Fraction(8, 12) == Fraction(2, 3)
         assert rate == psi(Fraction(1, 2), 2) == capacity_tpir_psi(GOLDEN_1)
 
 
 def test_criterion_2_golden_example_collusion():
     with criterion(2, "(3,2,3,2) 19 slots, groups (18,12)/(9,6), rate 1", 1.0):
-        plan, store, bundle, got = run_session(GOLDEN_2, 1, {2, 3}, 1002)
+        plan, store, (_, answers), got = run_session(GOLDEN_2, 1, {2, 3}, 1002)
         for db in range(3):
             assert len(plan.slots_per_db[db]) == 19
         dims = sorted({(c.length, c.dim) for c in plan.contexts})
         assert dims == [(9, 6), (18, 12)]
-        assert [len(v) for v in bundle.per_db] == [9, 9, 9]
+        assert [len(v) for v in answers] == [9, 9, 9]
         assert np.array_equal(got, store.message(1))
-        assert Fraction(plan.profile.L, bundle.downloaded_symbols) == \
+        assert Fraction(plan.profile.L, answers.size) == \
             Fraction(27, 27) == 1 == capacity_tpir_psi(GOLDEN_2)
 
 
@@ -114,12 +123,12 @@ def test_criterion_3_capacity_grid():
                 ) if params.M else ()
                 plan, state = build_plan(params, theta, rng)
                 store = random_store(plan.field, params.K, plan.profile.L, rng)
-                bundle = answer_all(database_queries(plan, state), store)
-                got = decode(bundle, plan, state, store.side_information(side_idx))
+                form, answers = answer_every(plan, state, store)
+                got = decode(form, answers, plan, state, store.side_information(side_idx))
                 assert np.array_equal(got, store.message(theta)), \
                     (params, theta, side_idx, s)
                 if params.M:
-                    rate = Fraction(plan.profile.L, bundle.downloaded_symbols)
+                    rate = Fraction(plan.profile.L, answers.size)
                     assert rate == cap, (params, rate, cap)
 
 
@@ -169,15 +178,15 @@ def test_criterion_5_symmetric_scheme():
                                                 seed=DEFAULT_SEED)
                     assert report.passed, report.failures
                     assert report.measured_rate == 1 - Fraction(t, n)
-                    assert scheme.rho() == Fraction(t, n - t)
+                    assert scheme.protocol.rho() == Fraction(t, n - t)
                     assert report.statistics["randomness_symbols"] == t
-                    assert report.capacity == capacity_stpir_psi(params, scheme.rho())
+                    assert report.capacity == capacity_stpir_psi(params, scheme.protocol.rho())
         # all-but-one cached: one database, no shared randomness, rate 1
         shortcut = audit.SymmetricScheme(SchemeParams(3, 2, 3, 1))
         report = audit.measure_rate(shortcut, sessions=10, seed=DEFAULT_SEED)
         assert report.passed and report.measured_rate == 1
         assert report.statistics["randomness_symbols"] == 0
-        assert shortcut.rho() == 0
+        assert shortcut.protocol.rho() == 0
         # database privacy at full scale, then the negative control
         positive = audit.SymmetricScheme(SchemeParams(3, 0, 3, 1))
         report = audit.audit_db_privacy(positive, sessions=SESSIONS,

@@ -74,16 +74,14 @@ class ClippedScheme(audit.LayeredScheme):
 
     def run_session(self, rng):
         from sidepir.store import random_store
-        from sidepir.tpir_psi import (AnswerBundle, answer_all, build_plan,
-                                      database_queries, decode_streams)
+        from sidepir.tpir_psi import build_plan, decode_streams
         theta, side_idx = self._draw_theta_side(rng)
         plan, state = build_plan(self.params, theta, rng)
         store = random_store(self.field, self.params.K, self.message_length, rng)
-        bundle = answer_all(database_queries(plan, state), store)
-        assert bundle.form == "compressed"
-        clipped = AnswerBundle(form=bundle.form,
-                               per_db=np.stack([v[..., :-1] for v in bundle.per_db]))
-        decode_streams(clipped, plan, state, store.side_information(side_idx))
+        assert self.protocol.form == wire.FORM_COMPRESSED
+        answers = self.protocol.answer((plan, state), store)
+        decode_streams(self.protocol.form, answers[..., :-1], plan, state,
+                       store.side_information(side_idx))
         raise AssertionError("unreachable")
 
 
@@ -91,7 +89,7 @@ def test_mutated_scheme_fails_with_short_answers():
     rep = audit.audit_correctness(ClippedScheme(SchemeParams(3, 1, 2, 1)),
                                   sessions=3, seed=0)
     assert not rep.passed
-    assert all("ProtocolError: database 0 shipped" in f for f in rep.failures), \
+    assert all("ProtocolError: answers are shaped (2, 5)" in f for f in rep.failures), \
         rep.failures
 
 

@@ -18,16 +18,16 @@ STALE = {
 }
 
 
-def _hooks():
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.HOOKS
+    return tracing
 
 
 def test_bench_hooks_resolve_on_the_owners_they_patch():
     missing = set()
-    for _, modname, path, _, _ in _hooks():
+    for _, modname, path, _, _ in _tracing().HOOKS:
         owner = importlib.import_module(modname)
         *owner_path, attr = path.split(".")
         for part in owner_path:
@@ -38,3 +38,39 @@ def test_bench_hooks_resolve_on_the_owners_they_patch():
             # the hook reads and restores the class's own attribute
             assert attr in vars(owner), f"{modname}.{path} is inherited, not defined on its class"
     assert missing == STALE
+
+
+def test_traced_retrievals_reach_every_scheme_hook():
+    """Resolving is not enough: a hooked name that is no longer called reads
+    0 as well. In-process retrievals of each answer form (layered compressed
+    and raw, symmetric, sum) under the benchmark's hooks record a span for
+    every scheme, server and wire hook."""
+    import numpy as np
+
+    from sidepir import client
+    from sidepir.capacity import SchemeParams
+    from sidepir.field import standard_field
+    from sidepir.store import random_store
+
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    f4 = standard_field(4)
+    layered = random_store(f4, 3, 8, np.random.default_rng(1))
+    symmetric = random_store(f4, 3, 2, np.random.default_rng(2))
+    runs = [(layered, SchemeParams(3, 1, 2, 1), "tpir", {3}, False),
+            (layered, SchemeParams(3, 1, 2, 1), "tpir", {3}, True),
+            (symmetric, SchemeParams(3, 0, 3, 1), "stpir", set(), False),
+            (symmetric, SchemeParams(3, 2, 3, 1), "stpir", {2, 3}, False)]
+    hooks = tracing.Instrumentation(tracer).install()
+    try:
+        for store, params, role, cached, raw in runs:
+            sims = client.local_simulator(store, params.N, role=role, secret=bytes(32))
+            result = client.retrieve(sims, params, 1, store.side_information(cached),
+                                     seed=3, scheme=role, raw=raw)
+            assert np.array_equal(result.message, store.message(1))
+    finally:
+        hooks.uninstall()
+    wanted = {name for name, *_ in tracing.HOOKS
+              if name.startswith(("tpir_psi.", "stpir_psi.", "wire."))
+              or name == "server.handle_frame"}
+    assert wanted - {span[tracing.NAME] for span in tracer.spans} == set()

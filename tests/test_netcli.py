@@ -21,7 +21,7 @@ from sidepir.errors import (
     ZeroCapacityError,
 )
 from sidepir.field import standard_field
-from sidepir.server import DatabaseServer, ServerCore
+from sidepir.server import MAX_SESSIONLESS_FRAME, DatabaseServer, ServerCore
 from sidepir.store import random_store
 
 SECRET = bytes(range(32))
@@ -160,7 +160,7 @@ def test_out_of_range_symbol_reference(golden1_store):
         {"scheme": "tpir", "endpoint": 1, "n_db": 2, "k": 3, "m": 1, "t": 1,
          "w": 4, "message_length": 8}))
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 11)
-    q = database_queries(plan, state)[0]
+    q = database_queries(plan, state.pool)[0]
     shape = dataclasses.replace(q.shape, slot_members=((7,),) + q.shape.slot_members[1:])
     bad = dataclasses.replace(q, shape=shape)
     ftype, payload = core.handle_frame(session, wire.TYPE_QUERY,
@@ -184,7 +184,7 @@ def test_server_fails_closed_on_internal_errors(golden1_store, monkeypatch, exc)
         {"scheme": "tpir", "endpoint": 1, "n_db": 2, "k": 3, "m": 1, "t": 1,
          "w": 4, "message_length": 8})
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 12)
-    query_frame = wire.serialize_database_query(database_queries(plan, state)[0])
+    query_frame = wire.serialize_database_query(database_queries(plan, state.pool)[0])
 
     core = ServerCore(golden1_store)
     session = core.new_session()
@@ -844,9 +844,12 @@ def test_cli_audit_and_bench(tmp_path, capsys):
      "--sessions", "0", "--json", "{tmp}/db.json"],
     ["audit", "rate", "--K", "3", "--N", "2", "--T", "1", "--sessions", "0"],
     ["serve", "--port", "0", "--store", "{tmp}/store.pir"],
+    ["retrieve", "--endpoints", "127.0.0.1:1,127.0.0.1:1,127.0.0.1:1", "--K", "3",
+     "--N", "3", "--T", "1", "--theta", "1", "--seed", "1", "--out", "{tmp}/msg.bin",
+     "--scheme", "stpir", "--raw"],
 ], ids=["rho", "grid-not-rate", "empty-grid", "bad-grid", "side-out", "bad-side",
         "bad-cached-set", "zero-sessions", "negative-sessions", "db-privacy-sessions",
-        "rate-sessions", "non-hex-secret"])
+        "rate-sessions", "non-hex-secret", "stpir-raw"])
 def test_cli_usage_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, argv):
     # read only by the commands that use a secret: here, serve
     monkeypatch.setenv("SIDEPIR_SECRET", "zz")
@@ -1010,9 +1013,9 @@ class Logging(client.LocalTransport):
         self.log.append(("send", self, [ftype for ftype, _ in frames]))
         super().send(frames)
 
-    def receive(self):
+    def receive(self, limit):
         self.log.append(("receive", self, None))
-        return super().receive()
+        return super().receive(limit)
 
 
 @pytest.mark.parametrize("scheme,params,cached", [
@@ -1106,8 +1109,8 @@ def test_layered_client_refuses_an_answer_form_it_did_not_ask_for(golden1_store)
             super().__init__(core)
             self.edit = edit
 
-        def receive(self):
-            ftype, reply = super().receive()
+        def receive(self, limit):
+            ftype, reply = super().receive(limit)
             if ftype == wire.TYPE_ANSWER:
                 reply = self.edit(reply)
             return ftype, reply
@@ -1155,7 +1158,7 @@ def test_sessions_refuse_queries_of_other_schemes(golden1_store, caplog):
 
     sym_store = random_store(standard_field(4), 3, 2, np.random.default_rng(107))
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 13)
-    layered = wire.serialize_database_query(database_queries(plan, state)[0])
+    layered = wire.serialize_database_query(database_queries(plan, state.pool)[0])
     sym = make_sym_params(SchemeParams(3, 0, 3, 1))
     coords = queries_from_masks(sym, 2, sym_masks(sym, np.random.default_rng(6)))[0]
     symmetric = wire.serialize_sym_query(4, bytes(16), 1, coords)
@@ -1219,7 +1222,7 @@ def test_client_checks_the_endpoint_count_first(golden1_store, monkeypatch,
     from sidepir.errors import ParameterError
 
     drawn = []
-    monkeypatch.setattr(tpir_psi, "sample_mixers", lambda *a: drawn.append(a))
+    monkeypatch.setattr(tpir_psi, "sample_full_rank_factored", lambda *a: drawn.append(a))
     store = golden1_store if scheme == "tpir" else random_store(
         standard_field(4), 3, 2, np.random.default_rng(102))
     sent = []
@@ -1280,7 +1283,7 @@ def test_server_checks_layered_query_against_session_params():
     assert make_systematic_mds.cache_info().currsize == cached
 
     plan, state = build_plan(params, 3, 5)
-    queries = database_queries(plan, state)
+    queries = database_queries(plan, state.pool)
     # right counts, wrong slot table; and a genuine query under other params
     shape = queries[0].shape
     shuffled = dataclasses.replace(queries[0], shape=dataclasses.replace(
@@ -1403,7 +1406,7 @@ def test_servers_refuse_a_nonzero_padding_nibble():
     layered_store = random_store(f4, 2, 9, np.random.default_rng(106))
     layered_core = ServerCore(layered_store)
     plan, state = build_plan(params, 2, 9)
-    layered = wire.serialize_database_query(database_queries(plan, state)[0])
+    layered = wire.serialize_database_query(database_queries(plan, state.pool)[0])
     layered_session = layered_core.new_session()
     layered_core.handle_frame(layered_session, wire.TYPE_PARAMS, wire.params_payload(
         {"scheme": "tpir", "endpoint": 1, "n_db": 3, "k": 2, "m": 1, "t": 1, "w": 4,
@@ -1418,3 +1421,129 @@ def test_servers_refuse_a_nonzero_padding_nibble():
         assert wire.parse_error_payload(reply) == (
             wire.ERR_MALFORMED_QUERY, f"{name} query has a nonzero padding nibble")
         assert core.handle_frame(session, wire.TYPE_QUERY, honest)[0] == wire.TYPE_ANSWER
+
+
+def test_client_refuses_raw_answers_of_the_stpir_scheme():
+    """Only layered answers have a raw form: an stpir retrieval asked for raw
+    answers is a ParameterError before any frame is sent, on the symmetric
+    and the sum path alike."""
+    sym_store = random_store(standard_field(4), 3, 2, np.random.default_rng(102))
+    sent = []
+
+    class Recording(client.LocalTransport):
+        def send(self, frames):
+            sent.extend(frames)
+            super().send(frames)
+
+    for params, cached in ((SchemeParams(3, 0, 3, 1), set()),
+                           (SchemeParams(3, 2, 3, 1), {2, 3})):
+        sims = [Recording(ServerCore(sym_store, role="stpir", secret=SECRET))
+                for _ in range(params.N)]
+        with pytest.raises(ParameterError, match="raw"):
+            client.retrieve(sims, params, 1, sym_store.side_information(cached), seed=1,
+                            scheme="stpir", raw=True)
+    assert sent == []
+
+
+def _hostile_endpoint(reply: bytes, connections: int = 1):
+    """A listener that reads each connection's PARAMS and QUERY frames, then
+    writes ``reply`` and closes it. Returns its port and its thread."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener:
+            for _ in range(connections):
+                conn, _ = listener.accept()
+                try:
+                    with conn, conn.makefile("rb") as stream:
+                        wire.read_frame(stream)
+                        wire.read_frame(stream)
+                        conn.sendall(reply)
+                except OSError:  # the client refused and closed first
+                    pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread
+
+
+def test_client_refuses_an_oversized_reply_from_its_head(golden1_store):
+    """A reply longer than its step allows is refused from its head, before
+    its body is read: a head that declares 128 MiB and then ends raises the
+    size refusal naming the endpoint, not an end of stream. A PARAMS reply
+    may hold MAX_SESSIONLESS_FRAME bytes, a QUERY reply no more than that
+    or the answer head and its count of symbols."""
+    huge = 128 << 20
+    params_reply = wire.encode_frame(wire.TYPE_PARAMS, wire.params_payload({"ok": True}))
+    for step, ftype, before in (("params", wire.TYPE_PARAMS, b""),
+                                ("query", wire.TYPE_ANSWER, params_reply)):
+        port, thread = _hostile_endpoint(before + wire.frame_head(ftype, huge), 2)
+        transports = [client.TcpTransport("127.0.0.1", port) for _ in range(2)]
+        try:
+            with pytest.raises(ProtocolError) as err:
+                client.retrieve(transports, SchemeParams(3, 1, 2, 1), 1,
+                                golden1_store.side_information({3}), seed=5)
+        finally:
+            for t in transports:
+                t.close()
+        thread.join(5)
+        assert not thread.is_alive()
+        # this answer's head and count are 8 bytes: the sessionless bound holds
+        assert str(err.value) == (f"endpoint 1 replied to {step}: frame of type {ftype:#x} "
+                                  f"declares {huge} bytes, over the {MAX_SESSIONLESS_FRAME} "
+                                  f"this step takes")
+
+
+def test_an_answer_is_bounded_by_its_head_and_count():
+    """A QUERY reply may hold the larger of MAX_SESSIONLESS_FRAME and the
+    answer head with its count of symbols: one byte more is refused."""
+    f16 = standard_field(16)
+    limit = wire.answer_size(f16, 4096)
+    assert limit == 5 + 2 * 4096 > MAX_SESSIONLESS_FRAME
+
+    class Answering:
+        def __init__(self, size):
+            self.size = size
+
+        def new_session(self):
+            return {}
+
+        def handle_frame(self, session, ftype, payload):
+            return (wire.TYPE_PARAMS, b"{}") if ftype == wire.TYPE_PARAMS else (
+                wire.TYPE_ANSWER, bytes(self.size))
+
+    got = client._run_endpoints([client.LocalTransport(Answering(limit))], [b"{}"], [b"q"],
+                                limit)
+    assert len(got[0].answer_received) == limit
+    with pytest.raises(ProtocolError, match=f"^endpoint 1 replied to query: .* declares "
+                                            f"{limit + 1} bytes, over the {limit}"):
+        client._run_endpoints([client.LocalTransport(Answering(limit + 1))], [b"{}"], [b"q"],
+                              limit)
+
+
+def test_local_and_tcp_transports_refuse_an_oversized_reply_alike():
+    """The in-process simulator bounds each reply as a TCP connection does,
+    with the same error."""
+    payload = bytes(MAX_SESSIONLESS_FRAME + 1)
+
+    class Verbose:
+        def new_session(self):
+            return {}
+
+        def handle_frame(self, session, ftype, body):
+            return wire.TYPE_PARAMS, payload
+
+    port, thread = _hostile_endpoint(wire.encode_frame(wire.TYPE_PARAMS, payload))
+    errors = []
+    for transport in (client.TcpTransport("127.0.0.1", port), client.LocalTransport(Verbose())):
+        try:
+            with pytest.raises(ProtocolError) as err:
+                client._run_endpoints([transport], [b"{}"], [b"q"])
+        finally:
+            transport.close()
+        errors.append(str(err.value))
+    thread.join(5)
+    assert not thread.is_alive()
+    assert errors == [f"endpoint 1 replied to params: frame of type 0x4 declares "
+                      f"{MAX_SESSIONLESS_FRAME + 1} bytes, over the "
+                      f"{MAX_SESSIONLESS_FRAME} this step takes"] * 2

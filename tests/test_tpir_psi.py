@@ -22,7 +22,7 @@ from sidepir.errors import (
 from sidepir.field import standard_field
 from sidepir.store import MessageStore, random_store
 from sidepir.tpir_psi import (
-    answer_all,
+    answer,
     answer_raw,
     build_plan,
     compress,
@@ -32,21 +32,28 @@ from sidepir.tpir_psi import (
     download_plan,
     known_slots,
     minimum_field_width,
-    sample_mixers,
-    session_queries,
 )
+from sidepir.wire import FORM_COMPRESSED, FORM_RAW
 
 GOLDEN_1 = SchemeParams(3, 1, 2, 1)
 GOLDEN_2 = SchemeParams(3, 2, 3, 2)
+
+
+def answer_every(queries, store):
+    """Each database's :func:`answer`, as ``(form, answers)``: their one form
+    and their symbols stacked (N, ..., count)."""
+    replies = [answer(q, store) for q in queries]
+    (form,) = {form for form, _ in replies}
+    return form, np.stack([symbols for _, symbols in replies])
 
 
 def run_round_trip(params, theta, side_idx, plan_seed, store_seed):
     plan, state = build_plan(params, theta, plan_seed)
     store = random_store(plan.field, params.K, plan.profile.L,
                          np.random.default_rng(store_seed))
-    bundle = answer_all(database_queries(plan, state), store)
-    got = decode(bundle, plan, state, store.side_information(side_idx))
-    return plan, store, bundle, got
+    form, answers = answer_every(database_queries(plan, state.pool), store)
+    got = decode(form, answers, plan, state, store.side_information(side_idx))
+    return plan, store, (form, answers), got
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +178,7 @@ def test_peeling_property_counts_and_decode():
     per context, and decoding them reproduces the full group codeword."""
     plan, state = build_plan(GOLDEN_2, 1, 5)
     store = random_store(plan.field, 3, 27, np.random.default_rng(6))
-    queries = database_queries(plan, state)
+    queries = database_queries(plan, state.pool)
     raws = np.stack([answer_raw(q, store) for q in queries])
     flat = raws.reshape(-1)
     from sidepir import linalg
@@ -225,11 +232,10 @@ def test_plan_takes_no_cache_argument():
 
 def test_plan_deterministic_for_fixed_seed():
     from sidepir import wire
-    a = [wire.serialize_database_query(q) for q in
-         database_queries(*build_plan(GOLDEN_1, 2, 1234))]
-    b = [wire.serialize_database_query(q) for q in
-         database_queries(*build_plan(GOLDEN_1, 2, 1234))]
-    assert a == b
+    def payloads():
+        plan, state = build_plan(GOLDEN_1, 2, 1234)
+        return [wire.serialize_database_query(q) for q in database_queries(plan, state.pool)]
+    assert payloads() == payloads()
 
 
 @pytest.mark.parametrize("params", [GOLDEN_1, GOLDEN_2, SchemeParams(6, 2, 2, 1, w=16)],
@@ -248,8 +254,9 @@ def test_mixer_draw_does_not_depend_on_theta(params):
         for a, b in zip(state.desired_factors, first.desired_factors):
             assert np.array_equal(a, b)
     blocks = first.pool[length:].reshape(params.K - 1, u, length)
-    assert (linalg.rank_batched(first.field, blocks) == u).all()
-    assert linalg.rank_batched(first.field, first.pool[None, :length])[0] == length
+    field = download_plan(params, 1).field
+    assert (linalg.rank_batched(field, blocks) == u).all()
+    assert linalg.rank_batched(field, first.pool[None, :length])[0] == length
 
 
 @pytest.mark.parametrize("params, theta, seed, want", [
@@ -299,7 +306,7 @@ def test_answer_zero_store_is_zero():
     plan, state = build_plan(GOLDEN_1, 1, 7)
     store = MessageStore(field=plan.field,
                          messages=np.zeros((3, 8), dtype=plan.field.dtype))
-    for q in database_queries(plan, state):
+    for q in database_queries(plan, state.pool):
         assert not answer_raw(q, store).any()
 
 
@@ -310,7 +317,7 @@ def test_answer_slot_structure_matches_table():
     slot = plan.slots_per_db[0][3]
     assert slot.subset == (1, 2)
     assert slot.desired_offset is not None and slot.coord is not None
-    q = database_queries(plan, state)[0]
+    q = database_queries(plan, state.pool)[0]
     assert q.shape.slot_members[3] == (1, 2)
     # its answer is the dot of one desired-mixer row and one group-coded row
     store = random_store(plan.field, 3, 8, np.random.default_rng(9))
@@ -332,7 +339,7 @@ def test_answer_matches_direct_row_oracle():
     plan, state = build_plan(SchemeParams(2, 0, 2, 1), 1, 10)
     store = random_store(plan.field, 2, 4, np.random.default_rng(11))
     f = plan.field
-    for q in database_queries(plan, state):
+    for q in database_queries(plan, state.pool):
         got = answer_raw(q, store)
         pos = 0
         for sidx, members in enumerate(q.shape.slot_members):
@@ -347,20 +354,20 @@ def test_answer_matches_direct_row_oracle():
 def test_compression_counts():
     plan, state = build_plan(GOLDEN_1, 1, 15)
     store = random_store(plan.field, 3, 8, np.random.default_rng(16))
-    raw = answer_raw(database_queries(plan, state)[0], store)
+    raw = answer_raw(database_queries(plan, state.pool)[0], store)
     assert len(compress(raw, plan.field, 7, 1)) == 6
     plan2, state2 = build_plan(GOLDEN_2, 1, 17)
     store2 = random_store(plan2.field, 3, 27, np.random.default_rng(18))
-    raw2 = answer_raw(database_queries(plan2, state2)[0], store2)
+    raw2 = answer_raw(database_queries(plan2, state2.pool)[0], store2)
     assert len(compress(raw2, plan2.field, 19, 10)) == 9
 
 
 def test_m0_ships_raw():
     plan, state = build_plan(SchemeParams(2, 0, 2, 1), 1, 19)
     store = random_store(plan.field, 2, 4, np.random.default_rng(20))
-    bundle = answer_all(database_queries(plan, state), store)
-    assert bundle.form == "raw"
-    assert all(len(v) == 3 for v in bundle.per_db)
+    form, answers = answer_every(database_queries(plan, state.pool), store)
+    assert form == FORM_RAW
+    assert answers.shape == (2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +381,7 @@ def test_known_slots_golden_1():
     assert len(slots) == 1 and values.shape == (2, 1)
     for db in range(2):
         assert plan.slots_per_db[db][slots[0]].subset == (3,)
-        raw = answer_raw(database_queries(plan, state)[db], store)
+        raw = answer_raw(database_queries(plan, state.pool)[db], store)
         assert np.array_equal(raw[slots], values[db])
 
 
@@ -382,7 +389,7 @@ def test_known_slots_golden_2():
     plan, state = build_plan(GOLDEN_2, 1, 23)
     store = random_store(plan.field, 3, 27, np.random.default_rng(24))
     slots, values = known_slots(plan, state, store.side_information({2, 3}))
-    queries = database_queries(plan, state)
+    queries = database_queries(plan, state.pool)
     assert len(slots) == 10 and values.shape == (3, 10)
     for db in range(3):
         subsets = [plan.slots_per_db[db][i].subset for i in slots]
@@ -412,16 +419,16 @@ def test_cached_desired_rejected():
 
 
 def test_round_trip_golden_1():
-    plan, store, bundle, got = run_round_trip(GOLDEN_1, 1, {3}, 28, 29)
-    assert bundle.form == "compressed"
-    assert bundle.downloaded_symbols == 12
+    plan, store, (form, answers), got = run_round_trip(GOLDEN_1, 1, {3}, 28, 29)
+    assert form == FORM_COMPRESSED
+    assert answers.size == 12
     assert np.array_equal(got, store.message(1))
     assert Fraction(8, 12) == capacity_tpir_psi(GOLDEN_1)
 
 
 def test_round_trip_golden_2():
-    plan, store, bundle, got = run_round_trip(GOLDEN_2, 1, {2, 3}, 30, 31)
-    assert bundle.downloaded_symbols == 27
+    plan, store, (_, answers), got = run_round_trip(GOLDEN_2, 1, {2, 3}, 30, 31)
+    assert answers.size == 27
     assert np.array_equal(got, store.message(1))
     assert Fraction(27, 27) == capacity_tpir_psi(GOLDEN_2)
 
@@ -433,12 +440,12 @@ def test_decode_against_full_system_oracle():
     plan, state = build_plan(params, 2, 32)
     f = plan.field
     store = random_store(f, 2, 4, np.random.default_rng(33))
-    queries = database_queries(plan, state)
-    bundle = answer_all(queries, store)
-    got = decode(bundle, plan, state, {})
+    queries = database_queries(plan, state.pool)
+    form, answers = answer_every(queries, store)
+    got = decode(form, answers, plan, state, {})
 
     rows, rhs = [], []
-    for q, vec in zip(queries, bundle.per_db):
+    for q, vec in zip(queries, answers):
         pos = 0
         for sidx, members in enumerate(q.shape.slot_members):
             row = [0] * (2 * 4)
@@ -487,12 +494,11 @@ def test_correctness_sweep_exhaustive_combos():
                     plan, state = build_plan(params, theta,
                                              (35, params.K, params.M, params.N,
                                               params.T, theta, plan_seed))
-                    queries = database_queries(plan, state)
+                    queries = database_queries(plan, state.pool)
                     for _ in range(10):
                         store = random_store(plan.field, params.K,
                                              plan.profile.L, rng)
-                        bundle = answer_all(queries, store)
-                        got = decode(bundle, plan, state,
+                        got = decode(*answer_every(queries, store), plan, state,
                                      store.side_information(side_idx))
                         assert np.array_equal(got, store.message(theta))
 
@@ -502,13 +508,12 @@ def test_download_accounting_matches_capacity():
         plan, state = build_plan(params, 1, 36)
         store = random_store(plan.field, params.K, plan.profile.L,
                              np.random.default_rng(37))
-        bundle = answer_all(database_queries(plan, state), store)
+        _, answers = answer_every(database_queries(plan, state.pool), store)
         prof = plan.profile
         expected = params.N * (prof.p1 - prof.p2) if params.M else params.N * prof.p1
-        assert bundle.downloaded_symbols == expected
+        assert answers.size == expected
         if params.M:
-            assert Fraction(prof.L, bundle.downloaded_symbols) == \
-                capacity_tpir_psi(params)
+            assert Fraction(prof.L, answers.size) == capacity_tpir_psi(params)
 
 
 def test_decode_raw_with_cache_checks_consistency():
@@ -516,29 +521,25 @@ def test_decode_raw_with_cache_checks_consistency():
     caught instead of silently producing garbage."""
     plan, state = build_plan(GOLDEN_1, 1, 38)
     store = random_store(plan.field, 3, 8, np.random.default_rng(39))
-    import dataclasses
     queries = [dataclasses.replace(q, compress=False)
-               for q in database_queries(plan, state)]
-    bundle = answer_all(queries, store)
-    assert bundle.form == "raw"
-    good = decode(bundle, plan, state, store.side_information({3}))
+               for q in database_queries(plan, state.pool)]
+    form, answers = answer_every(queries, store)
+    assert form == FORM_RAW
+    good = decode(form, answers, plan, state, store.side_information({3}))
     assert np.array_equal(good, store.message(1))
     wrong = store.message(3).copy()
     wrong[0] ^= 1
     with pytest.raises(CorruptionError):
-        decode(bundle, plan, state, {3: wrong})
+        decode(form, answers, plan, state, {3: wrong})
 
 
 def test_decode_rejects_short_answer():
     plan, state = build_plan(GOLDEN_1, 1, 40)
     store = random_store(plan.field, 3, 8, np.random.default_rng(41))
-    bundle = answer_all(database_queries(plan, state), store)
-    from sidepir.tpir_psi import AnswerBundle
+    form, answers = answer_every(database_queries(plan, state.pool), store)
     from sidepir.errors import ProtocolError
-    clipped = AnswerBundle(form="compressed",
-                           per_db=np.stack([bundle.per_db[0][:5], bundle.per_db[1][:5]]))
     with pytest.raises(ProtocolError):
-        decode(clipped, plan, state, store.side_information({3}))
+        decode(form, answers[:, :5], plan, state, store.side_information({3}))
 
 
 def test_decode_refuses_compressed_answers_without_cached_slots():
@@ -547,11 +548,11 @@ def test_decode_refuses_compressed_answers_without_cached_slots():
     instead of being decoded as parity symbols."""
     plan, state = build_plan(SchemeParams(3, 0, 2, 1), 1, 46)
     store = random_store(plan.field, 3, plan.profile.L, np.random.default_rng(47))
-    bundle = answer_all(database_queries(plan, state), store)
-    assert bundle.form == "raw"
+    form, answers = answer_every(database_queries(plan, state.pool), store)
+    assert form == FORM_RAW
     from sidepir.errors import ProtocolError
     with pytest.raises(ProtocolError):
-        decode(dataclasses.replace(bundle, form="compressed"), plan, state, {})
+        decode(FORM_COMPRESSED, answers, plan, state, {})
 
 
 def test_pinned_wide_field_round_trip():
@@ -559,8 +560,8 @@ def test_pinned_wide_field_round_trip():
     plan, state = build_plan(params, 1, 44)
     assert plan.field.w == 16
     store = random_store(plan.field, 2, 4, np.random.default_rng(45))
-    bundle = answer_all(database_queries(plan, state), store)
-    got = decode(bundle, plan, state, store.side_information({2}))
+    got = decode(*answer_every(database_queries(plan, state.pool), store), plan, state,
+                 store.side_information({2}))
     assert np.array_equal(got, store.message(1))
 
 
@@ -568,10 +569,10 @@ def test_t_equals_n_with_full_cache():
     params = SchemeParams(3, 2, 2, 2)
     plan, state = build_plan(params, 3, 42)
     store = random_store(plan.field, 3, plan.profile.L, np.random.default_rng(43))
-    bundle = answer_all(database_queries(plan, state), store)
-    got = decode(bundle, plan, state, store.side_information({1, 2}))
+    form, answers = answer_every(database_queries(plan, state.pool), store)
+    got = decode(form, answers, plan, state, store.side_information({1, 2}))
     assert np.array_equal(got, store.message(3))
-    assert Fraction(plan.profile.L, bundle.downloaded_symbols) == 1
+    assert Fraction(plan.profile.L, answers.size) == 1
 
 
 def test_warm_retrieval_runs_one_elimination(monkeypatch):
@@ -596,7 +597,7 @@ def test_warm_retrieval_runs_one_elimination(monkeypatch):
         for seed in (7, 8):
             calls.clear()
             plan, state = build_plan(params, theta, seed)
-            got = decode(answer_all(database_queries(plan, state), store),
+            got = decode(*answer_every(database_queries(plan, state.pool), store),
                          plan, state, side)
             assert np.array_equal(got, store.message(theta))
         assert calls == [((6, 64, 64), 1, 32)], calls
@@ -673,7 +674,7 @@ def test_session_queries_match_per_pair_reference(params):
             mixers = plan.field.random_symbols(rng, lead + (params.K, length, length))
             blocks = mixers[..., others, :plan.block, :].reshape(lead + (-1, length))
             pool = np.concatenate([mixers[..., theta - 1, :, :], blocks], axis=-2)
-            got = session_queries(plan, pool)
+            got = database_queries(plan, pool)
             want = reference_session_queries(plan, mixers)
             for q, rows in zip(got, want):
                 assert q.rows.shape == rows.shape
@@ -696,7 +697,7 @@ def test_decode_streams_match_per_context_reference(params):
                                  np.random.default_rng(71 + m))
             others = [i for i in range(1, params.K + 1) if i != theta]
             side = store.side_information(others[-m:] if m else ())
-            queries = database_queries(plan, state)
+            queries = database_queries(plan, state.pool)
             raw = [answer_raw(q, store) for q in queries]
             want_desired, want_infos = reference_peel(plan, state, raw)
             want_parts = []
@@ -706,19 +707,20 @@ def test_decode_streams_match_per_context_reference(params):
                     lo, hi = ctx.block_rows[i]
                     part ^= linalg.matvec(plan.field, state.pool[lo:hi], side[i])
                 want_parts.append(part)
-            bundles = [answer_all([dataclasses.replace(q, compress=False) for q in queries],
-                                  store)]
+            replies = [answer_every([dataclasses.replace(q, compress=False) for q in queries],
+                                    store)]
             if m:
-                bundles.append(answer_all(queries, store))
-                assert bundles[-1].form == "compressed"
-            for bundle in bundles:
-                got_desired, got_infos, got_parts = decode_streams(bundle, plan, state, side)
-                assert np.array_equal(got_desired, want_desired), (m, theta, bundle.form)
+                replies.append(answer_every(queries, store))
+                assert replies[-1][0] == FORM_COMPRESSED
+            for form, answers in replies:
+                got_desired, got_infos, got_parts = decode_streams(form, answers, plan, state,
+                                                                   side)
+                assert np.array_equal(got_desired, want_desired), (m, theta, form)
                 assert len(got_infos) == len(want_infos) == len(got_parts)
                 for ci, (a, b) in enumerate(zip(got_infos, want_infos)):
-                    assert np.array_equal(a, b), (m, theta, bundle.form, ci)
+                    assert np.array_equal(a, b), (m, theta, form, ci)
                 for ci, (a, b) in enumerate(zip(got_parts, want_parts)):
-                    assert np.array_equal(a, b), (m, theta, bundle.form, ci)
+                    assert np.array_equal(a, b), (m, theta, form, ci)
 
 
 def test_warm_retrieval_runs_one_product_per_context_shape(monkeypatch):
@@ -744,9 +746,9 @@ def test_warm_retrieval_runs_one_product_per_context_shape(monkeypatch):
         for seed in (7, 8):
             calls.clear()
             plan, state = build_plan(params, theta, seed)
-            bundle = answer_all(database_queries(plan, state), store)
+            form, answers = answer_every(database_queries(plan, state.pool), store)
             before = len(calls)
-            got = decode(bundle, plan, state, side)
+            got = decode(form, answers, plan, state, side)
             assert np.array_equal(got, store.message(theta))
             assert len(calls) <= 16, calls
             assert len(calls) - before <= 5, calls[before:]
@@ -762,33 +764,35 @@ def test_decode_streams_over_sessions_match_single_sessions(params):
         sized = dataclasses.replace(params, M=m)
         theta = 1 + m % params.K
         plan = download_plan(sized, theta)
-        pool, lu, perm = sample_mixers(plan, [np.random.default_rng((80, m, j))
-                                              for j in range(batch)])
-        state = tpir_psi.PrecodingState(field=plan.field, pool=pool, desired_factors=(lu, perm))
+        _, state = build_plan(sized, theta, [np.random.default_rng((80, m, j))
+                                             for j in range(batch)])
+        pool, (lu, perm) = state.pool, state.desired_factors
         stores = plan.field.random_symbols(np.random.default_rng(81 + m),
                                            (batch, params.K, plan.profile.L))
         others = [i for i in range(1, params.K + 1) if i != theta]
         cached = others[-m:] if m else []
-        queries = session_queries(plan, pool)
+        queries = database_queries(plan, pool)
         batched = MessageStore(field=plan.field, messages=stores)
-        bundles = [answer_all([dataclasses.replace(q, compress=False) for q in queries], batched)]
+        replies = [answer_every([dataclasses.replace(q, compress=False) for q in queries],
+                                batched)]
         if m:
-            bundles.append(answer_all(queries, batched))
-        for bundle in bundles:
-            got = decode_streams(bundle, plan, state, {i: stores[:, i - 1] for i in cached})
+            replies.append(answer_every(queries, batched))
+        for form, answers in replies:
+            got = decode_streams(form, answers, plan, state,
+                                 {i: stores[:, i - 1] for i in cached})
             for j in range(batch):
-                one = tpir_psi.PrecodingState(field=plan.field, pool=pool[j],
-                                              desired_factors=(lu[j], perm[j]))
+                one = tpir_psi.PrecodingState(pool=pool[j], desired_factors=(lu[j], perm[j]))
                 store = MessageStore(field=plan.field, messages=stores[j])
-                single = answer_all([dataclasses.replace(q, compress=bundle.form != "raw")
-                                     for q in session_queries(plan, pool[j])], store)
-                assert single.form == bundle.form
-                for a, b in zip(single.per_db, bundle.per_db):
+                single_form, single = answer_every(
+                    [dataclasses.replace(q, compress=form != FORM_RAW)
+                     for q in database_queries(plan, pool[j])], store)
+                assert single_form == form
+                for a, b in zip(single, answers):
                     assert np.array_equal(a, b[j])
-                want = decode_streams(single, plan, one, store.side_information(cached))
-                assert np.array_equal(got[0][j], want[0]), (m, bundle.form, j)
+                want = decode_streams(form, single, plan, one, store.side_information(cached))
+                assert np.array_equal(got[0][j], want[0]), (m, form, j)
                 assert np.array_equal(linalg.lu_solve(plan.field, *one.desired_factors,
                                                       want[0]), stores[j, theta - 1])
                 for a_list, b_list in zip(got[1:], want[1:]):
                     for a, b in zip(a_list, b_list):
-                        assert np.array_equal(a[j], b), (m, bundle.form, j)
+                        assert np.array_equal(a[j], b), (m, form, j)

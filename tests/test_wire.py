@@ -107,7 +107,7 @@ def test_layered_query_round_trip(params, theta):
     plan, state = build_plan(params, theta, 7)
     layouts = _layouts(plan)
     assert layouts == {wire.SCHEME_LAYERED: plan.shape}
-    for q in database_queries(plan, state):
+    for q in database_queries(plan, state.pool):
         assert q.shape == plan.shape
         data = wire.serialize_database_query(q)
         back = wire.parse_query_payload(data, q.db_index, layouts)
@@ -158,7 +158,7 @@ def test_layered_query_off_template_rejected_before_unpack(monkeypatch, edit):
     header field, member count or member id, or one byte more or less, is
     refused before any row is unpacked."""
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)
-    query = database_queries(plan, state)[0]
+    query = database_queries(plan, state.pool)[0]
     data, shape = wire.serialize_database_query(query), _layouts(plan)
     unpacked = []
     original = GF.unpack
@@ -179,7 +179,7 @@ def test_layered_query_off_template_rejected_before_unpack(monkeypatch, edit):
 
 def test_layered_query_needs_a_session_shape():
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)
-    data = wire.serialize_database_query(database_queries(plan, state)[0])
+    data = wire.serialize_database_query(database_queries(plan, state.pool)[0])
     for layouts in ({}, {wire.SCHEME_SUM: wire.SumShape(4, 3, 8)}):
         with pytest.raises(ProtocolError, match="takes no query of scheme 0x1"):
             wire.parse_query_payload(data, 0, layouts)
@@ -187,7 +187,7 @@ def test_layered_query_needs_a_session_shape():
 
 def test_layered_query_truncation_detected():
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)
-    query = database_queries(plan, state)[0]
+    query = database_queries(plan, state.pool)[0]
     data, shape = wire.serialize_database_query(query), _layouts(plan)
     with pytest.raises(ProtocolError):
         wire.parse_query_payload(data[:-3], 0, shape)
