@@ -294,31 +294,30 @@ class SymmetricScheme(_Adapter):
                              f"theta={theta}")
 
     def structure_fingerprint(self, theta: int) -> bytes:
-        if isinstance(self.protocol, SumProtocol):  # a public query, the same at every theta
-            return view_digest(b"".join(self.query_payloads(theta, 0).values()))
-        head = (self.field.w, self.params.K, self.message_length,
-                self.params.T, self.params.N)
-        return view_digest(repr(head).encode())
+        """Digest of a session's payloads at ``theta`` with every session-id
+        and coordinate byte zeroed: what the wire shows apart from its random
+        bytes. A sum query is public whole."""
+        payloads = self.query_payloads(theta, 0).values()
+        if not isinstance(self.protocol, SumProtocol):
+            payloads = [p[:wire.SESSION_ID_AT].ljust(len(p), b"\0") for p in payloads]
+        return view_digest(b"".join(payloads))
 
     view_digests = _view_digests
 
     def residual_session(self, rngs, stores: np.ndarray, theta: int,
                          side_idx) -> np.ndarray:
-        """Per session of ``rngs`` and (B, K, N - T) ``stores``: the low
+        """Per session of ``rngs`` and (B, K, N - T) ``stores``: the low T
         coefficients of the interpolated answer polynomial, minus what the
-        client computes itself (its masks applied to the desired and cached
-        messages). Uniform exactly when the shared mask does its job; a
-        deterministic function of the other messages when it does not."""
-        state = self.protocol.draw(theta, rngs)
-        answers = self.protocol.answer(state, MessageStore(field=self.field, messages=stores),
-                                       self.server_secret)
-        low = sym_coefficients(answers[..., 0].T, self.protocol.sym)[:, : self.params.T]
-        masks = state[1]
-        for k in set(side_idx) | {theta}:
-            # contribution of message k to coefficient j: sum_i W_k[i] * masks[k,i,j]
-            low ^= np.bitwise_xor.reduce(
-                self.field.mul(masks[:, k - 1], stores[:, k - 1, :, None]), axis=-2)
-        return low
+        client computes itself, the unmasked answers on the desired and
+        cached messages alone (answers are linear in the store and in sigma).
+        Uniform exactly when the shared mask does its job; a deterministic
+        function of the other messages when it does not."""
+        state, known = self.protocol.draw(theta, rngs), np.zeros_like(stores)
+        kept = [k - 1 for k in {theta, *side_idx}]
+        known[:, kept] = stores[:, kept]
+        answers = self.protocol.answer(state, MessageStore(self.field, stores), self.server_secret)
+        answers ^= self.protocol.answer(state, MessageStore(self.field, known), None)
+        return sym_coefficients(answers[..., 0].T, self.protocol.sym)[:, : self.params.T]
 
 
 class DirectDownloadScheme:

@@ -258,7 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cached message indices, e.g. 2,3")
     p.add_argument("--side-file", default=None,
                    help="store file holding the cached messages (sorted by index)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None,
+                   help="replay a fixed draw: a seeded retrieval is reproducible, so it is "
+                        "not private (default: randomness from the operating system)")
     p.add_argument("--out", required=True)
     p.add_argument("--scheme", choices=("tpir", "stpir"), default="tpir")
     p.add_argument("--raw", action="store_true",

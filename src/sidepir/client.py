@@ -1,18 +1,18 @@
 """Retrieving client: drives N databases over TCP or in process.
 
-Both transports exchange the same frames with the same server core, so a
-retrieval records a transcript (the four payloads per endpoint) that is
-byte-identical between a real network run and the in-process simulator for
-the same seed. A retrieval is pipelined in one thread: each endpoint's
-PARAMS and QUERY leave back to back in one send, to every endpoint, before
-any reply is read; then each endpoint's two replies are read in order. The
-servers work in parallel meanwhile, and any endpoint failure aborts the
-retrieval.
+Both transports run the same frames through the same server session loop,
+so a seeded retrieval records a transcript (the four payloads per endpoint)
+byte-identical between a network run and the in-process simulator, which
+also refuses and ends sessions alike. A retrieval is pipelined in one
+thread: each endpoint's PARAMS and QUERY leave back to back in one send, to
+every endpoint, before any reply is read; then each endpoint's two replies
+are read in order. The servers work in parallel meanwhile, and any endpoint
+failure aborts the retrieval.
 """
 
 from __future__ import annotations
 
-import collections
+import io
 import socket
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +23,7 @@ import numpy as np
 from . import wire
 from .capacity import SchemeParams
 from .errors import CorruptionError, ParameterError, ProtocolError
+from .field import OsRandom
 from .server import MAX_SESSIONLESS_FRAME, ServerCore
 from .store import MessageStore
 from .stpir_psi import session_protocol
@@ -60,21 +61,26 @@ class TcpTransport:
 
 
 class LocalTransport:
-    """In-process simulator: drives a ServerCore directly, same frames."""
+    """In-process simulator: a ServerCore's session loop over in-memory
+    streams, with the replies and the end of session of a TCP connection."""
 
     def __init__(self, core: ServerCore):
         self._core = core
         self._session = core.new_session()
-        self._replies = collections.deque()
+        self._replies = io.BytesIO()
+        self._over = False
 
     def send(self, frames) -> None:
-        self._replies.extend(self._core.handle_frame(self._session, ftype, payload)
-                             for ftype, payload in frames)
+        """Serve the frames; once the session is over, drop them, as a closed connection does."""
+        if not self._over:
+            unread = self._replies.tell()
+            self._replies.seek(0, io.SEEK_END)
+            frames = io.BytesIO(b"".join(wire.encode_frame(*frame) for frame in frames))
+            self._over = self._core.serve(frames, self._replies, self._session)
+            self._replies.seek(unread)
 
     def receive(self, limit: int = wire.MAX_PAYLOAD) -> tuple[int, bytes]:
-        ftype, payload = self._replies.popleft()
-        wire.refuse_length(ftype, len(payload), limit)
-        return ftype, payload
+        return wire.read_frame(self._replies, limit)
 
     def close(self) -> None:
         pass
@@ -126,7 +132,7 @@ def _receive(transport, endpoint: int, params_payload: bytes, query_payload: byt
                                 ("query", wire.TYPE_ANSWER, answer_limit)):
         try:
             ftype, reply = transport.receive(limit)
-        except ProtocolError as exc:
+        except (ProtocolError, OSError) as exc:  # OSError: a reset or a timeout
             raise ProtocolError(f"endpoint {endpoint} replied to {step}: {exc}") from exc
         if ftype == wire.TYPE_ERROR:
             code, msg = wire.parse_error_payload(reply)
@@ -180,13 +186,15 @@ def _params_frames(params: SchemeParams, scheme: str, w: int,
 
 
 def retrieve(transports, params: SchemeParams, theta: int, side,
-             seed: int | np.random.Generator, scheme: str = "tpir",
+             seed: int | np.random.Generator | None = None, scheme: str = "tpir",
              raw: bool = False) -> RetrievalResult:
     """Run one full retrieval over already-connected transports.
 
     ``side`` maps cached 1-based message indices to their symbol vectors
     (empty for M = 0). ``raw`` disables redundancy removal, which also arms
-    the cached-value consistency check on the raw answers.
+    the cached-value consistency check on the raw answers. Without a
+    ``seed`` the session's randomness comes from the operating system; a
+    seeded retrieval replays its draw, so it is reproducible and not private.
 
     The scheme's protocol (:func:`~sidepir.stpir_psi.session_protocol`)
     checks the cache, draws one session, writes a QUERY payload for each
@@ -201,7 +209,8 @@ def retrieve(transports, params: SchemeParams, theta: int, side,
         raise ParameterError(f"need {'an endpoint' if one else f'{params.N} endpoints'}, "
                              f"got {len(transports)}")
     protocol, side = protocol.prepare(theta, side or {})
-    state = protocol.draw(theta, [np.random.default_rng(seed)])
+    source = OsRandom() if seed is None else np.random.default_rng(seed)
+    state = protocol.draw(theta, [source])
     payloads = list(protocol.payloads(state)[0].values())
     field, form, count = protocol.field, protocol.form, protocol.count
     transcripts = _run_endpoints(transports, _params_frames(

@@ -13,6 +13,7 @@ w = 4 which packs two symbols per byte, low nibble first.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 
 import numpy as np
@@ -62,6 +63,15 @@ def _slow_mul(a, b: int, poly: int, w: int):
     for i in range(2 * w - 2, w - 1, -1):
         result ^= ((result >> i) & 1) * (poly << (i - w))
     return result & ((1 << w) - 1)
+
+
+class OsRandom:
+    """A private random source that cannot be replayed: the operating
+    system's, read through the two draws a session makes of a numpy
+    Generator, ``bytes`` and :meth:`GF.random_symbols`."""
+
+    def bytes(self, length: int) -> bytes:
+        return os.urandom(length)
 
 
 class GF:
@@ -176,7 +186,12 @@ class GF:
         arr = np.asarray(arr)
         return np.issubdtype(arr.dtype, np.integer) and not ((arr < 0) | (arr >= self.q)).any()
 
-    def random_symbols(self, rng: np.random.Generator, shape) -> np.ndarray:
+    def random_symbols(self, rng, shape) -> np.ndarray:
+        """Uniform symbols from a numpy Generator, or from an :class:`OsRandom`'s
+        bytes: q = 2^w, so bytes masked to w bits are uniform symbols."""
+        if isinstance(rng, OsRandom):
+            data = rng.bytes(int(np.prod(shape)) * np.dtype(self.dtype).itemsize)
+            return (np.frombuffer(data, self.dtype) & (self.q - 1)).reshape(shape)
         return rng.integers(0, self.q, size=shape, dtype=self.dtype)
 
     # -- wire packing --------------------------------------------------------

@@ -1,9 +1,9 @@
 """Database server: a replicated store behind the framed TCP protocol.
 
 The protocol logic lives in :class:`ServerCore`, which maps one inbound
-frame to one reply frame given per-connection session state. The TCP server
-and the client's in-process simulator both drive that core, which is what
-makes network and simulated transcripts byte-identical.
+frame to one reply frame given per-connection session state. A TCP
+connection and the client's in-process simulator both run its one session
+loop, :meth:`ServerCore.serve`, so they give the same replies and ends.
 
 Sessions are one QUERY each: a connection first announces itself with a
 PARAMS frame (carrying its assigned endpoint index, which the symmetric
@@ -13,10 +13,10 @@ on a tpir server; the sum query and, where T fits, the symmetric one on a
 stpir server. A QUERY is sized from them before its body is read, and must
 match one of them in every byte but its own. A client may send both frames
 back to back: they are answered in order, one reply each. Once a QUERY is
-answered the session is over: the core refuses any further frame, and a
-TCP connection ends right after that ANSWER (a session whose frames got
-only ERROR replies stays open). Any frame before PARAMS, and any frame but
-the QUERY after it, is bounded by :data:`MAX_SESSIONLESS_FRAME`.
+answered the session is over: the core refuses any further frame, and the
+session loop ends at that ANSWER, as at a head it refuses (a session whose
+frames got only ERROR replies stays open). Any frame before PARAMS, and
+any frame but the QUERY after it, is bounded by :data:`MAX_SESSIONLESS_FRAME`.
 
 Servers keep no state across sessions beyond the store, the shared secret
 and what depends only on public values: the PARAMS reply, built once from
@@ -131,6 +131,27 @@ class ServerCore:
             return wire.TYPE_ERROR, wire.error_payload(
                 wire.ERR_INTERNAL, f"internal error: {type(exc).__name__}")
 
+    def serve(self, rfile, wfile, session: dict) -> bool:
+        """Answer a stream of frames in order until ``session`` ends (True: at
+        its ANSWER, a head refused unread, or a failed write) or the stream does."""
+        while True:
+            try:
+                head = wire.read_frame_head(rfile)
+                if head is None:
+                    return False
+                error = self.refuse_unread(session, *head)
+                reply = (wire.TYPE_ERROR, error) if error else self.handle_frame(
+                    session, head[0], wire.read_exact(rfile, head[1]))
+            except ProtocolError as exc:
+                error = wire.error_payload(wire.ERR_MALFORMED_FRAME, str(exc))
+                reply = wire.TYPE_ERROR, error
+            try:
+                wfile.write(wire.encode_frame(*reply))
+            except OSError:
+                return True
+            if error or reply[0] == wire.TYPE_ANSWER:
+                return True
+
     def _handle_params(self, session: dict, payload: bytes) -> tuple[int, bytes]:
         req = wire.parse_params_payload(payload)
         # type, not isinstance: a JSON true must not pass as the integer 1
@@ -164,7 +185,7 @@ class ServerCore:
                 wire.ERR_PROTOCOL, "QUERY before PARAMS")
         endpoint = session["endpoint"]
         try:
-            query = wire.parse_query_payload(payload, endpoint - 1, session["layouts"])
+            query = wire.parse_query_payload(payload, session["layouts"])
         except ProtocolError as exc:
             return wire.TYPE_ERROR, wire.error_payload(wire.ERR_MALFORMED_QUERY, str(exc))
         field = self.store.field
@@ -228,26 +249,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self):
         core: ServerCore = self.server.core  # type: ignore[attr-defined]
-        session = core.new_session()
-        while True:
-            try:
-                head = wire.read_frame_head(self.rfile)
-                if head is None:
-                    return
-                # a refused head leaves its body unread, the stream unframed
-                error = core.refuse_unread(session, *head)
-                reply = (wire.TYPE_ERROR, error) if error else core.handle_frame(
-                    session, head[0], wire.read_exact(self.rfile, head[1]))
-            except ProtocolError as exc:
-                error = wire.error_payload(wire.ERR_MALFORMED_FRAME, str(exc))
-                reply = wire.TYPE_ERROR, error
-            try:
-                self.wfile.write(wire.encode_frame(*reply))
-            except OSError:
-                return
-            # an answered QUERY ends the session; so does a refused head
-            if error or reply[0] == wire.TYPE_ANSWER:
-                return
+        core.serve(self.rfile, self.wfile, core.new_session())
 
 
 class _ReusingServer(socketserver.TCPServer):

@@ -382,11 +382,10 @@ def database_queries(plan: DownloadPlan, pool: np.ndarray) -> list[DatabaseQuery
         parts.append(coef.reshape(lead + (-1, length)))
     table = np.concatenate(parts, axis=-2)
     queries = []
-    for db, db_rows in enumerate(plan.db_rows):
+    for db_rows in plan.db_rows:
         rows = table[..., db_rows, :]
         rows.flags.writeable = False
-        queries.append(DatabaseQuery(shape=plan.shape, db_index=db,
-                                     compress=plan.params.M >= 1, rows=rows))
+        queries.append(DatabaseQuery(shape=plan.shape, compress=plan.params.M >= 1, rows=rows))
     return queries
 
 

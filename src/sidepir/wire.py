@@ -87,15 +87,10 @@ def read_frame(stream: BinaryIO, limit: int = MAX_PAYLOAD) -> tuple[int, bytes]:
     head = read_frame_head(stream)
     if head is None:
         raise ProtocolError("stream ended before a frame")
-    refuse_length(*head, limit)
-    return head[0], read_exact(stream, head[1])
-
-
-def refuse_length(ftype: int, length: int, limit: int) -> None:
-    """Refuse a frame whose payload is longer than ``limit`` bytes."""
-    if length > limit:
-        raise ProtocolError(f"frame of type {ftype:#x} declares {length} bytes, "
+    if head[1] > limit:
+        raise ProtocolError(f"frame of type {head[0]:#x} declares {head[1]} bytes, "
                             f"over the {limit} this step takes")
+    return head[0], read_exact(stream, head[1])
 
 
 def read_frame_head(stream: BinaryIO) -> tuple[int, int] | None:
@@ -188,7 +183,6 @@ class DatabaseQuery:
     """
 
     shape: LayeredShape
-    db_index: int
     compress: bool
     rows: np.ndarray  # (..., sum of member counts, message_length)
 
@@ -239,7 +233,7 @@ def serialize_database_query(q: DatabaseQuery):
     return out.reshape(lead + (size,)) if lead else out.tobytes()
 
 
-def parse_query_payload(data: bytes, db_index: int, layouts: Mapping):
+def parse_query_payload(data: bytes, layouts: Mapping):
     """Decode a QUERY payload into its scheme's query object. ``layouts``
     maps each scheme byte its session takes to that scheme's shape, or to a
     string saying why the session takes none. The payload must match its
@@ -252,7 +246,7 @@ def parse_query_payload(data: bytes, db_index: int, layouts: Mapping):
     if isinstance(shape, str):
         raise ProtocolError(shape)
     if isinstance(shape, LayeredShape):
-        return _parse_layered(data, db_index, shape)
+        return _parse_layered(data, shape)
     if isinstance(shape, SymmetricShape):
         return _parse_symmetric(data, shape)
     if data != serialize_sum_query(*shape):
@@ -269,7 +263,7 @@ def query_size(shape) -> int:
     return _SUM_HEAD.size
 
 
-def _parse_layered(data: bytes, db_index: int, shape: LayeredShape) -> DatabaseQuery:
+def _parse_layered(data: bytes, shape: LayeredShape) -> DatabaseQuery:
     template, rows, fixed = _layered_template(shape)
     if len(data) != template.size:
         raise ProtocolError(f"layered query holds {len(data)} bytes, "
@@ -289,15 +283,14 @@ def _parse_layered(data: bytes, db_index: int, shape: LayeredShape) -> DatabaseQ
             raise ProtocolError("layered query has a nonzero padding nibble")
         block = np.ascontiguousarray(block[:, :length])
     block.flags.writeable = False
-    return DatabaseQuery(shape=shape, db_index=db_index,
-                         compress=bool(buf[_COMPRESS_AT]), rows=block)
+    return DatabaseQuery(shape=shape, compress=bool(buf[_COMPRESS_AT]), rows=block)
 
 
 # ---------------------------------------------------------------------------
 # symmetric-scheme query payloads
 
 _SYM_HEAD = struct.Struct("<BBHHH16s")
-_SID_AT = 8  # the session id follows the fields its shape fixes
+SESSION_ID_AT = 8  # the session id follows the fields its shape fixes
 
 
 class SymmetricShape(NamedTuple):
@@ -313,7 +306,7 @@ class SymmetricShape(NamedTuple):
 def _symmetric_layout(shape: SymmetricShape) -> tuple[bytes, int]:
     """The header bytes before the session id, and the payload size."""
     count = shape.num_messages * shape.message_length
-    return (_SYM_HEAD.pack(SCHEME_SYMMETRIC, *shape, bytes(16))[:_SID_AT],
+    return (_SYM_HEAD.pack(SCHEME_SYMMETRIC, *shape, bytes(16))[:SESSION_ID_AT],
             _SYM_HEAD.size + standard_field(shape.w).packed_size(count))
 
 
@@ -333,14 +326,14 @@ def serialize_sym_query(w: int, session_id: bytes, t: int,
 
 def _parse_symmetric(data: bytes, shape: SymmetricShape) -> SymQueryWire:
     head, size = _symmetric_layout(shape)
-    if len(data) != size or data[:_SID_AT] != head:
+    if len(data) != size or data[:SESSION_ID_AT] != head:
         raise ProtocolError("symmetric query header or length does not match its session's")
     field, k, ell = standard_field(shape.w), shape.num_messages, shape.message_length
     if field.w == 4 and k * ell % 2 and data[-1] >> 4:
         raise ProtocolError("symmetric query has a nonzero padding nibble")
     coords = field.unpack(data[_SYM_HEAD.size:], k * ell).reshape(k, ell)
     coords.flags.writeable = False
-    return SymQueryWire(t=shape.t, session_id=data[_SID_AT:_SYM_HEAD.size], coords=coords)
+    return SymQueryWire(t=shape.t, session_id=data[SESSION_ID_AT:_SYM_HEAD.size], coords=coords)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,32 @@ def test_user_privacy_negative_control(seed):
     assert any("tv=1.0" in f for f in rep.failures)
 
 
+class ThetaInHeader(audit.SymmetricScheme):
+    """Negative control: the symmetric scheme with the desired index also
+    written into each payload's header, over the high byte of K."""
+
+    def session_payloads(self, theta, seeds):
+        return [{n: p[:3] + bytes([theta]) + p[4:] for n, p in pmap.items()}
+                for pmap in super().session_payloads(theta, seeds)]
+
+
+@pytest.mark.parametrize("params", [SchemeParams(3, 0, 3, 1), SchemeParams(4, 1, 3, 1)],
+                         ids=lambda p: p.label())
+def test_symmetric_structure_layer_sees_a_theta_in_the_header(params):
+    """The symmetric fingerprint digests a session's payloads with their
+    session ids and coordinates zeroed: the same at every theta for the
+    honest scheme, and different where the header carries theta, which the
+    1-bit fold of the statistical layer cannot tell from noise."""
+    honest, leaky = audit.SymmetricScheme(params), ThetaInHeader(params)
+    assert len({honest.structure_fingerprint(t) for t in range(1, params.K + 1)}) == 1
+    assert len({leaky.structure_fingerprint(t) for t in range(1, params.K + 1)}) == params.K
+    rep = audit.audit_user_privacy(leaky, sessions=200, seed=5)
+    assert not rep.passed
+    assert rep.failures[0].startswith("plan structure varies with the desired index")
+    rep = audit.audit_user_privacy(honest, sessions=200, seed=5)
+    assert not any("structure" in f for f in rep.failures)
+
+
 @pytest.mark.parametrize("seed", MASTER_SEEDS)
 def test_db_privacy_positive_and_controls(seed):
     sessions = 4000

@@ -540,19 +540,27 @@ def test_a_busy_port_is_an_os_error(golden1_store, tmp_path, capsys):
 ], ids=["layered", "symmetric", "sum"])
 def test_a_session_ends_after_its_answered_query(golden1_store, scheme, params, cached):
     """A session is one QUERY: once one is answered, a second QUERY or a new
-    PARAMS on that session gets a protocol ERROR, not a second ANSWER."""
+    PARAMS on that session gets a protocol ERROR from the core, not a second
+    ANSWER; and the simulator, as a TCP connection does, ends the stream at
+    the ANSWER, so that frames sent after it get no reply."""
     store = golden1_store if scheme == "tpir" else random_store(
         standard_field(4), 3, 2, np.random.default_rng(102))
     sims = client.local_simulator(store, params.N, role=scheme, secret=SECRET)
     result = client.retrieve(sims, params, 1, store.side_information(cached), seed=3,
                              scheme=scheme)
+    core = ServerCore(store, role=scheme, secret=SECRET)
+    refused = wire.TYPE_ERROR, wire.error_payload(wire.ERR_PROTOCOL,
+                                                  "the session has answered its QUERY")
     for sim, t in zip(sims, result.transcripts):
+        session = core.new_session()
+        assert core.handle_frame(session, wire.TYPE_PARAMS, t.params_sent)[0] == wire.TYPE_PARAMS
+        assert core.handle_frame(session, wire.TYPE_QUERY, t.query_sent) == (
+            wire.TYPE_ANSWER, t.answer_received)
+        assert core.handle_frame(session, wire.TYPE_QUERY, t.query_sent) == refused
+        assert core.handle_frame(session, wire.TYPE_PARAMS, t.params_sent) == refused
         sim.send([(wire.TYPE_QUERY, t.query_sent), (wire.TYPE_PARAMS, t.params_sent)])
-        for _ in range(2):
-            ftype, payload = sim.receive()
-            assert ftype == wire.TYPE_ERROR
-            assert wire.parse_error_payload(payload) == (
-                wire.ERR_PROTOCOL, "the session has answered its QUERY")
+        with pytest.raises(ProtocolError, match="^stream ended before a frame$"):
+            sim.receive()
 
 
 def test_a_connection_ends_after_its_answered_query(golden1_store):
@@ -575,6 +583,62 @@ def test_a_connection_ends_after_its_answered_query(golden1_store):
                 assert stream.read() == b""
     finally:
         server.stop()
+
+
+def _replies_and_end(transport, frames):
+    """Every reply ``transport`` reads after sending ``frames``, and the
+    error that its stream then ends with."""
+    transport.send(frames)
+    replies = []
+    while True:
+        try:
+            replies.append(transport.receive())
+        except ProtocolError as exc:
+            transport.close()
+            return replies, str(exc)
+
+
+def test_the_simulator_and_tcp_give_the_same_replies_and_end():
+    """The in-process simulator runs the session loop a TCP connection runs:
+    an honest session of each scheme, an oversized PARAMS, an oversized frame
+    before PARAMS, a QUERY of a wrong length followed by an honest one, and a
+    frame after the ANSWER get the same replies and the same end of stream."""
+    layered = random_store(standard_field(4), 3, 8, np.random.default_rng(100))
+    sym = random_store(standard_field(4), 3, 2, np.random.default_rng(102))
+    points = {"layered": ("tpir", layered, SchemeParams(3, 1, 2, 1), {3}),
+              "symmetric": ("stpir", sym, SchemeParams(3, 0, 3, 1), set()),
+              "sum": ("stpir", sym, SchemeParams(3, 2, 3, 1), {2, 3})}
+    servers = {role: DatabaseServer(store, role=role, secret=SECRET).start()
+               for role, store in (("tpir", layered), ("stpir", sym))}
+    try:
+        for name, (role, store, params, cached) in points.items():
+            sims = client.local_simulator(store, params.N, role=role, secret=SECRET)
+            t = client.retrieve(sims, params, 1, store.side_information(cached), seed=4,
+                                scheme=role).transcripts[0]
+            params_frame = wire.TYPE_PARAMS, t.params_sent
+            query = wire.TYPE_QUERY, t.query_sent
+            cases = {
+                "honest": ([params_frame, query], [wire.TYPE_PARAMS, wire.TYPE_ANSWER]),
+                "oversized PARAMS": ([(wire.TYPE_PARAMS, t.params_sent.ljust(5091)), query],
+                                     [wire.TYPE_ERROR]),
+                "oversized first frame": ([(wire.TYPE_QUERY, bytes(5091)), params_frame],
+                                          [wire.TYPE_ERROR]),
+                "wrong QUERY length": ([params_frame, (wire.TYPE_QUERY, t.query_sent + b"\0"),
+                                        query], [wire.TYPE_PARAMS, wire.TYPE_ERROR]),
+                "frame after ANSWER": ([params_frame, query, query],
+                                       [wire.TYPE_PARAMS, wire.TYPE_ANSWER]),
+            }
+            for case, (frames, types) in cases.items():
+                local = _replies_and_end(
+                    client.LocalTransport(ServerCore(store, role=role, secret=SECRET)), frames)
+                over_tcp = _replies_and_end(
+                    client.TcpTransport("127.0.0.1", servers[role].port, timeout=5), frames)
+                assert local == over_tcp, (name, case)
+                assert [ftype for ftype, _ in local[0]] == types, (name, case)
+                assert local[1] == "stream ended before a frame", (name, case)
+    finally:
+        for server in servers.values():
+            server.stop()
 
 
 def test_a_burst_of_connects_is_not_dropped(golden1_store):
@@ -717,6 +781,59 @@ def test_fixed_seed_transcripts_are_pinned(point):
     assert _transcript_digest(local) == _transcript_digest(over_tcp) == pinned
 
 
+def test_a_seeded_retrieval_gives_its_theta_away(golden1_store):
+    """A seeded retrieval is reproducible and therefore not private: from
+    database 1's QUERY payload alone, a search over small seeds and every
+    theta with the layered protocol's own payloads finds theta and the seed.
+    An unseeded retrieval's payload is none of them: it has no seed."""
+    from sidepir.stpir_psi import session_protocol
+
+    params, side = SchemeParams(3, 1, 2, 1), golden1_store.side_information({3})
+    protocol = session_protocol("tpir", params)
+
+    def sent(seed):
+        return client.retrieve(client.local_simulator(golden1_store, 2), params, 2, side,
+                               seed=seed).transcripts[0].query_sent
+
+    found = {protocol.payloads(protocol.draw(theta, [np.random.default_rng(seed)]))[0][1]:
+             (theta, seed) for seed in range(16) for theta in range(1, params.K + 1)}
+    assert found[sent(11)] == (2, 11)
+    assert sent(None) not in found
+
+
+@pytest.mark.parametrize("scheme,params,cached", [
+    ("tpir", SchemeParams(3, 1, 2, 1), {3}),
+    ("stpir", SchemeParams(3, 0, 3, 1), set()),
+], ids=["layered", "symmetric"])
+def test_an_unseeded_retrieval_draws_from_the_os(golden1_store, monkeypatch, scheme, params,
+                                                  cached):
+    """Without a seed a retrieval's randomness comes from the operating
+    system: after a warm-up it builds no numpy Generator, it decodes, and two
+    retrievals send different QUERY payloads and, in the symmetric scheme,
+    different session ids."""
+    store = golden1_store if scheme == "tpir" else random_store(
+        standard_field(4), 3, 2, np.random.default_rng(102))
+
+    def queries():
+        sims = client.local_simulator(store, params.N, role=scheme, secret=SECRET)
+        result = client.retrieve(sims, params, 1, store.side_information(cached), scheme=scheme)
+        assert np.array_equal(result.message, store.message(1))
+        return [t.query_sent for t in result.transcripts]
+
+    queries()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy Generator was built")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    first, second = queries(), queries()
+    assert all(a != b for a, b in zip(first, second))
+    if scheme == "stpir":
+        ids = wire.SESSION_ID_AT, wire.SESSION_ID_AT + 16
+        assert first[0][slice(*ids)] != second[0][slice(*ids)]
+
+
 @pytest.mark.parametrize("role,fields,honest", [
     ("tpir", {"k": 3, "m": 1, "n_db": 2, "t": 1, "w": 4, "message_length": 8}, 96),
     ("stpir", {"k": 3, "m": 0, "n_db": 3, "t": 1, "w": 4, "message_length": 2}, 27),
@@ -791,20 +908,20 @@ def test_cli_store_serve_retrieve(tmp_path, capsys):
     capsys.readouterr()
     store = wire.read_store(store_path)
     servers = [DatabaseServer(store).start() for _ in range(2)]
+    endpoints = ",".join(f"127.0.0.1:{s.port}" for s in servers)
     try:
-        endpoints = ",".join(f"127.0.0.1:{s.port}" for s in servers)
-        code = cli_main(["retrieve", "--endpoints", endpoints, "--K", "3",
-                         "--M", "1", "--N", "2", "--T", "1", "--theta", "1",
-                         "--S", "3", "--side-file", str(side_path),
-                         "--seed", "42", "--out", str(out_path)])
+        # unseeded, as a private retrieval runs, and seeded, to replay one
+        for seed in ([], ["--seed", "42"]):
+            out_path.unlink(missing_ok=True)
+            assert cli_main(["retrieve", "--endpoints", endpoints, "--K", "3",
+                             "--M", "1", "--N", "2", "--T", "1", "--theta", "1",
+                             "--S", "3", "--side-file", str(side_path),
+                             *seed, "--out", str(out_path)]) == 0
+            assert "rate 2/3 matches capacity 2/3" in capsys.readouterr().out
+            assert out_path.read_bytes() == standard_field(4).pack(store.message(1))
     finally:
         for s in servers:
             s.stop()
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "rate 2/3 matches capacity 2/3" in out
-    field = standard_field(4)
-    assert out_path.read_bytes() == field.pack(store.message(1))
 
 
 def test_cli_audit_and_bench(tmp_path, capsys):
@@ -1271,8 +1388,8 @@ def test_server_checks_layered_query_against_session_params():
         assert ftype == wire.TYPE_PARAMS
         return session
 
-    crafted = DatabaseQuery(shape=LayeredShape(16, 6, 64, ((1,),) * 300, 1), db_index=0,
-                            compress=True, rows=np.zeros((300, 64), dtype=np.uint16))
+    crafted = DatabaseQuery(shape=LayeredShape(16, 6, 64, ((1,),) * 300, 1), compress=True,
+                            rows=np.zeros((300, 64), dtype=np.uint16))
     payload = wire.serialize_database_query(crafted)
     cached = make_systematic_mds.cache_info().currsize
     start = time.perf_counter()
@@ -1298,9 +1415,9 @@ def test_server_checks_layered_query_against_session_params():
 
     # genuine compressed and raw queries are still answered
     for raw in (False, True):
-        for q in queries:
+        for endpoint, q in enumerate(queries, 1):
             q = dataclasses.replace(q, compress=not raw)
-            ftype, reply = core.handle_frame(session_frame(q.db_index + 1), wire.TYPE_QUERY,
+            ftype, reply = core.handle_frame(session_frame(endpoint), wire.TYPE_QUERY,
                                              wire.serialize_database_query(q))
             assert ftype == wire.TYPE_ANSWER
             form, symbols = wire.parse_answer(standard_field(16), reply)
@@ -1445,9 +1562,10 @@ def test_client_refuses_raw_answers_of_the_stpir_scheme():
     assert sent == []
 
 
-def _hostile_endpoint(reply: bytes, connections: int = 1):
+def _hostile_endpoint(reply: bytes, connections: int = 1, reset: bool = False):
     """A listener that reads each connection's PARAMS and QUERY frames, then
-    writes ``reply`` and closes it. Returns its port and its thread."""
+    writes ``reply`` and closes it, with a reset if ``reset`` (SO_LINGER 0).
+    Returns its port and its thread."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve():
@@ -1459,6 +1577,9 @@ def _hostile_endpoint(reply: bytes, connections: int = 1):
                         wire.read_frame(stream)
                         wire.read_frame(stream)
                         conn.sendall(reply)
+                        if reset:
+                            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                            struct.pack("ii", 1, 0))
                 except OSError:  # the client refused and closed first
                     pass
 
@@ -1494,6 +1615,24 @@ def test_client_refuses_an_oversized_reply_from_its_head(golden1_store):
                                   f"this step takes")
 
 
+def test_a_reset_connection_is_a_typed_error(golden1_store):
+    """An endpoint that reads the frames and then resets the connection gives
+    a ProtocolError naming the endpoint and the step, chained to the reset,
+    not a bare ConnectionResetError."""
+    port, thread = _hostile_endpoint(b"", 2, reset=True)
+    transports = [client.TcpTransport("127.0.0.1", port) for _ in range(2)]
+    try:
+        with pytest.raises(ProtocolError, match="^endpoint 1 replied to params: ") as err:
+            client.retrieve(transports, SchemeParams(3, 1, 2, 1), 1,
+                            golden1_store.side_information({3}), seed=5)
+    finally:
+        for t in transports:
+            t.close()
+    thread.join(5)
+    assert not thread.is_alive()
+    assert isinstance(err.value.__cause__, ConnectionResetError)
+
+
 def test_an_answer_is_bounded_by_its_head_and_count():
     """A QUERY reply may hold the larger of MAX_SESSIONLESS_FRAME and the
     answer head with its count of symbols: one byte more is refused."""
@@ -1501,12 +1640,9 @@ def test_an_answer_is_bounded_by_its_head_and_count():
     limit = wire.answer_size(f16, 4096)
     assert limit == 5 + 2 * 4096 > MAX_SESSIONLESS_FRAME
 
-    class Answering:
+    class Answering(ServerCore):
         def __init__(self, size):
             self.size = size
-
-        def new_session(self):
-            return {}
 
         def handle_frame(self, session, ftype, payload):
             return (wire.TYPE_PARAMS, b"{}") if ftype == wire.TYPE_PARAMS else (
@@ -1526,9 +1662,9 @@ def test_local_and_tcp_transports_refuse_an_oversized_reply_alike():
     with the same error."""
     payload = bytes(MAX_SESSIONLESS_FRAME + 1)
 
-    class Verbose:
-        def new_session(self):
-            return {}
+    class Verbose(ServerCore):
+        def __init__(self):
+            pass
 
         def handle_frame(self, session, ftype, body):
             return wire.TYPE_PARAMS, payload

@@ -676,11 +676,10 @@ def test_session_queries_match_per_pair_reference(params):
             pool = np.concatenate([mixers[..., theta - 1, :, :], blocks], axis=-2)
             got = database_queries(plan, pool)
             want = reference_session_queries(plan, mixers)
-            for q, rows in zip(got, want):
+            for db, (q, rows) in enumerate(zip(got, want)):
                 assert q.rows.shape == rows.shape
-                assert np.array_equal(q.rows, rows), (theta, lead, q.db_index)
-                assert q.shape.slot_members == tuple(s.subset
-                                                     for s in plan.slots_per_db[q.db_index])
+                assert np.array_equal(q.rows, rows), (theta, lead, db)
+                assert q.shape.slot_members == tuple(s.subset for s in plan.slots_per_db[db])
 
 
 @pytest.mark.parametrize("params", FUSED_POINTS, ids=lambda p: p.label())

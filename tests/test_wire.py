@@ -110,9 +110,9 @@ def test_layered_query_round_trip(params, theta):
     for q in database_queries(plan, state.pool):
         assert q.shape == plan.shape
         data = wire.serialize_database_query(q)
-        back = wire.parse_query_payload(data, q.db_index, layouts)
+        back = wire.parse_query_payload(data, layouts)
         assert np.array_equal(back.rows, q.rows)
-        assert (back.shape, back.compress, back.db_index) == (q.shape, q.compress, q.db_index)
+        assert (back.shape, back.compress) == (q.shape, q.compress)
         assert wire.serialize_database_query(back) == data
 
 
@@ -121,9 +121,9 @@ def test_layered_query_round_trip_odd_lengths(w, length):
     field = standard_field(w)
     shape = LayeredShape(w, 3, length, ((1,), (), (2, 3), (1, 3)), 1)
     rows = field.random_symbols(np.random.default_rng(length), (5, length))
-    q = DatabaseQuery(shape=shape, db_index=0, compress=True, rows=rows)
+    q = DatabaseQuery(shape=shape, compress=True, rows=rows)
     data = wire.serialize_database_query(q)
-    back = wire.parse_query_payload(data, 0, {wire.SCHEME_LAYERED: shape})
+    back = wire.parse_query_payload(data, {wire.SCHEME_LAYERED: shape})
     assert back.shape == shape
     assert np.array_equal(back.rows, rows) and back.rows.flags.c_contiguous
     assert wire.serialize_database_query(back) == data
@@ -171,9 +171,9 @@ def test_layered_query_off_template_rejected_before_unpack(monkeypatch, edit):
     bad = edit(data)
     assert bad != data
     with pytest.raises(ProtocolError):
-        wire.parse_query_payload(bad, 0, shape)
+        wire.parse_query_payload(bad, shape)
     assert unpacked == []
-    wire.parse_query_payload(data, 0, shape)
+    wire.parse_query_payload(data, shape)
     assert len(unpacked) == 1
 
 
@@ -182,7 +182,7 @@ def test_layered_query_needs_a_session_shape():
     data = wire.serialize_database_query(database_queries(plan, state.pool)[0])
     for layouts in ({}, {wire.SCHEME_SUM: wire.SumShape(4, 3, 8)}):
         with pytest.raises(ProtocolError, match="takes no query of scheme 0x1"):
-            wire.parse_query_payload(data, 0, layouts)
+            wire.parse_query_payload(data, layouts)
 
 
 def test_layered_query_truncation_detected():
@@ -190,9 +190,9 @@ def test_layered_query_truncation_detected():
     query = database_queries(plan, state.pool)[0]
     data, shape = wire.serialize_database_query(query), _layouts(plan)
     with pytest.raises(ProtocolError):
-        wire.parse_query_payload(data[:-3], 0, shape)
+        wire.parse_query_payload(data[:-3], shape)
     with pytest.raises(ProtocolError):
-        wire.parse_query_payload(data + b"\x00", 0, shape)
+        wire.parse_query_payload(data + b"\x00", shape)
 
 
 def test_sym_query_round_trip():
@@ -201,7 +201,7 @@ def test_sym_query_round_trip():
     sid = bytes(range(16))
     data = wire.serialize_sym_query(8, sid, 2, coords)
     back = wire.parse_query_payload(
-        data, 0, {wire.SCHEME_SYMMETRIC: wire.SymmetricShape(8, 3, 2, 2)})
+        data, {wire.SCHEME_SYMMETRIC: wire.SymmetricShape(8, 3, 2, 2)})
     assert isinstance(back, wire.SymQueryWire)
     assert back.session_id == sid and back.t == 2
     assert np.array_equal(back.coords, coords)
@@ -210,7 +210,7 @@ def test_sym_query_round_trip():
 def test_sum_query_round_trip():
     data = wire.serialize_sum_query(4, 3, 8)
     shape = wire.SumShape(4, 3, 8)
-    assert wire.parse_query_payload(data, 0, {wire.SCHEME_SUM: shape}) == shape
+    assert wire.parse_query_payload(data, {wire.SCHEME_SUM: shape}) == shape
     assert wire.query_size(shape) == len(data)
 
 
@@ -261,15 +261,15 @@ def test_symmetric_and_sum_queries_off_shape_rejected_before_unpack(monkeypatch,
     bad = edit(data)
     assert bad != data
     with pytest.raises(ProtocolError):
-        wire.parse_query_payload(bad, 0, layouts)
+        wire.parse_query_payload(bad, layouts)
     assert unpacked == []
-    wire.parse_query_payload(data, 0, layouts)
+    wire.parse_query_payload(data, layouts)
     assert len(unpacked) == (data[0] == wire.SCHEME_SYMMETRIC)
 
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ProtocolError):
-        wire.parse_query_payload(b"\x99rest", 0, _SUM[1])
+        wire.parse_query_payload(b"\x99rest", _SUM[1])
 
 
 @pytest.mark.parametrize("w", (4, 8, 16))
