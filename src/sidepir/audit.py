@@ -317,7 +317,7 @@ class SymmetricScheme(_Adapter):
         known[:, kept] = stores[:, kept]
         answers = self.protocol.answer(state, MessageStore(self.field, stores), self.server_secret)
         answers ^= self.protocol.answer(state, MessageStore(self.field, known), None)
-        return sym_coefficients(answers[..., 0].T, self.protocol.sym)[:, : self.params.T]
+        return sym_coefficients(answers[..., 0].T, self.protocol)[:, : self.params.T]
 
 
 class DirectDownloadScheme:

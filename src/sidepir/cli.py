@@ -32,7 +32,6 @@ from .capacity import (
     desk_grid,
 )
 from .errors import PirError
-from .field import standard_field
 from .server import DatabaseServer
 from .store import random_store
 from .stpir_psi import session_protocol
@@ -40,10 +39,9 @@ from .stpir_psi import session_protocol
 SECRET_ENV = "SIDEPIR_SECRET"
 
 
-def _add_params(parser: argparse.ArgumentParser, need_m: bool = True) -> None:
+def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--K", type=int, required=True, help="number of messages")
-    parser.add_argument("--M", type=int, required=need_m, default=0,
-                        help="number of cached messages")
+    parser.add_argument("--M", type=int, required=True, help="number of cached messages")
     parser.add_argument("--N", type=int, required=True, help="number of databases")
     parser.add_argument("--T", type=int, required=True, help="collusion threshold")
     parser.add_argument("--w", type=int, choices=(4, 8, 16), default=None,
@@ -141,11 +139,8 @@ def cmd_retrieve(args) -> int:
     finally:
         for t in transports:
             t.close()
-    # the width the retrieval used: the sum path also runs at T = N, where
-    # no symmetric store exists
-    field = standard_field(result.downloaded_bits // result.downloaded_symbols)
     with open(args.out, "wb") as fh:
-        fh.write(field.pack(result.message))
+        fh.write(session_protocol(args.scheme, params, args.raw).field.pack(result.message))
     match = "matches" if result.rate == result.capacity else "below"
     print(f"retrieved message {args.theta} -> {args.out}")
     print(f"downloaded {result.downloaded_symbols} symbols "

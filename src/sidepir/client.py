@@ -219,7 +219,10 @@ def retrieve(transports, params: SchemeParams, theta: int, side,
     digest = _check_replicas(transcripts)
     answers = []
     for t in transcripts:
-        got, symbols = wire.parse_answer(field, t.answer_received)
+        try:
+            got, symbols = wire.parse_answer(field, t.answer_received)
+        except ProtocolError as exc:
+            raise ProtocolError(f"endpoint {t.endpoint} sent a malformed answer: {exc}") from exc
         if (got, len(symbols)) != (form, count):
             raise ProtocolError(
                 f"endpoint {t.endpoint} sent answer form {got:#x} with {len(symbols)} "

@@ -1,9 +1,12 @@
 """Database server: a replicated store behind the framed TCP protocol.
 
 The protocol logic lives in :class:`ServerCore`, which maps one inbound
-frame to one reply frame given per-connection session state. A TCP
-connection and the client's in-process simulator both run its one session
-loop, :meth:`ServerCore.serve`, so they give the same replies and ends.
+frame to one reply frame given per-connection session state. It holds no
+scheme code: each QUERY is answered by the protocol class of its scheme
+byte (``answer_query``), one of those its role lists in :data:`ROLES`. A
+TCP connection and the client's in-process simulator both run its one
+session loop, :meth:`ServerCore.serve`, so they give the same replies and
+ends. :class:`DatabaseServer` is the TCP listener.
 
 Sessions are one QUERY each: a connection first announces itself with a
 PARAMS frame (carrying its assigned endpoint index, which the symmetric
@@ -14,14 +17,15 @@ stpir server. A QUERY is sized from them before its body is read, and must
 match one of them in every byte but its own. A client may send both frames
 back to back: they are answered in order, one reply each. Once a QUERY is
 answered the session is over: the core refuses any further frame, and the
-session loop ends at that ANSWER, as at a head it refuses (a session whose
-frames got only ERROR replies stays open). Any frame before PARAMS, and
-any frame but the QUERY after it, is bounded by :data:`MAX_SESSIONLESS_FRAME`.
+session loop ends at that ANSWER, as at a head it refuses or a failed read
+(a session whose frames got only ERROR replies stays open). Any frame
+before PARAMS, and any frame but the QUERY after it, is bounded by
+:data:`MAX_SESSIONLESS_FRAME`.
 
 Servers keep no state across sessions beyond the store, the shared secret
 and what depends only on public values: the PARAMS reply, built once from
-the store, and the bounded caches of each (M, N, T)'s QUERY shapes and each
-endpoint's point powers.
+the store, and the bounded caches of each (M, N, T)'s QUERY shapes and (in
+``stpir_psi``) each endpoint's point powers.
 
 The listening socket defers each accept until the connection's first bytes
 arrive (``TCP_DEFER_ACCEPT``, where the platform has it), so a session wakes
@@ -52,14 +56,11 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
 from . import wire
 from .errors import ParameterError, PirError, ProtocolError
 from .store import MessageStore
-from .stpir_psi import (SumProtocol, SymmetricProtocol, derive_common_randomness,
-                        point_powers, sum_shortcut_answer, sym_answer)
-from .tpir_psi import LayeredProtocol, answer
+from .stpir_psi import SumProtocol, SymmetricProtocol
+from .tpir_psi import LayeredProtocol
 
 # the protocols each role answers, in the order a session lists their shapes
 ROLES = {"tpir": (LayeredProtocol,), "stpir": (SymmetricProtocol, SumProtocol)}
@@ -93,6 +94,7 @@ class ServerCore:
         self.store = store
         self.role = role
         self.secret = secret
+        self._protocols = {protocol.scheme: protocol for protocol in ROLES[role]}
         self.store_digest = hashlib.sha256(wire.store_bytes(store)).hexdigest()
         # depends only on the store: built once, not per session
         self._params_reply = wire.params_payload({
@@ -133,18 +135,21 @@ class ServerCore:
 
     def serve(self, rfile, wfile, session: dict) -> bool:
         """Answer a stream of frames in order until ``session`` ends (True: at
-        its ANSWER, a head refused unread, or a failed write) or the stream does."""
+        its ANSWER, a head refused unread, or a failed read or write) or the
+        stream does."""
         while True:
             try:
                 head = wire.read_frame_head(rfile)
                 if head is None:
                     return False
                 error = self.refuse_unread(session, *head)
-                reply = (wire.TYPE_ERROR, error) if error else self.handle_frame(
-                    session, head[0], wire.read_exact(rfile, head[1]))
+                body = None if error else wire.read_exact(rfile, head[1])
             except ProtocolError as exc:
                 error = wire.error_payload(wire.ERR_MALFORMED_FRAME, str(exc))
-                reply = wire.TYPE_ERROR, error
+            except OSError:  # a reset or a timeout: the client is gone
+                return True
+            reply = (wire.TYPE_ERROR, error) if error else self.handle_frame(
+                session, head[0], body)
             try:
                 wfile.write(wire.encode_frame(*reply))
             except OSError:
@@ -183,23 +188,13 @@ class ServerCore:
         if "endpoint" not in session:
             return wire.TYPE_ERROR, wire.error_payload(
                 wire.ERR_PROTOCOL, "QUERY before PARAMS")
-        endpoint = session["endpoint"]
         try:
             query = wire.parse_query_payload(payload, session["layouts"])
         except ProtocolError as exc:
             return wire.TYPE_ERROR, wire.error_payload(wire.ERR_MALFORMED_QUERY, str(exc))
-        field = self.store.field
-        if isinstance(query, wire.DatabaseQuery):
-            form, symbols = answer(query, self.store)
-        elif isinstance(query, wire.SymQueryWire):
-            sigma = derive_common_randomness(self.secret, query.session_id, query.t, field)
-            # only this endpoint's T powers: never a table sized by N
-            form, symbols = wire.FORM_SYMMETRIC, sym_answer(
-                field, query.coords, self.store.messages, sigma,
-                _endpoint_powers(field, endpoint, query.t))[None]
-        else:
-            form, symbols = wire.FORM_SUM, sum_shortcut_answer(self.store)
-        return wire.TYPE_ANSWER, wire.serialize_answer(field, form, symbols)
+        form, symbols = self._protocols[payload[0]].answer_query(
+            query, self.store, session["endpoint"], self.secret)
+        return wire.TYPE_ANSWER, wire.serialize_answer(self.store.field, form, symbols)
 
     def refuse_unread(self, session: dict, ftype: int, length: int) -> bytes | None:
         """An ERROR payload for a frame refused from its head alone, before its
@@ -233,46 +228,72 @@ def _session_layouts(role: str, w: int, k: int, length: int, m: int, n_db: int,
         wire.query_size(s) for s in shapes.values() if not isinstance(s, str))
 
 
-@lru_cache(maxsize=16)
-def _endpoint_powers(field, endpoint: int, count: int) -> np.ndarray:
-    """The powers 0..count-1 of an endpoint's point, read-only: the same in
-    every session of that endpoint and threshold. T < 2^w bounds each."""
-    powers = point_powers(field, endpoint, count)
-    powers.flags.writeable = False
-    return powers
-
-
 class _Handler(socketserver.StreamRequestHandler):
     # a pipelined session gets two replies back to back: the second must not
     # wait for the client to acknowledge the first
     disable_nagle_algorithm = True
 
     def handle(self):
-        core: ServerCore = self.server.core  # type: ignore[attr-defined]
+        core = self.server.core
         core.serve(self.rfile, self.wfile, core.new_session())
 
 
-class _ReusingServer(socketserver.TCPServer):
-    """One handler thread per open connection, as ThreadingTCPServer runs
+class DatabaseServer(socketserver.TCPServer):
+    """A TCP database server bound to a local port, the listener of its
+    ``core``. Usable as a context manager; ``port`` is the bound port
+    (useful when constructed with port 0).
+
+    One handler thread per open connection, as ThreadingTCPServer runs
     them, but a thread whose connection has ended waits for the next one:
     a connection goes to an idle worker, and a new (daemon) worker starts
     only when none is idle. Starting a thread costs more than a loopback
     handshake, and it sits on every session's critical path. Idle workers
     are kept until the server closes: a server holds as many threads as it
-    once had connections open at the same time."""
+    once had connections open at the same time.
+    """
 
     allow_reuse_address = True
     # socketserver's default of 5 drops SYNs from a burst of connects
     request_queue_size = socket.SOMAXCONN
 
-    def __init__(self, address, handler):
+    def __init__(self, store: MessageStore, role: str = "tpir",
+                 secret: bytes | None = None, host: str = "127.0.0.1",
+                 port: int = 0):
+        self.core = ServerCore(store, role=role, secret=secret)
+        self._thread: threading.Thread | None = None
         # before binding: a failed bind calls server_close, which reads them
         self._lock = threading.Lock()
         self._jobs = queue.SimpleQueue()
         self._idle = 0
         self._open = set()
         self._workers = []
-        super().__init__(address, handler)
+        super().__init__((host, port), _Handler)
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self.server_address[:2]
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+    def start(self) -> "DatabaseServer":
+        self._thread = threading.Thread(target=self.serve_forever, args=(STOP_POLL,),
+                                        name=f"sidepir-db-{self.port}", daemon=True)
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        self.shutdown()
+        self.server_close()
+        if self._thread:
+            self._thread.join(timeout=5)
+
+    def __enter__(self) -> "DatabaseServer":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
 
     def server_bind(self):
         if hasattr(socket, "TCP_DEFER_ACCEPT"):
@@ -337,48 +358,3 @@ class _ReusingServer(socketserver.TCPServer):
         self._shutdown_open(socket.SHUT_RDWR)
         for worker in workers:
             worker.join()
-
-
-class DatabaseServer:
-    """A TCP database server bound to a local port.
-
-    Usable as a context manager; ``port`` is the bound port (useful when
-    constructed with port 0).
-    """
-
-    def __init__(self, store: MessageStore, role: str = "tpir",
-                 secret: bytes | None = None, host: str = "127.0.0.1",
-                 port: int = 0):
-        self.core = ServerCore(store, role=role, secret=secret)
-        self._server = _ReusingServer((host, port), _Handler)
-        self._server.core = self.core  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    def start(self) -> "DatabaseServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, args=(STOP_POLL,),
-                                        name=f"sidepir-db-{self.port}", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread:
-            self._thread.join(timeout=5)
-
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
-
-    def __enter__(self) -> "DatabaseServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

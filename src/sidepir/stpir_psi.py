@@ -18,9 +18,12 @@ except the desired message from the client.
 Per session the databases consume exactly T shared symbols to deliver N - T
 desired symbols, so the shared-randomness rate is T / (N - T).
 
-Every step takes leading session axes: one answer kernel, :func:`sym_answer`,
-serves a server's single answer and, through :func:`sym_answers`, all N
-databases of a batch of audited sessions.
+:class:`SymmetricProtocol` holds a point's public evaluation points, the
+encoding of databases 1..N, and their powers. Every step takes leading
+session axes: one answer kernel, :func:`sym_answer`, serves a server's
+single answer (:meth:`SymmetricProtocol.answer_query`, from the endpoint's
+cached point powers) and, through :func:`sym_answers`, all N databases of a
+batch of audited sessions.
 
 When the client already caches K - 1 messages, a one-database download of
 the plain sum of all messages recovers the remaining one at rate 1 with no
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -62,43 +64,13 @@ def point_powers(field: GF, points, count: int) -> np.ndarray:
     return field._alog[logs * np.arange(count) % field._order]
 
 
-@dataclass(frozen=True)
-class SymParams:
-    """Symmetric-scheme parameters with the public evaluation points and
-    their powers, read-only and built once per parameter point by the
-    cached :func:`make_sym_params`."""
-
-    base: SchemeParams
-    field: GF
-    lambdas: np.ndarray  # (N,) distinct nonzero points, the encoding of 1..N
-    vander: np.ndarray   # (N, N) lambda_n ** j: T mask columns, N - T indicators
-
-    @property
-    def message_length(self) -> int:
-        return self.base.N - self.base.T
-
-    @cached_property
-    def interp(self) -> np.ndarray:
-        """(N, N) inverse of ``vander``: answers -> coefficients, on first use."""
-        inv = linalg.inv_matrix(self.field, self.vander)
-        inv.flags.writeable = False
-        return inv
-
-
-@lru_cache(maxsize=64)
-def make_sym_params(params: SchemeParams) -> SymParams:
-    if params.K < 2:
-        raise ParameterError("the symmetric scheme is defined for K >= 2 messages")
-    field = standard_field(params.w or sym_field_width(params))
-    if field.q <= params.N:
-        raise ParameterError(
-            f"width {field.w} gives only {field.q} evaluation points for N={params.N}"
-        )
-    lambdas = np.arange(1, params.N + 1, dtype=field.dtype)
-    vander = point_powers(field, lambdas, params.N)
-    for arr in (lambdas, vander):
-        arr.flags.writeable = False
-    return SymParams(base=params, field=field, lambdas=lambdas, vander=vander)
+@lru_cache(maxsize=16)
+def _endpoint_powers(field: GF, endpoint: int, count: int) -> np.ndarray:
+    """The powers 0..count-1 of database ``endpoint``'s point, read-only: the
+    same in every session of that endpoint and threshold. T < 2^w bounds each."""
+    powers = point_powers(field, endpoint, count)
+    powers.flags.writeable = False
+    return powers
 
 
 def derive_common_randomness(secret: bytes, session_id: bytes, t: int,
@@ -122,7 +94,7 @@ def derive_common_randomness(secret: bytes, session_id: bytes, t: int,
     return sigma
 
 
-def queries_from_masks(sp: SymParams, theta: int, masks: np.ndarray) -> np.ndarray:
+def queries_from_masks(sp: SymmetricProtocol, theta: int, masks: np.ndarray) -> np.ndarray:
     """Deterministic query assembly from explicit masking coefficients.
 
     ``masks`` has shape (..., K, N - T, T): one degree-< T polynomial per
@@ -133,7 +105,7 @@ def queries_from_masks(sp: SymParams, theta: int, masks: np.ndarray) -> np.ndarr
     point is one broadcast multiplication by the T mask columns of
     ``vander`` and an XOR over T.
     """
-    params, field = sp.base, sp.field
+    params, field = sp.params, sp.field
     ell, t = sp.message_length, params.T
     if params.T == params.N:
         raise ZeroCapacityError(f"{params.label()}: symmetric retrieval has rate 1 - T/N = 0")
@@ -148,9 +120,9 @@ def queries_from_masks(sp: SymParams, theta: int, masks: np.ndarray) -> np.ndarr
     return queries
 
 
-def sym_masks(sp: SymParams, rng: np.random.Generator) -> np.ndarray:
+def sym_masks(sp: SymmetricProtocol, rng: np.random.Generator) -> np.ndarray:
     """One session's uniform masking coefficients, shape (K, N - T, T)."""
-    return sp.field.random_symbols(rng, (sp.base.K, sp.message_length, sp.base.T))
+    return sp.field.random_symbols(rng, (sp.params.K, sp.message_length, sp.params.T))
 
 
 def sym_answer(field: GF, queries: np.ndarray, messages: np.ndarray,
@@ -163,29 +135,29 @@ def sym_answer(field: GF, queries: np.ndarray, messages: np.ndarray,
     return inner ^ np.bitwise_xor.reduce(field.mul(powers, sigma), axis=-1)
 
 
-def sym_answers(sp: SymParams, queries: np.ndarray, messages: np.ndarray,
+def sym_answers(sp: SymmetricProtocol, queries: np.ndarray, messages: np.ndarray,
                 sigma: np.ndarray) -> np.ndarray:
     """All N databases' answers, shaped (..., N), to queries (..., N, K, N - T)
     on stores (..., K, N - T) under shared masks (..., T)."""
     return sym_answer(sp.field, queries, np.expand_dims(messages, -3),
-                      np.expand_dims(sigma, -2), sp.vander[:, :sp.base.T])
+                      np.expand_dims(sigma, -2), sp.vander[:, :sp.params.T])
 
 
-def sym_coefficients(answers: np.ndarray, sp: SymParams, low: int = 0) -> np.ndarray:
+def sym_coefficients(answers: np.ndarray, sp: SymmetricProtocol, low: int = 0) -> np.ndarray:
     """Coefficients ``low`` .. N-1 of the answer polynomial, by interpolation,
     for answers shaped (..., N): one broadcast product of the cached
     interpolation rows with the answers and an XOR over N, which at N <= 4
     costs less than a general :func:`linalg.matmul`."""
-    if np.shape(answers)[-1:] != (sp.base.N,):
-        raise ProtocolError(f"need {sp.base.N} answers, got {np.shape(answers)}")
+    if np.shape(answers)[-1:] != (sp.params.N,):
+        raise ProtocolError(f"need {sp.params.N} answers, got {np.shape(answers)}")
     terms = sp.field.mul(sp.interp[low:], np.expand_dims(answers, -2))
     return np.bitwise_xor.reduce(terms, axis=-1)
 
 
-def sym_decode(answers: np.ndarray, sp: SymParams) -> np.ndarray:
+def sym_decode(answers: np.ndarray, sp: SymmetricProtocol) -> np.ndarray:
     """Interpolate the answer polynomial; its top N - T coefficients are the
     desired message."""
-    return sym_coefficients(answers, sp, sp.base.T)
+    return sym_coefficients(answers, sp, sp.params.T)
 
 
 def sum_shortcut_answer(store: MessageStore) -> np.ndarray:
@@ -197,14 +169,32 @@ def sum_shortcut_answer(store: MessageStore) -> np.ndarray:
 class SymmetricProtocol:
     """The symmetric scheme as a retrieval runs it, over a leading session
     axis: N databases asked for one symbol each, so that ``answers`` are
-    shaped (N, sessions, 1). The cache is checked, never read."""
+    shaped (N, sessions, 1). The cache is checked, never read. It holds the
+    public points, read-only: built once per point by :func:`make_sym_params`."""
 
     scheme = wire.SCHEME_SYMMETRIC
 
     def __init__(self, params: SchemeParams):
-        self.params, self.sym, self.endpoints = params, make_sym_params(params), params.N
-        self.field, self.message_length = self.sym.field, self.sym.message_length
-        self.form, self.count = wire.FORM_SYMMETRIC, 1
+        if params.K < 2:
+            raise ParameterError("the symmetric scheme is defined for K >= 2 messages")
+        field = standard_field(params.w or sym_field_width(params))
+        if field.q <= params.N:
+            raise ParameterError(
+                f"width {field.w} gives only {field.q} evaluation points for N={params.N}")
+        self.params, self.field, self.endpoints = params, field, params.N
+        self.message_length, self.form, self.count = params.N - params.T, wire.FORM_SYMMETRIC, 1
+        # database n's point is n, as in _endpoint_powers; vander's lambda_n ** j
+        # are T mask columns, then N - T indicators
+        self.lambdas = np.arange(1, params.N + 1, dtype=field.dtype)
+        self.vander = point_powers(field, self.lambdas, params.N)
+        self.lambdas.flags.writeable = self.vander.flags.writeable = False
+
+    @cached_property
+    def interp(self) -> np.ndarray:
+        """(N, N) inverse of ``vander``: answers -> coefficients, on first use."""
+        inv = linalg.inv_matrix(self.field, self.vander)
+        inv.flags.writeable = False
+        return inv
 
     def prepare(self, theta: int, side) -> tuple[SymmetricProtocol, dict[int, np.ndarray]]:
         """This protocol, and one session's cache checked by :func:`check_side`."""
@@ -213,9 +203,9 @@ class SymmetricProtocol:
     def draw(self, theta: int, rngs) -> tuple[list[bytes], np.ndarray, np.ndarray]:
         """Session ids, masks and queries of one session per random source, each
         drawing its id, then its masks; one product assembles all queries."""
-        drawn = [(rng.bytes(SESSION_ID_BYTES), sym_masks(self.sym, rng)[None]) for rng in rngs]
+        drawn = [(rng.bytes(SESSION_ID_BYTES), sym_masks(self, rng)[None]) for rng in rngs]
         masks = np.concatenate([m for _, m in drawn])
-        return [sid for sid, _ in drawn], masks, queries_from_masks(self.sym, theta, masks)
+        return [sid for sid, _ in drawn], masks, queries_from_masks(self, theta, masks)
 
     def payloads(self, state) -> list[dict[int, bytes]]:
         """Each session's QUERY payloads, keyed by 1-based database."""
@@ -229,10 +219,20 @@ class SymmetricProtocol:
         ids, t = state[0], self.params.T
         sigma = (np.zeros((len(ids), t), dtype=self.field.dtype) if secret is None else
                  np.stack([derive_common_randomness(secret, sid, t, self.field) for sid in ids]))
-        return sym_answers(self.sym, state[2], store.messages, sigma).T[..., None]
+        return sym_answers(self, state[2], store.messages, sigma).T[..., None]
 
     def finish(self, state, answers, side) -> np.ndarray:
-        return sym_decode(answers[..., 0].T, self.sym)
+        return sym_decode(answers[..., 0].T, self)
+
+    @staticmethod
+    def answer_query(query: wire.SymQueryWire, store: MessageStore, endpoint: int,
+                     secret: bytes) -> tuple[int, np.ndarray]:
+        """Database ``endpoint``'s reply to a parsed QUERY, as (form byte,
+        symbols): from its own T powers only, never a table sized by N."""
+        sigma = derive_common_randomness(secret, query.session_id, query.t, store.field)
+        powers = _endpoint_powers(store.field, endpoint, query.t)
+        return wire.FORM_SYMMETRIC, sym_answer(
+            store.field, query.coords, store.messages, sigma, powers)[None]
 
     def capacity(self) -> Fraction:
         return capacity_stpir_psi(self.params, self.rho())
@@ -285,6 +285,10 @@ class SumProtocol:
     def finish(self, state, answers, side) -> np.ndarray:
         return answers[0] ^ np.bitwise_xor.reduce(np.stack(list(side.values())), axis=0)
 
+    @staticmethod
+    def answer_query(query, store: MessageStore, endpoint, secret) -> tuple[int, np.ndarray]:
+        return wire.FORM_SUM, sum_shortcut_answer(store)
+
     def capacity(self) -> Fraction:
         return capacity_stpir_psi(self.params, self.rho())
 
@@ -294,6 +298,12 @@ class SumProtocol:
     @staticmethod
     def shape(w: int, k: int, length: int, m: int, n_db: int, t: int) -> wire.SumShape:
         return wire.SumShape(w, k, length)
+
+
+@lru_cache(maxsize=64)
+def make_sym_params(params: SchemeParams) -> SymmetricProtocol:
+    """The symmetric protocol at ``params``, built once per point."""
+    return SymmetricProtocol(params)
 
 
 @lru_cache(maxsize=64)
@@ -308,4 +318,4 @@ def session_protocol(scheme: str, params: SchemeParams, raw: bool = False):
         raise ParameterError(f"unknown scheme {scheme!r}")
     if raw:
         raise ParameterError("raw answers are the tpir scheme's; stpir answers have one form")
-    return SumProtocol(params) if params.all_but_one_cached else SymmetricProtocol(params)
+    return SumProtocol(params) if params.all_but_one_cached else make_sym_params(params)

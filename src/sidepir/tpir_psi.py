@@ -591,6 +591,12 @@ class LayeredProtocol:
         """Each session's desired message, from its answers and its cache."""
         return decode(self.form, answers, *state, side)
 
+    @staticmethod
+    def answer_query(query: DatabaseQuery, store: MessageStore, endpoint,
+                     secret) -> tuple[int, np.ndarray]:
+        """One database's reply to a parsed QUERY: :func:`answer`."""
+        return answer(query, store)
+
     def capacity(self) -> Fraction:
         return capacity_tpir_psi(self.params)
 

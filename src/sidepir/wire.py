@@ -414,8 +414,10 @@ def parse_store(data: bytes) -> MessageStore:
             f"store file holds {len(data)} bytes, expected {expected}"
         )
     padded = _padded_length(field, length)
-    symbols = field.unpack(data[_STORE_HEADER.size:], k * padded)
-    messages = np.ascontiguousarray(symbols.reshape(k, padded)[:, :length])
+    symbols = field.unpack(data[_STORE_HEADER.size:], k * padded).reshape(k, padded)
+    if symbols[:, length:].any():
+        raise ParameterError("store file has a nonzero padding nibble")
+    messages = np.ascontiguousarray(symbols[:, :length])
     messages.flags.writeable = False
     return MessageStore(field=field, messages=messages)
 

@@ -277,3 +277,41 @@ def test_audits_refuse_fewer_than_one_session():
             for sessions in (0, -3):
                 with pytest.raises(ParameterError):
                     run(scheme, sessions, 0)
+
+
+@pytest.mark.parametrize("scheme,params,raw", [
+    ("tpir", SchemeParams(3, 1, 2, 1), False),
+    ("tpir", SchemeParams(3, 1, 2, 1), True),
+    ("stpir", SchemeParams(3, 0, 3, 1), False),
+    ("stpir", SchemeParams(3, 0, 4, 2), False),
+    ("stpir", SchemeParams(3, 2, 3, 1), False),
+], ids=["layered-compressed", "layered-raw", "symmetric-T1", "symmetric-T2", "sum"])
+def test_in_process_answers_are_the_servers_answers(scheme, params, raw):
+    """The audits answer every database of a batch of sessions in process,
+    with ``protocol.answer``: database n's symbols there are the ANSWER a
+    server sends endpoint n for that session's QUERY, so the db-privacy
+    residuals and the correctness audit check the code servers run."""
+    from sidepir.server import ServerCore
+    from sidepir.stpir_psi import session_protocol
+
+    protocol = session_protocol(scheme, params, raw)
+    store = random_store(protocol.field, params.K, protocol.message_length,
+                         np.random.default_rng(8))
+    secret = audit.AUDIT_SECRET
+    state = protocol.draw(1, [np.random.default_rng(s) for s in range(3)])
+    answers = protocol.answer(state, store, secret)
+    core = ServerCore(store, role=scheme, secret=secret)
+    sessions = protocol.payloads(state)
+    frames = client._params_frames(params, scheme, protocol.field.w, protocol.message_length,
+                                   len(sessions[0]))
+    assert answers.shape == (len(frames), len(sessions), protocol.count)
+    for j, payloads in enumerate(sessions):
+        for n, payload in payloads.items():
+            session = core.new_session()
+            ftype, _ = core.handle_frame(session, wire.TYPE_PARAMS, frames[n - 1])
+            assert ftype == wire.TYPE_PARAMS
+            ftype, reply = core.handle_frame(session, wire.TYPE_QUERY, payload)
+            assert ftype == wire.TYPE_ANSWER
+            form, symbols = wire.parse_answer(protocol.field, reply)
+            assert form == protocol.form
+            assert np.array_equal(symbols, answers[n - 1, j])

@@ -148,6 +148,16 @@ def test_server_error_frames(golden1_store):
     ftype, payload = core.handle_frame(session, wire.TYPE_QUERY, b"\x01trunc")
     assert ftype == wire.TYPE_ERROR
     assert wire.parse_error_payload(payload)[0] == wire.ERR_MALFORMED_QUERY
+    # N^K != L: the session takes no layered query, and says why
+    session = core.new_session()
+    unfit = ok.replace(b'"n_db":2', b'"n_db":3')
+    assert core.handle_frame(session, wire.TYPE_PARAMS, unfit)[0] == wire.TYPE_PARAMS
+    reason = ("session parameters (M=1, N=3, T=1) do not fit a layered scheme on 3 "
+              "messages of length 8")
+    assert wire.parse_error_payload(core.refuse_unread(session, wire.TYPE_QUERY, 96)) == (
+        wire.ERR_MALFORMED_QUERY, f"QUERY declares 96 bytes; this session takes (); {reason}")
+    ftype, payload = core.handle_frame(session, wire.TYPE_QUERY, b"\x01trunc")
+    assert wire.parse_error_payload(payload) == (wire.ERR_MALFORMED_QUERY, reason)
 
 
 def test_out_of_range_symbol_reference(golden1_store):
@@ -210,12 +220,17 @@ def test_server_fails_closed_on_internal_errors(golden1_store, monkeypatch, exc)
 
 def test_params_mismatch(golden1_store):
     core = ServerCore(golden1_store)
-    bad = wire.params_payload({"scheme": "tpir", "endpoint": 1, "n_db": 2,
-                               "k": 5, "m": 1, "t": 1, "w": 4,
-                               "message_length": 8})
-    ftype, payload = core.handle_frame(core.new_session(), wire.TYPE_PARAMS, bad)
-    assert ftype == wire.TYPE_ERROR
-    assert wire.parse_error_payload(payload)[0] == wire.ERR_STORE_MISMATCH
+    for change, reason in (({"k": 5}, "store holds 3 messages"),
+                           ({"scheme": "stpir"}, "server role is 'tpir', client wants 'stpir'"),
+                           ({"message_length": 9}, "store messages have length 8"),
+                           ({"endpoint": 0}, "bad endpoint assignment 0/2"),
+                           ({"endpoint": 3}, "bad endpoint assignment 3/2")):
+        bad = wire.params_payload({"scheme": "tpir", "endpoint": 1, "n_db": 2,
+                                   "k": 3, "m": 1, "t": 1, "w": 4,
+                                   "message_length": 8, **change})
+        ftype, payload = core.handle_frame(core.new_session(), wire.TYPE_PARAMS, bad)
+        assert ftype == wire.TYPE_ERROR
+        assert wire.parse_error_payload(payload) == (wire.ERR_STORE_MISMATCH, reason)
 
 
 def test_truncated_frame_over_tcp(golden1_store):
@@ -672,7 +687,7 @@ def test_a_late_first_frame_is_answered_and_a_silent_connection_does_not_hold_up
     arrive: a client that connects and sends 50 ms later is still answered,
     and a connection that never sends does not delay stop()."""
     server = DatabaseServer(golden1_store).start()
-    listener = server._server.socket
+    listener = server.socket
     assert listener.getsockopt(socket.IPPROTO_TCP, socket.TCP_DEFER_ACCEPT) > 0
     silent = socket.create_connection(("127.0.0.1", server.port), timeout=3)
     late = socket.create_connection(("127.0.0.1", server.port), timeout=3)
@@ -695,6 +710,7 @@ def test_session_caches_stay_bounded(golden1_store):
     sessions at 117 distinct (endpoint, T) are each answered, while neither
     the QUERY-shape cache nor the point-power cache grows past its bound."""
     from sidepir import server as server_mod
+    from sidepir import stpir_psi
 
     f4 = standard_field(4)
     sym_store = random_store(f4, 3, 2, np.random.default_rng(102))
@@ -719,7 +735,7 @@ def test_session_caches_stay_bounded(golden1_store):
                 {"scheme": "stpir", "endpoint": endpoint, "n_db": n_db, "k": 3, "m": 0,
                  "t": t, "w": 4, "message_length": 2}))
             assert cores[1].handle_frame(session, wire.TYPE_QUERY, query)[0] == wire.TYPE_ANSWER
-    for cache in (server_mod._session_layouts, server_mod._endpoint_powers):
+    for cache in (server_mod._session_layouts, stpir_psi._endpoint_powers):
         info = cache.cache_info()
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
 
@@ -1262,6 +1278,12 @@ def test_layered_client_refuses_an_answer_form_it_did_not_ask_for(golden1_store)
         with pytest.raises(ProtocolError, match=r"^endpoint 1 sent answer form"):
             client.retrieve(sims, params, 1, store.side_information(cached), seed=2,
                             scheme=scheme, raw=raw)
+    # an answer that does not parse is named by its endpoint too
+    for edit, why in ((lambda reply: reply[:4], "truncated answer header"),
+                      (lambda reply: reply + b"\0", "answer body holds 5 bytes, expected 4")):
+        sims = [Editing(ServerCore(m0_store), edit) for _ in range(2)]
+        with pytest.raises(ProtocolError, match=f"^endpoint 1 sent a malformed answer: {why}"):
+            client.retrieve(sims, SchemeParams(3, 0, 2, 1), 1, {}, seed=2)
 
 
 def test_sessions_refuse_queries_of_other_schemes(golden1_store, caplog):
@@ -1633,6 +1655,35 @@ def test_a_reset_connection_is_a_typed_error(golden1_store):
     assert isinstance(err.value.__cause__, ConnectionResetError)
 
 
+def test_a_client_reset_mid_frame_ends_its_session_quietly(golden1_store, monkeypatch):
+    """A client that declares a 100-byte PARAMS, sends one byte of it and
+    resets the connection ends its session: the server reports no error,
+    and a retrieval that follows on the same server is answered."""
+    import socketserver
+
+    errors = []
+    monkeypatch.setattr(socketserver.BaseServer, "handle_error",
+                        lambda self, request, address: errors.append(address))
+    server = DatabaseServer(golden1_store).start()
+    try:
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=3)
+        sock.sendall(wire.frame_head(wire.TYPE_PARAMS, 100) + b"{")
+        time.sleep(0.1)  # accepted, and its handler waits for the rest
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        transports = tcp_transports([server, server])
+        try:
+            result = client.retrieve(transports, SchemeParams(3, 1, 2, 1), 1,
+                                     golden1_store.side_information({3}), seed=5)
+        finally:
+            for t in transports:
+                t.close()
+    finally:
+        server.stop()
+    assert errors == []
+    assert np.array_equal(result.message, golden1_store.message(1))
+
+
 def test_an_answer_is_bounded_by_its_head_and_count():
     """A QUERY reply may hold the larger of MAX_SESSIONLESS_FRAME and the
     answer head with its count of symbols: one byte more is refused."""
@@ -1655,6 +1706,13 @@ def test_an_answer_is_bounded_by_its_head_and_count():
                                             f"{limit + 1} bytes, over the {limit}"):
         client._run_endpoints([client.LocalTransport(Answering(limit + 1))], [b"{}"], [b"q"],
                               limit)
+
+    class Mistyped(Answering):
+        def handle_frame(self, session, ftype, payload):
+            return wire.TYPE_ANSWER, bytes(self.size)
+
+    with pytest.raises(ProtocolError, match="^endpoint 1 answered params with type 0x2$"):
+        client._run_endpoints([client.LocalTransport(Mistyped(5))], [b"{}"], [b"q"])
 
 
 def test_local_and_tcp_transports_refuse_an_oversized_reply_alike():

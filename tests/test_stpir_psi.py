@@ -42,7 +42,7 @@ def zero_sigma(t, field):
 
 def run_masked_session(sp, theta, store, rng):
     queries = sym_query(sp, theta, rng)
-    sigma = derive_common_randomness(SECRET, rng.bytes(16), sp.base.T, sp.field)
+    sigma = derive_common_randomness(SECRET, rng.bytes(16), sp.params.T, sp.field)
     answers = sym_answers(sp, queries, store.messages, sigma)
     return sym_decode(answers, sp), answers
 
@@ -277,7 +277,7 @@ def test_full_session_helper():
     sp = make_sym_params(SchemeParams(3, 0, 4, 2))
     rng = np.random.default_rng(6)
     store = random_store(sp.field, 3, 2, rng)
-    sigma = derive_common_randomness(SECRET, bytes(16), sp.base.T, sp.field)
+    sigma = derive_common_randomness(SECRET, bytes(16), sp.params.T, sp.field)
     got = sym_decode(sym_answers(sp, sym_query(sp, 3, rng), store.messages, sigma), sp)
     assert np.array_equal(got, store.message(3))
 
@@ -287,7 +287,7 @@ def test_pinned_wide_field_session():
     assert sp.field.w == 16
     rng = np.random.default_rng(60)
     store = random_store(sp.field, 3, 2, rng)
-    sigma = derive_common_randomness(SECRET, bytes(16), sp.base.T, sp.field)
+    sigma = derive_common_randomness(SECRET, bytes(16), sp.params.T, sp.field)
     got = sym_decode(sym_answers(sp, sym_query(sp, 2, rng), store.messages, sigma), sp)
     assert np.array_equal(got, store.message(2))
 

@@ -553,6 +553,8 @@ def test_decode_refuses_compressed_answers_without_cached_slots():
     from sidepir.errors import ProtocolError
     with pytest.raises(ProtocolError):
         decode(FORM_COMPRESSED, answers, plan, state, {})
+    with pytest.raises(ProtocolError, match="^layered answers have no form 0x7f$"):
+        decode(0x7F, answers, plan, state, {})
 
 
 def test_pinned_wide_field_round_trip():

@@ -34,6 +34,10 @@ def test_frame_rejects_bad_magic_and_truncation():
     with pytest.raises(ProtocolError):
         wire.read_frame(io.BytesIO(frame[:-2]))
     assert wire.read_frame_head(io.BytesIO(b"")) is None
+    over = (wire.FRAME_MAGIC + bytes([wire.TYPE_QUERY])
+            + (wire.MAX_PAYLOAD + 1).to_bytes(4, "little"))
+    with pytest.raises(ProtocolError, match="exceeds the frame limit"):
+        wire.read_frame_head(io.BytesIO(over))
 
 
 def test_store_file_layout_and_round_trip(tmp_path):
@@ -77,6 +81,20 @@ def test_store_file_rejects_bad_sizes():
         wire.parse_store(data[:-1])
     with pytest.raises(ParameterError):
         wire.parse_store(b"BADMAGIC" + data[8:])
+    with pytest.raises(ParameterError, match="shorter than its header"):
+        wire.parse_store(data[:wire._STORE_HEADER.size - 1])
+    with pytest.raises(ParameterError, match="unsupported symbol width 12"):
+        wire.parse_store(data[:8] + bytes([12]) + data[9:])
+    # at w = 4 a 5-symbol message ends in a padding nibble, which must be
+    # zero: otherwise the file is not the store_bytes of what it parses to
+    f4 = standard_field(4)
+    data = wire.store_bytes(random_store(f4, 2, 5, np.random.default_rng(1)))
+    assert wire.store_bytes(wire.parse_store(data)) == data
+    for last in (wire._STORE_HEADER.size + 2, len(data) - 1):
+        padded = bytearray(data)
+        padded[last] |= 0x10
+        with pytest.raises(ParameterError, match="nonzero padding nibble"):
+            wire.parse_store(bytes(padded))
 
 
 def _layouts(plan):
@@ -270,6 +288,8 @@ def test_symmetric_and_sum_queries_off_shape_rejected_before_unpack(monkeypatch,
 def test_unknown_scheme_rejected():
     with pytest.raises(ProtocolError):
         wire.parse_query_payload(b"\x99rest", _SUM[1])
+    with pytest.raises(ProtocolError, match="^empty query payload$"):
+        wire.parse_query_payload(b"", _SUM[1])
 
 
 @pytest.mark.parametrize("w", (4, 8, 16))
@@ -280,6 +300,12 @@ def test_answer_round_trip(w):
     form, got = wire.parse_answer(f, data)
     assert form == wire.FORM_COMPRESSED
     assert np.array_equal(got, symbols)
+    with pytest.raises(ProtocolError, match="^truncated answer header"):
+        wire.parse_answer(f, data[:4])
+    for bad in (data[:-1], data + b"\0"):
+        with pytest.raises(ProtocolError, match=f"^answer body holds {len(bad) - 5} bytes, "
+                                                f"expected {f.packed_size(13)}$"):
+            wire.parse_answer(f, bad)
 
 
 def test_error_payload_round_trip():
