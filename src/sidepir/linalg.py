@@ -9,7 +9,14 @@ one call. Those have two shapes: an L x L mixer, whose factors decoding
 needs, and K - 1 u x L blocks (u = L*T/N), whose ranks alone matter. The
 kernel takes them as one stack, the blocks padded to L rows, and eliminates
 both shapes in one column loop: columns below u update every member, later
-ones only the whole members.
+ones only the whole members. A block with a pivot in each of its leading u
+columns has full row rank, so in a stack too large to update the blocks'
+padding a block is updated on those columns only, and one that lacks a
+pivot there (about 1/(q - 1) of them) is eliminated again at full width in
+the same call. While no whole member is rank-deficient, a column runs on
+basic slices: only the members with a zero diagonal entry search their rows
+for a pivot and swap it up, so a large stack, where some member meets a
+zero at almost every column, keeps that path.
 :func:`rank_batched` counts its pivots; :func:`solve` and
 :func:`inv_matrix` add the triangular substitution of :func:`lu_solve`.
 The rank check of the mixers hands the desired mixer's factors on, so
@@ -52,10 +59,12 @@ MATMUL_CHUNK = 1 << 20
 _INTP = np.dtype(np.intp).itemsize
 # Padding symbols of a stack's short members up to which the elimination
 # zeroes the padding and updates it with the rows above, one update a
-# column in place of two. Timed on a 2-core x86 host, padded stacks of one
-# whole member and 8- to 32-row blocks took 0.82-0.94 of the unpadded time
-# up to 2,560 padding symbols, 0.96 (w = 8) and 1.05 (w = 16) at 4,096, and
-# 1.10-1.12 from 7,680 on. A single-session (3, 2, 3, 2) draw's
+# column in place of two; above it, the blocks are updated on their leading
+# columns only. Timed on a 2-core x86 host (best of 9 means of 30 calls),
+# padded stacks of one whole member and 8- to 32-row blocks took 0.82-0.96
+# of the unpadded time up to 2,048 padding symbols, 0.98-0.99 at 2,880 and
+# 3,456, 1.01-1.02 at 4,096, 1.08-1.15 at 6,144 and 1.19-1.27 from 10,240
+# on, at w = 8 and 16 alike. A single-session (3, 2, 3, 2) draw's
 # (3, 27, 27) stack has 486; a (6, 2, 2, 1) draw's (6, 64, 64) one 10,240.
 _PAD_SYMBOLS = 4096
 
@@ -83,7 +92,8 @@ def matmul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (..., m, k, n) temporary, so the contraction runs in steps over k that
     keep that temporary under ``MATMUL_CHUNK`` bytes of intp indices, and
     over rows of ``a`` where one index of k for all rows is larger; peak
-    memory is O(m n) per batch member. A small product is a single step.
+    memory is O(m n) per batch member. A product that fits one step is its
+    log sum, gather and XOR reduce alone.
     """
     a = np.asarray(a, dtype=field.dtype)
     b = np.asarray(b, dtype=field.dtype)
@@ -96,16 +106,22 @@ def matmul(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lead = (lead_a if lead_b == lead_a[len(lead_a) - len(lead_b):] else
             lead_b if lead_a == lead_b[len(lead_b) - len(lead_a):] else
             np.broadcast_shapes(lead_a, lead_b))
-    out = np.zeros(lead + (m, n), dtype=field.dtype)
     per_row = math.prod(lead) * n
-    if not k or not m or not per_row:
-        return out
     cap = MATMUL_CHUNK // _INTP
+    log = field._log
+    if per_row * m * k <= cap:
+        # one step: no output to fill or add to (an empty contraction
+        # reduces to zeros)
+        size = per_row * m * k
+        terms = _products(field, log.take(a)[..., :, :, None], log.take(b)[..., None, :, :],
+                          lead + (m, k, n), np.empty(size, dtype=np.intp),
+                          np.empty(size, dtype=field.dtype))
+        return np.bitwise_xor.reduce(terms, axis=-2)
+    out = np.zeros(lead + (m, n), dtype=field.dtype)
     rows = max(1, min(m, cap // per_row))
     step = max(1, min(k, cap // (per_row * rows)))
     size = per_row * rows * step
     scratch, gathered = np.empty(size, dtype=np.intp), np.empty(size, dtype=field.dtype)
-    log = field._log
     # one view of out per chunk of rows, updated in place: an indexed ^=
     # would copy each chunk back
     parts = [(r0, out[..., r0:r0 + rows, :]) for r0 in range(0, m, rows)]
@@ -142,14 +158,18 @@ def lu_batched(field: GF, mats: np.ndarray, whole: int | None = None,
     others are short, ``rows`` x m blocks padded to n rows, and only their
     ranks are meaningful. Their padding is never read, or, in a stack with
     at most ``_PAD_SYMBOLS`` padding symbols, zeroed and updated with the
-    rows above it. Columns below ``rows`` update every member's rows, later
-    ones only the whole members, a basic slice of the stack.
+    rows above it. A block is eliminated on its leading ``rows`` columns
+    only, and without padding only those columns are updated: a pivot in
+    each of them gives it full row rank. A block that lacks one there is
+    eliminated again at full width from its input rows, in this call.
 
-    While every member has had a pivot in each column so far and has a
-    nonzero diagonal entry at the current one, the column is eliminated with
-    basic slices and no pivot search or row swap. Otherwise each member
-    searches its own rows. Both paths end in the same update of the rows
-    below the pivots, :func:`_eliminate`: one outer product that writes the
+    While no whole member has lacked a pivot, a column is eliminated with
+    basic slices: only the members with a zero diagonal entry search their
+    own rows below it, and swap the first nonzero one up; a block without
+    one takes a stand-in pivot of 1 and is eliminated again. Otherwise
+    each member searches its own rows, with masks for the members whose
+    pivots ran out. Both paths end in the same update of the rows below the
+    pivots, :func:`_eliminate`: one outer product that writes the
     multipliers and eliminates the column at once.
     """
     mats = np.asarray(mats)
@@ -158,68 +178,110 @@ def lu_batched(field: GF, mats: np.ndarray, whole: int | None = None,
     a = np.empty(mats.shape, dtype=field.dtype)
     a[:whole] = mats[:whole]
     a[whole:, :rows] = mats[whole:, :rows]
-    # columns below ``rows`` update rows up to ``split`` of every member
+    # a block's rows up to ``split`` take the updates of its leading columns,
+    # its padding too in a small stack
     split = n if (nbatch - whole) * (n - rows) * m <= _PAD_SYMBOLS else rows
     a[whole:, rows:split] = 0
+    perm, ranks, again = _forward(field, a, whole, rows, split)
+    if again.size:
+        # those blocks alone, from their input rows, are a stack of whole
+        # rows x m members
+        ranks[again] = _forward(field, np.asarray(mats[again, :rows], dtype=field.dtype),
+                                again.size, rows, rows)[1]
+    return a, perm, ranks
+
+
+def _forward(field: GF, a: np.ndarray, whole: int, rows: int,
+             split: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column loop of :func:`lu_batched` on its working stack ``a``, in
+    place. Returns ``(perm, ranks, again)``: the blocks in ``again`` lack a
+    pivot in one of their leading columns, so their ranks are still to be
+    found."""
+    nbatch, n, m = a.shape
     log, order = field._log, field._order
     perm = np.tile(np.arange(n), (nbatch, 1))
     piv = np.zeros(nbatch, dtype=np.int64)
+    stand_in = np.zeros(nbatch, dtype=bool)
     every = np.arange(nbatch)
     row_ids = np.arange(n)
     # the first column's block is the largest; a row of it is the least one
     # step can hold
     size = min(nbatch * max(0, n - 1) * m, max(MATMUL_CHUNK // _INTP, m))
     scratch, gathered = np.empty(size, dtype=np.intp), np.empty(size, dtype=field.dtype)
-    # while ``full``, every member with rows left has had a pivot in each
-    # column so far, and ``piv`` is brought up to date only when that is
-    # not known
+    # while ``full``, every whole member has had a pivot in each column so
+    # far, and so has each block but those of ``stand_in``; ``piv`` is
+    # brought up to date only when that is not known
     full = True
     for col in range(m):
-        # members with rows left: all of them, then the whole ones only
+        # members with columns left: all of them, then the whole ones only
         live = nbatch if col < rows else whole
-        if full:
-            if col >= n or not live:
-                break
-            if np.count_nonzero(a[:live, col, col]) == live:
-                # each inverse pivot log lies in [1, order], so a sum with it
-                # stays inside the antilog table
-                lprow = log.take(a[:live, col, col:])
-                lscaled = _scaled_pivot_rows(field, lprow, order - lprow[:, :1])
-                end = split if col < rows else n
-                _eliminate(field, a[:live, col + 1:end, col:], lscaled, None,
-                           scratch, gathered)
-                if end < n:
-                    _eliminate(field, a[:whole, end:, col:], lscaled[:whole], None,
-                               scratch, gathered)
-                continue
-            piv[:whole], piv[whole:] = col, min(col, rows)
-        # each member's candidates: its own rows at or below its pivot count
-        cand = np.zeros((nbatch, n), dtype=bool)
-        cand[:, :rows] = a[:, :rows, col] != 0
-        cand[:whole, rows:] = a[:whole, rows:, col] != 0
-        cand &= row_ids >= piv[:, None]
-        has = cand.any(axis=1)
-        # a member without a pivot swaps row 0 with itself
-        sel = np.where(has, np.argmax(cand, axis=1), 0)
-        top = np.where(has, piv, 0)
-        a[every, sel], a[every, top] = a[every, top], a[every, sel]
-        perm[every, sel], perm[every, top] = perm[every, top], perm[every, sel]
-        lo = int(piv.min()) + 1
-        below = (row_ids[None, lo:] > piv[:, None]) & has[:, None]
-        # a member without a pivot scales by its row 0, and ``below`` keeps
-        # its rows as they are
-        lprow = log.take(a[every, top, col:])
-        lscaled = _scaled_pivot_rows(field, lprow, (order - lprow[:, :1]) % order)
-        piv += has
-        full = full and bool(has[:live].all())
-        _eliminate(field, a[:, lo:split, col:], lscaled, below[:, :max(0, split - lo)],
-                   scratch, gathered)
-        start = max(lo, split)
-        _eliminate(field, a[:whole, start:, col:], lscaled[:whole], below[:whole, start - lo:],
+        if not live or (full and col >= n):
+            break
+        if full and (np.count_nonzero(a[:live, col, col]) == live
+                     or _pivots_in_place(a, perm, col, live, whole, rows, stand_in)):
+            lo, below = col + 1, None
+            # each inverse pivot log lies in [1, order], so a sum with it
+            # stays inside the antilog table
+            lprow = log.take(a[:live, col, col:])
+            lscaled = _scaled_pivot_rows(field, lprow, order - lprow[:, :1])
+        else:
+            if full:
+                piv[:whole], piv[whole:] = col, min(col, rows)
+                full = False
+            # each member's candidates: its own rows at or below its pivot count
+            ids, lpiv = every[:live], piv[:live]
+            cand = np.zeros((live, n), dtype=bool)
+            cand[:, :rows] = a[:live, :rows, col] != 0
+            cand[:whole, rows:] = a[:whole, rows:, col] != 0
+            cand &= row_ids >= lpiv[:, None]
+            has = cand.any(axis=1)
+            # a member without a pivot swaps row 0 with itself
+            sel = np.where(has, np.argmax(cand, axis=1), 0)
+            top = np.where(has, lpiv, 0)
+            a[ids, sel], a[ids, top] = a[ids, top], a[ids, sel]
+            perm[ids, sel], perm[ids, top] = perm[ids, top], perm[ids, sel]
+            lo = int(lpiv.min()) + 1
+            below = (row_ids[None, lo:] > lpiv[:, None]) & has[:, None]
+            # a member without a pivot scales by its row 0, and ``below``
+            # keeps its rows as they are
+            lprow = log.take(a[ids, top, col:])
+            lscaled = _scaled_pivot_rows(field, lprow, (order - lprow[:, :1]) % order)
+            lpiv += has
+        if split == n or col >= rows:
+            _eliminate(field, a[:live, lo:, col:], lscaled, below, scratch, gathered)
+            continue
+        # the blocks' rows on their leading columns, apart from the whole members
+        ws, bs = (None, None) if below is None else (below[:whole], below[whole:, :rows - lo])
+        _eliminate(field, a[:whole, lo:, col:], lscaled[:whole], ws, scratch, gathered)
+        _eliminate(field, a[whole:, lo:rows, col:rows], lscaled[whole:, :rows - col], bs,
                    scratch, gathered)
     if full:
         piv[:whole], piv[whole:] = min(n, m), min(rows, m)
-    return a, perm, piv
+    again = whole + np.flatnonzero(stand_in[whole:] | (piv[whole:] < min(rows, m)))
+    return perm, piv, again
+
+
+def _pivots_in_place(a, perm, col, live, whole, rows, stand_in) -> bool:
+    """Bring a pivot to the diagonal at column ``col`` of each of the first
+    ``live`` members that has a zero there: the first row below it with a
+    nonzero entry in the column, a block's within its ``rows`` rows, is
+    swapped up. A block without one takes a stand-in pivot of 1 and is
+    marked in ``stand_in``. Changes nothing and returns False when a whole
+    member has none."""
+    zero = np.flatnonzero(a[:live, col, col] == 0)
+    cand = a[zero, col:, col] != 0
+    cand[zero >= whole, rows - col:] = False
+    has = cand.any(axis=1)
+    lost = zero[~has]
+    # ``zero`` is sorted and the whole members come first
+    if lost.size and lost[0] < whole:
+        return False
+    got, sel = zero[has], col + np.argmax(cand[has], axis=1)
+    a[got, col], a[got, sel] = a[got, sel], a[got, col]
+    perm[got, col], perm[got, sel] = perm[got, sel], perm[got, col]
+    a[lost, col, col] = 1
+    stand_in[lost] = True
+    return True
 
 
 def _scaled_pivot_rows(field: GF, lprow: np.ndarray, inv_log: np.ndarray) -> np.ndarray:

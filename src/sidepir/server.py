@@ -284,7 +284,9 @@ class DatabaseServer(socketserver.TCPServer):
         return self
 
     def stop(self) -> None:
-        self.shutdown()
+        # shutdown waits for serve_forever to end, which only start runs
+        if self._thread:
+            self.shutdown()
         self.server_close()
         if self._thread:
             self._thread.join(timeout=5)

@@ -72,7 +72,9 @@ def reference_solve(sc, a, b):
 def stacks(field, shape, rng):
     """A random stack plus variants that force the general path: members
     with a zero first column, with a duplicated row, and with a zero leading
-    entry, each mixed with untouched members in the same stack."""
+    entry, each mixed with untouched members in the same stack. Last, members
+    of full rank with their rows shuffled, which meet zero diagonal entries
+    with a pivot below them at many columns while no member lacks a pivot."""
     base = field.random_symbols(rng, shape)
     yield base
     zero_col = base.copy()
@@ -84,6 +86,31 @@ def stacks(field, shape, rng):
     lead = base.copy()
     lead[-1, 0, 0] = 0
     yield lead
+    nbatch, n, m = shape
+    lower = np.tril(field.random_symbols(rng, (nbatch, n, n)), -1) + np.eye(n, dtype=field.dtype)
+    upper = np.triu(field.random_symbols(rng, shape), 1)
+    d = np.arange(min(n, m))
+    upper[:, d, d] = rng.integers(1, field.q, (nbatch, d.size))
+    order = rng.permuted(np.tile(np.arange(n), (nbatch, 1)), axis=1)
+    yield np.take_along_axis(broadcast_matmul(field, lower, upper), order[:, :, None], axis=1)
+
+
+def reference_lu(sc, mat):
+    """``(lu, perm)`` of a full-rank square matrix by the kernel's rule: the
+    pivot is the first row at or below the diagonal with a nonzero entry,
+    and each multiplier is stored where it eliminated."""
+    rows, perm = mat.tolist(), list(range(len(mat)))
+    for col in range(len(rows)):
+        sel = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[sel] = rows[sel], rows[col]
+        perm[col], perm[sel] = perm[sel], perm[col]
+        inv = sc.inv(rows[col][col])
+        for r in range(col + 1, len(rows)):
+            f = sc.mul(rows[r][col], inv)
+            rows[r][col + 1:] = [x ^ sc.mul(f, y) for x, y in zip(rows[r][col + 1:],
+                                                                  rows[col][col + 1:])]
+            rows[r][col] = f
+    return np.array(rows, dtype=mat.dtype), perm
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -100,8 +127,10 @@ def test_rank_batched_matches_reference(w, shape):
 @pytest.mark.parametrize("shape", [s for s in SHAPES if s[1] == s[2]])
 @pytest.mark.parametrize("w", WIDTHS)
 def test_factors_reproduce_the_matrix(w, shape):
-    """For full-rank members, rows in ``perm`` order equal L @ U."""
+    """For full-rank members, rows in ``perm`` order equal L @ U; in small
+    members, ``lu`` and ``perm`` are those of the scalar pivot rule."""
     field = make_field(w)
+    sc = Scalar(field)
     for mats in stacks(field, shape, np.random.default_rng(w + shape[0])):
         lu, perm, ranks = linalg.lu_batched(field, mats)
         n = shape[1]
@@ -110,6 +139,9 @@ def test_factors_reproduce_the_matrix(w, shape):
                 continue
             lower = np.tril(f, -1) + np.eye(n, dtype=field.dtype)
             assert np.array_equal(linalg.matmul(field, lower, np.triu(f)), m[p])
+            if n <= 16:
+                want_lu, want_perm = reference_lu(sc, m)
+                assert np.array_equal(f, want_lu) and p.tolist() == want_perm
 
 
 @pytest.mark.parametrize("shape", [s for s in SHAPES if s[1] == s[2]])
@@ -156,7 +188,9 @@ def test_one_loop_over_both_shapes_matches_each_shape_alone(w, pad, monkeypatch)
     them alone, whether the blocks' padding is left unread or zeroed and
     updated (``_PAD_SYMBOLS`` forces one mode for every shape). Some members
     of each kind are singular or need a later column for a pivot, so the
-    pivoting path runs."""
+    pivoting path runs. The last block has full row rank (where u <= n - u)
+    but a singular leading u x u minor, so only the elimination at full width
+    finds its rank."""
     monkeypatch.setattr(linalg, "_PAD_SYMBOLS", pad)
     field = make_field(w)
     sc = Scalar(field)
@@ -167,6 +201,9 @@ def test_one_loop_over_both_shapes_matches_each_shape_alone(w, pad, monkeypatch)
             blocks[::2, :, 0] = 0
             if u > 1:
                 blocks[1::3, -1] = blocks[1::3, 0]
+            blocks[-1, :, u - 1] = blocks[-1, :, 0] if u > 1 else 0
+            if 2 * u <= n:
+                blocks[-1, :, u:2 * u] = np.eye(u, dtype=field.dtype)
             padded = mats.copy()
             padded[whole:, :u] = blocks
             padded[whole:, u:] = field.q - 1
@@ -176,6 +213,8 @@ def test_one_loop_over_both_shapes_matches_each_shape_alone(w, pad, monkeypatch)
             assert np.array_equal(perm[:whole], alone[1])
             assert ranks[:whole].tolist() == alone[2].tolist()
             assert ranks[whole:].tolist() == linalg.lu_batched(field, blocks)[2].tolist()
+            if 2 * u <= n:
+                assert ranks[-1] == u
             if n < 10:
                 assert ranks[whole:].tolist() == [reference_rank(sc, b) for b in blocks]
 

@@ -533,6 +533,20 @@ def test_an_idle_server_stops_at_once(golden1_store):
         assert time.perf_counter() - start < 0.1
 
 
+def test_a_server_never_started_stops(golden1_store):
+    """stop() on a server whose accept loop never ran returns and frees its
+    port: there is no loop for it to wait for."""
+    server = DatabaseServer(golden1_store)
+    port = server.port
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(5)
+    assert not stopper.is_alive()
+    with socket.socket() as again:
+        again.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        again.bind(("127.0.0.1", port))
+
+
 def test_a_busy_port_is_an_os_error(golden1_store, tmp_path, capsys):
     """Binding a port another socket listens on raises the OSError itself,
     and `sidepir serve` reports it as an error line with exit 1."""
