@@ -13,6 +13,7 @@ w = 4 which packs two symbols per byte, low nibble first.
 
 from __future__ import annotations
 
+import math
 import os
 from functools import lru_cache
 
@@ -190,7 +191,7 @@ class GF:
         """Uniform symbols from a numpy Generator, or from an :class:`OsRandom`'s
         bytes: q = 2^w, so bytes masked to w bits are uniform symbols."""
         if isinstance(rng, OsRandom):
-            data = rng.bytes(int(np.prod(shape)) * np.dtype(self.dtype).itemsize)
+            data = rng.bytes(math.prod(shape) * np.dtype(self.dtype).itemsize)
             return (np.frombuffer(data, self.dtype) & (self.q - 1)).reshape(shape)
         return rng.integers(0, self.q, size=shape, dtype=self.dtype)
 

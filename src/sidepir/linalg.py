@@ -6,17 +6,19 @@ forward elimination with row pivoting across a stack of matrices at once.
 It is batched because the audits process hundreds of thousands of
 independent sessions, and because a client checks a retrieval's mixers in
 one call. Those have two shapes: an L x L mixer, whose factors decoding
-needs, and K - 1 u x L blocks (u = L*T/N), whose ranks alone matter. The
-kernel takes them as one stack, the blocks padded to L rows, and eliminates
-both shapes in one column loop: columns below u update every member, later
-ones only the whole members. A block with a pivot in each of its leading u
-columns has full row rank, so in a stack too large to update the blocks'
-padding a block is updated on those columns only, and one that lacks a
-pivot there (about 1/(q - 1) of them) is eliminated again at full width in
-the same call. While no whole member is rank-deficient, a column runs on
-basic slices: only the members with a zero diagonal entry search their rows
-for a pivot and swap it up, so a large stack, where some member meets a
-zero at almost every column, keeps that path.
+needs, and K - 1 u x L blocks (u = L*T/N), whose ranks alone matter. A
+block with a pivot in each column of its leading u x u square has full row
+rank, so the kernel takes them as one stack of L x L members, each block's
+square copied into its member's bottom-right corner, and eliminates both
+shapes in one column loop with one update a column: columns below L - u
+update the whole members, later ones every member with the same slices,
+since a block's square then fills a whole member's trailing rows and
+columns. A block whose square lacks a pivot (about 1/(q - 1) of them) is
+eliminated again at full width in the same call. While no whole member is
+rank-deficient, a column runs on basic slices: only the members with a
+zero diagonal entry search their rows for a pivot and swap it up, so a
+large stack, where some member meets a zero at almost every column, keeps
+that path.
 :func:`rank_batched` counts its pivots; :func:`solve` and
 :func:`inv_matrix` add the triangular substitution of :func:`lu_solve`.
 The rank check of the mixers hands the desired mixer's factors on, so
@@ -57,16 +59,6 @@ from .field import GF
 # adds an eighth (w <= 8) or a quarter (w = 16) of that.
 MATMUL_CHUNK = 1 << 20
 _INTP = np.dtype(np.intp).itemsize
-# Padding symbols of a stack's short members up to which the elimination
-# zeroes the padding and updates it with the rows above, one update a
-# column in place of two; above it, the blocks are updated on their leading
-# columns only. Timed on a 2-core x86 host (best of 9 means of 30 calls),
-# padded stacks of one whole member and 8- to 32-row blocks took 0.82-0.96
-# of the unpadded time up to 2,048 padding symbols, 0.98-0.99 at 2,880 and
-# 3,456, 1.01-1.02 at 4,096, 1.08-1.15 at 6,144 and 1.19-1.27 from 10,240
-# on, at w = 8 and 16 alike. A single-session (3, 2, 3, 2) draw's
-# (3, 27, 27) stack has 486; a (6, 2, 2, 1) draw's (6, 64, 64) one 10,240.
-_PAD_SYMBOLS = 4096
 
 
 def _products(field: GF, la, lb, shape, scratch, gathered) -> np.ndarray:
@@ -154,13 +146,14 @@ def lu_batched(field: GF, mats: np.ndarray, whole: int | None = None,
     ``ranks`` is exact for every shape; for rank-deficient members only it
     is meaningful.
 
-    With ``rows`` given, only the first ``whole`` members are n x m; the
-    others are short, ``rows`` x m blocks padded to n rows, and only their
-    ranks are meaningful. Their padding is never read, or, in a stack with
-    at most ``_PAD_SYMBOLS`` padding symbols, zeroed and updated with the
-    rows above it. A block is eliminated on its leading ``rows`` columns
-    only, and without padding only those columns are updated: a pivot in
-    each of them gives it full row rank. A block that lacks one there is
+    With ``rows`` given (and n <= m), only the first ``whole`` members are
+    n x m; the others are short, ``rows`` x m blocks padded to n rows, and
+    only their ranks are meaningful. A block's padding is never read: its
+    leading ``rows`` x ``rows`` square is copied into the bottom-right
+    corner of a zeroed member and eliminated there, so a column from
+    n - ``rows`` on is one update of the same slices of every member, and
+    an earlier one updates the whole members only. A pivot in each column
+    of the square gives the block full row rank; a block that lacks one is
     eliminated again at full width from its input rows, in this call.
 
     While no whole member has lacked a pivot, a column is eliminated with
@@ -175,28 +168,29 @@ def lu_batched(field: GF, mats: np.ndarray, whole: int | None = None,
     mats = np.asarray(mats)
     nbatch, n, m = mats.shape
     whole, rows = (nbatch, n) if rows is None else (whole, rows)
-    a = np.empty(mats.shape, dtype=field.dtype)
+    off = n - rows
+    # a block is zeros around its square, so the pivoting path, whose
+    # slices start at the lowest pivot count, reads zeros there
+    a = np.zeros(mats.shape, dtype=field.dtype)
     a[:whole] = mats[:whole]
-    a[whole:, :rows] = mats[whole:, :rows]
-    # a block's rows up to ``split`` take the updates of its leading columns,
-    # its padding too in a small stack
-    split = n if (nbatch - whole) * (n - rows) * m <= _PAD_SYMBOLS else rows
-    a[whole:, rows:split] = 0
-    perm, ranks, again = _forward(field, a, whole, rows, split)
+    a[whole:, off:, off:n] = mats[whole:, :rows, :rows]
+    perm, ranks, again = _forward(field, a, whole, off)
+    ranks[whole:] = rows
     if again.size:
         # those blocks alone, from their input rows, are a stack of whole
         # rows x m members
         ranks[again] = _forward(field, np.asarray(mats[again, :rows], dtype=field.dtype),
-                                again.size, rows, rows)[1]
+                                again.size, 0)[1]
     return a, perm, ranks
 
 
-def _forward(field: GF, a: np.ndarray, whole: int, rows: int,
-             split: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _forward(field: GF, a: np.ndarray, whole: int,
+             off: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The column loop of :func:`lu_batched` on its working stack ``a``, in
-    place. Returns ``(perm, ranks, again)``: the blocks in ``again`` lack a
-    pivot in one of their leading columns, so their ranks are still to be
-    found."""
+    place; the members from ``whole`` on are blocks, eliminated on their
+    squares in rows and columns ``off`` to n. Returns ``(perm, ranks,
+    again)``: the blocks in ``again`` lack a pivot in their squares, so
+    their ranks are still to be found."""
     nbatch, n, m = a.shape
     log, order = field._log, field._order
     perm = np.tile(np.arange(n), (nbatch, 1))
@@ -209,16 +203,19 @@ def _forward(field: GF, a: np.ndarray, whole: int, rows: int,
     size = min(nbatch * max(0, n - 1) * m, max(MATMUL_CHUNK // _INTP, m))
     scratch, gathered = np.empty(size, dtype=np.intp), np.empty(size, dtype=field.dtype)
     # while ``full``, every whole member has had a pivot in each column so
-    # far, and so has each block but those of ``stand_in``; ``piv`` is
-    # brought up to date only when that is not known
+    # far, and so has each block on its square but those of ``stand_in``;
+    # ``piv`` is brought up to date only when that is not known
     full = True
     for col in range(m):
-        # members with columns left: all of them, then the whole ones only
-        live = nbatch if col < rows else whole
-        if not live or (full and col >= n):
+        if full and col >= n:
             break
+        # members with this column: the whole ones, and the blocks on their
+        # squares' columns; a stack of blocks alone has none before those
+        live = nbatch if off <= col < n else whole
+        if not live:
+            continue
         if full and (np.count_nonzero(a[:live, col, col]) == live
-                     or _pivots_in_place(a, perm, col, live, whole, rows, stand_in)):
+                     or _pivots_in_place(a, perm, col, live, whole, stand_in)):
             lo, below = col + 1, None
             # each inverse pivot log lies in [1, order], so a sum with it
             # stays inside the antilog table
@@ -226,14 +223,11 @@ def _forward(field: GF, a: np.ndarray, whole: int, rows: int,
             lscaled = _scaled_pivot_rows(field, lprow, order - lprow[:, :1])
         else:
             if full:
-                piv[:whole], piv[whole:] = col, min(col, rows)
+                piv[:whole], piv[whole:] = col, max(col, off)
                 full = False
             # each member's candidates: its own rows at or below its pivot count
             ids, lpiv = every[:live], piv[:live]
-            cand = np.zeros((live, n), dtype=bool)
-            cand[:, :rows] = a[:live, :rows, col] != 0
-            cand[:whole, rows:] = a[:whole, rows:, col] != 0
-            cand &= row_ids >= lpiv[:, None]
+            cand = (a[:live, :, col] != 0) & (row_ids >= lpiv[:, None])
             has = cand.any(axis=1)
             # a member without a pivot swaps row 0 with itself
             sel = np.where(has, np.argmax(cand, axis=1), 0)
@@ -247,30 +241,21 @@ def _forward(field: GF, a: np.ndarray, whole: int, rows: int,
             lprow = log.take(a[ids, top, col:])
             lscaled = _scaled_pivot_rows(field, lprow, (order - lprow[:, :1]) % order)
             lpiv += has
-        if split == n or col >= rows:
-            _eliminate(field, a[:live, lo:, col:], lscaled, below, scratch, gathered)
-            continue
-        # the blocks' rows on their leading columns, apart from the whole members
-        ws, bs = (None, None) if below is None else (below[:whole], below[whole:, :rows - lo])
-        _eliminate(field, a[:whole, lo:, col:], lscaled[:whole], ws, scratch, gathered)
-        _eliminate(field, a[whole:, lo:rows, col:rows], lscaled[whole:, :rows - col], bs,
-                   scratch, gathered)
+        _eliminate(field, a[:live, lo:, col:], lscaled, below, scratch, gathered)
     if full:
-        piv[:whole], piv[whole:] = min(n, m), min(rows, m)
-    again = whole + np.flatnonzero(stand_in[whole:] | (piv[whole:] < min(rows, m)))
+        piv[:] = min(n, m)
+    again = whole + np.flatnonzero(stand_in[whole:] | (piv[whole:] < n))
     return perm, piv, again
 
 
-def _pivots_in_place(a, perm, col, live, whole, rows, stand_in) -> bool:
+def _pivots_in_place(a, perm, col, live, whole, stand_in) -> bool:
     """Bring a pivot to the diagonal at column ``col`` of each of the first
     ``live`` members that has a zero there: the first row below it with a
-    nonzero entry in the column, a block's within its ``rows`` rows, is
-    swapped up. A block without one takes a stand-in pivot of 1 and is
-    marked in ``stand_in``. Changes nothing and returns False when a whole
-    member has none."""
+    nonzero entry in the column is swapped up. A block without one takes a
+    stand-in pivot of 1 and is marked in ``stand_in``. Changes nothing and
+    returns False when a whole member has none."""
     zero = np.flatnonzero(a[:live, col, col] == 0)
     cand = a[zero, col:, col] != 0
-    cand[zero >= whole, rows - col:] = False
     has = cand.any(axis=1)
     lost = zero[~has]
     # ``zero`` is sorted and the whole members come first

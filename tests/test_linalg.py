@@ -174,24 +174,22 @@ def test_solve_raises_on_singular_input():
         linalg.solve(f16, a, np.ones(5, dtype=f16.dtype))
 
 
-# (n, u, whole members, short members)
-MIXED_SHAPES = [(8, 4, 2, 5), (9, 3, 1, 5), (6, 6, 2, 2), (7, 1, 3, 4), (64, 32, 1, 5)]
+# (n, u, whole members, short members); a stack of blocks alone is how the
+# sampler redraws blocks once every mixer is full rank
+MIXED_SHAPES = [(8, 4, 2, 5), (9, 3, 1, 5), (6, 6, 2, 2), (7, 1, 3, 4), (64, 32, 1, 5),
+                (8, 3, 0, 6)]
 
 
-@pytest.mark.parametrize("pad", [0, 1 << 40], ids=["blocks-alone", "padding-updated"])
 @pytest.mark.parametrize("w", WIDTHS)
-def test_one_loop_over_both_shapes_matches_each_shape_alone(w, pad, monkeypatch):
+def test_one_loop_over_both_shapes_matches_each_shape_alone(w):
     """One elimination over whole n x n members and u x n blocks, padded to
     n rows with nonzero junk that must not be read, gives every block the
     rank that an elimination of the blocks alone and the scalar reference
     give, and the whole members the (lu, perm, ranks) of an elimination of
-    them alone, whether the blocks' padding is left unread or zeroed and
-    updated (``_PAD_SYMBOLS`` forces one mode for every shape). Some members
-    of each kind are singular or need a later column for a pivot, so the
-    pivoting path runs. The last block has full row rank (where u <= n - u)
-    but a singular leading u x u minor, so only the elimination at full width
-    finds its rank."""
-    monkeypatch.setattr(linalg, "_PAD_SYMBOLS", pad)
+    them alone. Some members of each kind are singular or need a later
+    column for a pivot, so the pivoting path runs. The last block has full
+    row rank (where u <= n - u) but a singular leading u x u minor, so only
+    the elimination at full width finds its rank."""
     field = make_field(w)
     sc = Scalar(field)
     rng = np.random.default_rng(w + 70)
@@ -217,6 +215,26 @@ def test_one_loop_over_both_shapes_matches_each_shape_alone(w, pad, monkeypatch)
                 assert ranks[-1] == u
             if n < 10:
                 assert ranks[whole:].tolist() == [reference_rank(sc, b) for b in blocks]
+
+
+def test_one_update_per_column(monkeypatch):
+    """A retrieval's mixer check at L = 64, w = 16 (one 64 x 64 mixer and
+    five 32 x 64 blocks, all of full rank) makes one rank-1 update a
+    column: of the mixer alone before the blocks' squares begin, then of
+    every member with the same slices."""
+    f16 = standard_field(16)
+    mats = f16.random_symbols(np.random.default_rng(5), (6, 64, 64))
+    members = []
+    eliminate = linalg._eliminate
+
+    def counting(field, block, *rest):
+        members.append(block.shape[0])
+        return eliminate(field, block, *rest)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    assert linalg.lu_batched(f16, mats, 1, 32)[2].tolist() == [64] + [32] * 5
+    assert len(members) <= mats.shape[2]
+    assert members == [1] * 32 + [6] * 32
 
 
 def broadcast_matmul(field, a, b):
@@ -328,13 +346,16 @@ def test_kernels_hold_their_outputs_and_the_byte_bound():
     f8, f16 = standard_field(8), standard_field(16)
     rng = np.random.default_rng(11)
     mats = f8.random_symbols(rng, (1536, 27, 27))
-    mats[::2, :, 0] = 0  # the pivoting path from the first column
-    peak, (lu, perm, ranks) = peak_bytes(lambda: linalg.lu_batched(f8, mats))
-    outputs = lu.nbytes + perm.nbytes + ranks.nbytes
     budget = linalg.MATMUL_CHUNK * (1 + f8.dtype(0).itemsize / 8)
     # per column a few (B, n) index, mask and row-swap arrays
     per_column = 32 * mats.shape[0] * mats.shape[1]
-    assert peak <= outputs + budget + per_column
+    zero_col = mats.copy()
+    zero_col[::2, :, 0] = 0  # the pivoting path from the first column
+    # the stack as the sampler passes it: 512 mixers, then 18-row blocks
+    # whose squares are copied into the corners of their members
+    for args in ((zero_col,), (mats, 512, 18)):
+        peak, (lu, perm, ranks) = peak_bytes(lambda: linalg.lu_batched(f8, *args))
+        assert peak <= lu.nbytes + perm.nbytes + ranks.nbytes + budget + per_column
 
     # a long contraction, and one whose single index of k exceeds the scratch
     for a_shape, b_shape in (((8, 64, 256), (8, 256, 64)), ((64, 64, 3), (64, 3, 64))):
