@@ -7,7 +7,8 @@ deterministic function of (desired index, seed) alone, which rules out any
 dependence on the cached set. Statistical layer: Monte-Carlo estimates of
 the total-variation distance between collusion-view distributions, plus
 chi-square uniformity tests on what the client can reconstruct beyond its
-own message.
+own message. The chi-square tail is computed here from ``math`` alone, so
+the audits need no statistics library.
 
 Views live in enormous spaces, so raw empirical TV between two samples of
 the same distribution would be near 1 and meaningless. The estimator is
@@ -30,12 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
-from scipy import stats
 
 from . import wire
 from .capacity import SchemeParams
@@ -103,9 +105,66 @@ def tv_between_digests(sample_a, sample_b) -> tuple[float, str]:
 
 
 def chi_square_uniform_p(values: np.ndarray, cells: int) -> float:
-    """p-value of a chi-square test of uniformity over 0..cells-1."""
-    counts = np.bincount(np.asarray(values, dtype=np.int64), minlength=cells)
-    return float(stats.chisquare(counts).pvalue)
+    """p-value of Pearson's chi-square test of uniformity over 0..cells-1.
+
+    The statistic is summed in float64 as ``scipy.stats.chisquare`` sums it;
+    its tail is Q((cells - 1) / 2, stat / 2). An empty sample, fewer than two
+    cells or a value outside the cells is a ParameterError, so a malformed
+    residual cannot pass the gate as NaN or be scored over a wider table.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if cells < 2:
+        raise ParameterError(f"a uniformity test needs at least 2 cells, got {cells}")
+    if values.size == 0:
+        raise ParameterError("a uniformity test needs at least one value")
+    if values.min() < 0 or values.max() >= cells:
+        raise ParameterError(f"uniformity test values must lie in 0..{cells - 1}")
+    counts = np.bincount(values, minlength=cells).astype(np.float64)
+    mean = counts.mean()
+    stat = float(((counts - mean) ** 2 / mean).sum())
+    return _gamma_q((cells - 1) / 2, stat / 2)
+
+
+def _gamma_q(a: float, x: float) -> float:
+    """Regularized upper incomplete gamma function Q(a, x), a > 0, x >= 0.
+
+    Below x = a + 1 the series for P = 1 - Q, above it the continued fraction
+    for Q by the modified Lentz method (Press et al., Numerical Recipes, 6.2).
+    Both take O(sqrt(a)) steps near x = a, at most about 1,400 at a = 32767.5
+    (the 16-bit field's test). The prefactor x^a e^-x / Gamma(a) is taken in
+    logs, so a tail below the smallest double is 0.0, never NaN; its log
+    cancels terms of size a ln x, so the relative error grows with a, to
+    about 1e-10 at a = 32767.5.
+    """
+    if x <= 0:
+        return 1.0
+    eps = sys.float_info.epsilon
+    steps = 100 + 20 * math.isqrt(int(a) + 1)
+    log_front = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1:
+        term = total = 1 / a
+        for n in range(1, steps):
+            term *= x / (a + n)
+            total += term
+            if term < total * eps:
+                return 1 - math.exp(log_front + math.log(total))
+    else:
+        tiny = sys.float_info.min / eps
+        b = x + 1 - a
+        c, d = 1 / tiny, 1 / b
+        h = d
+        for i in range(1, steps):
+            an = -i * (i - a)
+            b += 2
+            d = an * d + b
+            d = 1 / (d if abs(d) >= tiny else tiny)
+            c = b + an / c
+            if abs(c) < tiny:
+                c = tiny
+            h *= d * c
+            if abs(d * c - 1) < eps:
+                return math.exp(log_front + math.log(h))
+    raise AuditInvariantError(f"Q({a}, {x}) did not converge in {steps} steps")
 
 
 @dataclass

@@ -150,7 +150,7 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    from . import audit as audit_mod  # and with it scipy.stats: only audits load them
+    from . import audit as audit_mod  # only the audit command loads the audits
 
     reports = []
     if args.grid is not None:

@@ -323,10 +323,10 @@ def lu_solve(field: GF, lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.n
     cols = np.ascontiguousarray(loglu.T)[(...,) + (None,) * (b.ndim - 1)]
     y = b[perm]
     for j in range(n - 1):
-        y[j + 1:] ^= alog[cols[j, j + 1:] + log[y[j]]]
+        y[j + 1:] ^= alog.take(cols[j, j + 1:] + log[y[j]])
     for j in range(n - 1, -1, -1):
         y[j] = alog[log[y[j]] + inv_diag[j]]
-        y[:j] ^= alog[cols[j, :j] + log[y[j]]]
+        y[:j] ^= alog.take(cols[j, :j] + log[y[j]])
     return y
 
 

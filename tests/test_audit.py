@@ -49,6 +49,82 @@ def test_chi_square_helper():
     assert audit.chi_square_uniform_p(np.zeros(50_000, dtype=int), 16) < 1e-9
 
 
+def _chi_square_draws(kind, rng, cells, n):
+    if kind == "uniform":
+        return rng.integers(0, cells, n)
+    if kind == "half":
+        return rng.integers(0, max(1, cells // 2), n)
+    return np.minimum(rng.geometric(min(0.5, cells ** -0.5), n) - 1, cells - 1)
+
+
+def test_chi_square_tail_matches_scipy():
+    """The in-package tail against its oracle: relative error at most 1e-9
+    wherever scipy's p-value is at least 1e-300, and below that a tail that
+    is never negative or NaN. The 65536-cell vectors are the 16-bit field's
+    test, at a = 32767.5, where the tail is least accurate."""
+    from scipy import stats
+
+    below = 0
+    for cells in (2, 16, 256, 65536):
+        for n in (64, 1000, 8192, 50_000):
+            for kind in ("uniform", "half", "geometric"):
+                for seed in range(3):
+                    values = _chi_square_draws(kind, np.random.default_rng([cells, n, seed]),
+                                               cells, n)
+                    want = float(stats.chisquare(np.bincount(values, minlength=cells)).pvalue)
+                    got = audit.chi_square_uniform_p(values, cells)
+                    if want >= 1e-300:
+                        assert abs(got - want) <= 1e-9 * want, (cells, n, kind, seed)
+                    else:
+                        below += 1
+                        assert 0 <= got <= 1e-299, (cells, n, kind, seed)
+    assert below > 0  # the underflow branch was reached
+
+
+def test_chi_square_exact_cases():
+    assert audit.chi_square_uniform_p(np.repeat(np.arange(16), 100), 16) == 1.0
+    assert audit.chi_square_uniform_p(np.arange(2), 2) == 1.0
+    p = audit.chi_square_uniform_p(np.full(50_000, 3), 16)
+    assert 0 <= p <= 1e-300
+
+
+def test_chi_square_refuses_an_empty_sample():
+    with pytest.raises(ParameterError, match="at least one value"):
+        audit.chi_square_uniform_p(np.zeros(0, dtype=int), 16)
+
+
+def test_chi_square_refuses_fewer_than_two_cells():
+    for cells in (1, 0):
+        with pytest.raises(ParameterError, match="at least 2 cells"):
+            audit.chi_square_uniform_p(np.zeros(10, dtype=int), cells)
+
+
+def test_chi_square_refuses_values_outside_the_cells():
+    """A value at or above ``cells`` used to widen the table silently:
+    ``[0, 1, 2, 40] * 100`` at 16 cells was scored over 41 cells."""
+    for values in ([0, 1, 2, 40] * 100, [0, 1, 16], [-1, 0, 1]):
+        with pytest.raises(ParameterError, match=r"0\.\.15"):
+            audit.chi_square_uniform_p(np.array(values), 16)
+
+
+def test_audit_import_loads_no_scipy():
+    """The audits carry their own chi-square tail: importing them and
+    running a database-privacy audit loads no scipy module."""
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys, sidepir.audit as a; "
+            "from sidepir.capacity import SchemeParams; "
+            "rep = a.audit_db_privacy(a.SymmetricScheme(SchemeParams(3, 0, 3, 1)), 64, 1); "
+            "assert rep.statistics['chi_square_p'], rep; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
+
+
 @pytest.mark.parametrize("seed", MASTER_SEEDS)
 def test_correctness_audits_pass(seed):
     rep = audit.audit_correctness(audit.LayeredScheme(SchemeParams(3, 1, 2, 1)),
