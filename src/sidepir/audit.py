@@ -159,10 +159,9 @@ def _gamma_q(a: float, x: float) -> float:
             d = an * d + b
             d = 1 / (d if abs(d) >= tiny else tiny)
             c = b + an / c
-            if abs(c) < tiny:
-                c = tiny
-            h *= d * c
-            if abs(d * c - 1) < eps:
+            c = c if abs(c) >= tiny else tiny
+            h *= (delta := d * c)
+            if abs(delta - 1) < eps:
                 return math.exp(log_front + math.log(h))
     raise AuditInvariantError(f"Q({a}, {x}) did not converge in {steps} steps")
 
