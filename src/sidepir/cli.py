@@ -57,6 +57,13 @@ def _indices(text: str) -> list[int]:
     return sorted(int(i) for i in text.split(","))
 
 
+def _port(text: str) -> int:
+    """A TCP port to listen on: 0 (any free one) to 65535."""
+    if not 0 <= (port := int(text)) <= 65535:
+        raise argparse.ArgumentTypeError(f"port {port} is not in 0..65535")
+    return port
+
+
 def _load_secret(args) -> bytes | None:
     if getattr(args, "secret_file", None):
         with open(args.secret_file, "rb") as fh:
@@ -237,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_store)
 
     p = sub.add_parser("serve", help="run one database server")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_port, required=True)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--store", required=True)
     p.add_argument("--role", choices=("tpir", "stpir"), default="tpir")

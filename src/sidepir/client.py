@@ -94,11 +94,12 @@ def local_simulator(store: MessageStore, n: int, role: str = "tpir",
 
 
 def tcp_endpoints(spec: str) -> list[tuple[str, int]]:
-    """Parse "host:port,host:port,..." into address tuples."""
+    """Parse "host:port,host:port,..." into address tuples, each port in
+    1..65535 (the resolver would wrap a larger one modulo 65536)."""
     out = []
     for part in spec.split(","):
         host, _, port = part.strip().rpartition(":")
-        if not host or not port.isdigit():
+        if not host or not port.isdigit() or not 1 <= int(port) <= 65535:
             raise ParameterError(f"bad endpoint {part!r}, want host:port")
         out.append((host, int(port)))
     return out

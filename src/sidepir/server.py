@@ -33,27 +33,26 @@ the server once, with its PARAMS and QUERY, not also at the handshake; its
 backlog is ``SOMAXCONN``, so a burst of connects is not dropped (a dropped
 SYN costs its client a one-second retransmit).
 
-Each open connection is served by a thread of its own, with no cap. The
-threads are reused: one whose connection has ended waits for the next, so
-a server starts a thread only when all it has are busy, and keeps its idle
-threads until it stops. Stopping a server waits for the sessions in flight
-and ends every thread; a connection still open :data:`CLOSE_GRACE` seconds
-later (its client does not read its answer, say) is cut. A started server's
-accept loop looks for a stop request every :data:`STOP_POLL` seconds, so an
-idle one stops at once.
+Each open connection is served by a thread of its own, with no cap: the
+worker thread that accepts a connection serves it, and starts a follower
+first if no other worker is idle. The threads are reused: one whose
+connection has ended accepts the next, and a server keeps its idle threads
+until it stops. Stopping a server wakes its idle workers at once, waits
+for the sessions in flight and ends every thread; a connection still open
+:data:`CLOSE_GRACE` seconds later (its client does not read its answer,
+say) is cut.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
-import queue
 import socket
-import socketserver
 import threading
 import time
 from functools import lru_cache
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Mapping
 
 from . import wire
@@ -71,9 +70,6 @@ MAX_SESSIONLESS_FRAME = 4096
 # how long closing a server waits for its open connections to end before
 # it shuts them both ways
 CLOSE_GRACE = 2.0
-# how often a started server's accept loop looks for a stop request, so the
-# longest an idle server's stop() waits for the loop to end
-STOP_POLL = 0.02
 # seconds a connection may stay silent after its handshake before it is
 # accepted anyway (TCP_DEFER_ACCEPT)
 DEFER_ACCEPT = 1
@@ -228,68 +224,46 @@ def _session_layouts(role: str, w: int, k: int, length: int, m: int, n_db: int,
         wire.query_size(s) for s in shapes.values() if not isinstance(s, str))
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    # a pipelined session gets two replies back to back: the second must not
-    # wait for the client to acknowledge the first
-    disable_nagle_algorithm = True
-
-    def handle(self):
-        core = self.server.core
-        core.serve(self.rfile, self.wfile, core.new_session())
-
-
-class DatabaseServer(socketserver.TCPServer):
+class DatabaseServer:
     """A TCP database server bound to a local port, the listener of its
     ``core``. Usable as a context manager; ``port`` is the bound port
     (useful when constructed with port 0).
 
-    One handler thread per open connection, as ThreadingTCPServer runs
-    them, but a thread whose connection has ended waits for the next one:
-    a connection goes to an idle worker, and a new (daemon) worker starts
-    only when none is idle. Starting a thread costs more than a loopback
-    handshake, and it sits on every session's critical path. Idle workers
-    are kept until the server closes: a server holds as many threads as it
-    once had connections open at the same time.
+    Leader/followers: each (daemon) worker blocks in ``accept()`` itself
+    and serves the connection it takes, then accepts again. A worker that
+    takes a connection first starts another if none is left idle: starting
+    a thread costs more than a loopback handshake, so the next connection
+    finds one waiting. Workers are kept until the server stops: a server
+    holds one more than it once had connections open at the same time.
     """
-
-    allow_reuse_address = True
-    # socketserver's default of 5 drops SYNs from a burst of connects
-    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, store: MessageStore, role: str = "tpir",
                  secret: bytes | None = None, host: str = "127.0.0.1",
                  port: int = 0):
         self.core = ServerCore(store, role=role, secret=secret)
-        self._thread: threading.Thread | None = None
-        # before binding: a failed bind calls server_close, which reads them
+        self.socket = socket.create_server((host, port), backlog=socket.SOMAXCONN)
+        if hasattr(socket, "TCP_DEFER_ACCEPT"):
+            self.socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_DEFER_ACCEPT, DEFER_ACCEPT)
+        self.address = self.socket.getsockname()[:2]
         self._lock = threading.Lock()
-        self._jobs = queue.SimpleQueue()
+        self._stopping = threading.Event()
         self._idle = 0
         self._open = set()
         self._workers = []
-        super().__init__((host, port), _Handler)
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server_address[:2]
 
     @property
     def port(self) -> int:
-        return self.server_address[1]
+        return self.address[1]
 
     def start(self) -> "DatabaseServer":
-        self._thread = threading.Thread(target=self.serve_forever, args=(STOP_POLL,),
-                                        name=f"sidepir-db-{self.port}", daemon=True)
-        self._thread.start()
+        with self._lock:
+            self._follow()
         return self
 
-    def stop(self) -> None:
-        # shutdown waits for serve_forever to end, which only start runs
-        if self._thread:
-            self.shutdown()
-        self.server_close()
-        if self._thread:
-            self._thread.join(timeout=5)
+    def serve_forever(self) -> None:
+        """Start, then wait until the server is stopped (or interrupted)."""
+        self.start()
+        self._stopping.wait()
 
     def __enter__(self) -> "DatabaseServer":
         return self.start()
@@ -297,66 +271,70 @@ class DatabaseServer(socketserver.TCPServer):
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def server_bind(self):
-        if hasattr(socket, "TCP_DEFER_ACCEPT"):
-            self.socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_DEFER_ACCEPT, DEFER_ACCEPT)
-        super().server_bind()
-
-    def process_request(self, request, client_address):
-        with self._lock:
-            reuse = self._idle > 0
-            self._idle -= reuse
-        if not reuse:
-            # a worker that fails to start leaves no trace: the caller
-            # reports the error and closes the request
+    def _follow(self) -> None:  # under the lock
+        if not self._idle and not self._stopping.is_set():
             worker = threading.Thread(target=self._work, daemon=True)
             worker.start()
-        with self._lock:
-            if not reuse:
-                self._workers.append(worker)
-            self._open.add(request)
-        self._jobs.put((request, client_address))
+            self._workers.append(worker)
+            self._idle += 1
 
-    def _work(self):
-        # each connection as ThreadingMixIn.process_request_thread serves it
-        while (job := self._jobs.get()) is not None:
-            request, client_address = job
+    def _work(self) -> None:
+        while not self._stopping.is_set():
             try:
-                self.finish_request(request, client_address)
+                conn = self.socket.accept()[0]
+            except OSError:  # shut by stop(); any other failure ends no worker
+                continue
+            try:
+                with self._lock:
+                    self._idle -= 1
+                    self._open.add(conn)
+                    self._follow()
+                # the second of two pipelined replies must not wait for an ACK
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._serve(conn)
             except Exception:
-                self.handle_error(request, client_address)
+                log.exception("error while serving a connection")
             finally:
                 # idle before the close the client sees, so that the
-                # client's next connection finds this worker
+                # client's next connection finds a worker idle
                 with self._lock:
-                    self._open.discard(request)
+                    self._open.discard(conn)
                     self._idle += 1
-                self.shutdown_request(request)
+                with contextlib.suppress(OSError):
+                    conn.shutdown(socket.SHUT_WR)
+                conn.close()
+
+    def _serve(self, conn: socket.socket) -> None:
+        """One accepted connection's session; each reply goes out whole and
+        unbuffered, so a PARAMS reply leaves before its QUERY is answered."""
+        with conn.makefile("rb") as rfile:
+            self.core.serve(rfile, SimpleNamespace(write=conn.sendall), self.core.new_session())
 
     def _shutdown_open(self, how):
         with self._lock:
-            for request in self._open:
-                try:
-                    request.shutdown(how)
-                except OSError:
-                    pass
+            for conn in self._open:
+                with contextlib.suppress(OSError):
+                    conn.shutdown(how)
 
-    def server_close(self):
-        """Stop listening, wait for the sessions in flight and end every
-        worker. An open connection has its read side shut: its handler
-        answers the frames already received, then reads the end of stream.
-        A connection still open after CLOSE_GRACE seconds (its client does
-        not read its answer, say) is shut both ways, so that its handler's
-        write fails instead of blocking."""
-        super().server_close()
-        self._shutdown_open(socket.SHUT_RD)
+    def stop(self) -> None:
+        """Stop accepting, wait for the sessions in flight and end every
+        worker. Shutting the listening socket wakes each worker blocked in
+        ``accept()`` (EINVAL, on Linux); it is closed last, when no worker
+        can be in ``accept()`` on its descriptor. An open connection has its
+        read side shut: its worker answers the frames already received, then
+        reads the end of stream. One still open after CLOSE_GRACE seconds
+        (its client does not read its answer, say) is shut both ways, so
+        that its worker's write fails instead of blocking."""
         with self._lock:
+            self._stopping.set()
             workers, self._workers = self._workers, []
-        for _ in workers:
-            self._jobs.put(None)
+        with contextlib.suppress(OSError):  # stopped before
+            self.socket.shutdown(socket.SHUT_RDWR)
+        self._shutdown_open(socket.SHUT_RD)
         deadline = time.monotonic() + CLOSE_GRACE
         for worker in workers:
             worker.join(max(0.0, deadline - time.monotonic()))
         self._shutdown_open(socket.SHUT_RDWR)
         for worker in workers:
             worker.join()
+        self.socket.close()

@@ -261,7 +261,8 @@ class SumProtocol:
     scheme = wire.SCHEME_SUM
 
     def __init__(self, params: SchemeParams, length: int | None = None):
-        self.params, self.field, self.endpoints = params, make_sym_params(params).field, 1
+        self.params, self.endpoints = params, 1
+        self.field = standard_field(params.w or sym_field_width(params))
         self.message_length = params.N - params.T if length is None else length
         self.form, self.count = wire.FORM_SUM, self.message_length
 

@@ -102,6 +102,27 @@ def test_tcp_endpoints_parses_host_port_lists():
             client.tcp_endpoints(spec)
 
 
+def test_tcp_endpoints_refuse_ports_outside_the_valid_range():
+    """A port past 65535 would be wrapped modulo 65536 by the resolver, and
+    port 0 dials nothing: both are refused, the bounds themselves taken."""
+    assert client.tcp_endpoints("h:1,h:65535") == [("h", 1), ("h", 65535)]
+    for spec in ("h:0", "h:65536", "h:70000"):
+        with pytest.raises(ParameterError):
+            client.tcp_endpoints(spec)
+
+
+def test_sum_path_serves_a_point_with_too_few_evaluation_points():
+    """The sum download asks one database and evaluates no point, so GF(2^4)
+    serves it at N = 16, where the symmetric scheme has too few points."""
+    params = SchemeParams(3, 2, 16, 1, w=4)
+    store = random_store(standard_field(4), 3, 5, np.random.default_rng(109))
+    sims = client.local_simulator(store, 1, role="stpir", secret=SECRET)
+    result = client.retrieve(sims, params, 1, store.side_information({2, 3}), seed=1,
+                             scheme="stpir")
+    assert np.array_equal(result.message, store.message(1))
+    assert result.rate == result.capacity == 1
+
+
 def test_stpir_retrieval_and_shortcut():
     f4 = standard_field(4)
     store = random_store(f4, 3, 2, np.random.default_rng(102))
@@ -328,13 +349,13 @@ def test_server_disables_nagle_on_accepted_connections(golden1_store, monkeypatc
     from sidepir import server as server_mod
 
     seen = []
-    original = server_mod._Handler.handle
+    original = server_mod.DatabaseServer._serve
 
-    def handle(self):
-        seen.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
-        return original(self)
+    def serve(self, conn):
+        seen.append(conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+        return original(self, conn)
 
-    monkeypatch.setattr(server_mod._Handler, "handle", handle)
+    monkeypatch.setattr(server_mod.DatabaseServer, "_serve", serve)
     servers = [DatabaseServer(golden1_store).start() for _ in range(2)]
     try:
         tr = tcp_transports(servers)
@@ -357,24 +378,26 @@ def _hang_up(transport):
 
 @pytest.fixture
 def handler_threads(monkeypatch):
-    """The threads that ran a connection's handler, per server."""
+    """The threads that served a connection, per server."""
     from sidepir import server as server_mod
 
     threads = {}
-    original = server_mod._Handler.handle
+    original = server_mod.DatabaseServer._serve
 
-    def handle(self):
-        threads.setdefault(self.server, set()).add(threading.current_thread())
-        return original(self)
+    def serve(self, conn):
+        threads.setdefault(self, set()).add(threading.current_thread())
+        return original(self, conn)
 
-    monkeypatch.setattr(server_mod._Handler, "handle", handle)
+    monkeypatch.setattr(server_mod.DatabaseServer, "_serve", serve)
     return threads
 
 
 def test_sequential_retrievals_reuse_one_handler_thread(golden1_store, handler_threads):
     """A connection that ends hands its thread to the next one: twenty
-    sequential retrievals start one handler thread per server, not twenty."""
+    sequential retrievals leave each server running at most two threads in
+    all, whatever accepts the connections, not twenty."""
     side = golden1_store.side_information({3})
+    before = threading.active_count()
     servers = [DatabaseServer(golden1_store).start() for _ in range(2)]
     try:
         for seed in range(20):
@@ -383,10 +406,12 @@ def test_sequential_retrievals_reuse_one_handler_thread(golden1_store, handler_t
             assert np.array_equal(result.message, golden1_store.message(1))
             for t in tr:
                 _hang_up(t)
+        running = threading.active_count() - before
     finally:
         for s in servers:
             s.stop()
-    assert sorted(len(seen) for seen in handler_threads.values()) == [1, 1]
+    assert running <= 2 * len(servers)
+    assert [len(seen) <= 2 for seen in handler_threads.values()] == [True, True]
 
 
 def test_an_idle_connection_does_not_hold_up_another(golden1_store):
@@ -414,10 +439,11 @@ def test_an_idle_connection_does_not_hold_up_another(golden1_store):
 def test_concurrent_connections_each_get_a_thread(golden1_store, handler_threads):
     """More clients than cores, with a short switch interval: in each of
     twenty rounds eight connections are answered while all eight stay open
-    (none waits behind another's thread), and the server never holds more
-    handler threads than it had connections open at once."""
+    (none waits behind another's thread), and the server never runs more
+    threads in all than one more than it had connections open at once."""
     clients, errors = 8, []
     barrier = threading.Barrier(clients, timeout=10)
+    before = threading.active_count()
     server = DatabaseServer(golden1_store).start()
 
     def run():
@@ -440,12 +466,14 @@ def test_concurrent_connections_each_get_a_thread(golden1_store, handler_threads
             w.start()
         for w in workers:
             w.join(60)
+        running = threading.active_count() - before
     finally:
         sys.setswitchinterval(switch)
         server.stop()
     assert not any(w.is_alive() for w in workers)
     assert errors == []
-    assert [len(seen) <= clients for seen in handler_threads.values()] == [True]
+    assert running <= clients + 1
+    assert [len(seen) <= clients + 1 for seen in handler_threads.values()] == [True]
 
 
 def test_stop_waits_for_the_session_in_flight_and_ends_every_thread(golden1_store):
@@ -473,7 +501,7 @@ def test_stop_waits_for_the_session_in_flight_and_ends_every_thread(golden1_stor
         earlier[1].send([(wire.TYPE_QUERY, bytes(8))])
         assert entered.wait(5)
         stopper.start()
-        # far longer than the accept loop's STOP_POLL (0.02 s), which stop() also waits for
+        # far longer than an idle worker takes to wake and end
         stopper.join(1)
         assert stopper.is_alive()
     finally:
@@ -518,9 +546,9 @@ def test_stop_cuts_a_client_that_does_not_read_its_answer(golden1_store, monkeyp
 
 
 def test_an_idle_server_stops_at_once(golden1_store):
-    """stop() on an idle server, fresh or with an idle handler thread left by
-    a finished connection, returns well within the accept loop's default
-    half-second poll."""
+    """stop() on an idle server, fresh or with an idle worker left by a
+    finished connection, returns within 0.1 s: shutting the listening
+    socket wakes every worker blocked in accept()."""
     for served in (False, True):
         server = DatabaseServer(golden1_store).start()
         if served:
@@ -533,9 +561,46 @@ def test_an_idle_server_stops_at_once(golden1_store):
         assert time.perf_counter() - start < 0.1
 
 
+def test_a_stop_racing_a_burst_of_connects_leaks_no_thread(golden1_store):
+    """Four clients connect and send a junk QUERY in a loop while stop()
+    runs: a worker that takes a connection as the server stops starts no
+    follower that outlives it, and stop() leaves no thread behind."""
+    for _ in range(5):
+        before = threading.active_count()
+        server = DatabaseServer(golden1_store).start()
+        answered, stopped = threading.Event(), threading.Event()
+
+        def run():
+            while not stopped.is_set():
+                try:
+                    with socket.create_connection(("127.0.0.1", server.port),
+                                                  timeout=5) as sock:
+                        sock.sendall(wire.encode_frame(wire.TYPE_QUERY, bytes(8)))
+                        if sock.recv(64):
+                            answered.set()
+                except OSError:  # refused or reset once the server stops
+                    pass
+
+        clients = [threading.Thread(target=run) for _ in range(4)]
+        stopper = threading.Thread(target=server.stop)
+        try:
+            for c in clients:
+                c.start()
+            assert answered.wait(5)
+            stopper.start()
+            stopper.join(10)
+        finally:
+            stopped.set()
+            for c in clients:
+                c.join(10)
+        assert not stopper.is_alive()
+        assert not any(c.is_alive() for c in clients)
+        assert threading.active_count() == before
+
+
 def test_a_server_never_started_stops(golden1_store):
-    """stop() on a server whose accept loop never ran returns and frees its
-    port: there is no loop for it to wait for."""
+    """stop() on a server that never started a worker returns and frees its
+    port: there is no worker for it to wait for."""
     server = DatabaseServer(golden1_store)
     port = server.port
     stopper = threading.Thread(target=server.stop, daemon=True)
@@ -1004,6 +1069,15 @@ def test_cli_usage_errors_exit_2_and_write_nothing(tmp_path, monkeypatch, argv):
         cli_main([arg.format(tmp=tmp_path) for arg in argv])
     assert err.value.code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_serve_refuses_a_port_outside_the_valid_range(golden1_store, tmp_path):
+    """`sidepir serve --port 70000` on a readable store is a usage error
+    (exit 2), not an OverflowError from the bind."""
+    wire.write_store(tmp_path / "store.pir", golden1_store)
+    with pytest.raises(SystemExit) as err:
+        cli_main(["serve", "--port", "70000", "--store", str(tmp_path / "store.pir")])
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -1669,15 +1743,10 @@ def test_a_reset_connection_is_a_typed_error(golden1_store):
     assert isinstance(err.value.__cause__, ConnectionResetError)
 
 
-def test_a_client_reset_mid_frame_ends_its_session_quietly(golden1_store, monkeypatch):
+def test_a_client_reset_mid_frame_ends_its_session_quietly(golden1_store, caplog):
     """A client that declares a 100-byte PARAMS, sends one byte of it and
     resets the connection ends its session: the server reports no error,
     and a retrieval that follows on the same server is answered."""
-    import socketserver
-
-    errors = []
-    monkeypatch.setattr(socketserver.BaseServer, "handle_error",
-                        lambda self, request, address: errors.append(address))
     server = DatabaseServer(golden1_store).start()
     try:
         sock = socket.create_connection(("127.0.0.1", server.port), timeout=3)
@@ -1694,6 +1763,7 @@ def test_a_client_reset_mid_frame_ends_its_session_quietly(golden1_store, monkey
                 t.close()
     finally:
         server.stop()
+    errors = [r for r in caplog.records if r.name == "sidepir.server"]
     assert errors == []
     assert np.array_equal(result.message, golden1_store.message(1))
 
