@@ -2,29 +2,30 @@
 
 The protocol logic lives in :class:`ServerCore`, which maps one inbound
 frame to one reply frame given per-connection session state. It holds no
-scheme code: each QUERY is answered by the protocol class of its scheme
-byte (``answer_query``), one of those its role lists in :data:`ROLES`. A
-TCP connection and the client's in-process simulator both run its one
-session loop, :meth:`ServerCore.serve`, so they give the same replies and
-ends. :class:`DatabaseServer` is the TCP listener.
+scheme code: each QUERY is answered by its session's protocol class
+(``answer_query``). A TCP connection and the client's in-process simulator
+both run its one session loop, :meth:`ServerCore.serve`, so they give the
+same replies and ends. :class:`DatabaseServer` is the TCP listener.
 
 Sessions are one QUERY each: a connection first announces itself with a
 PARAMS frame (carrying its assigned endpoint index, which the symmetric
 scheme needs for its evaluation point), then sends the QUERY. PARAMS fixes
-the QUERY shapes the session takes, once: the layered one of its (M, N, T)
-on a tpir server; the sum query and, where T fits, the symmetric one on a
-stpir server. A QUERY is sized from them before its body is read, and must
-match one of them in every byte but its own. A client may send both frames
-back to back: they are answered in order, one reply each. Once a QUERY is
-answered the session is over: the core refuses any further frame, and the
-session loop ends at that ANSWER, as at a head it refuses or a failed read
-(a session whose frames got only ERROR replies stays open). Any frame
-before PARAMS, and any frame but the QUERY after it, is bounded by
+the one protocol the session runs, the one the client runs for those
+fields: the layered scheme on a tpir server; on a stpir server, the sum
+download at M = K - 1 and the symmetric scheme otherwise. PARAMS whose
+(M, N, T) give that protocol no QUERY shape are refused. A QUERY is sized
+from its session's shape before its body is read, and must match it in
+every byte but its own. A client may send both frames back to back: they
+are answered in order, one reply each. Once a QUERY is answered the
+session is over: the core refuses any further frame, and the session loop
+ends at that ANSWER, as at a head it refuses or a failed read (a session
+whose frames got only ERROR replies stays open). Any frame before PARAMS,
+and any frame but the QUERY after it, is bounded by
 :data:`MAX_SESSIONLESS_FRAME`.
 
 Servers keep no state across sessions beyond the store, the shared secret
 and what depends only on public values: the PARAMS reply, built once from
-the store, and the bounded caches of each (M, N, T)'s QUERY shapes and (in
+the store, and the bounded caches of each (M, N, T)'s QUERY shape and (in
 ``stpir_psi``) each endpoint's point powers.
 
 The listening socket defers each accept until the connection's first bytes
@@ -52,17 +53,13 @@ import socket
 import threading
 import time
 from functools import lru_cache
-from types import MappingProxyType, SimpleNamespace
-from typing import Mapping
+from types import SimpleNamespace
 
 from . import wire
 from .errors import ParameterError, PirError, ProtocolError
 from .store import MessageStore
 from .stpir_psi import SumProtocol, SymmetricProtocol
 from .tpir_psi import LayeredProtocol
-
-# the protocols each role answers, in the order a session lists their shapes
-ROLES = {"tpir": (LayeredProtocol,), "stpir": (SymmetricProtocol, SumProtocol)}
 
 # a PARAMS payload is at most 216 bytes even with all seven integers at u64
 # width; no frame but a session's QUERY may declare more than this
@@ -83,14 +80,13 @@ class ServerCore:
 
     def __init__(self, store: MessageStore, role: str = "tpir",
                  secret: bytes | None = None):
-        if role not in ROLES:
-            raise ParameterError(f"role must be one of {tuple(ROLES)}")
+        if role not in ("tpir", "stpir"):
+            raise ParameterError("role must be 'tpir' or 'stpir'")
         if role == "stpir" and not secret:
             raise ParameterError("the symmetric role needs a shared secret")
         self.store = store
         self.role = role
         self.secret = secret
-        self._protocols = {protocol.scheme: protocol for protocol in ROLES[role]}
         self.store_digest = hashlib.sha256(wire.store_bytes(store)).hexdigest()
         # depends only on the store: built once, not per session
         self._params_reply = wire.params_payload({
@@ -168,16 +164,23 @@ class ServerCore:
             problems.append(f"store messages have length {self.store.message_length}")
         if req["w"] != self.store.field.w:
             problems.append(f"store symbols are {self.store.field.w}-bit")
+        if not 0 <= req["m"] < self.store.num_messages:
+            problems.append(f"cached-message count {req['m']} outside "
+                            f"0..{self.store.num_messages - 1}")
         endpoint, n_db = req["endpoint"], req["n_db"]
         if not 1 <= endpoint <= n_db:
             problems.append(f"bad endpoint assignment {endpoint}/{n_db}")
+        if not problems:
+            try:
+                query = _session_query(self.role, self.store.field.w, self.store.num_messages,
+                                       self.store.message_length, req["m"], n_db, req["t"])
+            except PirError as exc:
+                problems.append(str(exc))
         if problems:
             return wire.TYPE_ERROR, wire.error_payload(
                 wire.ERR_STORE_MISMATCH, "; ".join(problems))
         session["endpoint"] = endpoint
-        session["layouts"], session["sizes"] = _session_layouts(
-            self.role, self.store.field.w, self.store.num_messages,
-            self.store.message_length, req["m"], n_db, req["t"])
+        session["protocol"], session["shape"], session["size"] = query
         return wire.TYPE_PARAMS, self._params_reply
 
     def _handle_query(self, session: dict, payload: bytes) -> tuple[int, bytes]:
@@ -185,17 +188,17 @@ class ServerCore:
             return wire.TYPE_ERROR, wire.error_payload(
                 wire.ERR_PROTOCOL, "QUERY before PARAMS")
         try:
-            query = wire.parse_query_payload(payload, session["layouts"])
+            query = wire.parse_query_payload(payload, session["shape"])
         except ProtocolError as exc:
             return wire.TYPE_ERROR, wire.error_payload(wire.ERR_MALFORMED_QUERY, str(exc))
-        form, symbols = self._protocols[payload[0]].answer_query(
+        form, symbols = session["protocol"].answer_query(
             query, self.store, session["endpoint"], self.secret)
         return wire.TYPE_ANSWER, wire.serialize_answer(self.store.field, form, symbols)
 
     def refuse_unread(self, session: dict, ftype: int, length: int) -> bytes | None:
         """An ERROR payload for a frame refused from its head alone, before its
-        body is read: a QUERY after PARAMS that declares a length its session
-        cannot take, or any other frame longer than MAX_SESSIONLESS_FRAME.
+        body is read: a QUERY after PARAMS that declares another length than
+        its session's, or any other frame longer than MAX_SESSIONLESS_FRAME.
         None for a frame that is to be read."""
         if ftype != wire.TYPE_QUERY or "endpoint" not in session:
             if length <= MAX_SESSIONLESS_FRAME:
@@ -203,25 +206,26 @@ class ServerCore:
             return wire.error_payload(
                 wire.ERR_MALFORMED_FRAME, f"frame of type {ftype:#x} declares {length} "
                 f"bytes; before a session's QUERY the limit is {MAX_SESSIONLESS_FRAME}")
-        if length in session["sizes"]:
+        if length == session["size"]:
             return None
-        return wire.error_payload(wire.ERR_MALFORMED_QUERY, "; ".join(
-            [f"QUERY declares {length} bytes; this session takes {session['sizes']}"]
-            + [s for s in session["layouts"].values() if isinstance(s, str)]))
+        return wire.error_payload(wire.ERR_MALFORMED_QUERY, f"QUERY declares {length} "
+                                  f"bytes; this session takes {session['size']}")
 
 
 # keyed only by public values, the store's and the PARAMS ones; bounded, so a
 # stream of PARAMS with ever-new fields cannot grow a server past it
 @lru_cache(maxsize=64)
-def _session_layouts(role: str, w: int, k: int, length: int, m: int, n_db: int,
-                     t: int) -> tuple[Mapping, tuple[int, ...]]:
-    """Read-only, by scheme byte, the QUERY shape that each protocol of a
-    ``role`` server gives a session of PARAMS (M, N, T) on its store of K
-    messages of L w-bit symbols, or why it gives none; and their lengths."""
-    shapes = {protocol.scheme: protocol.shape(w, k, length, m, n_db, t)
-              for protocol in ROLES[role]}
-    return MappingProxyType(shapes), tuple(
-        wire.query_size(s) for s in shapes.values() if not isinstance(s, str))
+def _session_query(role: str, w: int, k: int, length: int, m: int, n_db: int, t: int):
+    """The protocol that a session of PARAMS (M, N, T) runs on a ``role``
+    server's store of K messages of L w-bit symbols, the one that
+    :func:`~sidepir.stpir_psi.session_protocol` picks (the layered scheme for
+    tpir; for stpir the sum download at M = K - 1, else the symmetric
+    scheme), with its QUERY shape and that shape's length. A ParameterError
+    where the shape does not fit."""
+    protocol = (LayeredProtocol if role == "tpir" else
+                SumProtocol if m == k - 1 else SymmetricProtocol)
+    shape = protocol.shape(w, k, length, m, n_db, t)
+    return protocol, shape, wire.query_size(shape)
 
 
 class DatabaseServer:

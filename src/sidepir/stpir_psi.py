@@ -172,8 +172,6 @@ class SymmetricProtocol:
     shaped (N, sessions, 1). The cache is checked, never read. It holds the
     public points, read-only: built once per point by :func:`make_sym_params`."""
 
-    scheme = wire.SCHEME_SYMMETRIC
-
     def __init__(self, params: SchemeParams):
         if params.K < 2:
             raise ParameterError("the symmetric scheme is defined for K >= 2 messages")
@@ -242,14 +240,15 @@ class SymmetricProtocol:
         return Fraction(self.params.T, self.params.N - self.params.T)
 
     @staticmethod
-    def shape(w: int, k: int, length: int, m: int, n_db: int, t: int) -> wire.SymmetricShape | str:
+    def shape(w: int, k: int, length: int, m: int, n_db: int, t: int) -> wire.SymmetricShape:
         """The QUERY shape of a session on a store of K messages of L w-bit
         symbols: exactly the declared T mask symbols (fewer would weaken
-        database privacy), at N points, enough for degree T + L - 1."""
-        if 1 <= t and t + length <= n_db < 1 << w:
-            return wire.SymmetricShape(w, k, length, t)
-        return (f"threshold T={t} and {length} coordinates per message do not fit the "
-                f"session's {n_db} points in GF(2^{w})")
+        database privacy), at N points, enough for degree T + L - 1; a
+        ParameterError where they do not fit."""
+        if not (1 <= t and t + length <= n_db < 1 << w):
+            raise ParameterError(f"threshold T={t} and {length} coordinates per message do "
+                                 f"not fit the session's {n_db} points in GF(2^{w})")
+        return wire.SymmetricShape(w, k, length, t)
 
 
 class SumProtocol:
@@ -257,8 +256,6 @@ class SumProtocol:
     asked for the plain sum of every message, so that ``answers`` are shaped
     (1, sessions, length), and the cache is stripped off. The point leaves
     the length open: the audits take N - T, a client its cache's."""
-
-    scheme = wire.SCHEME_SUM
 
     def __init__(self, params: SchemeParams, length: int | None = None):
         self.params, self.endpoints = params, 1
@@ -310,13 +307,15 @@ def make_sym_params(params: SchemeParams) -> SymmetricProtocol:
 @lru_cache(maxsize=64)
 def session_protocol(scheme: str, params: SchemeParams, raw: bool = False):
     """The protocol a ``scheme`` retrieval runs at ``params``, built once per
-    (scheme, point, raw): the layered one for tpir; for stpir, the sum
-    download when all but one message is cached, else the symmetric one.
-    Only the layered answers have a raw form."""
+    (scheme, point, raw): the layered one for tpir; for stpir (K >= 2), the
+    sum download when all but one message is cached, else the symmetric
+    one. Only the layered answers have a raw form."""
     if scheme == "tpir":
         return LayeredProtocol(params, raw)
     if scheme != "stpir":
         raise ParameterError(f"unknown scheme {scheme!r}")
     if raw:
         raise ParameterError("raw answers are the tpir scheme's; stpir answers have one form")
+    if params.K < 2:
+        raise ParameterError("the stpir scheme is defined for K >= 2 messages")
     return SumProtocol(params) if params.all_but_one_cached else make_sym_params(params)

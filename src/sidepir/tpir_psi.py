@@ -552,8 +552,6 @@ class LayeredProtocol:
     N databases asked for ``count`` symbols each in answer ``form``, answers
     shaped (N, sessions, count). ``raw`` turns redundancy removal off."""
 
-    scheme = wire.SCHEME_LAYERED
-
     def __init__(self, params: SchemeParams, raw: bool = False):
         if not params.constructible:
             raise ParameterError(f"{params.label()} is not constructible")
@@ -604,14 +602,15 @@ class LayeredProtocol:
         return Fraction(0)
 
     @staticmethod
-    def shape(w: int, k: int, length: int, m: int, n_db: int, t: int) -> LayeredShape | str:
+    def shape(w: int, k: int, length: int, m: int, n_db: int, t: int) -> LayeredShape:
         """The QUERY shape of a session of PARAMS (M, N, T) on a store of K
         messages of L w-bit symbols, the plan's public layout (its slot count
-        caps the code a query makes the server build), or why it has none."""
+        caps the code a query makes the server build); a ParameterError
+        where it has none."""
         if not 1 <= n_db <= length or n_db ** k != length:
-            return (f"session parameters (M={m}, N={n_db}, T={t}) do not fit a layered "
-                    f"scheme on {k} messages of length {length}")
+            raise ParameterError(f"session parameters (M={m}, N={n_db}, T={t}) do not fit a "
+                                 f"layered scheme on {k} messages of length {length}")
         try:
             return download_plan(SchemeParams(k, m, n_db, t, w=w), 1).shape
         except (ParameterError, FieldTooSmallError) as exc:
-            return f"session parameters: {exc}"
+            raise ParameterError(f"session parameters: {exc}") from exc

@@ -233,18 +233,12 @@ def serialize_database_query(q: DatabaseQuery):
     return out.reshape(lead + (size,)) if lead else out.tobytes()
 
 
-def parse_query_payload(data: bytes, layouts: Mapping):
-    """Decode a QUERY payload into its scheme's query object. ``layouts``
-    maps each scheme byte its session takes to that scheme's shape, or to a
-    string saying why the session takes none. The payload must match its
-    shape in every byte but its own: the rows and compress byte (0 or 1) of
-    a layered query, the session id and coordinates of a symmetric one; a
-    sum query has none, and parses to its shape."""
-    if not data:
-        raise ProtocolError("empty query payload")
-    shape = layouts.get(data[0], f"this session takes no query of scheme {data[0]:#x}")
-    if isinstance(shape, str):
-        raise ProtocolError(shape)
+def parse_query_payload(data: bytes, shape):
+    """Decode a QUERY payload into the query object of its session's one
+    ``shape``. The payload must match the shape in every byte but its own:
+    the rows and compress byte (0 or 1) of a layered query, the session id
+    and coordinates of a symmetric one; a sum query has none, and parses to
+    its shape. The bytes each shape fixes start with its scheme byte."""
     if isinstance(shape, LayeredShape):
         return _parse_layered(data, shape)
     if isinstance(shape, SymmetricShape):
@@ -379,6 +373,8 @@ def parse_answer(field: GF, data: bytes) -> tuple[int, np.ndarray]:
         raise ProtocolError(
             f"answer body holds {len(body)} bytes, expected {field.packed_size(count)}"
         )
+    if field.w == 4 and count % 2 and body[-1] >> 4:
+        raise ProtocolError("answer has a nonzero padding nibble")
     return form, field.unpack(body, count)
 
 

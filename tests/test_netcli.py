@@ -9,9 +9,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 from sidepir import client, wire
-from sidepir.capacity import SchemeParams
+from sidepir.capacity import SchemeParams, desk_grid
 from sidepir.cli import main as cli_main
 from sidepir.errors import (
     CorruptionError,
@@ -165,20 +167,23 @@ def test_server_error_frames(golden1_store):
                               "message_length": 8})
     ftype, payload = core.handle_frame(session, wire.TYPE_PARAMS, ok)
     assert ftype == wire.TYPE_PARAMS
-    # malformed query -> 0x02, session still open
+    # malformed query -> 0x02, session still open; its one length is 96 bytes
     ftype, payload = core.handle_frame(session, wire.TYPE_QUERY, b"\x01trunc")
     assert ftype == wire.TYPE_ERROR
     assert wire.parse_error_payload(payload)[0] == wire.ERR_MALFORMED_QUERY
-    # N^K != L: the session takes no layered query, and says why
+    assert core.refuse_unread(session, wire.TYPE_QUERY, 96) is None
+    assert wire.parse_error_payload(core.refuse_unread(session, wire.TYPE_QUERY, 97)) == (
+        wire.ERR_MALFORMED_QUERY, "QUERY declares 97 bytes; this session takes 96")
+    # N^K != L: the PARAMS fit no layered scheme, are refused and say why,
+    # so the session takes no QUERY
     session = core.new_session()
     unfit = ok.replace(b'"n_db":2', b'"n_db":3')
-    assert core.handle_frame(session, wire.TYPE_PARAMS, unfit)[0] == wire.TYPE_PARAMS
-    reason = ("session parameters (M=1, N=3, T=1) do not fit a layered scheme on 3 "
-              "messages of length 8")
-    assert wire.parse_error_payload(core.refuse_unread(session, wire.TYPE_QUERY, 96)) == (
-        wire.ERR_MALFORMED_QUERY, f"QUERY declares 96 bytes; this session takes (); {reason}")
+    ftype, payload = core.handle_frame(session, wire.TYPE_PARAMS, unfit)
+    assert wire.parse_error_payload(payload) == (
+        wire.ERR_STORE_MISMATCH, "session parameters (M=1, N=3, T=1) do not fit a layered "
+        "scheme on 3 messages of length 8")
     ftype, payload = core.handle_frame(session, wire.TYPE_QUERY, b"\x01trunc")
-    assert wire.parse_error_payload(payload) == (wire.ERR_MALFORMED_QUERY, reason)
+    assert wire.parse_error_payload(payload) == (wire.ERR_PROTOCOL, "QUERY before PARAMS")
 
 
 def test_out_of_range_symbol_reference(golden1_store):
@@ -252,6 +257,20 @@ def test_params_mismatch(golden1_store):
         ftype, payload = core.handle_frame(core.new_session(), wire.TYPE_PARAMS, bad)
         assert ftype == wire.TYPE_ERROR
         assert wire.parse_error_payload(payload) == (wire.ERR_STORE_MISMATCH, reason)
+
+
+@pytest.mark.parametrize("role", ["tpir", "stpir"])
+def test_params_refuse_a_cached_count_outside_the_store(golden1_store, role):
+    """M picks a stpir session's protocol, so an M outside 0..K-1 must pick
+    none: it is refused with ERR_STORE_MISMATCH, as a wrong K is."""
+    core = ServerCore(golden1_store, role=role, secret=SECRET)
+    for m in (-1, 3, 39):
+        fields = {"scheme": role, "endpoint": 1, "n_db": 2, "k": 3, "m": m, "t": 1, "w": 4,
+                  "message_length": 8}
+        ftype, payload = core.handle_frame(core.new_session(), wire.TYPE_PARAMS,
+                                           wire.params_payload(fields))
+        assert wire.parse_error_payload(payload) == (
+            wire.ERR_STORE_MISMATCH, f"cached-message count {m} outside 0..2")
 
 
 def test_truncated_frame_over_tcp(golden1_store):
@@ -785,25 +804,34 @@ def test_a_late_first_frame_is_answered_and_a_silent_connection_does_not_hold_up
 
 def test_session_caches_stay_bounded(golden1_store):
     """What a server keeps per PARAMS is keyed only by public values and
-    bounded: 1,000 PARAMS with distinct (M, T) each get a typed reply, and
-    sessions at 117 distinct (endpoint, T) are each answered, while neither
-    the QUERY-shape cache nor the point-power cache grows past its bound."""
+    bounded: 1,000 PARAMS with distinct (M, N, T) each get PARAMS or
+    ERR_STORE_MISMATCH (an M outside 0..K-1 the latter), more of them
+    accepted than the QUERY-shape cache holds, and sessions at 117 distinct
+    (endpoint, T) are each answered, while neither the QUERY-shape cache nor
+    the point-power cache grows past its bound."""
     from sidepir import server as server_mod
     from sidepir import stpir_psi
 
     f4 = standard_field(4)
     sym_store = random_store(f4, 3, 2, np.random.default_rng(102))
     cores = [ServerCore(golden1_store), ServerCore(sym_store, role="stpir", secret=SECRET)]
+    accepted = 0
     for core in cores:
         length = core.store.message_length
         for i in range(1000):
-            fields = {"scheme": core.role, "endpoint": 1, "n_db": 2, "k": 3, "m": i // 25,
-                      "t": i % 25 + 1, "w": 4, "message_length": length}
+            fields = {"scheme": core.role, "endpoint": 1, "n_db": i // 64 + 2, "k": 3,
+                      "m": i % 4, "t": i // 4 % 16 + 1, "w": 4, "message_length": length}
             session = core.new_session()
-            ftype, _ = core.handle_frame(session, wire.TYPE_PARAMS, wire.params_payload(fields))
-            assert ftype == wire.TYPE_PARAMS
+            ftype, reply = core.handle_frame(session, wire.TYPE_PARAMS,
+                                             wire.params_payload(fields))
+            if ftype == wire.TYPE_ERROR:
+                assert wire.parse_error_payload(reply)[0] == wire.ERR_STORE_MISMATCH
+                continue
+            assert ftype == wire.TYPE_PARAMS and fields["m"] < 3
+            accepted += 1
             error = core.refuse_unread(session, wire.TYPE_QUERY, 1 << 20)
             assert wire.parse_error_payload(error)[0] == wire.ERR_MALFORMED_QUERY
+    assert accepted > server_mod._session_query.cache_info().maxsize
     coords = f4.random_symbols(np.random.default_rng(9), (3, 2))
     for n_db in range(3, 16):
         t = n_db - 2
@@ -814,7 +842,7 @@ def test_session_caches_stay_bounded(golden1_store):
                 {"scheme": "stpir", "endpoint": endpoint, "n_db": n_db, "k": 3, "m": 0,
                  "t": t, "w": 4, "message_length": 2}))
             assert cores[1].handle_frame(session, wire.TYPE_QUERY, query)[0] == wire.TYPE_ANSWER
-    for cache in (server_mod._session_layouts, stpir_psi._endpoint_powers):
+    for cache in (server_mod._session_query, stpir_psi._endpoint_powers):
         info = cache.cache_info()
         assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
 
@@ -1375,11 +1403,14 @@ def test_layered_client_refuses_an_answer_form_it_did_not_ask_for(golden1_store)
 
 
 def test_sessions_refuse_queries_of_other_schemes(golden1_store, caplog):
-    """A session takes only the QUERY shapes its PARAMS fixed: a tpir session
-    refuses symmetric and sum payloads, a stpir session a layered one, and a
-    stpir session with T >= N a symmetric one while it still answers the sum
-    query. Each refusal is ERR_MALFORMED_QUERY with no logged traceback, and
-    the session stays open for the query it does take."""
+    """A session takes the one QUERY shape its PARAMS fixed: a tpir session
+    refuses symmetric and sum payloads; a stpir session at M < K - 1 a
+    layered and a sum one; a stpir session at M = K - 1 a layered and a
+    symmetric one. Each refusal is ERR_MALFORMED_QUERY with no logged
+    traceback, and the session stays open for the query it does take.
+    PARAMS that fit no protocol (a stpir session at M < K - 1 whose T and
+    N - T do not fit its N points) are refused with ERR_STORE_MISMATCH and
+    the reason, and the session takes no QUERY."""
     from sidepir.stpir_psi import make_sym_params, queries_from_masks, sym_masks
     from sidepir.tpir_psi import build_plan, database_queries
 
@@ -1398,11 +1429,12 @@ def test_sessions_refuse_queries_of_other_schemes(golden1_store, caplog):
     stpir_fields = {"scheme": "stpir", "endpoint": 1, "n_db": 3, "k": 3, "m": 0, "t": 1,
                     "w": 4, "message_length": 2}
     cases = [(tpir, tpir_fields, (symmetric, tpir_sum, stpir_sum), layered),
-             (stpir, stpir_fields, (layered,), symmetric),
-             (stpir, stpir_fields, (layered,), stpir_sum),
-             (stpir, {**stpir_fields, "t": 3}, (symmetric,), stpir_sum),
-             (stpir, {**stpir_fields, "t": 4}, (symmetric,), stpir_sum),
-             (stpir, {**stpir_fields, "n_db": 1, "t": 1}, (symmetric,), stpir_sum)]
+             (stpir, stpir_fields, (layered, stpir_sum), symmetric),
+             (stpir, {**stpir_fields, "m": 1}, (layered, stpir_sum), symmetric),
+             (stpir, {**stpir_fields, "m": 2, "n_db": 1}, (layered, symmetric), stpir_sum),
+             (stpir, {**stpir_fields, "m": 2, "t": 3}, (layered, symmetric), stpir_sum)]
+    unfit = [({**stpir_fields, "t": 3}, 3, 3), ({**stpir_fields, "t": 4}, 4, 3),
+             ({**stpir_fields, "n_db": 1}, 1, 1)]
     with caplog.at_level("DEBUG", logger="sidepir.server"):
         for core, fields, refused, taken in cases:
             session = core.new_session()
@@ -1414,7 +1446,99 @@ def test_sessions_refuse_queries_of_other_schemes(golden1_store, caplog):
                 assert ftype == wire.TYPE_ERROR
                 assert wire.parse_error_payload(reply)[0] == wire.ERR_MALFORMED_QUERY
             assert core.handle_frame(session, wire.TYPE_QUERY, taken)[0] == wire.TYPE_ANSWER
+        for fields, t, n_db in unfit:
+            session = stpir.new_session()
+            ftype, reply = stpir.handle_frame(session, wire.TYPE_PARAMS,
+                                              wire.params_payload(fields))
+            assert wire.parse_error_payload(reply) == (
+                wire.ERR_STORE_MISMATCH, f"threshold T={t} and 2 coordinates per message "
+                f"do not fit the session's {n_db} points in GF(2^4)")
+            ftype, reply = stpir.handle_frame(session, wire.TYPE_QUERY, stpir_sum)
+            assert wire.parse_error_payload(reply)[0] == wire.ERR_PROTOCOL
     assert caplog.records == []
+
+
+@pytest.mark.parametrize("scheme", ["tpir", "stpir"])
+def test_server_and_client_agree_on_every_session_query(scheme):
+    """At every desk-grid point (K <= 4, N <= 3) where the client's
+    ``session_protocol`` builds a protocol that delivers symbols, a server
+    accepts each PARAMS the client sends, runs that protocol's class (at
+    stpir with M = K - 1, the sum download), takes exactly the length of
+    the client's QUERY and answers it, and the retrieval decodes."""
+    from sidepir.stpir_psi import session_protocol
+
+    run = set()
+    for params in desk_grid():
+        try:
+            protocol = session_protocol(scheme, params)
+        except PirError:
+            continue
+        if not protocol.message_length:  # the symmetric scheme at T = N: rate 0
+            continue
+        store = random_store(protocol.field, params.K, protocol.message_length,
+                             np.random.default_rng(params.K))
+        side = store.side_information(range(params.K - params.M + 1, params.K + 1))
+        sims = client.local_simulator(store, params.N, role=scheme, secret=SECRET)
+        result = client.retrieve(sims, params, 1, side, seed=0, scheme=scheme)
+        assert np.array_equal(result.message, store.messages[0])
+        core = ServerCore(store, role=scheme, secret=SECRET)
+        for t in result.transcripts:
+            session = core.new_session()
+            assert core.handle_frame(session, wire.TYPE_PARAMS, t.params_sent)[0] == \
+                wire.TYPE_PARAMS
+            assert session["protocol"] is type(protocol)
+            size = len(t.query_sent)
+            assert [n for n in (size - 1, size, size + 1)
+                    if core.refuse_unread(session, wire.TYPE_QUERY, n) is None] == [size]
+            assert core.handle_frame(session, wire.TYPE_QUERY, t.query_sent)[0] == \
+                wire.TYPE_ANSWER
+        run.add(type(protocol).__name__)
+    assert run == ({"LayeredProtocol"} if scheme == "tpir" else
+                   {"SymmetricProtocol", "SumProtocol"})
+
+
+@pytest.fixture(scope="module")
+def params_cores(golden1_store):
+    sym_store = random_store(standard_field(4), 3, 2, np.random.default_rng(102))
+    return {"tpir": ServerCore(golden1_store),
+            "stpir": ServerCore(sym_store, role="stpir", secret=SECRET)}
+
+
+_HUGE = st.integers(-(1 << 70), 1 << 70)
+
+
+@given(role=st.sampled_from(["tpir", "stpir"]), scheme=st.sampled_from(["tpir", "stpir"]),
+       fields=st.fixed_dictionaries({
+           "endpoint": st.one_of(st.integers(-1, 5), _HUGE),
+           "n_db": st.one_of(st.integers(-1, 5), _HUGE),
+           "k": st.one_of(st.just(3), _HUGE),
+           "m": st.one_of(st.integers(-1, 3), _HUGE),
+           "t": st.one_of(st.integers(-1, 5), _HUGE),
+           "w": st.one_of(st.just(4), _HUGE),
+           "message_length": st.one_of(st.sampled_from([2, 8]), _HUGE)}))
+@example(role="tpir", scheme="tpir", fields={"endpoint": 2, "n_db": 2, "k": 3, "m": 1,
+                                             "t": 1, "w": 4, "message_length": 8})
+@example(role="stpir", scheme="stpir", fields={"endpoint": 3, "n_db": 3, "k": 3, "m": 0,
+                                               "t": 1, "w": 4, "message_length": 2})
+@example(role="stpir", scheme="stpir", fields={"endpoint": 1, "n_db": 1, "k": 3, "m": 2,
+                                               "t": 1, "w": 4, "message_length": 2})
+@settings(max_examples=300)
+def test_params_get_params_or_a_typed_error(params_cores, role, scheme, fields):
+    """Any integer PARAMS fields, out-of-range M, T, N and endpoint among
+    them, get PARAMS or a typed ERROR of the client's making (a store
+    mismatch or a malformed frame), never ERR_INTERNAL. After PARAMS are
+    accepted, the session's head check passes exactly one QUERY length."""
+    core = params_cores[role]
+    session = core.new_session()
+    ftype, reply = core.handle_frame(session, wire.TYPE_PARAMS,
+                                     wire.params_payload({"scheme": scheme, **fields}))
+    if ftype == wire.TYPE_ERROR:
+        assert wire.parse_error_payload(reply)[0] in (wire.ERR_STORE_MISMATCH,
+                                                      wire.ERR_MALFORMED_FRAME)
+        return
+    assert ftype == wire.TYPE_PARAMS
+    assert len([n for n in range(1024)
+                if core.refuse_unread(session, wire.TYPE_QUERY, n) is None]) == 1
 
 
 def test_client_rejects_bad_requests_with_typed_errors(golden1_store):
@@ -1478,8 +1602,9 @@ def test_client_checks_the_endpoint_count_first(golden1_store, monkeypatch,
 
 def test_server_checks_layered_query_against_session_params():
     """A layered query must have the slot table of the scheme its PARAMS
-    frame named. A crafted query with p1 = 300 would make the server build
-    and invert a 300 x 300 compression code; it is refused first."""
+    frame named, and PARAMS that name no layered scheme are refused. A
+    crafted query with p1 = 300 would make the server build and invert a
+    300 x 300 compression code; it is refused first."""
     import dataclasses
     import time
 
@@ -1516,12 +1641,18 @@ def test_server_checks_layered_query_against_session_params():
     shuffled = dataclasses.replace(queries[0], shape=dataclasses.replace(
         shape, slot_members=shape.slot_members[::-1]))
     for session, query in ((session_frame(1), shuffled),
-                           (session_frame(1, m=1), queries[0]),
-                           (session_frame(1, t=2), queries[0])):
+                           (session_frame(1, m=1), queries[0])):
         ftype, reply = core.handle_frame(session, wire.TYPE_QUERY,
                                          wire.serialize_database_query(query))
         assert ftype == wire.TYPE_ERROR
         assert wire.parse_error_payload(reply)[0] == wire.ERR_MALFORMED_QUERY
+    # T = N with M < K - 1 is no layered scheme: refused at PARAMS
+    ftype, reply = core.handle_frame(core.new_session(), wire.TYPE_PARAMS, wire.params_payload(
+        {"scheme": "tpir", "endpoint": 1, "n_db": 2, "k": 6, "m": 2, "t": 2, "w": 16,
+         "message_length": 64}))
+    assert wire.parse_error_payload(reply) == (
+        wire.ERR_STORE_MISMATCH,
+        "session parameters: (K=6,M=2,N=2,T=2): the layered scheme needs T < N (or M = K-1)")
 
     # genuine compressed and raw queries are still answered
     for raw in (False, True):
@@ -1545,8 +1676,8 @@ def _sym_session(core, **overrides):
 
 
 def test_symmetric_server_refuses_points_outside_the_field(caplog):
-    """The evaluation points 1..N must be nonzero elements of GF(2^w): an
-    endpoint of q or more is a malformed session, refused without a logged
+    """The evaluation points 1..N must be nonzero elements of GF(2^w): PARAMS
+    with N of q or more are refused (ERR_STORE_MISMATCH) without a logged
     traceback, while the largest field point is still answered."""
     from sidepir.stpir_psi import make_sym_params, queries_from_masks, sym_masks
 
@@ -1556,10 +1687,13 @@ def test_symmetric_server_refuses_points_outside_the_field(caplog):
     query = queries_from_masks(sym, 2, sym_masks(sym, np.random.default_rng(5)))[0]
     payload = wire.serialize_sym_query(4, bytes(16), 1, query)
     with caplog.at_level("DEBUG", logger="sidepir.server"):
-        ftype, reply = core.handle_frame(_sym_session(core, endpoint=16, n_db=16),
-                                         wire.TYPE_QUERY, payload)
-    assert ftype == wire.TYPE_ERROR
-    assert wire.parse_error_payload(reply)[0] == wire.ERR_MALFORMED_QUERY
+        ftype, reply = core.handle_frame(core.new_session(), wire.TYPE_PARAMS,
+                                         wire.params_payload(
+            {"scheme": "stpir", "endpoint": 16, "n_db": 16, "k": 3, "m": 0, "t": 1,
+             "w": 4, "message_length": 2}))
+    assert wire.parse_error_payload(reply) == (
+        wire.ERR_STORE_MISMATCH, "threshold T=1 and 2 coordinates per message do not fit "
+        "the session's 16 points in GF(2^4)")
     assert caplog.records == []
     ftype, _ = core.handle_frame(_sym_session(core, endpoint=15, n_db=15),
                                  wire.TYPE_QUERY, payload)
@@ -1648,6 +1782,25 @@ def test_servers_refuse_a_nonzero_padding_nibble():
         assert wire.parse_error_payload(reply) == (
             wire.ERR_MALFORMED_QUERY, f"{name} query has a nonzero padding nibble")
         assert core.handle_frame(session, wire.TYPE_QUERY, honest)[0] == wire.TYPE_ANSWER
+
+
+def test_client_refuses_a_nonzero_padding_nibble_in_an_answer():
+    """A stpir answer at w = 4 is one symbol, and the high nibble of its byte
+    is padding: an endpoint that sets it sent a malformed answer."""
+    store = random_store(standard_field(4), 3, 2, np.random.default_rng(102))
+    core = ServerCore(store, role="stpir", secret=SECRET)
+
+    class Padding(client.LocalTransport):
+        def receive(self, limit=wire.MAX_PAYLOAD):
+            ftype, payload = super().receive(limit)
+            if ftype == wire.TYPE_ANSWER:
+                payload = payload[:-1] + bytes([payload[-1] | 0xF0])
+            return ftype, payload
+
+    transports = [Padding(core)] + [client.LocalTransport(core) for _ in range(2)]
+    with pytest.raises(ProtocolError, match="^endpoint 1 sent a malformed answer: answer "
+                                            "has a nonzero padding nibble$"):
+        client.retrieve(transports, SchemeParams(3, 0, 3, 1), 1, {}, seed=1, scheme="stpir")
 
 
 def test_client_refuses_raw_answers_of_the_stpir_scheme():

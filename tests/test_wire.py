@@ -97,9 +97,9 @@ def test_store_file_rejects_bad_sizes():
             wire.parse_store(bytes(padded))
 
 
-def _layouts(plan):
-    """The layouts a tpir server's session takes after the PARAMS a client
-    of ``plan`` sends: derived from PARAMS alone, not from any query."""
+def _shape(plan):
+    """The shape a tpir server's session takes after the PARAMS a client of
+    ``plan`` sends: derived from PARAMS alone, not from any query."""
     params = plan.params
     core = ServerCore(random_store(plan.field, params.K, plan.profile.L,
                                    np.random.default_rng(0)))
@@ -108,7 +108,7 @@ def _layouts(plan):
         {"scheme": "tpir", "endpoint": 1, "n_db": params.N, "k": params.K, "m": params.M,
          "t": params.T, "w": plan.field.w, "message_length": plan.profile.L}))
     assert ftype == wire.TYPE_PARAMS
-    return session["layouts"]
+    return session["shape"]
 
 
 @pytest.mark.parametrize("params,theta", [
@@ -123,12 +123,12 @@ def test_layered_query_round_trip(params, theta):
     client's queries, for every theta: each query parses against it and
     writes back the same bytes."""
     plan, state = build_plan(params, theta, 7)
-    layouts = _layouts(plan)
-    assert layouts == {wire.SCHEME_LAYERED: plan.shape}
+    shape = _shape(plan)
+    assert shape == plan.shape
     for q in database_queries(plan, state.pool):
         assert q.shape == plan.shape
         data = wire.serialize_database_query(q)
-        back = wire.parse_query_payload(data, layouts)
+        back = wire.parse_query_payload(data, shape)
         assert np.array_equal(back.rows, q.rows)
         assert (back.shape, back.compress) == (q.shape, q.compress)
         assert wire.serialize_database_query(back) == data
@@ -141,7 +141,7 @@ def test_layered_query_round_trip_odd_lengths(w, length):
     rows = field.random_symbols(np.random.default_rng(length), (5, length))
     q = DatabaseQuery(shape=shape, compress=True, rows=rows)
     data = wire.serialize_database_query(q)
-    back = wire.parse_query_payload(data, {wire.SCHEME_LAYERED: shape})
+    back = wire.parse_query_payload(data, shape)
     assert back.shape == shape
     assert np.array_equal(back.rows, rows) and back.rows.flags.c_contiguous
     assert wire.serialize_database_query(back) == data
@@ -177,7 +177,7 @@ def test_layered_query_off_template_rejected_before_unpack(monkeypatch, edit):
     refused before any row is unpacked."""
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)
     query = database_queries(plan, state.pool)[0]
-    data, shape = wire.serialize_database_query(query), _layouts(plan)
+    data, shape = wire.serialize_database_query(query), _shape(plan)
     unpacked = []
     original = GF.unpack
 
@@ -196,17 +196,18 @@ def test_layered_query_off_template_rejected_before_unpack(monkeypatch, edit):
 
 
 def test_layered_query_needs_a_session_shape():
+    """A session of another scheme's shape refuses a layered payload."""
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)
     data = wire.serialize_database_query(database_queries(plan, state.pool)[0])
-    for layouts in ({}, {wire.SCHEME_SUM: wire.SumShape(4, 3, 8)}):
-        with pytest.raises(ProtocolError, match="takes no query of scheme 0x1"):
-            wire.parse_query_payload(data, layouts)
+    for shape in (wire.SumShape(4, 3, 8), wire.SymmetricShape(4, 3, 8, 1)):
+        with pytest.raises(ProtocolError, match="does not match its session's"):
+            wire.parse_query_payload(data, shape)
 
 
 def test_layered_query_truncation_detected():
     plan, state = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)
     query = database_queries(plan, state.pool)[0]
-    data, shape = wire.serialize_database_query(query), _layouts(plan)
+    data, shape = wire.serialize_database_query(query), _shape(plan)
     with pytest.raises(ProtocolError):
         wire.parse_query_payload(data[:-3], shape)
     with pytest.raises(ProtocolError):
@@ -218,8 +219,7 @@ def test_sym_query_round_trip():
     coords = f8.random_symbols(np.random.default_rng(2), (3, 2))
     sid = bytes(range(16))
     data = wire.serialize_sym_query(8, sid, 2, coords)
-    back = wire.parse_query_payload(
-        data, {wire.SCHEME_SYMMETRIC: wire.SymmetricShape(8, 3, 2, 2)})
+    back = wire.parse_query_payload(data, wire.SymmetricShape(8, 3, 2, 2))
     assert isinstance(back, wire.SymQueryWire)
     assert back.session_id == sid and back.t == 2
     assert np.array_equal(back.coords, coords)
@@ -228,7 +228,7 @@ def test_sym_query_round_trip():
 def test_sum_query_round_trip():
     data = wire.serialize_sum_query(4, 3, 8)
     shape = wire.SumShape(4, 3, 8)
-    assert wire.parse_query_payload(data, {wire.SCHEME_SUM: shape}) == shape
+    assert wire.parse_query_payload(data, shape) == shape
     assert wire.query_size(shape) == len(data)
 
 
@@ -242,9 +242,8 @@ def _edit_fields(head, index, value):
 
 _SYM_COORDS = standard_field(8).random_symbols(np.random.default_rng(3), (3, 2))
 _SYMMETRIC = (wire.serialize_sym_query(8, bytes(range(16)), 1, _SYM_COORDS),
-              {wire.SCHEME_SYMMETRIC: wire.SymmetricShape(8, 3, 2, 1),
-               wire.SCHEME_SUM: wire.SumShape(8, 3, 2)})
-_SUM = (wire.serialize_sum_query(4, 3, 8), {wire.SCHEME_SUM: wire.SumShape(4, 3, 8)})
+              wire.SymmetricShape(8, 3, 2, 1))
+_SUM = (wire.serialize_sum_query(4, 3, 8), wire.SumShape(4, 3, 8))
 
 
 @pytest.mark.parametrize("case,edit", [
@@ -264,10 +263,10 @@ _SUM = (wire.serialize_sum_query(4, 3, 8), {wire.SCHEME_SUM: wire.SumShape(4, 3,
         "sum-w", "sum-k", "sum-length", "sum-short", "sum-long"])
 def test_symmetric_and_sum_queries_off_shape_rejected_before_unpack(monkeypatch, case,
                                                                      edit):
-    """Symmetric and sum payloads are read against their session's shapes as
+    """Symmetric and sum payloads are read against their session's shape as
     layered ones are: one changed header field (w, K, N - T or T), or one
     byte more or less, is refused before any coordinate is unpacked."""
-    data, layouts = case
+    data, shape = case
     unpacked = []
     original = GF.unpack
 
@@ -279,17 +278,20 @@ def test_symmetric_and_sum_queries_off_shape_rejected_before_unpack(monkeypatch,
     bad = edit(data)
     assert bad != data
     with pytest.raises(ProtocolError):
-        wire.parse_query_payload(bad, layouts)
+        wire.parse_query_payload(bad, shape)
     assert unpacked == []
-    wire.parse_query_payload(data, layouts)
+    wire.parse_query_payload(data, shape)
     assert len(unpacked) == (data[0] == wire.SCHEME_SYMMETRIC)
 
 
 def test_unknown_scheme_rejected():
-    with pytest.raises(ProtocolError):
-        wire.parse_query_payload(b"\x99rest", _SUM[1])
-    with pytest.raises(ProtocolError, match="^empty query payload$"):
-        wire.parse_query_payload(b"", _SUM[1])
+    """The bytes each shape fixes start with its scheme byte: another scheme
+    byte, or an empty payload, is refused by every shape."""
+    plan = build_plan(SchemeParams(3, 1, 2, 1), 1, 8)[0]
+    for shape in (_SUM[1], _SYMMETRIC[1], plan.shape):
+        for data in (b"\x99rest", b""):
+            with pytest.raises(ProtocolError):
+                wire.parse_query_payload(data, shape)
 
 
 @pytest.mark.parametrize("w", (4, 8, 16))
@@ -306,6 +308,16 @@ def test_answer_round_trip(w):
         with pytest.raises(ProtocolError, match=f"^answer body holds {len(bad) - 5} bytes, "
                                                 f"expected {f.packed_size(13)}$"):
             wire.parse_answer(f, bad)
+
+
+def test_answer_refuses_a_nonzero_padding_nibble():
+    """At w = 4 an odd symbol count leaves the last byte's high nibble
+    unused; an answer that sets it is refused, not parsed as the honest one."""
+    f4 = standard_field(4)
+    form, got = wire.parse_answer(f4, bytes([0, 1, 0, 0, 0, 0x01]))
+    assert (form, got.tolist()) == (0, [1])
+    with pytest.raises(ProtocolError, match="^answer has a nonzero padding nibble$"):
+        wire.parse_answer(f4, bytes([0, 1, 0, 0, 0, 0xF1]))
 
 
 def test_error_payload_round_trip():
