@@ -38,13 +38,13 @@ class SchemeParams:
 
     def __post_init__(self):
         if self.K < 1:
-            raise ParameterError("need at least one message")
+            raise ParameterError(f"need at least one message, not K={self.K}")
         if not 0 <= self.M < self.K:
-            raise ParameterError("cached-message count must satisfy 0 <= M < K")
+            raise ParameterError(f"cached-message count M={self.M} must satisfy 0 <= M < K")
         if self.N < 1:
-            raise ParameterError("need at least one database")
+            raise ParameterError(f"need at least one database, not N={self.N}")
         if not 1 <= self.T <= self.N:
-            raise ParameterError("collusion threshold must satisfy 1 <= T <= N")
+            raise ParameterError(f"collusion threshold T={self.T} must satisfy 1 <= T <= N")
         if self.w is not None and self.w not in (4, 8, 16):
             raise ParameterError("symbol width must be 4, 8 or 16 bits")
 

@@ -7,7 +7,8 @@ also refuses and ends sessions alike. A retrieval is pipelined in one
 thread: each endpoint's PARAMS and QUERY leave back to back in one send, to
 every endpoint, before any reply is read; then each endpoint's two replies
 are read in order. The servers work in parallel meanwhile, and any endpoint
-failure aborts the retrieval.
+failure aborts the retrieval. PARAMS name the session's point, ``n_db`` its
+N for every scheme: the sum download asks endpoint 1 of N.
 """
 
 from __future__ import annotations
@@ -169,20 +170,21 @@ def _check_replicas(transcripts) -> str:
 
 @lru_cache(maxsize=64)
 def _params_frames(params: SchemeParams, scheme: str, w: int,
-                   message_length: int, n_endpoints: int) -> tuple[bytes, ...]:
-    """Each endpoint's PARAMS payload: the same for every session of a point."""
+                   message_length: int) -> tuple[bytes, ...]:
+    """Each endpoint's PARAMS payload, the same for every session of a point:
+    its index and the point (K, M, N, T), whichever endpoints are asked."""
     return tuple(
         wire.params_payload({
             "scheme": scheme,
             "endpoint": i + 1,
-            "n_db": n_endpoints,
+            "n_db": params.N,
             "k": params.K,
             "m": params.M,
             "t": params.T,
             "w": w,
             "message_length": message_length,
         })
-        for i in range(n_endpoints)
+        for i in range(params.N)
     )
 
 
@@ -215,7 +217,7 @@ def retrieve(transports, params: SchemeParams, theta: int, side,
     payloads = list(protocol.payloads(state)[0].values())
     field, form, count = protocol.field, protocol.form, protocol.count
     transcripts = _run_endpoints(transports, _params_frames(
-        params, scheme, field.w, protocol.message_length, len(payloads)), payloads,
+        params, scheme, field.w, protocol.message_length), payloads,
         max(MAX_SESSIONLESS_FRAME, wire.answer_size(field, count)))
     digest = _check_replicas(transcripts)
     answers = []

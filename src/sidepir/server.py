@@ -8,20 +8,20 @@ both run its one session loop, :meth:`ServerCore.serve`, so they give the
 same replies and ends. :class:`DatabaseServer` is the TCP listener.
 
 Sessions are one QUERY each: a connection first announces itself with a
-PARAMS frame (carrying its assigned endpoint index, which the symmetric
-scheme needs for its evaluation point), then sends the QUERY. PARAMS fixes
-the one protocol the session runs, the one the client runs for those
-fields: the layered scheme on a tpir server; on a stpir server, the sum
-download at M = K - 1 and the symmetric scheme otherwise. PARAMS whose
-(M, N, T) give that protocol no QUERY shape are refused. A QUERY is sized
-from its session's shape before its body is read, and must match it in
-every byte but its own. A client may send both frames back to back: they
-are answered in order, one reply each. Once a QUERY is answered the
-session is over: the core refuses any further frame, and the session loop
-ends at that ANSWER, as at a head it refuses or a failed read (a session
-whose frames got only ERROR replies stays open). Any frame before PARAMS,
-and any frame but the QUERY after it, is bounded by
-:data:`MAX_SESSIONLESS_FRAME`.
+PARAMS frame, naming the session's point (K, M, N, T), ``n_db`` its N for
+every scheme, and its assigned endpoint index, which the symmetric scheme
+needs for its evaluation point; then it sends the QUERY. PARAMS fixes the
+one protocol the session runs, the one the client's
+:func:`~sidepir.stpir_psi.session_protocol` builds at that point. PARAMS at
+a point it refuses, or whose protocol takes messages of another length
+than the store's, are refused. A QUERY is sized from its session's shape
+before its body is read, and must match it in every byte but its own. A
+client may send both frames back to back: they are answered in order, one
+reply each. Once a QUERY is answered the session is over: the core refuses
+any further frame, and the session loop ends at that ANSWER, as at a head
+it refuses or a failed read (a session whose frames got only ERROR replies
+stays open). Any frame before PARAMS, and any frame but the QUERY after it,
+is bounded by :data:`MAX_SESSIONLESS_FRAME`.
 
 Servers keep no state across sessions beyond the store, the shared secret
 and what depends only on public values: the PARAMS reply, built once from
@@ -56,10 +56,10 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from . import wire
+from .capacity import SchemeParams
 from .errors import ParameterError, PirError, ProtocolError
 from .store import MessageStore
-from .stpir_psi import SumProtocol, SymmetricProtocol
-from .tpir_psi import LayeredProtocol
+from .stpir_psi import session_protocol
 
 # a PARAMS payload is at most 216 bytes even with all seven integers at u64
 # width; no frame but a session's QUERY may declare more than this
@@ -84,6 +84,8 @@ class ServerCore:
             raise ParameterError("role must be 'tpir' or 'stpir'")
         if role == "stpir" and not secret:
             raise ParameterError("the symmetric role needs a shared secret")
+        if role == "stpir" and store.num_messages < 2:
+            raise ParameterError("the stpir scheme is defined for K >= 2 messages")
         self.store = store
         self.role = role
         self.secret = secret
@@ -164,9 +166,6 @@ class ServerCore:
             problems.append(f"store messages have length {self.store.message_length}")
         if req["w"] != self.store.field.w:
             problems.append(f"store symbols are {self.store.field.w}-bit")
-        if not 0 <= req["m"] < self.store.num_messages:
-            problems.append(f"cached-message count {req['m']} outside "
-                            f"0..{self.store.num_messages - 1}")
         endpoint, n_db = req["endpoint"], req["n_db"]
         if not 1 <= endpoint <= n_db:
             problems.append(f"bad endpoint assignment {endpoint}/{n_db}")
@@ -216,22 +215,20 @@ class ServerCore:
 # stream of PARAMS with ever-new fields cannot grow a server past it
 @lru_cache(maxsize=64)
 def _session_query(role: str, w: int, k: int, length: int, m: int, n_db: int, t: int):
-    """The protocol that a session of PARAMS (M, N, T) runs on a ``role``
-    server's store of K messages of L w-bit symbols, the one that
-    :func:`~sidepir.stpir_psi.session_protocol` picks (the layered scheme for
-    tpir; for stpir the sum download at M = K - 1, else the symmetric
-    scheme), with its QUERY shape and that shape's length. A ParameterError
-    where the shape does not fit."""
-    protocol = (LayeredProtocol if role == "tpir" else
-                SumProtocol if m == k - 1 else SymmetricProtocol)
-    shape = protocol.shape(w, k, length, m, n_db, t)
-    return protocol, shape, wire.query_size(shape)
+    """The class of the protocol that :func:`~sidepir.stpir_psi.session_protocol`
+    builds at a session's point (K, M, N, T) in GF(2^w), all a session keeps
+    of it (``answer_query`` is static), with its QUERY shape on a store of
+    messages of ``length`` symbols and that shape's length; a PirError where
+    the point or the shape does not fit."""
+    protocol = session_protocol(role, SchemeParams(k, m, n_db, t, w=w))
+    shape = protocol.query_shape(length)
+    return type(protocol), shape, wire.query_size(shape)
 
 
 class DatabaseServer:
     """A TCP database server bound to a local port, the listener of its
-    ``core``. Usable as a context manager; ``port`` is the bound port
-    (useful when constructed with port 0).
+    ``core``; ``port`` is the bound port (useful when constructed with
+    port 0).
 
     Leader/followers: each (daemon) worker blocks in ``accept()`` itself
     and serves the connection it takes, then accepts again. A worker that
@@ -268,12 +265,6 @@ class DatabaseServer:
         """Start, then wait until the server is stopped (or interrupted)."""
         self.start()
         self._stopping.wait()
-
-    def __enter__(self) -> "DatabaseServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     def _follow(self) -> None:  # under the lock
         if not self._idle and not self._stopping.is_set():

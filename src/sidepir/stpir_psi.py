@@ -169,8 +169,10 @@ def sum_shortcut_answer(store: MessageStore) -> np.ndarray:
 class SymmetricProtocol:
     """The symmetric scheme as a retrieval runs it, over a leading session
     axis: N databases asked for one symbol each, so that ``answers`` are
-    shaped (N, sessions, 1). The cache is checked, never read. It holds the
-    public points, read-only: built once per point by :func:`make_sym_params`."""
+    shaped (N, sessions, 1). The cache is checked, never read. Its tables,
+    read-only, are built on first use, so a server builds a session's
+    protocol at no cost sized by N; :func:`make_sym_params` builds it once
+    per point."""
 
     def __init__(self, params: SchemeParams):
         if params.K < 2:
@@ -181,11 +183,20 @@ class SymmetricProtocol:
                 f"width {field.w} gives only {field.q} evaluation points for N={params.N}")
         self.params, self.field, self.endpoints = params, field, params.N
         self.message_length, self.form, self.count = params.N - params.T, wire.FORM_SYMMETRIC, 1
-        # database n's point is n, as in _endpoint_powers; vander's lambda_n ** j
-        # are T mask columns, then N - T indicators
-        self.lambdas = np.arange(1, params.N + 1, dtype=field.dtype)
-        self.vander = point_powers(field, self.lambdas, params.N)
-        self.lambdas.flags.writeable = self.vander.flags.writeable = False
+
+    @cached_property
+    def lambdas(self) -> np.ndarray:
+        """The N public points: database n's is n, as in :func:`_endpoint_powers`."""
+        lambdas = np.arange(1, self.params.N + 1, dtype=self.field.dtype)
+        lambdas.flags.writeable = False
+        return lambdas
+
+    @cached_property
+    def vander(self) -> np.ndarray:
+        """(N, N) powers lambda_n ** j: T mask columns, then N - T indicators."""
+        vander = point_powers(self.field, self.lambdas, self.params.N)
+        vander.flags.writeable = False
+        return vander
 
     @cached_property
     def interp(self) -> np.ndarray:
@@ -239,16 +250,14 @@ class SymmetricProtocol:
         """Shared randomness consumed per desired symbol."""
         return Fraction(self.params.T, self.params.N - self.params.T)
 
-    @staticmethod
-    def shape(w: int, k: int, length: int, m: int, n_db: int, t: int) -> wire.SymmetricShape:
-        """The QUERY shape of a session on a store of K messages of L w-bit
-        symbols: exactly the declared T mask symbols (fewer would weaken
-        database privacy), at N points, enough for degree T + L - 1; a
-        ParameterError where they do not fit."""
-        if not (1 <= t and t + length <= n_db < 1 << w):
-            raise ParameterError(f"threshold T={t} and {length} coordinates per message do "
-                                 f"not fit the session's {n_db} points in GF(2^{w})")
-        return wire.SymmetricShape(w, k, length, t)
+    def query_shape(self, length: int) -> wire.SymmetricShape:
+        """The QUERY shape of a session on a store of messages of ``length``
+        symbols: T mask symbols (fewer would weaken database privacy) and
+        N - T coordinates per message; a ParameterError for another length."""
+        if length != self.message_length:
+            raise ParameterError(f"{self.params.label()}: the symmetric scheme takes messages "
+                                 f"of N - T = {self.message_length} symbols, not {length}")
+        return wire.SymmetricShape(self.field.w, self.params.K, length, self.params.T)
 
 
 class SumProtocol:
@@ -293,9 +302,9 @@ class SumProtocol:
     def rho(self) -> Fraction:
         return Fraction(0)
 
-    @staticmethod
-    def shape(w: int, k: int, length: int, m: int, n_db: int, t: int) -> wire.SumShape:
-        return wire.SumShape(w, k, length)
+    def query_shape(self, length: int) -> wire.SumShape:
+        """The QUERY shape of a session on a store of messages of any ``length``."""
+        return wire.SumShape(self.field.w, self.params.K, length)
 
 
 @lru_cache(maxsize=64)

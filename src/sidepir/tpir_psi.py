@@ -554,7 +554,7 @@ class LayeredProtocol:
 
     def __init__(self, params: SchemeParams, raw: bool = False):
         if not params.constructible:
-            raise ParameterError(f"{params.label()} is not constructible")
+            raise ParameterError(f"{params.label()}: the layered scheme needs T < N (or M = K-1)")
         profile, compressed = count_profile(params), params.M >= 1 and not raw
         self.params, self.raw, self.endpoints = params, raw, params.N
         self.field = standard_field(params.w or minimum_field_width(params))
@@ -601,16 +601,12 @@ class LayeredProtocol:
     def rho(self) -> Fraction:
         return Fraction(0)
 
-    @staticmethod
-    def shape(w: int, k: int, length: int, m: int, n_db: int, t: int) -> LayeredShape:
-        """The QUERY shape of a session of PARAMS (M, N, T) on a store of K
-        messages of L w-bit symbols, the plan's public layout (its slot count
-        caps the code a query makes the server build); a ParameterError
-        where it has none."""
-        if not 1 <= n_db <= length or n_db ** k != length:
-            raise ParameterError(f"session parameters (M={m}, N={n_db}, T={t}) do not fit a "
-                                 f"layered scheme on {k} messages of length {length}")
-        try:
-            return download_plan(SchemeParams(k, m, n_db, t, w=w), 1).shape
-        except (ParameterError, FieldTooSmallError) as exc:
-            raise ParameterError(f"session parameters: {exc}") from exc
+    def query_shape(self, length: int) -> LayeredShape:
+        """The QUERY shape of a session on a store of messages of ``length``
+        symbols, the plan's public layout (its slot count caps the code a
+        query makes the server build); a ParameterError unless L = N^K, a
+        FieldTooSmallError where the point's width cannot host the plan."""
+        if length != self.message_length:
+            raise ParameterError(f"{self.params.label()}: the layered scheme takes messages "
+                                 f"of N^K = {self.message_length} symbols, not {length}")
+        return download_plan(self.params, 1).shape

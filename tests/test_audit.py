@@ -378,9 +378,8 @@ def test_in_process_answers_are_the_servers_answers(scheme, params, raw):
     answers = protocol.answer(state, store, secret)
     core = ServerCore(store, role=scheme, secret=secret)
     sessions = protocol.payloads(state)
-    frames = client._params_frames(params, scheme, protocol.field.w, protocol.message_length,
-                                   len(sessions[0]))
-    assert answers.shape == (len(frames), len(sessions), protocol.count)
+    frames = client._params_frames(params, scheme, protocol.field.w, protocol.message_length)
+    assert answers.shape == (protocol.endpoints, len(sessions), protocol.count)
     for j, payloads in enumerate(sessions):
         for n, payload in payloads.items():
             session = core.new_session()

@@ -180,8 +180,8 @@ def test_server_error_frames(golden1_store):
     unfit = ok.replace(b'"n_db":2', b'"n_db":3')
     ftype, payload = core.handle_frame(session, wire.TYPE_PARAMS, unfit)
     assert wire.parse_error_payload(payload) == (
-        wire.ERR_STORE_MISMATCH, "session parameters (M=1, N=3, T=1) do not fit a layered "
-        "scheme on 3 messages of length 8")
+        wire.ERR_STORE_MISMATCH, "(K=3,M=1,N=3,T=1): the layered scheme takes messages of "
+        "N^K = 27 symbols, not 8")
     ftype, payload = core.handle_frame(session, wire.TYPE_QUERY, b"\x01trunc")
     assert wire.parse_error_payload(payload) == (wire.ERR_PROTOCOL, "QUERY before PARAMS")
 
@@ -270,7 +270,7 @@ def test_params_refuse_a_cached_count_outside_the_store(golden1_store, role):
         ftype, payload = core.handle_frame(core.new_session(), wire.TYPE_PARAMS,
                                            wire.params_payload(fields))
         assert wire.parse_error_payload(payload) == (
-            wire.ERR_STORE_MISMATCH, f"cached-message count {m} outside 0..2")
+            wire.ERR_STORE_MISMATCH, f"cached-message count M={m} must satisfy 0 <= M < K")
 
 
 def test_truncated_frame_over_tcp(golden1_store):
@@ -860,7 +860,8 @@ def _transcript_digest(result) -> str:
 # theta, raw) and the sha256 of the seed-0 transcripts and message, as the
 # client and servers wrote them before their per-point caches; the layered
 # ones as written since a session draws one L x L mixer and K - 1 u x L
-# blocks, which consumes the random stream differently
+# blocks, which consumes the random stream differently; the sum one as
+# written since its PARAMS name the point's N, not the one endpoint asked
 PINNED_TRANSCRIPTS = {
     "layered": ("tpir", SchemeParams(3, 1, 2, 1), 4, 8, 102, {3}, 2, False,
                 "97a53e3ce81275238060fe9e71921b45a1f96688b0f46827d61b9673b3cc6a66"),
@@ -874,7 +875,7 @@ PINNED_TRANSCRIPTS = {
                          False,
                          "e3e0d0c40798c447edb85f1cdefb4ef03f9ee853ecbb88f7e8afb082ebc09cf0"),
     "sum": ("stpir", SchemeParams(3, 2, 3, 1), 4, 5, 109, {2, 3}, 1, False,
-            "224fcb760bdb546131de66657ee9ba4f6115843564f667721b61170d1d6ff893"),
+            "e8d8a1a08691903341f50c40a3e28a9d56b211017d37f33dcd5e95178db2106a"),
 }
 
 
@@ -1408,9 +1409,9 @@ def test_sessions_refuse_queries_of_other_schemes(golden1_store, caplog):
     layered and a sum one; a stpir session at M = K - 1 a layered and a
     symmetric one. Each refusal is ERR_MALFORMED_QUERY with no logged
     traceback, and the session stays open for the query it does take.
-    PARAMS that fit no protocol (a stpir session at M < K - 1 whose T and
-    N - T do not fit its N points) are refused with ERR_STORE_MISMATCH and
-    the reason, and the session takes no QUERY."""
+    PARAMS that fit no protocol (a stpir session at M < K - 1 whose N - T is
+    not the store's message length, or whose T is outside 1..N) are refused
+    with ERR_STORE_MISMATCH and the reason, and the session takes no QUERY."""
     from sidepir.stpir_psi import make_sym_params, queries_from_masks, sym_masks
     from sidepir.tpir_psi import build_plan, database_queries
 
@@ -1433,8 +1434,11 @@ def test_sessions_refuse_queries_of_other_schemes(golden1_store, caplog):
              (stpir, {**stpir_fields, "m": 1}, (layered, stpir_sum), symmetric),
              (stpir, {**stpir_fields, "m": 2, "n_db": 1}, (layered, symmetric), stpir_sum),
              (stpir, {**stpir_fields, "m": 2, "t": 3}, (layered, symmetric), stpir_sum)]
-    unfit = [({**stpir_fields, "t": 3}, 3, 3), ({**stpir_fields, "t": 4}, 4, 3),
-             ({**stpir_fields, "n_db": 1}, 1, 1)]
+    unfit = [({**stpir_fields, "t": 3}, "(K=3,M=0,N=3,T=3): the symmetric scheme takes "
+              "messages of N - T = 0 symbols, not 2"),
+             ({**stpir_fields, "t": 4}, "collusion threshold T=4 must satisfy 1 <= T <= N"),
+             ({**stpir_fields, "n_db": 1}, "(K=3,M=0,N=1,T=1): the symmetric scheme takes "
+              "messages of N - T = 0 symbols, not 2")]
     with caplog.at_level("DEBUG", logger="sidepir.server"):
         for core, fields, refused, taken in cases:
             session = core.new_session()
@@ -1446,13 +1450,11 @@ def test_sessions_refuse_queries_of_other_schemes(golden1_store, caplog):
                 assert ftype == wire.TYPE_ERROR
                 assert wire.parse_error_payload(reply)[0] == wire.ERR_MALFORMED_QUERY
             assert core.handle_frame(session, wire.TYPE_QUERY, taken)[0] == wire.TYPE_ANSWER
-        for fields, t, n_db in unfit:
+        for fields, reason in unfit:
             session = stpir.new_session()
             ftype, reply = stpir.handle_frame(session, wire.TYPE_PARAMS,
                                               wire.params_payload(fields))
-            assert wire.parse_error_payload(reply) == (
-                wire.ERR_STORE_MISMATCH, f"threshold T={t} and 2 coordinates per message "
-                f"do not fit the session's {n_db} points in GF(2^4)")
+            assert wire.parse_error_payload(reply) == (wire.ERR_STORE_MISMATCH, reason)
             ftype, reply = stpir.handle_frame(session, wire.TYPE_QUERY, stpir_sum)
             assert wire.parse_error_payload(reply)[0] == wire.ERR_PROTOCOL
     assert caplog.records == []
@@ -1522,12 +1524,20 @@ _HUGE = st.integers(-(1 << 70), 1 << 70)
                                                "t": 1, "w": 4, "message_length": 2})
 @example(role="stpir", scheme="stpir", fields={"endpoint": 1, "n_db": 1, "k": 3, "m": 2,
                                                "t": 1, "w": 4, "message_length": 2})
+@example(role="stpir", scheme="stpir", fields={"endpoint": 1, "n_db": 5, "k": 3, "m": 2,
+                                               "t": -1, "w": 4, "message_length": 2})
+@example(role="stpir", scheme="stpir", fields={"endpoint": 1, "n_db": 5, "k": 3, "m": 2,
+                                               "t": 1 << 70, "w": 4, "message_length": 2})
 @settings(max_examples=300)
 def test_params_get_params_or_a_typed_error(params_cores, role, scheme, fields):
     """Any integer PARAMS fields, out-of-range M, T, N and endpoint among
     them, get PARAMS or a typed ERROR of the client's making (a store
-    mismatch or a malformed frame), never ERR_INTERNAL. After PARAMS are
-    accepted, the session's head check passes exactly one QUERY length."""
+    mismatch or a malformed frame), never ERR_INTERNAL. Accepted PARAMS
+    name a point (K, M, N, T) at which the client's ``session_protocol``
+    runs the session's protocol, and the session's head check passes
+    exactly one QUERY length."""
+    from sidepir.stpir_psi import session_protocol
+
     core = params_cores[role]
     session = core.new_session()
     ftype, reply = core.handle_frame(session, wire.TYPE_PARAMS,
@@ -1537,8 +1547,25 @@ def test_params_get_params_or_a_typed_error(params_cores, role, scheme, fields):
                                                       wire.ERR_MALFORMED_FRAME)
         return
     assert ftype == wire.TYPE_PARAMS
+    point = SchemeParams(fields["k"], fields["m"], fields["n_db"], fields["t"], w=fields["w"])
+    assert type(session_protocol(role, point)) is session["protocol"]
     assert len([n for n in range(1024)
                 if core.refuse_unread(session, wire.TYPE_QUERY, n) is None]) == 1
+
+
+def test_stpir_server_refuses_a_store_of_one_message(tmp_path, monkeypatch, capsys):
+    """No stpir session can be served from a store of one message, so a
+    stpir ServerCore refuses it, and `sidepir serve --role stpir` on it
+    exits 1 with one error line and no traceback."""
+    store = random_store(standard_field(4), 1, 2, np.random.default_rng(110))
+    with pytest.raises(ParameterError, match="K >= 2"):
+        ServerCore(store, role="stpir", secret=SECRET)
+    wire.write_store(tmp_path / "store.pir", store)
+    monkeypatch.setenv("SIDEPIR_SECRET", SECRET.hex())
+    assert cli_main(["serve", "--role", "stpir", "--port", "0",
+                     "--store", str(tmp_path / "store.pir")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_client_rejects_bad_requests_with_typed_errors(golden1_store):
@@ -1652,7 +1679,7 @@ def test_server_checks_layered_query_against_session_params():
          "message_length": 64}))
     assert wire.parse_error_payload(reply) == (
         wire.ERR_STORE_MISMATCH,
-        "session parameters: (K=6,M=2,N=2,T=2): the layered scheme needs T < N (or M = K-1)")
+        "(K=6,M=2,N=2,T=2): the layered scheme needs T < N (or M = K-1)")
 
     # genuine compressed and raw queries are still answered
     for raw in (False, True):
@@ -1685,17 +1712,16 @@ def test_symmetric_server_refuses_points_outside_the_field(caplog):
     core = ServerCore(store, role="stpir", secret=SECRET)
     sym = make_sym_params(SchemeParams(3, 0, 3, 1))
     query = queries_from_masks(sym, 2, sym_masks(sym, np.random.default_rng(5)))[0]
-    payload = wire.serialize_sym_query(4, bytes(16), 1, query)
+    payload = wire.serialize_sym_query(4, bytes(16), 13, query)
     with caplog.at_level("DEBUG", logger="sidepir.server"):
         ftype, reply = core.handle_frame(core.new_session(), wire.TYPE_PARAMS,
                                          wire.params_payload(
-            {"scheme": "stpir", "endpoint": 16, "n_db": 16, "k": 3, "m": 0, "t": 1,
+            {"scheme": "stpir", "endpoint": 16, "n_db": 16, "k": 3, "m": 0, "t": 14,
              "w": 4, "message_length": 2}))
     assert wire.parse_error_payload(reply) == (
-        wire.ERR_STORE_MISMATCH, "threshold T=1 and 2 coordinates per message do not fit "
-        "the session's 16 points in GF(2^4)")
+        wire.ERR_STORE_MISMATCH, "width 4 gives only 16 evaluation points for N=16")
     assert caplog.records == []
-    ftype, _ = core.handle_frame(_sym_session(core, endpoint=15, n_db=15),
+    ftype, _ = core.handle_frame(_sym_session(core, endpoint=15, n_db=15, t=13),
                                  wire.TYPE_QUERY, payload)
     assert ftype == wire.TYPE_ANSWER
 
@@ -1724,10 +1750,13 @@ def test_server_checks_symmetric_query_against_session():
 
 
 def test_symmetric_server_evaluates_a_large_threshold_in_one_pass():
-    """T is the client's to declare, up to q - 2. The server evaluates the
-    shared mask at its point in one vectorised pass, not one Python step per
-    coefficient, and the answer still equals the Horner evaluation."""
+    """T is the client's to declare, up to q - 2. The server takes its PARAMS
+    without building a table sized by N (under 1 MiB at its peak, where the
+    N x N point powers would take gigabytes), evaluates the shared mask at
+    its point in one vectorised pass, not one Python step per coefficient,
+    and the answer still equals the Horner evaluation."""
     import time
+    import tracemalloc
 
     from sidepir.stpir_psi import derive_common_randomness
 
@@ -1735,8 +1764,14 @@ def test_symmetric_server_evaluates_a_large_threshold_in_one_pass():
     store = random_store(f16, 2, 1, np.random.default_rng(105))
     core = ServerCore(store, role="stpir", secret=SECRET)
     t, point = 65534, 65535
-    session = _sym_session(core, endpoint=point, n_db=point, t=t, k=2, w=16,
-                           message_length=1)
+    tracemalloc.start()
+    try:
+        session = _sym_session(core, endpoint=point, n_db=point, t=t, k=2, w=16,
+                               message_length=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     coords = np.array([[3], [7]], dtype=f16.dtype)
     start = time.perf_counter()
     ftype, reply = core.handle_frame(session, wire.TYPE_QUERY,
